@@ -112,24 +112,15 @@ let params_term =
     const make $ jobs_term $ metrics_term $ build_term $ n_arg $ t_arg
     $ horizon_arg $ mode_arg)
 
-let protocol_names =
-  [ "never"; "p0"; "p1"; "p0opt"; "f-lambda-2"; "chain0"; "f-star" ]
-
 let protocol_arg =
   Arg.(
     value
-    & opt (enum (List.map (fun s -> (s, s)) protocol_names)) "f-lambda-2"
+    & opt (enum (List.map (fun s -> (s, s)) Eba.Zoo.names)) "f-lambda-2"
     & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
-        ~doc:(Printf.sprintf "One of: %s." (String.concat ", " protocol_names)))
+        ~doc:(Printf.sprintf "One of: %s." (String.concat ", " Eba.Zoo.names)))
 
-let pair_of_name env = function
-  | "never" -> Eba.Kb_protocol.never_decide (Eba.Formula.model env)
-  | "p0" -> Eba.Zoo.p0 env
-  | "p1" -> Eba.Zoo.p1 env
-  | "p0opt" | "f-lambda-2" -> Eba.Zoo.f_lambda_2 env
-  | "chain0" -> Eba.Zoo.chain_zero env
-  | "f-star" -> Eba.Zoo.f_star env
-  | other -> invalid_arg ("unknown protocol " ^ other)
+(* [protocol_arg] only admits names from [Zoo.names]. *)
+let pair_of_name env name = Option.get (Eba.Zoo.by_name name) env
 
 (* --- commands --- *)
 

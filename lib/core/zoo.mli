@@ -68,3 +68,13 @@ val knows_zero_structural : Formula.env -> Kb_protocol.pair
 (** Ablation twin of {!crash_simple} using the structural "my view contains
     a 0" test instead of the semantic [B^N_i ∃0]; the test-suite checks the
     two coincide on crash and omission models. *)
+
+val names : string list
+(** The named knowledge-based protocols the [check]/[optimize] commands
+    and the served [knowledge-query] accept, in display order:
+    [never], [p0], [p1], [p0opt], [f-lambda-2], [chain0], [f-star]
+    ([p0opt] and [f-lambda-2] both name {!f_lambda_2}). *)
+
+val by_name : string -> (Formula.env -> Kb_protocol.pair) option
+(** The protocol a name in {!names} stands for; [None] for any other
+    name. *)
