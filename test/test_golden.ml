@@ -26,6 +26,15 @@ let tests =
     slow "E1..E12 verdicts match the committed golden file" (fun () ->
         let expected = read_file expected_path in
         Alcotest.(check string) "experiments.expected" expected (actual ()));
+    (* Served knowledge-query bytes and the Theorem 5.3 / Prop 4.3 witness
+       lists for every named protocol.  Regenerate with:
+
+         dune exec test/regen_golden.exe -- knowledge-query > test/golden/knowledge_query.expected *)
+    slow "knowledge-query answers and witnesses match the committed golden file"
+      (fun () ->
+        Alcotest.(check string) "knowledge_query.expected"
+          (read_file "golden/knowledge_query.expected")
+          (Eba_harness.Knowledge_cases.render ()));
     test "every experiment id appears exactly once in the golden file" (fun () ->
         let golden = read_file expected_path in
         List.iter
