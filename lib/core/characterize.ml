@@ -6,13 +6,15 @@ module Model = Eba_fip.Model
 
 type failure = { condition : string; point : int; proc : int }
 
+(* Every subformula shared across processors is built once here, so the
+   env's memo evaluates it once: the two C□ nodes, their [∃y ∧ C□]
+   conjunctions, and each (value, processor) decided atom. *)
 type ctx = {
-  env : Formula.env;
   n : Nonrigid.t;
   e0 : Formula.t;
   e1 : Formula.t;
-  c_zero : Formula.t;  (* C□_{N∧O} ∃0 *)
-  c_one : Formula.t;  (* C□_{N∧Z} ∃1 *)
+  e0_c_zero : Formula.t;  (* ∃0 ∧ C□_{N∧O} ∃0 *)
+  e1_c_one : Formula.t;  (* ∃1 ∧ C□_{N∧Z} ∃1 *)
   dec : Value.t -> int -> Formula.t;
 }
 
@@ -24,14 +26,19 @@ let ctx env (d : Kb_protocol.decisions) =
   let n_and_z = Kb_protocol.conjoin env n "N&Z" pair.Kb_protocol.zero in
   let e0 = Formula.exists_value model Value.zero in
   let e1 = Formula.exists_value model Value.one in
+  let decided y =
+    Array.init (Model.n model) (fun i -> lazy (Kb_protocol.decided_atom env d y i))
+  in
+  let dec0 = decided Value.Zero and dec1 = decided Value.One in
   {
-    env;
     n;
     e0;
     e1;
-    c_zero = Formula.Cbox (n_and_o, e0);
-    c_one = Formula.Cbox (n_and_z, e1);
-    dec = (fun y i -> Kb_protocol.decided_atom env d y i);
+    e0_c_zero = Formula.And [ e0; Formula.Cbox (n_and_o, e0) ];
+    e1_c_one = Formula.And [ e1; Formula.Cbox (n_and_z, e1) ];
+    dec =
+      (fun y i ->
+        Lazy.force (match y with Value.Zero -> dec0.(i) | Value.One -> dec1.(i)));
   }
 
 let check_per_proc env nprocs mk =
@@ -51,15 +58,15 @@ let necessary env d =
     ( Printf.sprintf "4.3a: decide_%d(0) => B(e0 & Cbox[N&O] e0 & ~decide(1))" i,
       Formula.Implies
         ( c.dec Value.Zero i,
-          Formula.B
-            (c.n, i, Formula.And [ c.e0; c.c_zero; Formula.Not (c.dec Value.One i) ]) ) )
+          Formula.B (c.n, i, Formula.And [ c.e0_c_zero; Formula.Not (c.dec Value.One i) ])
+        ) )
   in
   let mk_one i =
     ( Printf.sprintf "4.3b: decide_%d(1) => B(e1 & Cbox[N&Z] e1 & ~decide(0))" i,
       Formula.Implies
         ( c.dec Value.One i,
-          Formula.B
-            (c.n, i, Formula.And [ c.e1; c.c_one; Formula.Not (c.dec Value.Zero i) ]) ) )
+          Formula.B (c.n, i, Formula.And [ c.e1_c_one; Formula.Not (c.dec Value.Zero i) ])
+        ) )
   in
   check_per_proc env (Model.n model) mk_zero
   @ check_per_proc env (Model.n model) mk_one
@@ -76,7 +83,7 @@ let sufficient_zero_anchored env (d : Kb_protocol.decisions) =
   for i = 0 to Model.n model - 1 do
     let a = Formula.Implies (mem Value.Zero i, Formula.B (c.n, i, c.e0)) in
     let b =
-      Formula.Iff (mem Value.One i, Formula.B (c.n, i, Formula.And [ c.e1; c.c_one ]))
+      Formula.Iff (mem Value.One i, Formula.B (c.n, i, c.e1_c_one))
     in
     if not (Formula.valid env a && Formula.valid env b) then ok := false
   done;
@@ -89,7 +96,7 @@ let sufficient_one_anchored env (d : Kb_protocol.decisions) =
   let ok = ref true in
   for i = 0 to Model.n model - 1 do
     let a =
-      Formula.Iff (mem Value.Zero i, Formula.B (c.n, i, Formula.And [ c.e0; c.c_zero ]))
+      Formula.Iff (mem Value.Zero i, Formula.B (c.n, i, c.e0_c_zero))
     in
     let b = Formula.Implies (mem Value.One i, Formula.B (c.n, i, c.e1)) in
     if not (Formula.valid env a && Formula.valid env b) then ok := false
@@ -106,9 +113,7 @@ let optimality_failures env d =
           Formula.Iff
             ( c.dec Value.Zero i,
               Formula.B
-                ( c.n,
-                  i,
-                  Formula.And [ c.e0; c.c_zero; Formula.Not (c.dec Value.One i) ] ) ) ) )
+                (c.n, i, Formula.And [ c.e0_c_zero; Formula.Not (c.dec Value.One i) ]) ) ) )
   in
   let mk_one i =
     ( Printf.sprintf "5.3b: nonfaulty %d decides 1 iff the knowledge condition" i,
@@ -117,9 +122,7 @@ let optimality_failures env d =
           Formula.Iff
             ( c.dec Value.One i,
               Formula.B
-                ( c.n,
-                  i,
-                  Formula.And [ c.e1; c.c_one; Formula.Not (c.dec Value.Zero i) ] ) ) ) )
+                (c.n, i, Formula.And [ c.e1_c_one; Formula.Not (c.dec Value.Zero i) ]) ) ) )
   in
   check_per_proc env (Model.n model) mk_zero
   @ check_per_proc env (Model.n model) mk_one

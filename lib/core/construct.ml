@@ -15,13 +15,10 @@ let step_zero_first env (pair : Kb_protocol.pair) =
   let e0 = Formula.exists_value model Value.zero in
   let e1 = Formula.exists_value model Value.one in
   let c = Formula.Cbox (n_and_o, e0) in
-  let zero =
-    Decision_set.of_formulas env (fun i -> Formula.B (n, i, Formula.And [ e0; c ]))
-  in
-  let one =
-    Decision_set.of_formulas env (fun i ->
-        Formula.B (n, i, Formula.And [ e1; Formula.Not c ]))
-  in
+  (* built once, so every processor's B reads one memoized evaluation *)
+  let zero_cond = Formula.And [ e0; c ] and one_cond = Formula.And [ e1; Formula.Not c ] in
+  let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, zero_cond)) in
+  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, one_cond)) in
   { Kb_protocol.zero; one }
 
 let step_one_first env (pair : Kb_protocol.pair) =
@@ -31,13 +28,9 @@ let step_one_first env (pair : Kb_protocol.pair) =
   let e0 = Formula.exists_value model Value.zero in
   let e1 = Formula.exists_value model Value.one in
   let c = Formula.Cbox (n_and_z, e1) in
-  let zero =
-    Decision_set.of_formulas env (fun i ->
-        Formula.B (n, i, Formula.And [ e0; Formula.Not c ]))
-  in
-  let one =
-    Decision_set.of_formulas env (fun i -> Formula.B (n, i, Formula.And [ e1; c ]))
-  in
+  let zero_cond = Formula.And [ e0; Formula.Not c ] and one_cond = Formula.And [ e1; c ] in
+  let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, zero_cond)) in
+  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, one_cond)) in
   { Kb_protocol.zero; one }
 
 let step order = match order with

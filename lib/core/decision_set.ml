@@ -13,23 +13,28 @@ let mem t v = Bytes.get t v = '\001'
 let of_views model pred =
   Bytes.init (nviews model) (fun v -> if pred v then '\001' else '\000')
 
+(* Projects each [f i] onto [i]'s views run by run: the first point seen
+   with a view fixes its byte in [t] (and marks it in [seen]); every later
+   point of the view's cell must agree. *)
 let of_formulas env f =
   let model = Formula.model env in
-  let store = model.Model.store in
-  let t = empty model in
-  let n = Model.n model in
-  let sets = Array.init n (fun i -> Formula.eval env (f i)) in
-  for v = 0 to nviews model - 1 do
-    let i = View.owner store v in
-    if Model.cell_length model v > 0 then begin
-      let first = ref (-1) in
-      Model.cell_iter model v (fun q ->
-          let inside = if Pset.mem sets.(i) q then 1 else 0 in
-          if !first < 0 then first := inside
-          else if inside <> !first then
-            invalid_arg "Decision_set.of_formulas: formula not view-measurable");
-      if !first = 1 then Bytes.set t v '\001'
-    end
+  let n = Model.n model and per_run = Model.horizon model + 1 in
+  let t = empty model and seen = empty model in
+  for i = 0 to n - 1 do
+    let set = Formula.eval env (f i) in
+    Array.iteri
+      (fun r (run : Model.run) ->
+        for time = 0 to per_run - 1 do
+          let v = run.views.((time * n) + i) in
+          let inside = if Pset.mem set ((r * per_run) + time) then '\001' else '\000' in
+          if Bytes.get seen v = '\000' then begin
+            Bytes.set seen v '\001';
+            Bytes.set t v inside
+          end
+          else if Bytes.get t v <> inside then
+            invalid_arg "Decision_set.of_formulas: formula not view-measurable"
+        done)
+      model.Model.runs
   done;
   t
 

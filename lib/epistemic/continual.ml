@@ -35,30 +35,41 @@ type closure = {
   participates : Pset.t;  (* runs (by index) having at least one landable point *)
 }
 
+(* Run-major: walking (run, time, member) meets each lander group's points
+   in ascending run order, the order of the group's cell.  The first run
+   seen per view stands for the group and every later one is unioned with
+   it, so each group makes the same unions as a walk view by view would;
+   only their interleaving across groups differs, which the components do
+   not depend on. *)
 let closure model s =
   Metrics.time s_closure @@ fun () ->
-  let store = model.Model.store in
-  let nv = View.size store in
+  let n = Model.n model and per_run = Model.horizon model + 1 in
+  let first = Array.make (View.size model.Model.store) (-1) in
   let uf = Uf.create (Model.nruns model) in
   let landable = Pset.create (Model.npoints model) in
   let participates = Pset.create (Model.nruns model) in
   let unions = ref 0 in
-  for v = 0 to nv - 1 do
-    let i = View.owner store v in
-    (* the lander group of [v]: points of the cell at which the owner is in S *)
-    let first = ref (-1) in
-    Model.cell_iter model v (fun q ->
-        if Nonrigid.mem s ~point:q ~proc:i then begin
-          Pset.add landable q;
-          let run = Model.run_index_of_point model q in
-          Pset.add participates run;
-          if !first < 0 then first := run
-          else begin
-            incr unions;
-            Uf.union uf !first run
-          end
-        end)
-  done;
+  Array.iteri
+    (fun r (run : Model.run) ->
+      for time = 0 to per_run - 1 do
+        let pid = (r * per_run) + time in
+        if not (Nonrigid.is_empty_at s ~point:pid) then begin
+          Pset.add landable pid;
+          Pset.add participates r;
+          for i = 0 to n - 1 do
+            if Nonrigid.mem s ~point:pid ~proc:i then begin
+              (* [i] lands on [pid] through its view's lander group *)
+              let v = run.views.((time * n) + i) in
+              if first.(v) < 0 then first.(v) <- r
+              else begin
+                incr unions;
+                Uf.union uf first.(v) r
+              end
+            end
+          done
+        end
+      done)
+    model.Model.runs;
   Metrics.add m_unions !unions;
   if Metrics.enabled () then Metrics.add m_landable (Pset.cardinal landable);
   { model; uf; landable; participates }
@@ -66,18 +77,24 @@ let closure model s =
 let cbox cl phi =
   Metrics.time s_cbox @@ fun () ->
   let model = cl.model in
-  let nruns = Model.nruns model in
+  let nruns = Model.nruns model and per_run = Model.horizon model + 1 in
   (* a component root is bad if some landable point of the component
      refutes φ *)
   let bad = Array.make nruns false in
-  Pset.iter cl.landable (fun q ->
-      if not (Pset.mem phi q) then
-        bad.(Uf.find cl.uf (Model.run_index_of_point model q)) <- true);
-  let run_ok =
-    Array.init nruns (fun r ->
-        (not (Pset.mem cl.participates r)) || not bad.(Uf.find cl.uf r))
-  in
-  Pset.init (Model.npoints model) (fun pid -> run_ok.(Model.run_index_of_point model pid))
+  for r = 0 to nruns - 1 do
+    for pid = r * per_run to ((r + 1) * per_run) - 1 do
+      if Pset.mem cl.landable pid && not (Pset.mem phi pid) then
+        bad.(Uf.find cl.uf r) <- true
+    done
+  done;
+  let out = Pset.create (Model.npoints model) in
+  for r = 0 to nruns - 1 do
+    if (not (Pset.mem cl.participates r)) || not bad.(Uf.find cl.uf r) then
+      for pid = r * per_run to ((r + 1) * per_run) - 1 do
+        Pset.add out pid
+      done
+  done;
+  out
 
 let cbox_naive model s phi =
   let x = ref (Pset.full (Model.npoints model)) in

@@ -192,6 +192,10 @@ let check_keys ~allowed params =
       go fields
   | _ -> Error "params must be an object"
 
+let get_jobs params =
+  let* jobs = P.get_int_opt params "jobs" in
+  Ok (Option.map (fun j -> min j (Eba_util.Parallel.available ())) jobs)
+
 let netsim_keys =
   [
     "protocol"; "compact"; "n"; "t"; "horizon"; "mode"; "latency"; "loss";
@@ -241,7 +245,7 @@ let of_json params =
   let* omit_prob = P.get_float ~default:d.omit_prob params "omit_prob" in
   let* partitions = P.get_int ~default:d.partitions params "partitions" in
   let* partition_span = P.get_float_opt params "partition_span" in
-  let* jobs = P.get_int_opt params "jobs" in
+  let* jobs = get_jobs params in
   Ok
     {
       protocol; compact; n; t_failures; horizon; mode; latency; loss; seed;

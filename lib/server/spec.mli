@@ -59,6 +59,12 @@ val check_keys : allowed:string list -> Json.t -> (unit, string) result
 (** Reject any field outside [allowed] — a misspelled parameter must not
     silently mean its default. *)
 
+val get_jobs : Json.t -> (int option, string) result
+(** A request's optional ["jobs"], clamped to
+    {!Eba_util.Parallel.available}: a peer must not make one request spawn
+    more domains than the host runs.  Every engine's result is
+    independent of its job count, so the clamp never changes a reply. *)
+
 type resolved = {
   r_spec : t;
   r_protocol : (module Eba_protocols.Protocol_intf.PROTOCOL);

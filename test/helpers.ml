@@ -44,5 +44,22 @@ let some_points m k =
   let np = Model.npoints m in
   List.init k (fun i -> i * 7919 mod np)
 
+(* Runs [f] with the metrics layer on and zeroed, restoring it after. *)
+let with_metrics f =
+  let was = Eba.Metrics.enabled () in
+  Eba.Metrics.set_enabled true;
+  Eba.Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Eba.Metrics.set_enabled was;
+      Eba.Metrics.reset ())
+    f
+
+(* A counter's current total (0 when it has recorded nothing). *)
+let counter_value name =
+  match List.find_opt (fun e -> e.Eba.Metrics.e_name = name) (Eba.Metrics.snapshot ()) with
+  | Some e -> e.Eba.Metrics.e_count
+  | None -> 0
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)

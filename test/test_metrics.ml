@@ -10,16 +10,6 @@
 module Metrics = Eba.Metrics
 open Helpers
 
-let with_metrics f =
-  let was = Metrics.enabled () in
-  Metrics.set_enabled true;
-  Metrics.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled was;
-      Metrics.reset ())
-    f
-
 (* Fresh handles per test would collide on names — reuse static ones. *)
 let c_test = Metrics.counter "test.counter"
 let c_sched = Metrics.counter ~deterministic:false "test.scheduling"

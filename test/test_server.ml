@@ -915,6 +915,56 @@ let served_cache_tests =
             check_int "hits" 3 s.Model_cache.s_hits));
   ]
 
+(* --- served job counts --- *)
+
+(* A peer's "jobs" is clamped to the host's domains; the reply bytes are
+   those of jobs:1.  The huge count runs first, after a cache clear, so
+   the knowledge-query spec case pays a cold Model.build with it. *)
+let served_jobs_tests =
+  let result_bytes ~verb params =
+    match Registry.prepare ~verb ~params:(Json.Obj params) with
+    | Error _ -> Alcotest.fail "request refused"
+    | Ok thunk -> (
+        match thunk Registry.no_ctx with
+        | Ok json -> Json.to_string json
+        | Error m -> Alcotest.fail m)
+  in
+  let case name ~verb params =
+    test (Printf.sprintf "served %s: jobs 100000 is clamped, bytes = jobs 1" name)
+      (fun () ->
+        let with_jobs j = params @ [ ("jobs", Json.Int j) ] in
+        Model_cache.clear Registry.model_cache;
+        let huge, spawned =
+          with_metrics (fun () ->
+              let bytes = result_bytes ~verb (with_jobs 100_000) in
+              (bytes, counter_value "parallel.domains_spawned"))
+        in
+        Model_cache.clear Registry.model_cache;
+        check_str "bytes" (result_bytes ~verb (with_jobs 1)) huge;
+        check
+          (Printf.sprintf "%d domains spawned, at most available - 1" spawned)
+          true
+          (spawned <= Eba.Parallel.available () - 1))
+  in
+  [
+    case "netsim-sweep" ~verb:"netsim-sweep"
+      [
+        ("protocol", Json.String "floodset");
+        ("n", Json.Int 4);
+        ("t", Json.Int 1);
+        ("runs", Json.Int 200);
+      ];
+    case "knowledge-query spec" ~verb:"knowledge-query" (knowledge_params ());
+    case "knowledge-query exhaustive" ~verb:"knowledge-query"
+      [
+        ("query", Json.String "exhaustive");
+        ("protocol", Json.String "floodset");
+        ("n", Json.Int 3);
+        ("t", Json.Int 1);
+        ("horizon", Json.Int 2);
+      ];
+  ]
+
 (* --- the load generator's latency accounting --- *)
 
 module Bench_load = Server.Bench_load
@@ -956,5 +1006,6 @@ let suite =
   ( "server",
     frame_tests @ queue_tests @ spec_tests @ differential_tests
     @ concurrency_tests @ backpressure_tests @ cancellation_tests
-    @ progress_tests @ cache_tests @ served_cache_tests @ bench_tests
+    @ progress_tests @ cache_tests @ served_cache_tests @ served_jobs_tests
+    @ bench_tests
     @ robustness_tests @ restart_tests )
