@@ -95,9 +95,7 @@ let chain_at env ~run ~time = (chain_table env).(run).(time)
 let exists0_star env =
   let model = Formula.model env in
   let table = chain_table env in
-  Formula.atom model "exists0*" (fun pid ->
-      let run = Model.run_index_of_point model pid in
-      let time = Model.time_of_point model pid in
-      let chain = table.(run) in
+  Formula.run_atom model "exists0*" (fun run ->
+      let chain = table.(run.Model.index) in
       let rec any m = m >= 0 && (chain.(m) || any (m - 1)) in
-      any time)
+      any)

@@ -15,12 +15,13 @@ module Model = Eba_fip.Model
 
 type t
 
+val id : t -> int
+(** A number distinct for every set ever built: its identity, for tables
+    keyed on it. *)
+
 val name : t -> string
 val members : t -> point:int -> Bitset.t
 val mem : t -> point:int -> proc:int -> bool
-
-val of_fun : Model.t -> name:string -> (int -> Bitset.t) -> t
-(** [of_fun model ~name f] tabulates [f] over every point id. *)
 
 val nonfaulty : Model.t -> t
 (** 𝒩: constant along each run, varies across runs. *)

@@ -1,6 +1,12 @@
-type t = { len : int; words : int array }
+type t = { id : int; len : int; words : int array }
 
 module Metrics = Eba_util.Metrics
+
+(* Every set gets a fresh [id]: its identity, for tables keyed on
+   physical identity (a moving GC gives values no stable address). *)
+let next_id = Atomic.make 0
+let make len words = { id = Atomic.fetch_and_add next_id 1; len; words }
+let id s = s.id
 
 (* Word-granularity traffic counters: how much bitset material the
    epistemic kernels actually stream.  Each [init]/[map2] touches a fixed
@@ -16,19 +22,19 @@ let all_ones = max_int lsr (Sys.int_size - 1 - bpw)
 
 let nwords len = (len + bpw - 1) / bpw
 
-let create len = { len; words = Array.make (max 1 (nwords len)) 0 }
+let create len = make len (Array.make (max 1 (nwords len)) 0)
 
 let last_word_mask len =
   let rem = len mod bpw in
   if rem = 0 then all_ones else all_ones lsr (bpw - rem)
 
 let full len =
-  let s = { len; words = Array.make (max 1 (nwords len)) all_ones } in
+  let s = make len (Array.make (max 1 (nwords len)) all_ones) in
   if len = 0 then s.words.(0) <- 0
   else s.words.(nwords len - 1) <- last_word_mask len;
   s
 
-let copy s = { len = s.len; words = Array.copy s.words }
+let copy s = make s.len (Array.copy s.words)
 let length s = s.len
 
 let check_index s i =
@@ -69,14 +75,14 @@ let map2 op a b =
   check_same a b;
   Metrics.add m_words_map2 (Array.length a.words);
   let words = Array.init (Array.length a.words) (fun w -> op a.words.(w) b.words.(w)) in
-  { len = a.len; words }
+  make a.len words
 
 let union = map2 ( lor )
 let inter = map2 ( land )
 let diff = map2 (fun x y -> x land lnot y)
 
 let complement a =
-  let s = { len = a.len; words = Array.map (fun w -> lnot w land all_ones) a.words } in
+  let s = make a.len (Array.map (fun w -> lnot w land all_ones) a.words) in
   if a.len = 0 then s.words.(0) <- 0
   else begin
     let lw = nwords a.len - 1 in

@@ -21,6 +21,11 @@ val init : int -> (int -> bool) -> t
 val copy : t -> t
 val length : t -> int
 
+val id : t -> int
+(** A number distinct for every set ever created (copies included): the
+    set's identity, for tables keyed on physical identity.  {!equal}
+    compares members, never ids. *)
+
 val mem : t -> int -> bool
 val add : t -> int -> unit
 (** In-place insertion (used while building atoms). *)
