@@ -35,6 +35,17 @@ let tests =
         Alcotest.(check string) "knowledge_query.expected"
           (read_file "golden/knowledge_query.expected")
           (Eba_harness.Knowledge_cases.render ()));
+    (* Netsim sweep summaries for every operational protocol on four
+       fabrics, one wave size and a second that splits each sweep into a
+       full and a partial wave.  Regenerate with:
+
+         dune exec test/regen_golden.exe -- netsim-sweeps > test/golden/netsim_sweeps.expected *)
+    test "netsim sweep summaries match the committed golden file at mux off and 3"
+      (fun () ->
+        let expected = read_file "golden/netsim_sweeps.expected" in
+        Alcotest.(check string) "mux off" expected (Eba_harness.Netsim_cases.render ());
+        Alcotest.(check string) "mux 3" expected
+          (Eba_harness.Netsim_cases.render ~mux:(Eba.Server.Spec.Mux_live 3) ()));
     test "every experiment id appears exactly once in the golden file" (fun () ->
         let golden = read_file expected_path in
         List.iter
