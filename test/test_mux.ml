@@ -1,11 +1,14 @@
-(* The multiplexed engine's load-bearing property: running N instances
+(* The simulation engine's load-bearing property: running N instances
    through one shared event loop is invisible.  Per-instance outcomes —
    decisions, decision instants, wire counters, rng-driven drop/latency
-   draws — are bit-identical to running the sequential engine once per
+   draws — are bit-identical to running the sequential reference engine
+   (Netsim_ref, one instance at a time on a plain event heap) once per
    instance with the same (seed, run) generators, across every operational
    protocol and its compact variants, on both the batched (uniform
    constant-latency) and heap (randomized-latency, heterogeneous,
-   zero-latency) paths, and independent of the parallel job count.
+   zero-latency) paths, for every wave size including the waves of one
+   that sweeps run with mux off, and independent of the parallel job
+   count.
 
    Plus the satellite regressions: event-queue push/pop order pinned
    across growth boundaries and reserve/clear, timer-wheel slot
@@ -143,24 +146,16 @@ let wheel_tests =
         check "slots emptied" true (TW.peek w = None));
   ]
 
-(* --- per-instance bit-identity against the sequential engine --- *)
+(* --- per-instance bit-identity against the reference engine --- *)
 
 let crash_params ~n ~t = Eba.Params.make ~n ~t ~horizon:(t + 1) ~mode:Eba.Params.Crash
 
-(* the sequential side of the differential: replicates Netsim.sweep's
-   per-run draw order exactly *)
+(* the sequential side of the differential: the reference engine, with a
+   sweep's per-run draw order *)
 let sequential_outcomes (module P : Eba.Protocol_intf.PROTOCOL) params ~sync
     ~topology ~plan ~seed ~runs =
-  let module S = Net.Netsim.Make (P) in
-  let n = params.Eba.Params.n in
-  Array.init runs (fun run ->
-      let rng = Net.Netsim.run_seed ~seed ~run in
-      let config =
-        Eba.Config.make
-          (Array.init n (fun _ ->
-               if Random.State.bool rng then Eba.Value.One else Eba.Value.Zero))
-      in
-      S.run_one params ~sync ~topology ~plan ~rng config)
+  let module S = Netsim_ref.Make (P) in
+  Array.init runs (S.sweep_run params ~sync ~topology ~plan ~seed)
 
 let mux_matches (module P : Eba.Protocol_intf.PROTOCOL) params ?sync ~topology
     ~dynamic ~seed ~live ~runs () =
@@ -219,6 +214,23 @@ let identity_tests =
 
 let corner_tests =
   [
+    qtest ~count:12
+      "qcheck: mux = sequential per instance, any protocol, fabric, seed and wave size"
+      QCheck2.Gen.(
+        quad
+          (int_bound (List.length all_protocols - 1))
+          (int_bound 10_000) (int_range 1 5) bool)
+      (fun (which, seed, live, batched) ->
+        let topology =
+          if batched then const_topology ~n:5 ~loss:0.1
+          else uniform_topology ~n:5 ~loss:0.1
+        in
+        mux_matches
+          (snd (List.nth all_protocols which))
+          (crash_params ~n:5 ~t:2) ~topology
+          ~dynamic:(Net.Inject.dynamic ~max_faulty:2 ())
+          ~seed ~live ~runs:6 ();
+        true);
     test "tie corner: rto = link latency, deliveries land exactly on ticks"
       (* every arrival instant is also a retry tick, so nothing batches
          and the wheel-vs-heap merge resolves every collision by seqno *)
@@ -277,19 +289,32 @@ let sweep_of ~jobs ?mux ~seed ~runs ~n ~t topology =
     ~dynamic:(Net.Inject.dynamic ~max_faulty:t ())
     ~seed ~runs
 
+(* the same sweep on the reference engine, one run after another *)
+let reference_sweep ~seed ~runs ~n ~t topology =
+  let module S = Netsim_ref.Make (Eba.Floodset) in
+  S.sweep (crash_params ~n ~t)
+    ~sync:(Net.Sync.default_for topology)
+    ~topology
+    ~dynamic:(Net.Inject.dynamic ~max_faulty:t ())
+    ~seed ~runs
+
 let sweep_tests =
   [
     qtest ~count:6 "qcheck: sweep ~mux summary = sequential sweep, jobs 1 and 4"
       QCheck2.Gen.(pair (int_bound 10_000) (int_range 1 3))
       (fun (seed, t) ->
         let topology = uniform_topology ~n:8 ~loss:0.1 in
-        let s = sweep_of ~jobs:1 ~seed ~runs:11 ~n:8 ~t topology in
-        compare s (sweep_of ~jobs:1 ~mux:4 ~seed ~runs:11 ~n:8 ~t topology) = 0
-        && compare s (sweep_of ~jobs:4 ~mux:4 ~seed ~runs:11 ~n:8 ~t topology) = 0);
+        let s = reference_sweep ~seed ~runs:11 ~n:8 ~t topology in
+        List.for_all
+          (fun (jobs, mux) ->
+            compare s (sweep_of ~jobs ?mux ~seed ~runs:11 ~n:8 ~t topology) = 0)
+          [ (1, None); (4, None); (1, Some 4); (4, Some 4) ]);
     test "batched path: mux sweep summary = sequential (multi-wave, partial last)"
       (fun () ->
         let topology = const_topology ~n:8 ~loss:0.05 in
-        let s = sweep_of ~jobs:1 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology in
+        let s = reference_sweep ~seed:2026 ~runs:10 ~n:8 ~t:2 topology in
+        check "mux off (waves of one)" true
+          (compare s (sweep_of ~jobs:1 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology) = 0);
         check "mux 3 (4 waves)" true
           (compare s (sweep_of ~jobs:1 ~mux:3 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology)
           = 0);
@@ -344,6 +369,33 @@ let metrics_tests =
             check_int "peak live instances" 4 (value "mux.live_instances");
             check_int "runs counted once" 10 (value "net.runs_simulated");
             check "jobs-independent" true (run ~jobs:4 = c1)));
+    test "net.* counters equal the reference engine's at every wave size"
+      (fun () ->
+        let was = Metrics.enabled () in
+        Fun.protect
+          ~finally:(fun () -> Metrics.set_enabled was)
+          (fun () ->
+            Metrics.set_enabled true;
+            let net_counters f =
+              Metrics.reset ();
+              ignore (f ());
+              List.filter
+                (fun (name, _) -> String.starts_with ~prefix:"net." name)
+                (Metrics.deterministic_counters ())
+            in
+            let topology = uniform_topology ~n:8 ~loss:0.1 in
+            let reference =
+              net_counters (fun () -> reference_sweep ~seed:4 ~runs:9 ~n:8 ~t:2 topology)
+            in
+            check "events counted" true
+              (List.assoc_opt "net.events_processed" reference <> None);
+            List.iter
+              (fun mux ->
+                check "net.* totals" true
+                  (net_counters (fun () ->
+                       sweep_of ~jobs:1 ?mux ~seed:4 ~runs:9 ~n:8 ~t:2 topology)
+                  = reference))
+              [ None; Some 4 ]));
   ]
 
 let tests =
