@@ -69,25 +69,35 @@ let chains_of_run model bf ~run =
   done;
   chain_at
 
-module Model_tbl = Hashtbl.Make (struct
+(* One 0-chain table per model, reused across queries.  The table holds
+   its model weakly, so a model the daemon's cache evicts takes its table
+   with it, and a mutex guards it because daemon workers query different
+   universes at once.  A missing table is computed outside the lock: two
+   workers racing on one model compute equal tables, and the later
+   [replace] is harmless. *)
+module Chain_tables = Ephemeron.K1.Make (struct
   type t = Model.t
 
   let equal = ( == )
   let hash m = Hashtbl.hash (Model.nruns m, Model.npoints m)
 end)
 
-let caches : bool array array Model_tbl.t = Model_tbl.create 8
+let chain_tables : bool array array Chain_tables.t = Chain_tables.create 8
+let chain_tables_lock = Mutex.create ()
 
 let chain_table env =
   let model = Formula.model env in
-  match Model_tbl.find_opt caches model with
+  match
+    Mutex.protect chain_tables_lock (fun () -> Chain_tables.find_opt chain_tables model)
+  with
   | Some t -> t
   | None ->
       let bf = faulty_tables env in
       let t =
         Array.init (Model.nruns model) (fun run -> chains_of_run model bf ~run)
       in
-      Model_tbl.add caches model t;
+      Mutex.protect chain_tables_lock (fun () ->
+          Chain_tables.replace chain_tables model t);
       t
 
 let chain_at env ~run ~time = (chain_table env).(run).(time)

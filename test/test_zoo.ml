@@ -294,7 +294,42 @@ let f_star_tests =
         check "chain0 itself optimal at t=1" true (Ch.is_optimal e dchain));
   ]
 
+(* --- the per-model 0-chain table: shared by concurrent queries, weak in
+       its model --- *)
+
+let star_of_model m =
+  let e = F.env m in
+  F.eval e (Facts.exists0_star e)
+
+let star_of params = star_of_model (M.build ~jobs:1 params)
+
+let chain_table_tests =
+  [
+    test "exists0* from two domains on distinct models agrees with one domain"
+      (fun () ->
+        let universes = [| omission_3_1_2.params; omission_3_1_3.params |] in
+        let expected = Array.map star_of universes in
+        let worker i () =
+          List.for_all
+            (fun _ -> Eba.Pset.equal (star_of universes.(i)) expected.(i))
+            (List.init 6 Fun.id)
+        in
+        let domains = Array.init 2 (fun i -> Domain.spawn (worker i)) in
+        check "both domains agree" true (Array.for_all Domain.join domains));
+    test "a model dropped after exists0* is collected" (fun () ->
+        let collected = ref false in
+        let query () =
+          let m = M.build ~jobs:1 omission_3_1_2.params in
+          Gc.finalise (fun _ -> collected := true) m;
+          ignore (Sys.opaque_identity (star_of_model m))
+        in
+        query ();
+        Gc.full_major ();
+        Gc.full_major ();
+        check "finaliser fired" true !collected);
+  ]
+
 let suite =
   ( "zoo",
     no_optimum_tests @ crash_story_tests @ omission_nontermination_tests @ chain_tests
-    @ f_star_tests )
+    @ f_star_tests @ chain_table_tests )
