@@ -103,18 +103,12 @@ let null_fmt =
 let engine_tests =
   Test.make_grouped ~name:"engine"
     [
-      Test.make ~name:"model-build crash n=3 t=1 T=3 naive" (Staged.stage (fun () ->
-          ignore (M.build ~builder:M.Naive crash_params)));
       Test.make ~name:"model-build crash n=3 t=1 T=3 shared" (Staged.stage (fun () ->
-          ignore (M.build ~builder:M.Shared crash_params)));
-      Test.make ~name:"model-build omission n=3 t=1 T=3 naive" (Staged.stage (fun () ->
-          ignore (M.build ~builder:M.Naive om_params)));
+          ignore (M.build crash_params)));
       Test.make ~name:"model-build omission n=3 t=1 T=3 shared" (Staged.stage (fun () ->
-          ignore (M.build ~builder:M.Shared om_params)));
-      Test.make ~name:"model-build crash n=4 t=2 T=4 naive" (Staged.stage (fun () ->
-          ignore (M.build ~builder:M.Naive crash4_params)));
+          ignore (M.build om_params)));
       Test.make ~name:"model-build crash n=4 t=2 T=4 shared" (Staged.stage (fun () ->
-          ignore (M.build ~builder:M.Shared crash4_params)));
+          ignore (M.build crash4_params)));
       Test.make ~name:"cbox fast (closure+query) n=4 t=2" (Staged.stage (fun () ->
           ignore (Eba.Continual.cbox (Eba.Continual.closure crash4_model nf) e0_pts)));
       Test.make ~name:"cbox naive fixpoint n=4 t=2" (Staged.stage (fun () ->
@@ -217,10 +211,10 @@ let net_tests =
                      ~runs:1 ())));
        ]))
 
-(* --- multiplexed engine: the same seeded sweep through one shared event
-       loop, wave-sized arenas, batched const-latency deliveries.  The
-       summaries are bit-identical to the sequential rows; only the wall
-       clock differs, which is the whole point. --- *)
+(* --- multiplexed engine: the same seeded sweep in waves of many
+       instances through one shared event loop, wave-sized arenas, batched
+       const-latency deliveries.  The summaries are bit-identical to the
+       mux-off rows (waves of one); only the wall clock differs. --- *)
 
 let mux_params = Eba.Params.make ~n:16 ~t:5 ~horizon:6 ~mode:Eba.Params.Crash
 
@@ -240,7 +234,7 @@ let mux_sweep ?mux ~runs () =
 let mux_tests =
   Test.make_grouped ~name:"mux"
     ([
-       Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x200 sequential"
+       Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x200 mux off"
          (Staged.stage (fun () -> mux_sweep ~runs:200 ()));
        Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x200 mux live=16"
          (Staged.stage (mux_sweep ~mux:16 ~runs:200));
@@ -255,19 +249,15 @@ let mux_tests =
           (Staged.stage (mux_sweep ~mux:16 ~runs:10_000));
       ])
 
-(* --- builder scaling: naive vs shared at scales where sharing bites --- *)
+(* --- the builder at scales where prefix sharing bites --- *)
 
 let build_heavy_tests =
   Test.make_grouped ~name:"build-heavy"
     [
-      Test.make ~name:"model-build omission n=3 t=1 T=4 naive" (Staged.stage (fun () ->
-          ignore (M.build ~builder:M.Naive om_t4_params)));
       Test.make ~name:"model-build omission n=3 t=1 T=4 shared" (Staged.stage (fun () ->
-          ignore (M.build ~builder:M.Shared om_t4_params)));
-      Test.make ~name:"model-build crash n=5 t=2 T=2 naive" (Staged.stage (fun () ->
-          ignore (M.build ~builder:M.Naive crash5_params)));
+          ignore (M.build om_t4_params)));
       Test.make ~name:"model-build crash n=5 t=2 T=2 shared" (Staged.stage (fun () ->
-          ignore (M.build ~builder:M.Shared crash5_params)));
+          ignore (M.build crash5_params)));
     ]
 
 (* --- 1-domain vs N-domain sweep engine (summaries are bit-identical;
@@ -391,7 +381,7 @@ let metrics_signature () =
       Eba.Metrics.deterministic_counters ())
 
 (* Builder work accounting, one row per modelled universe: how many
-   interior-view interning calls the naive builder makes
+   interior-view interning calls a naive per-run simulation would make
    ([runs * horizon * n]), how many the shared builder makes
    ([tree_nodes * 2^n * n], read off the deterministic
    [model.tree_nodes] / [model.prefix_hits] counters), and the sharing
@@ -417,7 +407,7 @@ let build_entry_json (name, params) =
       Eba.Metrics.set_enabled was;
       Eba.Metrics.reset ())
     (fun () ->
-      let m = M.build ~builder:M.Shared params in
+      let m = M.build params in
       let det = Eba.Metrics.deterministic_counters () in
       let get n = match List.assoc_opt n det with Some v -> v | None -> 0 in
       let naive_calls = M.nruns m * M.horizon m * M.n m in
@@ -519,12 +509,13 @@ let net_rows () =
   ]
   @ wide_rows
 
-(* Multiplexed-engine rows: each runs one seeded workload through BOTH
-   engines, wall-clocks them, and records the mux summary with throughput
-   (instances/sec) and the p99 decision latency.  The first row's workload
-   identity matches the first [net] row exactly, so CI can assert the two
-   engines' decision statistics agree within one artifact; the second is
-   the 10k-instance headline.  Timing keys (seq_ns, mux_ns,
+(* Multiplexed-engine rows: each runs one seeded workload twice, with mux
+   off (waves of one; timed as seq_ns) and in waves of [live] (mux_ns),
+   and records the mux summary with throughput (instances/sec) and the
+   p99 decision latency.  The first row's workload identity matches the
+   first [net] row exactly, so CI can assert the two wave sizes' decision
+   statistics agree within one artifact; the second is the 10k-instance
+   headline.  Timing keys (seq_ns, mux_ns,
    instances_per_sec) are machine-dependent; everything under "summary"
    and the p99 are exact. *)
 let mux_rows () =
@@ -532,7 +523,7 @@ let mux_rows () =
       ~seed ~runs ~live =
     let sync = Eba.Net.Sync.default_for topology in
     let timed f =
-      (* both engines start from a compacted heap: these rows run late in
+      (* both sweeps start from a compacted heap: these rows run late in
          the artifact writer, after the wide sweeps have grown the major
          heap, and the mux arenas' large allocations are otherwise billed
          whatever GC debt the preceding sections left behind *)
@@ -553,7 +544,7 @@ let mux_rows () =
             params ~sync ~topology ~dynamic ~seed ~runs)
     in
     if compare seq mux <> 0 then
-      failwith "mux_rows: engines disagree — the differential suite missed";
+      failwith "mux_rows: wave sizes disagree — the differential suite missed";
     let p99 = Eba.Net.Net_stats.p99_decision_round mux in
     Eba.Json.Obj
       [
@@ -722,7 +713,7 @@ let () =
   print_endline "=== bechamel: sweep engine, 1 domain vs N domains ===";
   benchmark ~group:"parallel" ~quota:1.0 parallel_tests;
   if not !smoke then begin
-    print_endline "=== bechamel: builder scaling, naive vs shared ===";
+    print_endline "=== bechamel: builder scaling ===";
     benchmark ~group:"build-heavy" ~quota:0.5 build_heavy_tests;
     print_endline "=== bechamel: table regeneration ===";
     benchmark ~group:"tables" ~quota:1.0 table_tests;

@@ -25,12 +25,6 @@ type t = {
   by_key : (int, int list) Hashtbl.t Lazy.t;
 }
 
-type builder = Naive | Shared
-
-let builder_override : builder Atomic.t = Atomic.make Shared
-let set_builder b = Atomic.set builder_override b
-let current_builder () = Atomic.get builder_override
-
 let s_build = Metrics.span "model.build"
 let s_simulate = Metrics.span "model.build.simulate"
 let s_merge = Metrics.span "model.build.merge"
@@ -46,29 +40,6 @@ let m_cell_entries = Metrics.counter "model.cell_entries"
    counts — which is what lets CI assert the sharing factor. *)
 let m_tree_nodes = Metrics.counter "model.tree_nodes"
 let m_prefix_hits = Metrics.counter "model.prefix_hits"
-
-(* [parts] is a caller-provided scratch array of length [n]; the interner
-   copies it only when the view is new. *)
-let simulate_run store (params : Params.t) ~parts ~index config pattern =
-  let n = params.Params.n and horizon = params.Params.horizon in
-  let views = Array.make ((horizon + 1) * n) (-1) in
-  for i = 0 to n - 1 do
-    views.(i) <- View.leaf store ~owner:i (Config.value config i)
-  done;
-  for k = 1 to horizon do
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        parts.(j) <-
-          (if j = i then -1
-           else if Pattern.delivers pattern ~round:k ~sender:j ~receiver:i then
-             views.(((k - 1) * n) + j)
-           else -1)
-      done;
-      views.((k * n) + i) <-
-        View.node_parts store ~owner:i ~prev:views.(((k - 1) * n) + i) ~parts
-    done
-  done;
-  { index; config; pattern; faulty = Pattern.faulty pattern; views }
 
 (* CSR layout: cell of view [v] is [cell_ids.(cell_off.(v)) ..
    cell_ids.(cell_off.(v+1) - 1)].  Two passes in canonical run order, so
@@ -137,33 +108,14 @@ let finish (params : Params.t) store runs =
   end;
   { params; store; runs; cell_off; cell_ids; by_key = make_index runs }
 
-let build_of_configs_patterns (params : Params.t) configs patterns =
-  Metrics.time s_build (fun () ->
-      let store = View.create_store ~n:params.Params.n () in
-      let parts = Array.make (max 1 params.Params.n) (-1) in
-      let runs = ref [] in
-      let index = ref 0 in
-      Metrics.time s_simulate (fun () ->
-          List.iter
-            (fun pattern ->
-              List.iter
-                (fun config ->
-                  runs :=
-                    simulate_run store params ~parts ~index:!index config pattern
-                    :: !runs;
-                  incr index)
-                configs)
-            patterns);
-      let runs = Array.of_list (List.rev !runs) in
-      finish params store runs)
-
 (* --- shared-prefix builders --------------------------------------------
 
    Patterns that agree on their delivery signatures for rounds [1..k]
-   produce identical views through time [k], so the naive builder recomputes
-   every shared prefix once per pattern.  The builders below extend each
-   processor's view once per signature-prefix class instead of once per
-   run.  Both are bit-identical to the naive builder: the sequential one by
+   produce identical views through time [k], so simulating each run on its
+   own recomputes every shared prefix once per pattern.  The builders below
+   extend each processor's view once per signature-prefix class instead of
+   once per run.  Both are bit-identical to that naive per-run simulation
+   (the test suite keeps it as their reference): the sequential one by
    allocation order (it interns views in exactly the order the naive
    enumeration first needs them), the sharded one by an explicit canonical
    renumbering merge. *)
@@ -172,7 +124,7 @@ let build_of_configs_patterns (params : Params.t) configs patterns =
    canonical order.  [t_levels.(c)] is the per-processor view vector of the
    class at its depth for configuration [c], computed on first use — per
    configuration, not per class, so the store's allocation order is exactly
-   the naive builder's (pattern-major, configuration-inner, time-ascending). *)
+   the naive simulation's (pattern-major, configuration-inner, time-ascending). *)
 type trie = {
   t_send : Bitset.t array;
   t_recv : Bitset.t array;
@@ -377,7 +329,7 @@ let build_shared_sharded ?(flavour = Universe.Exhaustive) ?jobs
           item_nodes.(it) <- !nodes));
   (* Canonical merge: scan runs in index order, each run's view slots in
      time-major order, re-interning each shard-local view the first time it
-     is met.  That is exactly the order in which the naive builder allocates
+     is met.  That is exactly the order in which the naive simulation allocates
      ids, so the merged store assigns the same id to the same view. *)
   let gstore = View.create_store ~n () in
   Metrics.time s_merge (fun () ->
@@ -411,22 +363,13 @@ let build_shared_sharded ?(flavour = Universe.Exhaustive) ?jobs
    into the final store (no private stores, no merge) and is still
    bit-identical by construction.  With several jobs the forest's depth-1
    subtrees go through the shard-and-renumber path above. *)
-let build_shared ?jobs ~flavour (params : Params.t) configs =
-  let effective = match jobs with Some j when j > 0 -> j | _ -> Parallel.jobs () in
-  if effective <= 1 then build_shared_seq ~flavour params configs
-  else build_shared_sharded ~flavour ?jobs params configs
-
-let build ?(flavour = Universe.Exhaustive) ?configs ?builder ?jobs
-    (params : Params.t) =
+let build ?(flavour = Universe.Exhaustive) ?configs ?jobs (params : Params.t) =
   let configs =
     match configs with Some cs -> cs | None -> Config.all ~n:params.Params.n
   in
-  match Option.value builder ~default:(current_builder ()) with
-  | Shared -> build_shared ?jobs ~flavour params configs
-  | Naive -> build_of_configs_patterns params configs (Universe.patterns ~flavour params)
-
-let build_of_patterns params patterns =
-  build_of_configs_patterns params (Config.all ~n:params.Params.n) patterns
+  let effective = match jobs with Some j when j > 0 -> j | _ -> Parallel.jobs () in
+  if effective <= 1 then build_shared_seq ~flavour params configs
+  else build_shared_sharded ~flavour ?jobs params configs
 
 let nruns m = Array.length m.runs
 let horizon m = m.params.Params.horizon

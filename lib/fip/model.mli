@@ -7,15 +7,15 @@
     pair).  A {e point} is a pair (run, time); points are densely numbered
     so the epistemic layer can work with flat bitsets over point ids.
 
-    Two builders produce the same model: the naive one simulates every run
-    independently, the shared one extends views once per signature-prefix
-    class.  With one job the shared builder grows a signature trie while
-    the patterns stream by canonically, interning straight into the final
-    store in the naive allocation order; with several it shards the
-    depth-1 subtrees of {!Universe.prefix_forest} across domains and
-    renumbers the shard stores into that same order during a merge.
-    Either way the stores, runs and cells are bit-identical to naive, so
-    the choice is purely a performance knob. *)
+    The builder extends views once per signature-prefix class rather
+    than once per run.  With one job it grows a signature trie while the
+    patterns stream by canonically, interning straight into the final
+    store in the order a naive per-run simulation would allocate; with
+    several it shards the depth-1 subtrees of {!Universe.prefix_forest}
+    across domains and renumbers the shard stores into that same order
+    during a merge.  Either way the stores, runs and cells are
+    bit-identical to the naive simulation's, which the test suite keeps
+    as the reference. *)
 
 module Bitset = Eba_util.Bitset
 module Value = Eba_sim.Value
@@ -46,18 +46,9 @@ type t = private {
       (** lazy (config, pattern)-hash -> run-index buckets for {!find_run} *)
 }
 
-type builder = Naive | Shared
-
-val set_builder : builder -> unit
-(** Process-wide default builder for {!build} (initially [Shared]); the
-    [--build] CLI flag calls this. *)
-
-val current_builder : unit -> builder
-
 val build :
   ?flavour:Universe.flavour ->
   ?configs:Config.t list ->
-  ?builder:builder ->
   ?jobs:int ->
   Params.t ->
   t
@@ -65,18 +56,12 @@ val build :
     full-information protocol under it.  [configs] defaults to all [2^n]
     configurations — restricting it changes the system runs are drawn from
     and hence what is known; it exists for ablation experiments only.
-    [builder] overrides the {!set_builder} default for this call; either
-    choice produces a bit-identical model.  [jobs] overrides the ambient
+    [jobs] overrides the ambient
     {!Eba_util.Parallel.jobs} count for this build only (a per-call
     argument, safe under concurrent builders, unlike the process-global
     {!Eba_util.Parallel.set_jobs}); any positive count yields the same
-    bits — it only picks the sequential or sharded shared builder and the
+    bits — it only picks the sequential or sharded build and the
     sharding width. *)
-
-val build_of_patterns : Params.t -> Pattern.t list -> t
-(** As {!build} with an explicit pattern list (all [2^n] configurations).
-    Always uses the naive builder: an arbitrary pattern list has no
-    prefix-forest structure to share. *)
 
 val nruns : t -> int
 val npoints : t -> int

@@ -1,9 +1,9 @@
 (* The shared-prefix model builder (and its supporting machinery): the
    prefix forest enumerates exactly the canonical pattern universe, the
-   shared builder is bit-identical to the naive one — same runs, same view
-   ids, same CSR cells — for every flavour, mode and job count, while
-   provably doing less interning work, and the hashed run index agrees
-   with a linear scan. *)
+   shared builder is bit-identical to the naive reference (Naive_build) —
+   same runs, same view ids, same CSR cells — for every flavour, mode and
+   job count, while provably doing less interning work, and the hashed
+   run index agrees with a linear scan. *)
 
 module V = Eba.View
 module M = Eba.Model
@@ -19,21 +19,22 @@ open Helpers
 
 (* Bit-identical equivalence, down to view-store metadata: the shared
    builder's contract is that nothing observable distinguishes it from the
-   naive builder. *)
-let check_models_equal label (a : M.t) (b : M.t) =
+   naive builder.  Library models are compared through
+   [Naive_build.of_model]. *)
+let check_models_equal label (a : Naive_build.t) (b : Naive_build.t) =
   let ck what ok = check (label ^ ": " ^ what) true ok in
-  check_int (label ^ ": nruns") (M.nruns a) (M.nruns b);
-  check_int (label ^ ": views") (V.size a.M.store) (V.size b.M.store);
+  check_int (label ^ ": nruns") (Array.length a.runs) (Array.length b.runs);
+  check_int (label ^ ": views") (V.size a.store) (V.size b.store);
   Array.iteri
-    (fun idx ra ->
-      let rb = b.M.runs.(idx) in
-      check_int (label ^ ": run index") ra.M.index rb.M.index;
-      ck "run config" (Cfg.equal ra.M.config rb.M.config);
-      ck "run pattern" (Pat.equal ra.M.pattern rb.M.pattern);
-      ck "run faulty" (B.equal ra.M.faulty rb.M.faulty);
-      ck "run views" (ra.M.views = rb.M.views))
-    a.M.runs;
-  let sa = a.M.store and sb = b.M.store in
+    (fun idx (ra : Naive_build.run) ->
+      let rb = b.runs.(idx) in
+      check_int (label ^ ": run index") ra.index rb.index;
+      ck "run config" (Cfg.equal ra.config rb.config);
+      ck "run pattern" (Pat.equal ra.pattern rb.pattern);
+      ck "run faulty" (B.equal ra.faulty rb.faulty);
+      ck "run views" (ra.views = rb.views))
+    a.runs;
+  let sa = a.store and sb = b.store in
   for v = 0 to V.size sa - 1 do
     check_int (label ^ ": owner") (V.owner sa v) (V.owner sb v);
     check_int (label ^ ": time") (V.time sa v) (V.time sb v);
@@ -41,12 +42,16 @@ let check_models_equal label (a : M.t) (b : M.t) =
     ck "prev" (V.prev sa v = V.prev sb v);
     ck "heard" (B.equal (V.heard_from sa v) (V.heard_from sb v));
     ck "knows_zero" (V.knows_zero sa v = V.knows_zero sb v);
-    for j = 0 to M.n a - 1 do
+    for j = 0 to V.n sa - 1 do
       ck "received" (V.received sa v j = V.received sb v j)
     done
   done;
-  ck "cell_off" (a.M.cell_off = b.M.cell_off);
-  ck "cell_ids" (a.M.cell_ids = b.M.cell_ids)
+  ck "cell_off" (a.cell_off = b.cell_off);
+  ck "cell_ids" (a.cell_ids = b.cell_ids)
+
+let shared ?flavour ?configs ~jobs params =
+  Naive_build.of_model
+    (Parallel.with_jobs jobs (fun () -> M.build ?flavour ?configs params))
 
 let scenario_gen =
   QCheck2.Gen.(
@@ -73,35 +78,25 @@ let equivalence_tests =
         QCheck2.assume (t < n);
         let params = Params.make ~n ~t ~horizon ~mode in
         QCheck2.assume (U.count ~flavour params * (1 lsl n) <= 6000);
-        let naive = M.build ~flavour ~builder:M.Naive params in
+        let naive = Naive_build.build ~flavour params in
         (* jobs=1 takes the sequential trie builder, jobs=4 the
            shard-and-merge one; both must be indistinguishable from naive *)
-        let shared =
-          Parallel.with_jobs 1 (fun () -> M.build ~flavour ~builder:M.Shared params)
-        in
-        let sharded =
-          Parallel.with_jobs 4 (fun () -> M.build ~flavour ~builder:M.Shared params)
-        in
-        check_models_equal (scenario_print sc) naive shared;
-        check_models_equal (scenario_print sc ^ " [jobs=4]") naive sharded;
+        check_models_equal (scenario_print sc) naive (shared ~flavour ~jobs:1 params);
+        check_models_equal (scenario_print sc ^ " [jobs=4]") naive
+          (shared ~flavour ~jobs:4 params);
         true);
     test "shared build is bit-identical for jobs=1 and jobs=4" (fun () ->
         List.iter
           (fun (label, fx) ->
-            let m1 =
-              Parallel.with_jobs 1 (fun () -> M.build ~builder:M.Shared fx.params)
-            in
-            let m4 =
-              Parallel.with_jobs 4 (fun () -> M.build ~builder:M.Shared fx.params)
-            in
-            check_models_equal label m1 m4)
+            check_models_equal label (shared ~jobs:1 fx.params)
+              (shared ~jobs:4 fx.params))
           small_fixtures);
     test "restricted configs produce the same model under both builders" (fun () ->
         let params = crash_3_1_3.params in
         let configs = [ Cfg.of_bits ~n:3 0b000; Cfg.of_bits ~n:3 0b101 ] in
-        let naive = M.build ~configs ~builder:M.Naive params in
-        let shared = M.build ~configs ~builder:M.Shared params in
-        check_models_equal "restricted configs" naive shared);
+        check_models_equal "restricted configs"
+          (Naive_build.build ~configs params)
+          (Naive_build.of_model (M.build ~configs params)));
   ]
 
 let forest_tests =
@@ -140,7 +135,7 @@ let forest_tests =
             Metrics.reset ())
           (fun () ->
             let params = crash_3_1_3.params in
-            let (_ : M.t) = M.build ~builder:M.Shared params in
+            let (_ : M.t) = M.build params in
             let det = Metrics.deterministic_counters () in
             let get name = List.assoc name det in
             let tree_nodes = get "model.tree_nodes" in
