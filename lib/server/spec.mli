@@ -14,9 +14,11 @@ module Json = Eba_util.Json
 module Params = Eba_sim.Params
 module Net = Eba_net
 
-(** Multiplex selection: [Mux_auto] picks the measured-throughput-peak
-    wave size ({!Eba_net.Mux.auto_live}); results are bit-identical
-    across all three. *)
+(** Multiplex selection, the wave size of the {!Eba_net.Mux} engine
+    every sweep runs on: [Mux_off] runs waves of one, [Mux_auto] picks
+    the measured-throughput-peak wave size ({!Eba_net.Mux.auto_live}),
+    [Mux_live k] waves of [k].  Results are bit-identical across all
+    three. *)
 type mux = Mux_off | Mux_auto | Mux_live of int
 
 type t = {
@@ -87,7 +89,7 @@ val run :
   Net.Net_stats.summary
 (** {!Eba_net.Netsim.sweep} with the resolved arguments — bit-identical
     for every job count and mux wave size.  [cancel] and [progress] pass
-    straight through to the sweep (polled per run or wave); both default
+    straight through to the sweep (polled once per wave); both default
     off, so CLI and daemon answers stay byte-identical whether or not a
     caller opts in. *)
 
