@@ -1,7 +1,6 @@
 module Bitset = Eba_util.Bitset
 module Combi = Eba_util.Combi
 module Metrics = Eba_util.Metrics
-module Parallel = Eba_util.Parallel
 module Value = Eba_sim.Value
 module Config = Eba_sim.Config
 module Params = Eba_sim.Params
@@ -27,15 +26,14 @@ type t = {
 
 let s_build = Metrics.span "model.build"
 let s_simulate = Metrics.span "model.build.simulate"
-let s_merge = Metrics.span "model.build.merge"
 let s_cells = Metrics.span "model.build.cells"
 let m_runs = Metrics.counter "model.runs"
 let m_points = Metrics.counter "model.points"
 let m_views = Metrics.counter "model.views"
 let m_cell_entries = Metrics.counter "model.cell_entries"
 
-(* Interior-node view extensions the shared builder actually performed, and
-   the ones it skipped relative to the naive per-run simulation.  Both are
+(* Interior-node view extensions the builder actually performed, and the
+   ones it skipped relative to the naive per-run simulation.  Both are
    functions of the universe alone, so they are deterministic across job
    counts — which is what lets CI assert the sharing factor. *)
 let m_tree_nodes = Metrics.counter "model.tree_nodes"
@@ -108,17 +106,15 @@ let finish (params : Params.t) store runs =
   end;
   { params; store; runs; cell_off; cell_ids; by_key = make_index runs }
 
-(* --- shared-prefix builders --------------------------------------------
+(* --- the shared-prefix builder ------------------------------------------
 
    Patterns that agree on their delivery signatures for rounds [1..k]
    produce identical views through time [k], so simulating each run on its
-   own recomputes every shared prefix once per pattern.  The builders below
-   extend each processor's view once per signature-prefix class instead of
-   once per run.  Both are bit-identical to that naive per-run simulation
-   (the test suite keeps it as their reference): the sequential one by
-   allocation order (it interns views in exactly the order the naive
-   enumeration first needs them), the sharded one by an explicit canonical
-   renumbering merge. *)
+   own recomputes every shared prefix once per pattern.  The builder below
+   extends each processor's view once per signature-prefix class instead of
+   once per run.  It is bit-identical to that naive per-run simulation (the
+   test suite keeps it as the reference) by allocation order: it interns
+   views in exactly the order the naive enumeration first needs them. *)
 
 (* One signature-prefix class, grown lazily while patterns stream by in
    canonical order.  [t_levels.(c)] is the per-processor view vector of the
@@ -132,10 +128,14 @@ type trie = {
   t_children : (int array, trie) Hashtbl.t;
 }
 
-let build_shared_seq ~flavour (params : Params.t) configs =
+(* [jobs] is accepted and ignored: the walk runs in the calling domain. *)
+let build ?(flavour = Universe.Exhaustive) ?configs ?jobs:_ (params : Params.t) =
   Metrics.time s_build @@ fun () ->
   let n = params.Params.n and horizon = params.Params.horizon in
-  let configs = Array.of_list configs in
+  let configs =
+    Array.of_list
+      (match configs with Some cs -> cs | None -> Config.all ~n)
+  in
   let nconfigs = Array.length configs in
   let store = View.create_store ~n () in
   let parts = Array.make (max 1 n) (-1) in
@@ -200,13 +200,13 @@ let build_shared_seq ~flavour (params : Params.t) configs =
               done;
               let faulty = Pattern.faulty pattern in
               for c = 0 to nconfigs - 1 do
-                if root.t_levels.(c) = [||] then
+                if Array.length root.t_levels.(c) = 0 then
                   root.t_levels.(c) <-
                     Array.init n (fun i ->
                         View.leaf store ~owner:i (Config.value configs.(c) i));
                 for k = 1 to horizon do
                   let nd = path.(k) in
-                  if nd.t_levels.(c) = [||] then begin
+                  if Array.length nd.t_levels.(c) = 0 then begin
                     let prev = path.(k - 1).t_levels.(c) in
                     let lv = Array.make n (-1) in
                     for i = 0 to n - 1 do
@@ -241,135 +241,6 @@ let build_shared_seq ~flavour (params : Params.t) configs =
       (((!npatterns * horizon) - !tree_nodes) * nconfigs * n)
   end;
   finish params store (Array.of_list (List.rev !runs))
-
-let build_shared_sharded ?(flavour = Universe.Exhaustive) ?jobs
-    (params : Params.t) configs =
-  Metrics.time s_build @@ fun () ->
-  let n = params.Params.n and horizon = params.Params.horizon in
-  let configs = Array.of_list configs in
-  let nconfigs = Array.length configs in
-  let npatterns, forest = Universe.prefix_forest ~flavour params in
-  let nruns = npatterns * nconfigs in
-  let dummy =
-    {
-      index = -1;
-      config = Config.constant ~n:0 Value.Zero;
-      pattern = Pattern.failure_free params;
-      faulty = Bitset.empty;
-      views = [||];
-    }
-  in
-  let runs = Array.make nruns dummy in
-  let items =
-    Array.of_list
-      (List.concat_map
-         (fun (_set, root) ->
-           if horizon = 0 then [ root ] else root.Universe.pn_children ())
-         forest)
-  in
-  let nitems = Array.length items in
-  let stores = Array.init nitems (fun _ -> View.create_store ~capacity:64 ~n ()) in
-  let run_shard = Array.make (max 1 nruns) 0 in
-  let item_nodes = Array.make (max 1 nitems) 0 in
-  Metrics.time s_simulate (fun () ->
-      Parallel.parallel_for ?jobs nitems (fun it ->
-          let store = stores.(it) in
-          let levels =
-            Array.init (horizon + 1) (fun _ -> Array.make (nconfigs * n) (-1))
-          in
-          let parts = Array.make (max 1 n) (-1) in
-          for c = 0 to nconfigs - 1 do
-            for i = 0 to n - 1 do
-              levels.(0).((c * n) + i) <-
-                View.leaf store ~owner:i (Config.value configs.(c) i)
-            done
-          done;
-          let nodes = ref 0 in
-          let emit_leaves node =
-            List.iter
-              (fun (pidx, pattern) ->
-                let faulty = Pattern.faulty pattern in
-                for c = 0 to nconfigs - 1 do
-                  let ridx = (pidx * nconfigs) + c in
-                  let views = Array.make ((horizon + 1) * n) (-1) in
-                  for m = 0 to horizon do
-                    Array.blit levels.(m) (c * n) views (m * n) n
-                  done;
-                  runs.(ridx) <-
-                    { index = ridx; config = configs.(c); pattern; faulty; views };
-                  run_shard.(ridx) <- it
-                done)
-              (node.Universe.pn_patterns ())
-          in
-          let rec walk (node : Universe.prefix_node) =
-            let d = node.Universe.pn_depth in
-            if d > 0 then begin
-              incr nodes;
-              let send = node.Universe.pn_send_omit
-              and recv = node.Universe.pn_recv_omit in
-              let prev = levels.(d - 1) and cur = levels.(d) in
-              for c = 0 to nconfigs - 1 do
-                let base = c * n in
-                for i = 0 to n - 1 do
-                  for j = 0 to n - 1 do
-                    parts.(j) <-
-                      (if j = i || Bitset.mem i send.(j) || Bitset.mem j recv.(i)
-                       then -1
-                       else prev.(base + j))
-                  done;
-                  cur.(base + i) <-
-                    View.node_parts store ~owner:i ~prev:prev.(base + i) ~parts
-                done
-              done
-            end;
-            if d = horizon then emit_leaves node
-            else List.iter walk (node.Universe.pn_children ())
-          in
-          walk items.(it);
-          item_nodes.(it) <- !nodes));
-  (* Canonical merge: scan runs in index order, each run's view slots in
-     time-major order, re-interning each shard-local view the first time it
-     is met.  That is exactly the order in which the naive simulation allocates
-     ids, so the merged store assigns the same id to the same view. *)
-  let gstore = View.create_store ~n () in
-  Metrics.time s_merge (fun () ->
-      let maps = Array.map (fun s -> Array.make (max 1 (View.size s)) (-1)) stores in
-      let lookups = Array.map (fun map v -> map.(v)) maps in
-      for ridx = 0 to nruns - 1 do
-        let shard = run_shard.(ridx) in
-        let map = maps.(shard) in
-        let lstore = stores.(shard) in
-        let lookup = lookups.(shard) in
-        let views = runs.(ridx).views in
-        for slot = 0 to Array.length views - 1 do
-          let v = views.(slot) in
-          let g = map.(v) in
-          if g >= 0 then views.(slot) <- g
-          else begin
-            let g = View.remap_into ~dst:gstore ~map:lookup lstore v in
-            map.(v) <- g;
-            views.(slot) <- g
-          end
-        done
-      done);
-  if Metrics.enabled () then begin
-    let tree_nodes = Array.fold_left ( + ) 0 item_nodes in
-    Metrics.add m_tree_nodes tree_nodes;
-    Metrics.add m_prefix_hits (((npatterns * horizon) - tree_nodes) * nconfigs * n)
-  end;
-  finish params gstore runs
-
-(* With one job there is nothing to shard: the trie walk interns straight
-   into the final store (no private stores, no merge) and is still
-   bit-identical by construction.  With several jobs the forest's depth-1
-   subtrees go through the shard-and-renumber path above. *)
-let build ?(flavour = Universe.Exhaustive) ?configs ?jobs (params : Params.t) =
-  let configs =
-    match configs with Some cs -> cs | None -> Config.all ~n:params.Params.n
-  in
-  let effective = match jobs with Some j when j > 0 -> j | _ -> Parallel.jobs () in
-  if effective <= 1 then build_shared_seq ~flavour params configs
-  else build_shared_sharded ~flavour ?jobs params configs
 
 let nruns m = Array.length m.runs
 let horizon m = m.params.Params.horizon

@@ -7,15 +7,12 @@
     pair).  A {e point} is a pair (run, time); points are densely numbered
     so the epistemic layer can work with flat bitsets over point ids.
 
-    The builder extends views once per signature-prefix class rather
-    than once per run.  With one job it grows a signature trie while the
-    patterns stream by canonically, interning straight into the final
-    store in the order a naive per-run simulation would allocate; with
-    several it shards the depth-1 subtrees of {!Universe.prefix_forest}
-    across domains and renumbers the shard stores into that same order
-    during a merge.  Either way the stores, runs and cells are
-    bit-identical to the naive simulation's, which the test suite keeps
-    as the reference. *)
+    There is one builder.  It extends views once per signature-prefix
+    class rather than once per run: it grows a signature trie while the
+    patterns stream by canonically, interning straight into the model's
+    store in the order a naive per-run simulation would allocate, in the
+    calling domain.  The store, runs and cells are bit-identical to the
+    naive simulation's, which the test suite keeps as the reference. *)
 
 module Bitset = Eba_util.Bitset
 module Value = Eba_sim.Value
@@ -56,12 +53,13 @@ val build :
     full-information protocol under it.  [configs] defaults to all [2^n]
     configurations — restricting it changes the system runs are drawn from
     and hence what is known; it exists for ablation experiments only.
-    [jobs] overrides the ambient
-    {!Eba_util.Parallel.jobs} count for this build only (a per-call
-    argument, safe under concurrent builders, unlike the process-global
-    {!Eba_util.Parallel.set_jobs}); any positive count yields the same
-    bits — it only picks the sequential or sharded build and the
-    sharding width. *)
+    [jobs] has no effect: the build runs in the calling domain at every
+    job count.  It is kept for source compatibility with callers that
+    still pass it.
+
+    The model's store keeps its interning index, so a view interned into
+    it after the build (as an operational full-information run does)
+    gets the model's id for it. *)
 
 val nruns : t -> int
 val npoints : t -> int

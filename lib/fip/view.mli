@@ -19,13 +19,20 @@ type id = int
 (** A view identifier, dense in [0 .. size store - 1]. *)
 
 type store
-(** A mutable hash-consing arena for one model. *)
+(** A mutable hash-consing arena for one model, laid out flat: view [v]'s
+    key — kind, owner, prev id or initial value, then the [n] received ids
+    ([-1] for none) — is [n + 3] ints of one array from [v * (n + 3)], and
+    its time, initial value, heard set and knows-zero flag live in parallel
+    arrays.  The interner is an open-addressing slot table hashed over those
+    ints: interning a new view allocates no per-view block, and re-interning
+    an existing one allocates nothing.  Every array starts with room for
+    1024 views and grows by doubling; a store is never merged into another.
 
-val create_store : ?capacity:int -> n:int -> unit -> store
-(** [n] is the number of processors (fixes the arity of interior nodes).
-    [capacity] (default 1024) sizes the initial meta arena and hash table;
-    both grow on demand, so it only tunes allocation for stores known to
-    stay small (e.g. the sharded builder's per-domain stores). *)
+    Reads are safe from any domain once interning has stopped; interning is
+    single-domain (one domain per store at a time). *)
+
+val create_store : n:int -> unit -> store
+(** [n] is the number of processors (fixes the arity of interior nodes). *)
 
 val leaf : store -> owner:int -> Value.t -> id
 (** The time-0 view of [owner] with the given initial value. *)
@@ -33,8 +40,9 @@ val leaf : store -> owner:int -> Value.t -> id
 val node : store -> owner:int -> prev:id -> received:id option array -> id
 (** The view after one more round: [prev] is [owner]'s previous view and
     [received.(j)] is the view [j] sent in that round, if it was delivered.
-    [received.(owner)] must be [None].  Raises [Invalid_argument] if the
-    owner or times are inconsistent. *)
+    [received.(owner)] must be [None].  Raises [Invalid_argument] if a
+    referenced view is not in the store or the owners or times are
+    inconsistent. *)
 
 val node_parts : store -> owner:int -> prev:id -> parts:id array -> id
 (** The unchecked fast path behind {!node}: [parts.(j)] is the view
@@ -42,15 +50,8 @@ val node_parts : store -> owner:int -> prev:id -> parts:id array -> id
     The key is probed through a scratch buffer, so re-interning an existing
     view allocates nothing; [parts] is borrowed and may be reused by the
     caller immediately.  Preconditions ({!node}'s owner/time checks) are
-    the caller's responsibility — this is for the model builders, whose
-    simulation loops establish them structurally. *)
-
-val remap_into : dst:store -> map:(id -> id) -> store -> id -> id
-(** [remap_into ~dst ~map src id] re-interns [src]'s view [id] into [dst],
-    translating the ids it references through [map].  Requires every view
-    [id] references to have been remapped already — i.e. callers must
-    process views in a dependency-respecting (time-ascending) order.  Used
-    to merge per-domain stores into one canonical store. *)
+    the caller's responsibility — this is for the model builder, whose
+    simulation loop establishes them structurally. *)
 
 val size : store -> int
 (** Number of distinct views allocated so far. *)
@@ -66,7 +67,8 @@ val prev : store -> id -> id option
 
 val received : store -> id -> int -> id option
 (** [received store v j] is the view received from [j] in the view's last
-    round ([None] for leaves, for [j = owner], and for omitted messages). *)
+    round ([None] for leaves, for [j = owner], and for omitted messages).
+    Raises [Invalid_argument] unless [0 <= j < n store]. *)
 
 val heard_from : store -> id -> Bitset.t
 (** Senders whose message arrived in the view's last round (empty for

@@ -31,9 +31,11 @@ let run_job pool ~complete job =
       | exception e ->
           Protocol.error ~id:Json.Null Protocol.Internal (Printexc.to_string e)
   in
-  complete ~job reply;
+  (* count before handing the reply over: a client holding every reply
+     must never read it as still in flight *)
   Atomic.incr pool.served;
-  Atomic.decr pool.in_flight
+  Atomic.decr pool.in_flight;
+  complete ~job reply
 
 let create ~workers ~queue ~complete =
   if workers < 0 then invalid_arg "Pool.create: workers must be >= 0";

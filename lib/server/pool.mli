@@ -56,11 +56,15 @@ val create :
 val workers : t -> int
 
 val in_flight : t -> int
-(** Jobs popped by a worker and not yet completed. *)
+(** Jobs popped by a worker whose reply is not yet computed.  A job
+    leaves this count, and enters {!served}, before its reply reaches
+    [complete]: by the time a client holds a reply, its job is counted
+    as served and not in flight. *)
 
 val served : t -> int
 (** Jobs completed since the pool started (cancelled jobs count: their
-    [cancelled] reply is a completion like any other). *)
+    [cancelled] reply is a completion like any other), counted before
+    each reply is handed to [complete]. *)
 
 val join : t -> unit
 (** Wait for every worker to exit.  Only returns promptly after the

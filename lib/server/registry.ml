@@ -108,11 +108,12 @@ let knowledge params =
           trying (fun () ->
               Eba_util.Cancel.check ctx.cancel;
               (* the hot path: repeat queries against the same universe
-                 reuse the built model; [jobs] (previously parsed and
-                 dropped) now reaches the builder on a cold miss *)
+                 reuse the built model.  [jobs] does not reach the
+                 builder, which runs in this worker's domain at any job
+                 count; it only steers [exhaustive] below. *)
               let model =
                 Model_cache.find_or_build model_cache model_params
-                  (fun p -> Eba_fip.Model.build ?jobs p)
+                  (fun p -> Eba_fip.Model.build p)
               in
               let env = Eba_epistemic.Formula.env model in
               let pair = pair_of_env env in

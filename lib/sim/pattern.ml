@@ -124,7 +124,7 @@ let delivers p ~round ~sender ~receiver =
   && receiver_accepts p ~round ~sender ~receiver
 
 (* The round-local footprint of a behaviour, in the normal form the
-   shared-prefix enumerator groups by: which receivers the processor's
+   shared-prefix model builder groups by: which receivers the processor's
    round-[round] messages fail to reach through its own fault, and which
    senders it refuses to receive from.  A crash is "deliver everything"
    before its round, a strict-subset delivery at it, and silence after. *)

@@ -88,9 +88,9 @@ val round_signature : n:int -> behaviour -> round:int -> Bitset.t * Bitset.t
     accept.  Together with "nonfaulty processors omit nothing" this
     determines {!delivers} for the round, so behaviours with equal
     signatures on rounds [1..k] are indistinguishable through time [k] —
-    the grouping invariant behind {!Universe.prefix_forest}.  [n] is the
-    system size (behaviours do not record it).  Raises [Invalid_argument]
-    on rounds outside the behaviour's horizon. *)
+    the grouping invariant behind [Model.build]'s signature trie.  [n] is
+    the system size (behaviours do not record it).  Raises
+    [Invalid_argument] on rounds outside the behaviour's horizon. *)
 
 val crashed_before : t -> proc:int -> round:int -> bool
 (** Crash mode only: has [proc] crashed strictly before [round] (so it sends

@@ -89,148 +89,6 @@ let workload_seq ?flavour ?configs (params : Params.t) =
     (fun pattern -> Seq.map (fun config -> (config, pattern)) (List.to_seq configs))
     (patterns_seq ?flavour params)
 
-(* --- shared-prefix enumeration ----------------------------------------
-
-   Exhaustive universes are cartesian products of per-processor behaviour
-   lists, so patterns share long delivery prefixes: two behaviours that
-   agree on their round-[1..k] signatures produce identical deliveries
-   through time [k].  [prefix_forest] exposes that sharing as a lazy tree
-   per faulty set — each node is an equivalence class of behaviour tuples
-   on a signature prefix — so a model builder can extend views once per
-   node instead of once per pattern.  Leaves carry their pattern together
-   with its index in the canonical [patterns_seq] order, computed in mixed
-   radix from the per-processor behaviour indices, so a tree walk can
-   place every run at exactly the slot the naive enumeration would. *)
-
-type prefix_node = {
-  pn_depth : int;
-  pn_send_omit : Bitset.t array;
-  pn_recv_omit : Bitset.t array;
-  pn_children : unit -> prefix_node list;
-  pn_patterns : unit -> (int * Pattern.t) list;
-}
-
-(* Partition [members] (indices into [behs]) by their round-[round]
-   signature, preserving first-occurrence order. *)
-let partition_round ~n behs ~round members =
-  let table = Hashtbl.create 8 in
-  let order = ref [] in
-  Array.iter
-    (fun i ->
-      let send, recv = Pattern.round_signature ~n behs.(i) ~round in
-      let key = (Bitset.to_int send, Bitset.to_int recv) in
-      match Hashtbl.find_opt table key with
-      | Some cell -> cell := i :: !cell
-      | None ->
-          let cell = ref [ i ] in
-          Hashtbl.add table key cell;
-          order := (send, recv, cell) :: !order)
-    members;
-  List.rev_map
-    (fun (send, recv, cell) -> (send, recv, Array.of_list (List.rev !cell)))
-    !order
-
-let prefix_forest ?(flavour = Exhaustive) (params : Params.t) =
-  let n = params.Params.n and horizon = params.Params.horizon in
-  let faulty_sets = Bitset.subsets_upto n params.Params.t_failures in
-  let offset = ref 0 in
-  let roots =
-    List.map
-      (fun set ->
-        let procs = Bitset.to_list set in
-        let behaviours =
-          List.map
-            (fun proc -> Array.of_list (behaviours_for ~flavour params ~proc))
-            procs
-        in
-        let base = !offset in
-        offset := base + List.fold_left (fun b a -> b * Array.length a) 1 behaviours;
-        (* [groups]: per processor (in [procs] order), the behaviour indices
-           compatible with the signature prefix leading to this node. *)
-        let rec node depth ~send ~recv groups =
-          {
-            pn_depth = depth;
-            pn_send_omit = send;
-            pn_recv_omit = recv;
-            pn_children =
-              (fun () ->
-                if depth >= horizon then []
-                else
-                  let round = depth + 1 in
-                  let parts =
-                    List.map2
-                      (fun behs g -> partition_round ~n behs ~round g)
-                      behaviours groups
-                  in
-                  (* cross product of the per-processor partitions, first
-                     processor varying slowest (the canonical tuple order) *)
-                  let rec cross procs parts =
-                    match (procs, parts) with
-                    | [], [] ->
-                        [ (Array.make n Bitset.empty, Array.make n Bitset.empty, []) ]
-                    | proc :: ps, part :: pl ->
-                        let rest = cross ps pl in
-                        List.concat_map
-                          (fun (s, r, g) ->
-                            List.map
-                              (fun (send, recv, groups) ->
-                                let send = Array.copy send and recv = Array.copy recv in
-                                send.(proc) <- s;
-                                recv.(proc) <- r;
-                                (send, recv, g :: groups))
-                              rest)
-                          part
-                    | [], _ :: _ | _ :: _, [] ->
-                        (* unreachable: [parts] is built by [List.map2]
-                           over [groups], and [groups] always has exactly
-                           one entry per processor of [procs] (both
-                           originate from the same [faulty_sets] row and
-                           recursion peels one of each) — but a mismatch
-                           would mean corrupted forest construction, so
-                           fail diagnosably rather than crash an assert *)
-                        invalid_arg
-                          "Universe.prefix_forest: per-processor partition \
-                           lists out of step"
-                  in
-                  List.map
-                    (fun (send, recv, groups) -> node (depth + 1) ~send ~recv groups)
-                    (cross procs parts))
-            ;
-            pn_patterns =
-              (fun () ->
-                if depth < horizon then []
-                else
-                  let rec leaves behs_list groups idx acc =
-                    match (behs_list, groups) with
-                    | [], [] ->
-                        [ (base + idx, Pattern.make params (List.rev acc)) ]
-                    | behs :: bl, g :: gl ->
-                        List.concat_map
-                          (fun i ->
-                            leaves bl gl ((idx * Array.length behs) + i)
-                              (behs.(i) :: acc))
-                          (Array.to_list g)
-                    | [], _ :: _ | _ :: _, [] ->
-                        (* unreachable for the same reason as [cross]
-                           above: [groups] carries one index array per
-                           behaviour list and the recursion consumes them
-                           in lockstep *)
-                        invalid_arg
-                          "Universe.prefix_forest: behaviour/group lists \
-                           out of step"
-                  in
-                  leaves behaviours groups 0 []);
-          }
-        in
-        let empty_sig = Array.make n Bitset.empty in
-        ( set,
-          node 0 ~send:empty_sig ~recv:empty_sig
-            (List.map (fun behs -> Array.init (Array.length behs) Fun.id) behaviours)
-        ))
-      faulty_sets
-  in
-  (!offset, roots)
-
 (* Every arithmetic step is overflow-checked: with the n-cap at 4096 these
    closed forms leave the int range as early as n = 63 (crash needs
    2^(n-1)), and a wrapped count is worse than no count — raise

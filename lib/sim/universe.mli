@@ -10,8 +10,6 @@
     omission universe is too large; it still contains every run construction
     used by the paper's Section 6 proofs. *)
 
-module Bitset = Eba_util.Bitset
-
 val crash_behaviours : Params.t -> proc:int -> Pattern.behaviour list
 (** All canonical crash behaviours of [proc]: the in-horizon clean one plus,
     for every round and every strict subset of the other processors, the
@@ -45,38 +43,6 @@ val workload_seq :
 (** The exhaustive run workload: every pattern of {!patterns_seq} paired
     with every initial configuration ([Config.all] by default), streamed in
     pattern-major order. *)
-
-type prefix_node = {
-  pn_depth : int;  (** rounds of behaviour fixed so far (time [pn_depth]) *)
-  pn_send_omit : Bitset.t array;
-      (** per processor: receivers its round-[pn_depth] messages miss
-          (all empty at the depth-0 root, where no round is fixed yet) *)
-  pn_recv_omit : Bitset.t array;
-      (** per processor: senders it refuses in round [pn_depth] *)
-  pn_children : unit -> prefix_node list;
-      (** the distinct round-[pn_depth+1] signature combinations compatible
-          with this prefix; [[]] exactly at depth [horizon] *)
-  pn_patterns : unit -> (int * Pattern.t) list;
-      (** at depth [horizon]: the patterns of this equivalence class, each
-          with its index in the canonical {!patterns_seq} order (almost
-          always a singleton); [[]] at interior depths *)
-}
-(** One equivalence class of failure patterns: all behaviour tuples of a
-    faulty set that agree on their per-round delivery signatures
-    ({!Pattern.round_signature}) for rounds [1..pn_depth], and hence
-    produce identical deliveries — identical views — through time
-    [pn_depth]. *)
-
-val prefix_forest :
-  ?flavour:flavour -> Params.t -> int * (Bitset.t * prefix_node) list
-(** The pattern universe of {!patterns_seq}, factored by shared delivery
-    prefixes: the total pattern count plus one lazy tree root per faulty
-    set (in the same faulty-set order).  Walking every tree to depth
-    [horizon] visits every pattern exactly once, and the leaf indices are
-    a bijection onto [0 .. count-1] in {!patterns_seq} order — which is
-    what lets a shared-prefix model builder reproduce the naive run
-    numbering exactly.  Trees are recomputed on demand and hold no state;
-    distinct subtrees may be walked from distinct domains. *)
 
 val count : ?flavour:flavour -> Params.t -> int
 (** [List.length (patterns p)] computed arithmetically, for guarding against

@@ -1,9 +1,7 @@
-(* The shared-prefix model builder (and its supporting machinery): the
-   prefix forest enumerates exactly the canonical pattern universe, the
-   shared builder is bit-identical to the naive reference (Naive_build) —
-   same runs, same view ids, same CSR cells — for every flavour, mode and
-   job count, while provably doing less interning work, and the hashed
-   run index agrees with a linear scan. *)
+(* The shared-prefix model builder: it is bit-identical to the naive
+   reference (Naive_build) — same runs, same view ids, same CSR cells —
+   for every flavour, mode and job count, while provably doing less
+   interning work, and the hashed run index agrees with a linear scan. *)
 
 module V = Eba.View
 module M = Eba.Model
@@ -51,7 +49,7 @@ let check_models_equal label (a : Naive_build.t) (b : Naive_build.t) =
 
 let shared ?flavour ?configs ~jobs params =
   Naive_build.of_model
-    (Parallel.with_jobs jobs (fun () -> M.build ?flavour ?configs params))
+    (Parallel.with_jobs jobs (fun () -> M.build ?flavour ?configs ~jobs params))
 
 let scenario_gen =
   QCheck2.Gen.(
@@ -79,8 +77,8 @@ let equivalence_tests =
         let params = Params.make ~n ~t ~horizon ~mode in
         QCheck2.assume (U.count ~flavour params * (1 lsl n) <= 6000);
         let naive = Naive_build.build ~flavour params in
-        (* jobs=1 takes the sequential trie builder, jobs=4 the
-           shard-and-merge one; both must be indistinguishable from naive *)
+        (* the job count, ambient and per call, must change no bit:
+           jobs=1 and jobs=4 are both indistinguishable from naive *)
         check_models_equal (scenario_print sc) naive (shared ~flavour ~jobs:1 params);
         check_models_equal (scenario_print sc ^ " [jobs=4]") naive
           (shared ~flavour ~jobs:4 params);
@@ -99,32 +97,8 @@ let equivalence_tests =
           (Naive_build.of_model (M.build ~configs params)));
   ]
 
-let forest_tests =
+let sharing_tests =
   [
-    test "prefix forest leaves are a bijection onto patterns_seq" (fun () ->
-        List.iter
-          (fun (label, params, flavour) ->
-            let expected = Array.of_list (U.patterns ~flavour params) in
-            let count, roots = U.prefix_forest ~flavour params in
-            check_int (label ^ ": count") (Array.length expected) count;
-            let seen = Array.make count false in
-            let rec walk node =
-              List.iter
-                (fun (idx, pat) ->
-                  check (label ^ ": index fresh") false seen.(idx);
-                  seen.(idx) <- true;
-                  check (label ^ ": pattern at canonical index") true
-                    (Pat.equal pat expected.(idx)))
-                (node.U.pn_patterns ());
-              List.iter walk (node.U.pn_children ())
-            in
-            List.iter (fun (_set, root) -> walk root) roots;
-            check (label ^ ": all indices emitted") true (Array.for_all Fun.id seen))
-          [
-            ("crash", crash_3_1_3.params, U.Exhaustive);
-            ("omission", omission_3_1_2.params, U.Exhaustive);
-            ("sparse omission", omission_4_2_2.params, U.Sparse);
-          ]);
     test "prefix sharing is strict and accounted exactly" (fun () ->
         let was = Metrics.enabled () in
         Metrics.set_enabled true;
@@ -194,4 +168,4 @@ let find_run_tests =
 
 let suite =
   ( "build",
-    List.concat [ equivalence_tests; forest_tests; cell_tests; find_run_tests ] )
+    List.concat [ equivalence_tests; sharing_tests; cell_tests; find_run_tests ] )
