@@ -24,8 +24,9 @@
     step (missing elements are precisely ones the receiver already holds),
     so flags, convictions, no-news rounds — and therefore decisions in
     value and time — match {!Chain0} on every run.  The differential suite
-    checks this point-for-point over exhaustive omission universes and at
-    the wide netsim scales. *)
+    checks this point-for-point over exhaustive omission universes, and
+    [test_compact]'s same-seed lossy sweep pairs check it at n = 64 on
+    [Procset.Wide] sets. *)
 
 module Params = Eba_sim.Params
 module Value = Eba_sim.Value

@@ -21,14 +21,24 @@
       into the vector is idempotent: late, reordered or retransmitted
       copies within a round land in the same state.
 
+    In memory a delta is a {e slot set} read against the sender's known
+    vector, which every message of a round shares ([receive] copies the
+    vector before writing, so a vector never changes once a state holds
+    it).  With [known_set] the slots holding a value, the message to [d]
+    is [((known_set \ confirmed.(d)) ∪ fresh) \ {d}] — three set
+    operations, no per-slot scan — and a receiver copies values only for
+    the slots it learns, [slots \ known_set].  The wire size counts the
+    set's entries, so the bytes are those of the pair encoding.
+
     Induction over rounds shows every processor's [known] vector (and
     heard-from sets — message {e presence} is identical: both variants send
     to everyone, every round) equals the full variant's in every run, so
     decisions match in value and time everywhere; the test suite checks
-    this point-for-point over exhaustive crash and omission universes and
-    differentially at the wide netsim scales.  Only the wire size differs:
-    deltas are empty from round 3 of a failure-free run, where the full
-    vector keeps riding in full. *)
+    this point-for-point over exhaustive crash and omission universes, and
+    [test_compact]'s same-seed lossy sweep pairs check it at n = 64 on
+    [Procset.Wide] sets.  Only the wire size differs: deltas are empty from
+    round 3 of a failure-free run, where the full vector keeps riding in
+    full. *)
 
 module Params = Eba_sim.Params
 module Value = Eba_sim.Value
@@ -51,12 +61,15 @@ module type COMPACT = sig
 end
 
 module Make (S : Eba_util.Procset.S) = struct
-  type msg = { d_round : int; d_entries : (int * Value.t) array }
+  (* [d_values] is the sender's whole known vector, shared by every
+     message of its round; only the slots in [d_slots] are read *)
+  type msg = { d_round : int; d_slots : S.t; d_values : Value.t option array }
 
   type state = {
     me : int;
     n : int;
-    known : Value.t option array;
+    known : Value.t option array;  (* never written once a state holds it *)
+    known_set : S.t;  (* the slots of [known] that hold a value *)
     confirmed : S.t array;  (* per destination: slots provably known there *)
     fresh : S.t;  (* slots learned in the previous round's receive *)
     heard_last : S.t option;
@@ -95,6 +108,7 @@ module Make (S : Eba_util.Procset.S) = struct
         me;
         n;
         known;
+        known_set = S.singleton me;
         confirmed = Array.init n (fun d -> S.singleton d);
         fresh = S.singleton me;
         heard_last = None;
@@ -106,53 +120,47 @@ module Make (S : Eba_util.Procset.S) = struct
     { st with decided = decide st }
 
   let send (params : Params.t) st ~round =
+    (* [fresh] is a subset of [known_set], so this is "every known slot
+       unconfirmed at d, or fresh", minus d's own *)
     Array.init params.Params.n (fun d ->
         if d = st.me then None
-        else begin
-          let entries = ref [] in
-          let conf = st.confirmed.(d) in
-          for p = st.n - 1 downto 0 do
-            if p <> d then
-              match st.known.(p) with
-              | Some v when (not (S.mem p conf)) || S.mem p st.fresh ->
-                  entries := (p, v) :: !entries
-              | Some _ | None -> ()
-          done;
-          Some { d_round = round; d_entries = Array.of_list !entries }
-        end)
+        else
+          let slots = S.union (S.diff st.known_set st.confirmed.(d)) st.fresh in
+          Some { d_round = round; d_slots = S.remove d slots; d_values = st.known })
 
   let receive _params st ~round arrived =
+    let n = st.n in
     let known = Array.copy st.known in
+    let known_set = ref st.known_set in
     let confirmed = Array.copy st.confirmed in
     let heard = ref S.empty in
-    let fresh = ref S.empty in
     Array.iteri
       (fun j m ->
         match m with
         | None -> ()
-        | Some { d_round = _; d_entries } ->
+        | Some { d_round = _; d_slots; d_values } ->
             heard := S.add j !heard;
-            let cj = ref confirmed.(j) in
-            Array.iter
-              (fun (p, v) ->
-                if p >= 0 && p < Array.length known then begin
-                  (* whatever j sent me, j knew at send time *)
-                  cj := S.add p !cj;
-                  match known.(p) with
-                  | None ->
-                      known.(p) <- Some v;
-                      fresh := S.add p !fresh
-                  | Some _ -> ()  (* one value per slot per run: idempotent *)
-                end)
-              d_entries;
-            confirmed.(j) <- !cj)
+            (* whatever j sent me, j knew at send time *)
+            confirmed.(j) <- S.union confirmed.(j) d_slots;
+            (* one value per slot per run: the first sender supplies it *)
+            let learned = S.diff d_slots !known_set in
+            if not (S.is_empty learned) then begin
+              let stray = ref false in
+              S.iter
+                (fun p -> if p < n then known.(p) <- d_values.(p) else stray := true)
+                learned;
+              (* only hand-built messages carry slots past [n] *)
+              let learned = if !stray then S.inter learned (S.full n) else learned in
+              known_set := S.union !known_set learned
+            end)
       arrived;
     let st =
       {
         st with
         known;
+        known_set = !known_set;
         confirmed;
-        fresh = !fresh;
+        fresh = S.diff !known_set st.known_set;
         heard_prev = st.heard_last;
         heard_last = Some !heard;
         time = round;
@@ -165,12 +173,22 @@ module Make (S : Eba_util.Procset.S) = struct
   (* a delta never costs more than the dense vector the full variant sends *)
   let wire_size (params : Params.t) m =
     let open Protocol_intf.Wire in
-    header + min (entry * Array.length m.d_entries) (trit_vector params.Params.n)
+    header + min (entry * S.cardinal m.d_slots) (trit_vector params.Params.n)
 
   (* test hooks *)
   let known st = Array.copy st.known
-  let message ~round entries = { d_round = round; d_entries = Array.of_list entries }
-  let entries m = Array.to_list m.d_entries
+
+  let message ~round entries =
+    (* slots no set can hold are dropped: [receive] would ignore them *)
+    let entries = List.filter (fun (p, _) -> p >= 0 && p < S.max_width) entries in
+    let width = List.fold_left (fun w (p, _) -> max w (p + 1)) 0 entries in
+    let d_values = Array.make width None in
+    List.iter
+      (fun (p, v) -> if Option.is_none d_values.(p) then d_values.(p) <- Some v)
+      entries;
+    { d_round = round; d_slots = S.of_list (List.map fst entries); d_values }
+
+  let entries m = List.map (fun p -> (p, Option.get m.d_values.(p))) (S.to_list m.d_slots)
 end
 
 module Word = Make (Eba_util.Procset.Word)

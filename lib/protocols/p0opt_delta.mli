@@ -6,6 +6,9 @@
     confirmed set, plus a one-round echo of freshly learned entries), as
     sparse [(slot, value)] pairs under a round-stamped header that makes
     merging idempotent under loss, reordering and retransmission of copies.
+    In memory a delta is a slot set over the sender's known vector, which
+    all its messages of a round share: sending and merging are set
+    algebra, with no per-slot scan and no per-entry allocation.
 
     Decisions are identical to {!P0opt} in value and round on every run
     (checked exhaustively by the differential suite); only

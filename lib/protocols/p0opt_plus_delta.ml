@@ -26,7 +26,8 @@
     By induction the table equals the full variant's at every processor
     after every round, message presence being identical — so decisions
     match in value and time everywhere (differential suite, exhaustive
-    crash and omission universes; netsim at n = 128/256).  Only the wire
+    crash and omission universes; [test_compact]'s same-seed lossy sweep
+    pairs at n = 64, on [Procset.Wide] sets).  Only the wire
     size differs: the full table weighs [O(n · T)] dense sets per message
     forever, while deltas carry each heard-set roughly once per
     destination. *)

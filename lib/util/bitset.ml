@@ -12,12 +12,16 @@ let full n =
   check_width n;
   if n = 0 then 0 else (1 lsl n) - 1
 
+let check_index i =
+  if i < 0 || i >= max_width then
+    invalid_arg (Printf.sprintf "Bitset: index %d out of range" i)
+
 let singleton i =
-  check_width (i + 1);
+  check_index i;
   1 lsl i
 
 let add i s = s lor singleton i
-let remove i s = s land lnot (singleton i)
+let remove i s = if i < 0 then s else s land lnot (singleton i)
 let mem i s = i >= 0 && i < max_width && s land (1 lsl i) <> 0
 let union a b = a lor b
 let inter a b = a land b

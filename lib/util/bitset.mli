@@ -18,10 +18,14 @@ val full : int -> t
     negative or exceeds {!max_width}. *)
 
 val singleton : int -> t
-(** [singleton i] is [{i}]. *)
+(** [singleton i] is [{i}].  Raises [Invalid_argument] unless
+    [0 <= i < max_width]; {!add} likewise. *)
 
 val add : int -> t -> t
+
 val remove : int -> t -> t
+(** [remove i s] is [s] for a negative [i], as [Procset.Wide.remove] is. *)
+
 val mem : int -> t -> bool
 
 val union : t -> t -> t

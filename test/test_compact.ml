@@ -14,15 +14,21 @@
    3. Netsim: replaying the exhaustive universes through the round
       synchronizer matches the lockstep runner for the compact variants
       too, with the delivered-bytes counters agreeing exactly; a lossy
-      same-seed full-vs-compact sweep pair has identical decision
-      statistics and strictly fewer data bytes; byte counters are
-      bit-identical across --jobs.
+      same-seed full-vs-compact sweep pair, at n=16 and at n=64 (two
+      Procset.Wide limbs), has identical decision statistics, copies,
+      retransmissions and acks, zero violations and strictly fewer data
+      bytes; byte counters are bit-identical across --jobs.
 
    4. The Sync.attempts boundary: an exact-multiple window excludes the
       retry that would fire at the window's close.
 
    5. The Stats / Net_stats empty-mean convention: all-undecided sweeps
-      summarize to finite means and RFC 8259-valid JSON. *)
+      summarize to finite means and RFC 8259-valid JSON.
+
+   6. P0opt-delta's slot-set codec against the per-slot reference codec
+      (P0opt_delta_ref): lockstep rounds under random delivery masks
+      across the Word/Wide switch agree message by message, and netsim
+      sweep summaries agree byte for byte. *)
 
 module Net = Eba.Net
 module Runner = Eba.Runner
@@ -231,23 +237,23 @@ let replay_bytes_agree name (module C : Eba.Protocol_intf.PROTOCOL) params () =
       Alcotest.failf "%s: %d replay entries disagree; first: %s" name
         (List.length !bad) first
 
-let pair_sweep (module P : Eba.Protocol_intf.PROTOCOL) ~jobs ~n ~t ~mode ~seed =
+let pair_sweep for_params ~jobs ~n ~t ~mode ~seed ~runs =
   let params = Eba.Params.make ~n ~t ~horizon:(t + 1) ~mode in
   let topology =
     Net.Topology.make ~n
       ~link:(Net.Link.make ~latency:(Net.Link.Uniform (0.2, 1.0)) ~loss:0.05)
   in
   let sync = Net.Sync.default_for topology in
-  Net.Netsim.sweep ~jobs
-    (module P)
-    params ~sync ~topology
+  Net.Netsim.sweep ~jobs (for_params params) params ~sync ~topology
     ~dynamic:(Net.Inject.dynamic ~max_faulty:t ())
-    ~seed ~runs:6
+    ~seed ~runs
 
-let lossy_pair name (module F : Eba.Protocol_intf.PROTOCOL)
-    (module C : Eba.Protocol_intf.PROTOCOL) ~mode () =
-  let sf = pair_sweep (module F) ~jobs:1 ~n:16 ~t:4 ~mode ~seed:99 in
-  let sc = pair_sweep (module C) ~jobs:1 ~n:16 ~t:4 ~mode ~seed:99 in
+(* [for_params] picks each protocol's set representation, so at n = 64
+   both sides of a pair run on two-limb [Procset.Wide] sets *)
+let lossy_pair name f c ~mode ~n ~runs () =
+  let sweep for_params ~jobs = pair_sweep for_params ~jobs ~n ~t:4 ~mode ~seed:99 ~runs in
+  let sf = sweep f ~jobs:1 in
+  let sc = sweep c ~jobs:1 in
   (* message presence is identical, so the two sweeps replay the same
      event schedule from the same seed: every decision statistic and
      every copy count must agree exactly; only the byte totals differ *)
@@ -263,6 +269,8 @@ let lossy_pair name (module F : Eba.Protocol_intf.PROTOCOL)
     sc.Net.Net_stats.ns_decided_nonfaulty;
   eq "round sum" sf.Net.Net_stats.ns_decision_round_sum
     sc.Net.Net_stats.ns_decision_round_sum;
+  eq "max round" sf.Net.Net_stats.ns_max_decision_round
+    sc.Net.Net_stats.ns_max_decision_round;
   eq "ns sum" sf.Net.Net_stats.ns_decision_ns_sum
     sc.Net.Net_stats.ns_decision_ns_sum;
   eq "attempted" sf.Net.Net_stats.ns_attempted sc.Net.Net_stats.ns_attempted;
@@ -271,11 +279,17 @@ let lossy_pair name (module F : Eba.Protocol_intf.PROTOCOL)
     sc.Net.Net_stats.ns_wire.Net.Net_stats.w_copies;
   eq "retransmissions" sf.Net.Net_stats.ns_wire.Net.Net_stats.w_retransmissions
     sc.Net.Net_stats.ns_wire.Net.Net_stats.w_retransmissions;
+  eq "acks" sf.Net.Net_stats.ns_wire.Net.Net_stats.w_acks
+    sc.Net.Net_stats.ns_wire.Net.Net_stats.w_acks;
   eq "ack bytes" sf.Net.Net_stats.ns_wire.Net.Net_stats.w_ack_bytes
     sc.Net.Net_stats.ns_wire.Net.Net_stats.w_ack_bytes;
   check_int (name ^ " zero violations") 0
     (sf.Net.Net_stats.ns_agreement_violations
     + sf.Net.Net_stats.ns_validity_violations);
+  check_int (name ^ " every nonfaulty processor decided") 0
+    sf.Net.Net_stats.ns_undecided_nonfaulty;
+  check (name ^ " some nonfaulty processor decided") true
+    (sf.Net.Net_stats.ns_decided_nonfaulty > 0);
   check
     (Printf.sprintf "%s compact data bytes %d strictly under full %d" name
        sc.Net.Net_stats.ns_wire.Net.Net_stats.w_data_bytes
@@ -285,7 +299,7 @@ let lossy_pair name (module F : Eba.Protocol_intf.PROTOCOL)
     < sf.Net.Net_stats.ns_wire.Net.Net_stats.w_data_bytes);
   (* and the byte counters obey the same determinism discipline as every
      other accumulator: bit-identical across --jobs *)
-  let sc4 = pair_sweep (module C) ~jobs:4 ~n:16 ~t:4 ~mode ~seed:99 in
+  let sc4 = sweep c ~jobs:4 in
   check (name ^ " compact sweep bit-identical for jobs=1/4") true
     (compare sc sc4 = 0)
 
@@ -305,17 +319,29 @@ let netsim_tests =
     pairs
   @ [
       slow "P0opt vs P0opt-delta lossy sweep: same decisions, fewer bytes"
-        (lossy_pair "P0opt" (module Eba.P0opt) (module Eba.P0opt_delta)
-           ~mode:Eba.Params.Crash);
+        (lossy_pair "P0opt" Eba.P0opt.for_params Eba.P0opt_delta.for_params
+           ~mode:Eba.Params.Crash ~n:16 ~runs:6);
       slow "P0opt+ vs P0opt+delta lossy sweep: same decisions, fewer bytes"
-        (lossy_pair "P0opt+"
-           (module Eba.P0opt_plus)
-           (module Eba.P0opt_plus_delta)
-           ~mode:Eba.Params.Crash);
+        (lossy_pair "P0opt+" Eba.P0opt_plus.for_params
+           Eba.P0opt_plus_delta.for_params ~mode:Eba.Params.Crash ~n:16 ~runs:6);
       slow "Chain0 vs Chain0-cert lossy sweep: same decisions, fewer bytes"
-        (lossy_pair "Chain0" (module Eba.Chain0) (module Eba.Chain0_cert)
-           ~mode:Eba.Params.Omission);
+        (lossy_pair "Chain0" Eba.Chain0.for_params Eba.Chain0_cert.for_params
+           ~mode:Eba.Params.Omission ~n:16 ~runs:6);
     ]
+
+(* the same pairs past one word *)
+let wide_pair_tests =
+  [
+    slow "P0opt vs P0opt-delta lossy sweep at n=64: same decisions, fewer bytes"
+      (lossy_pair "P0opt" Eba.P0opt.for_params Eba.P0opt_delta.for_params
+         ~mode:Eba.Params.Crash ~n:64 ~runs:2);
+    slow "P0opt+ vs P0opt+delta lossy sweep at n=64: same decisions, fewer bytes"
+      (lossy_pair "P0opt+" Eba.P0opt_plus.for_params
+         Eba.P0opt_plus_delta.for_params ~mode:Eba.Params.Crash ~n:64 ~runs:2);
+    slow "Chain0 vs Chain0-cert lossy sweep at n=64: same decisions, fewer bytes"
+      (lossy_pair "Chain0" Eba.Chain0.for_params Eba.Chain0_cert.for_params
+         ~mode:Eba.Params.Omission ~n:64 ~runs:2);
+  ]
 
 (* --- the Sync.attempts boundary --- *)
 
@@ -390,8 +416,112 @@ let empty_mean_tests =
         check "JSON has no NaN/Inf tokens" true (json_is_finite json));
   ]
 
+(* --- the slot-set codec against the per-slot reference codec --- *)
+
+module Ref = P0opt_delta_ref
+
+(* the library's codec and the reference at the representation
+   [for_params] picks for n *)
+let codecs n : (module Eba.P0opt_delta.COMPACT) * (module Eba.P0opt_delta.COMPACT) =
+  if n <= Eba.Bitset.max_width then ((module Eba.P0opt_delta.Word), (module Ref.Word))
+  else ((module Eba.P0opt_delta.Wide), (module Ref.Wide))
+
+(* Three lockstep rounds of every processor under both codecs, each
+   message delivered or not by a seeded per-message mask: every
+   message's entries and size, every known vector and every decision
+   must agree round by round. *)
+let lockstep_agrees ~n ~seed =
+  let (module C), (module R) = codecs n in
+  let rng = Random.State.make [| seed |] in
+  let params = Eba.Params.make ~n ~t:1 ~horizon:3 ~mode:Eba.Params.Crash in
+  let zeros = Random.State.bool rng in
+  let values =
+    Array.init n (fun _ ->
+        if zeros && Random.State.int rng 8 = 0 then Val.Zero else Val.One)
+  in
+  let loss = Random.State.float rng 0.6 in
+  let cs = Array.init n (fun me -> C.init params ~me values.(me)) in
+  let rs = Array.init n (fun me -> R.init params ~me values.(me)) in
+  let ok = ref true in
+  for round = 1 to 3 do
+    let cout = Array.map (fun st -> C.send params st ~round) cs in
+    let rout = Array.map (fun st -> R.send params st ~round) rs in
+    for i = 0 to n - 1 do
+      for d = 0 to n - 1 do
+        if d <> i then
+          match (cout.(i).(d), rout.(i).(d)) with
+          | Some c, Some r ->
+              if
+                C.entries c <> R.entries r
+                || C.wire_size params c <> R.wire_size params r
+              then ok := false
+          | None, None -> ()
+          | Some _, None | None, Some _ -> ok := false
+      done
+    done;
+    let delivered =
+      Array.init n (fun _ -> Array.init n (fun _ -> Random.State.float rng 1.0 >= loss))
+    in
+    let inbox out d =
+      Array.init n (fun j -> if j <> d && delivered.(j).(d) then out.(j).(d) else None)
+    in
+    Array.iteri (fun d st -> cs.(d) <- C.receive params st ~round (inbox cout d)) cs;
+    Array.iteri (fun d st -> rs.(d) <- R.receive params st ~round (inbox rout d)) rs;
+    Array.iteri
+      (fun d c ->
+        if
+          (not (Array.for_all2 (Option.equal Val.equal) (C.known c) (R.known rs.(d))))
+          || not (Option.equal Val.equal (C.output c) (R.output rs.(d)))
+        then ok := false)
+      cs
+  done;
+  !ok
+
+let sweep_matches_ref ~n ~t ~mode ~runs () =
+  let (module C), (module R) = codecs n in
+  let sweep p = pair_sweep (fun _ -> p) ~jobs:1 ~n ~t ~mode ~seed:17 ~runs in
+  let got = sweep (module C : Eba.Protocol_intf.PROTOCOL) in
+  let want = sweep (module R : Eba.Protocol_intf.PROTOCOL) in
+  let json s = Eba.Json.to_string (Net.Net_stats.summary_json s) in
+  Alcotest.(check string) "summary JSON" (json want) (json got);
+  check "summary identical, delivered bytes included" true (compare got want = 0)
+
+(* a hand-built delta may name slots no processor has; the merge ignores
+   them and they never ride a later delta *)
+let stray_slots_ignored () =
+  let n = 6 in
+  let params = Eba.Params.make ~n ~t:1 ~horizon:3 ~mode:Eba.Params.Crash in
+  let run (module C : Eba.P0opt_delta.COMPACT) =
+    let m =
+      C.message ~round:1 [ (-1, Val.Zero); (2, Val.One); (6, Val.Zero); (100, Val.Zero) ]
+    in
+    let inbox = Array.init n (fun j -> if j = 1 then Some m else None) in
+    let st = C.receive params (C.init params ~me:0 Val.One) ~round:1 inbox in
+    (C.known st, C.output st, Array.map (Option.map C.entries) (C.send params st ~round:2))
+  in
+  let want = run (module Ref.Word) in
+  check "Word: as the reference" true (run (module Eba.P0opt_delta.Word) = want);
+  check "Wide: as the reference" true (run (module Eba.P0opt_delta.Wide) = want)
+
+let ref_codec_tests =
+  [
+    qtest ~count:40 "qcheck: slot-set codec = per-slot reference, lockstep rounds"
+      QCheck2.Gen.(pair (oneof [ int_range 3 8; int_range 60 70 ]) nat)
+      (fun (n, seed) -> lockstep_agrees ~n ~seed);
+    test "hand-built delta: slots outside 0..n-1 are ignored, as by the reference"
+      stray_slots_ignored;
+    test "P0opt-delta sweep = reference codec, crash n=6"
+      (sweep_matches_ref ~n:6 ~t:2 ~mode:Eba.Params.Crash ~runs:20);
+    test "P0opt-delta sweep = reference codec, omission n=6"
+      (sweep_matches_ref ~n:6 ~t:2 ~mode:Eba.Params.Omission ~runs:20);
+    slow "P0opt-delta sweep = reference codec, crash n=70"
+      (sweep_matches_ref ~n:70 ~t:4 ~mode:Eba.Params.Crash ~runs:2);
+    slow "P0opt-delta sweep = reference codec, omission n=70"
+      (sweep_matches_ref ~n:70 ~t:4 ~mode:Eba.Params.Omission ~runs:2);
+  ]
+
 let tests =
   differential_tests @ jobs_tests @ reconstruction_tests @ netsim_tests
-  @ sync_tests @ empty_mean_tests
+  @ sync_tests @ empty_mean_tests @ wide_pair_tests @ ref_codec_tests
 
 let suite = ("compact", tests)

@@ -14,7 +14,14 @@
       counts) across the exhaustive crash and omission n=3 t=1 universes.
 
    4. A wide netsim acceptance run: P0opt.Wide at n=80 (beyond any
-      single-word representation) under loss, zero spec violations. *)
+      single-word representation) under loss, zero spec violations.
+
+   5. The compact variants (P0opt-delta, P0opt+delta, Chain0-cert) at
+      [Word] and at [Wide], as in 3, and the allocation bound of
+      P0opt-delta's slot-set send at n=128.
+
+   6. A negative index is refused by [singleton]/[add] and ignored by
+      [remove] in both representations. *)
 
 module Word = Eba.Procset.Word
 module Wide = Eba.Procset.Wide
@@ -226,6 +233,19 @@ let rep_pairs :
     ("Chain0", (module Eba.Chain0.Word), (module Eba.Chain0.Wide));
   ]
 
+let compact_rep_pairs :
+    (string
+    * (module Eba.Protocol_intf.PROTOCOL)
+    * (module Eba.Protocol_intf.PROTOCOL))
+    list =
+  [
+    ("P0opt-delta", (module Eba.P0opt_delta.Word), (module Eba.P0opt_delta.Wide));
+    ( "P0opt+delta",
+      (module Eba.P0opt_plus_delta.Word),
+      (module Eba.P0opt_plus_delta.Wide) );
+    ("Chain0-cert", (module Eba.Chain0_cert.Word), (module Eba.Chain0_cert.Wide));
+  ]
+
 let rep_disagreements (module A : Eba.Protocol_intf.PROTOCOL)
     (module B : Eba.Protocol_intf.PROTOCOL) params =
   let module RA = Runner.Make (A) in
@@ -239,7 +259,7 @@ let rep_disagreements (module A : Eba.Protocol_intf.PROTOCOL)
     (Eba.Universe.workload_seq params);
   !bad
 
-let rep_differential_tests =
+let rep_differential_tests pairs =
   List.concat_map
     (fun (name, word, wide) ->
       [
@@ -254,7 +274,7 @@ let rep_differential_tests =
             check_int "disagreeing runs" 0
               (rep_disagreements word wide omission_3_1_3.params));
       ])
-    rep_pairs
+    pairs
 
 (* --- beyond any single word: optimal protocols under the simulator --- *)
 
@@ -304,8 +324,57 @@ let wide_netsim_tests =
           (run_with (Eba.P0opt.for_params (mk 63)) 63 <> Some Eba.Value.Zero));
   ]
 
+(* --- the slot-set delta's send allocates per destination, not per slot --- *)
+
+let delta_alloc_tests =
+  [
+    test "P0opt-delta.Wide round-2 send at n=128: under 40 minor words per destination"
+      (fun () ->
+        let module P = Eba.P0opt_delta.Wide in
+        let n = 128 in
+        let params = Eba.Params.make ~n ~t:16 ~horizon:17 ~mode:Eba.Params.Crash in
+        let states = Array.init n (fun me -> P.init params ~me Eba.Value.One) in
+        let round1 = Array.map (fun st -> P.send params st ~round:1) states in
+        let st =
+          P.receive params states.(0) ~round:1 (Array.init n (fun j -> round1.(j).(0)))
+        in
+        let before = Gc.minor_words () in
+        let out = Sys.opaque_identity (P.send params st ~round:2) in
+        let per_dest = (Gc.minor_words () -. before) /. float_of_int (n - 1) in
+        check_int "a message per destination" (n - 1)
+          (Array.fold_left (fun k m -> if Option.is_some m then k + 1 else k) 0 out);
+        check (Printf.sprintf "%.1f minor words per destination" per_dest) true
+          (per_dest < 40.0));
+  ]
+
+(* --- a negative index, in both representations --- *)
+
+module Negative (S : Eba.Procset.S) = struct
+  let raises f =
+    match f () with
+    | (_ : S.t) -> false
+    | exception Invalid_argument _ -> true
+
+  let check_rep name =
+    let s = S.of_list [ 1; 2 ] in
+    check (name ^ ": singleton (-1) raises") true (raises (fun () -> S.singleton (-1)));
+    check (name ^ ": add (-1) raises") true (raises (fun () -> S.add (-1) s));
+    check (name ^ ": remove (-1) is the identity") true (S.equal s (S.remove (-1) s))
+end
+
+let negative_index_tests =
+  [
+    test "negative index: singleton/add raise, remove ignores it, Word and Wide"
+      (fun () ->
+        let module W = Negative (Word) in
+        let module D = Negative (Wide) in
+        W.check_rep "Word";
+        D.check_rep "Wide");
+  ]
+
 let tests =
   model_tests @ agreement_tests @ predicate_tests @ enumeration_tests @ wide_unit_tests
-  @ rep_differential_tests @ wide_netsim_tests
+  @ rep_differential_tests rep_pairs @ wide_netsim_tests
+  @ rep_differential_tests compact_rep_pairs @ delta_alloc_tests @ negative_index_tests
 
 let suite = ("procset", tests)
