@@ -144,14 +144,13 @@ let runner_tests =
 (* --- network simulator: replay cost vs the lockstep runner, and sampled
        sweeps at scales the enumerable universes cannot reach --- *)
 
-let net_topology ~n ~loss =
-  Eba.Net.Topology.make ~n
-    ~link:(Eba.Net.Link.make ~latency:(Eba.Net.Link.Uniform (0.2, 1.0)) ~loss)
+let net_topology ?(latency = Eba.Net.Link.Uniform (0.2, 1.0)) ~n ~loss () =
+  Eba.Net.Topology.make ~n ~link:(Eba.Net.Link.make ~latency ~loss)
 
-let net_sweep (module P : Eba.Protocol_intf.PROTOCOL) ~n ~t ~mode ~loss ~seed
-    ~runs () =
+let net_sweep ?latency (module P : Eba.Protocol_intf.PROTOCOL) ~n ~t ~mode ~loss
+    ~seed ~runs () =
   let params = Eba.Params.make ~n ~t ~horizon:(t + 1) ~mode in
-  let topology = net_topology ~n ~loss in
+  let topology = net_topology ?latency ~n ~loss () in
   let sync = Eba.Net.Sync.default_for topology in
   Eba.Net.Netsim.sweep ~jobs:1
     (module P)
@@ -175,6 +174,14 @@ let net_tests =
                   (module Eba.Floodset)
                   ~n:16 ~t:5 ~mode:Eba.Params.Crash ~loss:0.1 ~seed:1 ~runs:4
                   ())));
+      (* a constant-latency fabric: the batched delivery path *)
+      Test.make ~name:"netsim sweep FloodSet n=16 t=5 const loss=0.05 x200"
+        (Staged.stage (fun () ->
+             ignore
+               (net_sweep ~latency:(Eba.Net.Link.Const 1.0)
+                  (module Eba.Floodset)
+                  ~n:16 ~t:5 ~mode:Eba.Params.Crash ~loss:0.05 ~seed:8128
+                  ~runs:200 ())));
       Test.make ~name:"netsim sweep FloodSet n=64 t=8 loss=0.05 x1"
         (Staged.stage (fun () ->
              ignore
@@ -210,44 +217,6 @@ let net_tests =
                      ~n:128 ~t:16 ~mode:Eba.Params.Crash ~loss:0.05 ~seed:1
                      ~runs:1 ())));
        ]))
-
-(* --- multiplexed engine: the same seeded sweep in waves of many
-       instances through one shared event loop, wave-sized arenas, batched
-       const-latency deliveries.  The summaries are bit-identical to the
-       mux-off rows (waves of one); only the wall clock differs. --- *)
-
-let mux_params = Eba.Params.make ~n:16 ~t:5 ~horizon:6 ~mode:Eba.Params.Crash
-
-let mux_topology =
-  Eba.Net.Topology.make ~n:16
-    ~link:(Eba.Net.Link.make ~latency:(Eba.Net.Link.Const 1.0) ~loss:0.05)
-
-let mux_sweep ?mux ~runs () =
-  let sync = Eba.Net.Sync.default_for mux_topology in
-  ignore
-    (Eba.Net.Netsim.sweep ~jobs:1 ?mux
-       (module Eba.Floodset)
-       mux_params ~sync ~topology:mux_topology
-       ~dynamic:(Eba.Net.Inject.dynamic ~max_faulty:5 ())
-       ~seed:8128 ~runs)
-
-let mux_tests =
-  Test.make_grouped ~name:"mux"
-    ([
-       Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x200 mux off"
-         (Staged.stage (fun () -> mux_sweep ~runs:200 ()));
-       Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x200 mux live=16"
-         (Staged.stage (mux_sweep ~mux:16 ~runs:200));
-       Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x200 mux live=64"
-         (Staged.stage (mux_sweep ~mux:64 ~runs:200));
-     ]
-    @
-    if !smoke then []
-    else
-      [
-        Test.make ~name:"netsim sweep FloodSet n=16 t=5 const x10000 mux live=16"
-          (Staged.stage (mux_sweep ~mux:16 ~runs:10_000));
-      ])
 
 (* --- the builder at scales where prefix sharing bites --- *)
 
@@ -441,7 +410,7 @@ let net_rows () =
   let row (module P : Eba.Protocol_intf.PROTOCOL) ~n ~t ~mode ~loss ~partitions
       ~seed ~runs =
     let params = Eba.Params.make ~n ~t ~horizon:(t + 1) ~mode in
-    let topology = net_topology ~n ~loss in
+    let topology = net_topology ~n ~loss () in
     let sync = Eba.Net.Sync.default_for topology in
     let dynamic =
       Eba.Net.Inject.dynamic ~partitions
@@ -461,7 +430,7 @@ let net_rows () =
     else
       let wrow selector ~n ~t ~mode ~loss ~seed ~runs =
         let params = Eba.Params.make ~n ~t ~horizon:(t + 1) ~mode in
-        let topology = net_topology ~n ~loss in
+        let topology = net_topology ~n ~loss () in
         let sync = Eba.Net.Sync.default_for topology in
         let dynamic = Eba.Net.Inject.dynamic ~max_faulty:t () in
         Eba.Net.Net_stats.summary_json
@@ -508,84 +477,6 @@ let net_rows () =
       ~partitions:0 ~seed:2026 ~runs:(if !smoke then 1 else 5);
   ]
   @ wide_rows
-
-(* Multiplexed-engine rows: each runs one seeded workload twice, with mux
-   off (waves of one; timed as seq_ns) and in waves of [live] (mux_ns),
-   and records the mux summary with throughput (instances/sec) and the
-   p99 decision latency.  The first row's workload identity matches the
-   first [net] row exactly, so CI can assert the two wave sizes' decision
-   statistics agree within one artifact; the second is the 10k-instance
-   headline.  Timing keys (seq_ns, mux_ns,
-   instances_per_sec) are machine-dependent; everything under "summary"
-   and the p99 are exact. *)
-let mux_rows () =
-  let row (module P : Eba.Protocol_intf.PROTOCOL) ~params ~topology ~dynamic
-      ~seed ~runs ~live =
-    let sync = Eba.Net.Sync.default_for topology in
-    let timed f =
-      (* both sweeps start from a compacted heap: these rows run late in
-         the artifact writer, after the wide sweeps have grown the major
-         heap, and the mux arenas' large allocations are otherwise billed
-         whatever GC debt the preceding sections left behind *)
-      Gc.compact ();
-      let t0 = monotonic_now () in
-      let x = f () in
-      (x, Int64.to_float (Int64.sub (monotonic_now ()) t0))
-    in
-    let seq, seq_ns =
-      timed (fun () ->
-          Eba.Net.Netsim.sweep (module P) params ~sync ~topology ~dynamic ~seed
-            ~runs)
-    in
-    let mux, mux_ns =
-      timed (fun () ->
-          Eba.Net.Netsim.sweep ~mux:live
-            (module P)
-            params ~sync ~topology ~dynamic ~seed ~runs)
-    in
-    if compare seq mux <> 0 then
-      failwith "mux_rows: wave sizes disagree — the differential suite missed";
-    let p99 = Eba.Net.Net_stats.p99_decision_round mux in
-    Eba.Json.Obj
-      [
-        ("live", Eba.Json.Int live);
-        ("runs", Eba.Json.Int runs);
-        ("seq_ns", Eba.Json.Float seq_ns);
-        ("mux_ns", Eba.Json.Float mux_ns);
-        ( "instances_per_sec",
-          Eba.Json.Float (float_of_int runs *. 1e9 /. Float.max mux_ns 1.0) );
-        ( "p99_decision_ns",
-          Eba.Json.Int
-            (Eba.Net.Net_stats.ns_of_seconds
-               (float_of_int p99 *. sync.Eba.Net.Sync.round_duration)) );
-        ("summary", Eba.Net.Net_stats.summary_json mux);
-      ]
-  in
-  [
-    (* same identity as net row 0: the in-artifact cross-engine guard *)
-    (let topology = net_topology ~n:16 ~loss:0.1 in
-     let sync = Eba.Net.Sync.default_for topology in
-     row
-       (module Eba.Floodset)
-       ~params:(Eba.Params.make ~n:16 ~t:5 ~horizon:6 ~mode:Eba.Params.Crash)
-       ~topology
-       ~dynamic:
-         (Eba.Net.Inject.dynamic ~partitions:0
-            ~partition_span:(2.0 *. sync.Eba.Net.Sync.rto)
-            ~max_faulty:5 ())
-       ~seed:42
-       ~runs:(if !smoke then 5 else 25)
-       ~live:8);
-    (* the headline: 10k instances, constant-latency fabric (the batched
-       path), wave size at the measured throughput peak *)
-    row
-      (module Eba.Floodset)
-      ~params:mux_params ~topology:mux_topology
-      ~dynamic:(Eba.Net.Inject.dynamic ~max_faulty:5 ())
-      ~seed:8128
-      ~runs:(if !smoke then 300 else 10_000)
-      ~live:16;
-  ]
 
 (* Sampled lockstep sweeps, recorded with their full regeneration identity
    (seed, sample count, universe) via the library's [Stats.summary_json] —
@@ -691,7 +582,6 @@ let write_json path =
         ("models", Eba.Json.List (List.map model_size_json fixture_models));
         ("build", Eba.Json.List (List.map build_entry_json (build_cases ())));
         ("net", Eba.Json.List (net_rows ()));
-        ("mux", Eba.Json.List (mux_rows ()));
         ("sampled", Eba.Json.List (sampled_rows ()));
         ("prob", Eba.Json.List (prob_rows ()));
         ("serve", Eba.Json.List (serve_rows ()));
@@ -708,8 +598,6 @@ let () =
   benchmark ~group:"runner" ~quota:0.5 runner_tests;
   print_endline "=== bechamel: network simulator ===";
   benchmark ~group:"net" ~quota:0.5 net_tests;
-  print_endline "=== bechamel: multiplexed engine ===";
-  benchmark ~group:"mux" ~quota:0.5 mux_tests;
   print_endline "=== bechamel: sweep engine, 1 domain vs N domains ===";
   benchmark ~group:"parallel" ~quota:1.0 parallel_tests;
   if not !smoke then begin

@@ -282,13 +282,12 @@ let netsim_cmd =
       value & opt mux_conv Spec.Mux_off
       & info [ "mux" ] ~docv:"K"
           ~doc:
-            "Run the sweep in waves of $(docv) instances live concurrently \
-             in one event loop (recycled arena state, batched deliveries on \
-             constant-latency fabrics); $(b,off), the default, runs waves \
-             of one.  $(b,auto) picks the measured-throughput-peak wave \
-             size (16, clamped to the run count).  The summary is \
-             bit-identical for every wave size; with a wave size, also \
-             reports instances per second and the p99 decision latency.")
+            "Legacy wave size, kept for existing scripts: runs execute one \
+             at a time whatever is given, so the summary is bit-identical \
+             for $(b,off) (the default), $(b,auto) and every $(docv).  With \
+             $(b,auto) or $(docv), also reports instances per second and \
+             the p99 decision latency; with $(docv), $(b,--runs) defaults \
+             to $(docv).")
   in
   let rto_arg =
     Arg.(
@@ -376,13 +375,13 @@ let netsim_cmd =
     Format.printf "%a@." Net.Net_stats.pp summary;
     (match resolved.Spec.r_mux with
     | None -> ()
-    | Some live ->
+    | Some _ ->
         let runs = resolved.Spec.r_runs in
         let p99_round = Net.Net_stats.p99_decision_round summary in
         Format.printf
-          "mux: %d instances (waves of %d) in %.3fs (%.0f instances/sec), \
-           p99 decision latency %.1fs simulated (round %d)@."
-          runs live elapsed
+          "mux: %d instances in %.3fs (%.0f instances/sec), p99 decision \
+           latency %.1fs simulated (round %d)@."
+          runs elapsed
           (float_of_int runs /. Float.max elapsed 1e-9)
           (float_of_int p99_round
           *. resolved.Spec.r_sync.Net.Sync.round_duration)

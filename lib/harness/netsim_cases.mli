@@ -14,4 +14,4 @@
 
 val render : ?mux:Eba.Server.Spec.mux -> unit -> string
 (** The whole golden document, one labelled block per sweep.  [mux] (default
-    [Mux_off]) picks the wave size; every choice renders the same bytes. *)
+    [Mux_off]) goes into every spec; every choice renders the same bytes. *)

@@ -21,8 +21,8 @@ val peek_time : 'a t -> float option
 
 val peek : 'a t -> (float * int) option
 (** The earliest event's [(time, seqno)] without removing it — lets an
-    external event source (the mux engine's timer wheel) merge against the
-    heap by the exact scheduling key. *)
+    external event source (the {!Mux} engine's timer wheel) merge against
+    the heap by the exact scheduling key. *)
 
 val reserve : 'a t -> int -> unit
 (** [reserve q n] pre-sizes the heap for at least [n] events, so pushes up
@@ -46,7 +46,7 @@ val pushed : 'a t -> int
 
 val alloc_seq : 'a t -> int
 (** Consume and return the next sequence number without scheduling
-    anything.  External event sources (the mux engine's timer wheel) key
+    anything.  External event sources (the {!Mux} engine's timer wheel) key
     their entries with sequence numbers from the same counter as the heap,
     so merging the two streams by [(time, seqno)] reproduces exactly the
     order a single all-heap schedule would have produced. *)

@@ -4,15 +4,13 @@ module Value = Eba_sim.Value
 module Metrics = Eba_util.Metrics
 module Parallel = Eba_util.Parallel
 
-let auto_live ~runs = max 1 (min 16 runs)
-
 (* A sweep run's initial configuration: one fair bit per processor, the
    first draws from the run's generator. *)
 let random_config ~n rng =
   Config.make
     (Array.init n (fun _ -> if Random.State.bool rng then Value.One else Value.Zero))
 
-(* per-run totals; every count is the same whatever the wave size *)
+(* per-run totals, the same counts the reference engine keeps *)
 let m_runs = Metrics.counter "net.runs_simulated"
 let m_events = Metrics.counter "net.events_processed"
 let m_copies = Metrics.counter "net.copies_sent"
@@ -22,12 +20,11 @@ let m_delivered = Metrics.counter "net.messages_delivered"
 let m_dropped = Metrics.counter "net.copies_dropped"
 let m_bytes = Metrics.counter "net.data_bytes"
 
-(* mux-specific accounting: every count is a pure function of the
+(* engine-specific accounting: every count is a pure function of the
    workload, so the amortization is asserted, not inferred *)
 let m_mux_ticks = Metrics.counter "mux.timer_ticks"
 let m_mux_batched = Metrics.counter "mux.batched_deliveries"
 let m_mux_arena = Metrics.counter "mux.arena_reuses"
-let g_mux_live = Metrics.gauge "mux.live_instances"
 
 let ns_of_seconds = Net_stats.ns_of_seconds
 
@@ -36,9 +33,8 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
 
   (* A retransmission timer.  Mutable throughout so one record re-arms in
      place across its retry ladder and recycles through the free list
-     across instances and waves. *)
+     across runs. *)
   type timer = {
-    mutable tm_inst : int;
     mutable tm_round : int;
     mutable tm_sender : int;
     mutable tm_dest : int;
@@ -47,12 +43,11 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     mutable tm_msg : P.msg;
   }
 
-  (* All copies (data and acks) landing at one (instance, instant) under a
-     uniform constant-latency fabric, stored struct-of-arrays in append
-     order.  One heap cell replaces them all; see [batchable] for why this
-     is only sound at non-tick instants. *)
+  (* All copies (data and acks) landing at one instant under a uniform
+     constant-latency fabric, stored struct-of-arrays in append order.  One
+     heap cell replaces them all; see [batchable] for why this is only
+     sound at non-tick instants. *)
   type batch = {
-    mutable bt_inst : int;
     mutable bt_dn : int;
     mutable bt_dround : int array;
     mutable bt_dsender : int array;
@@ -67,14 +62,13 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
 
   type ev =
     | Deliver of {
-        v_inst : int;
         v_round : int;
         v_sender : int;
         v_dest : int;
         v_bytes : int;
         v_msg : P.msg;
       }
-    | Ack of { k_inst : int; k_round : int; k_from : int; k_to : int }
+    | Ack of { k_round : int; k_from : int; k_to : int }
     | Batch of batch
     | Heap_timer of timer
         (* defensive fallback: a fire instant that missed the tick
@@ -86,7 +80,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     eg_sync : Sync.t;
     eg_topology : Topology.t;
     eg_plan : Inject.plan;
-    eg_live : int;
     eg_total : float;  (* horizon * round_duration, the compile bound *)
     eg_round_end : float array;  (* index by round, 0 .. horizon *)
     eg_is_boundary : bool array;  (* per tick *)
@@ -95,23 +88,22 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     eg_q : ev Event_queue.t;
     eg_ulink : Link.t option;  (* the one link, when no overrides *)
     eg_batching : bool;  (* uniform link with Const latency *)
-    (* per-instance arenas, all recycled across waves *)
-    eg_nodes : N.t array array;
-    eg_wire : Net_stats.wire array;
-    eg_rng : Random.State.t array;
-    eg_inj : Inject.compiled array;
-    eg_cfg : Config.t array;
-    eg_att : int array;
-    eg_del : int array;
-    eg_evt : int array;
-    (* per-instance cache of open batches: parallel (arrival, batch) *)
-    eg_bc_time : float array;  (* live * bc_slots *)
+    (* the run's state: nodes and wire record recycled across runs *)
+    eg_nodes : N.t array;
+    eg_wire : Net_stats.wire;
+    mutable eg_rng : Random.State.t;
+    mutable eg_inj : Inject.compiled;
+    mutable eg_att : int;
+    mutable eg_del : int;
+    mutable eg_evt : int;
+    (* cache of open batches: parallel (arrival, batch) *)
+    eg_bc_time : float array;
     eg_bc : batch array;
-    eg_bc_next : int array;
+    mutable eg_bc_next : int;
     (* free lists *)
     mutable eg_free_timers : timer list;
     mutable eg_free_batches : batch list;
-    (* wave-local accounting, flushed to Metrics per wave *)
+    (* run-local accounting, flushed to Metrics per run *)
     mutable eg_ticks_fired : int;
     mutable eg_batched : int;
     mutable eg_reuses : int;
@@ -121,7 +113,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
 
   let dummy_batch =
     {
-      bt_inst = -1;
       bt_dn = 0;
       bt_dround = [||];
       bt_dsender = [||];
@@ -135,11 +126,10 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     }
 
   (* The tick schedule: every instant a boundary or retransmission timer
-     can fire, for any instance — all instances share the synchronizer.
-     Mirrors the heap-only schedule's float arithmetic exactly: boundaries
-     at [k *. d]; a round's retry ladder accumulates by repeated [+. rto]
-     from the opening boundary, armed only while the next fire stays
-     strictly inside the window. *)
+     can fire, fixed by the synchronizer.  Mirrors the heap-only schedule's
+     float arithmetic exactly: boundaries at [k *. d]; a round's retry
+     ladder accumulates by repeated [+. rto] from the opening boundary,
+     armed only while the next fire stays strictly inside the window. *)
   let tick_schedule (params : Params.t) (sync : Sync.t) =
     let d = sync.Sync.round_duration and rto = sync.Sync.rto in
     let horizon = params.Params.horizon in
@@ -168,8 +158,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     if Topology.n topology <> params.Params.n then
       invalid_arg "Mux: topology size does not match params"
 
-  let create (params : Params.t) ~sync ~topology ~plan ~live =
-    if live < 1 then invalid_arg "Mux.create: live must be >= 1";
+  let create (params : Params.t) ~sync ~topology ~plan =
     check params ~sync ~topology;
     let n = params.Params.n and horizon = params.Params.horizon in
     let d = sync.Sync.round_duration in
@@ -187,7 +176,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
       eg_sync = sync;
       eg_topology = topology;
       eg_plan = plan;
-      eg_live = live;
       eg_total = total;
       eg_round_end = Array.init (horizon + 1) (fun r -> float_of_int r *. d);
       eg_is_boundary = is_boundary;
@@ -197,20 +185,16 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
       eg_ulink = ulink;
       eg_batching = batching;
       eg_nodes =
-        Array.init live (fun _ ->
-            Array.init n (fun p -> N.create params ~me:p Value.Zero ~sim_time:0.0));
-      eg_wire = Array.init live (fun _ -> Net_stats.fresh_wire ());
-      eg_rng = Array.make live dummy_rng;
-      eg_inj =
-        Array.make live
-          (Inject.compile dummy_rng params ~total_time:total plan);
-      eg_cfg = Array.make live (Config.make (Array.make n Value.Zero));
-      eg_att = Array.make live 0;
-      eg_del = Array.make live 0;
-      eg_evt = Array.make live 0;
-      eg_bc_time = Array.make (live * bc_slots) neg_infinity;
-      eg_bc = Array.make (live * bc_slots) dummy_batch;
-      eg_bc_next = Array.make live 0;
+        Array.init n (fun p -> N.create params ~me:p Value.Zero ~sim_time:0.0);
+      eg_wire = Net_stats.fresh_wire ();
+      eg_rng = dummy_rng;
+      eg_inj = Inject.compile dummy_rng params ~total_time:total plan;
+      eg_att = 0;
+      eg_del = 0;
+      eg_evt = 0;
+      eg_bc_time = Array.make bc_slots neg_infinity;
+      eg_bc = Array.make bc_slots dummy_batch;
+      eg_bc_next = 0;
       eg_free_timers = [];
       eg_free_batches = [];
       eg_ticks_fired = 0;
@@ -220,11 +204,10 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
 
   (* -- timers ---------------------------------------------------------- *)
 
-  let alloc_timer eng ~inst ~round ~sender ~dest ~copy ~bytes msg =
+  let alloc_timer eng ~round ~sender ~dest ~copy ~bytes msg =
     match eng.eg_free_timers with
     | tm :: rest ->
         eng.eg_free_timers <- rest;
-        tm.tm_inst <- inst;
         tm.tm_round <- round;
         tm.tm_sender <- sender;
         tm.tm_dest <- dest;
@@ -234,7 +217,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         tm
     | [] ->
         {
-          tm_inst = inst;
           tm_round = round;
           tm_sender = sender;
           tm_dest = dest;
@@ -244,8 +226,8 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         }
 
   (* arena accounting counts returns and in-place recycles — pure
-     per-wave functions of the workload, unlike free-list hit rates,
-     which depend on how waves distribute over worker engines *)
+     per-run functions of the workload, unlike free-list hit rates,
+     which depend on how runs distribute over worker engines *)
   let free_timer eng tm =
     eng.eg_reuses <- eng.eg_reuses + 1;
     eng.eg_free_timers <- tm :: eng.eg_free_timers
@@ -263,28 +245,14 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
 
   (* -- batches --------------------------------------------------------- *)
 
-  let alloc_batch eng inst =
+  let alloc_batch eng =
     let b =
       match eng.eg_free_batches with
       | b :: rest ->
           eng.eg_free_batches <- rest;
           b
-      | [] ->
-          {
-            bt_inst = inst;
-            bt_dn = 0;
-            bt_dround = [||];
-            bt_dsender = [||];
-            bt_ddest = [||];
-            bt_dbytes = [||];
-            bt_dmsg = [||];
-            bt_an = 0;
-            bt_around = [||];
-            bt_afrom = [||];
-            bt_ato = [||];
-          }
+      | [] -> { dummy_batch with bt_dn = 0 }
     in
-    b.bt_inst <- inst;
     b.bt_dn <- 0;
     b.bt_an <- 0;
     b
@@ -293,27 +261,25 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     eng.eg_reuses <- eng.eg_reuses + 1;
     eng.eg_free_batches <- b :: eng.eg_free_batches
 
-  (* An open batch for this (instance, arrival instant), creating and
-     scheduling one if none is cached.  Stale cache entries can never
-     collide: an open batch's instant is strictly in the future, and the
-     wave reset wipes the cache before simulated time restarts. *)
-  let batch_at eng inst ~now ~arrival =
-    ignore now;
-    let base = inst * bc_slots in
+  (* An open batch for this arrival instant, creating and scheduling one
+     if none is cached.  Stale cache entries can never collide: an open
+     batch's instant is strictly in the future, and each run wipes the
+     cache before simulated time restarts. *)
+  let batch_at eng ~arrival =
     let rec scan j =
       if j = bc_slots then None
-      else if eng.eg_bc_time.(base + j) = arrival then Some eng.eg_bc.(base + j)
+      else if eng.eg_bc_time.(j) = arrival then Some eng.eg_bc.(j)
       else scan (j + 1)
     in
     match scan 0 with
     | Some b -> b
     | None ->
-        let b = alloc_batch eng inst in
+        let b = alloc_batch eng in
         Event_queue.push eng.eg_q ~time:arrival (Batch b);
-        let slot = eng.eg_bc_next.(inst) in
-        eng.eg_bc_time.(base + slot) <- arrival;
-        eng.eg_bc.(base + slot) <- b;
-        eng.eg_bc_next.(inst) <- (slot + 1) mod bc_slots;
+        let slot = eng.eg_bc_next in
+        eng.eg_bc_time.(slot) <- arrival;
+        eng.eg_bc.(slot) <- b;
+        eng.eg_bc_next <- (slot + 1) mod bc_slots;
         b
 
   let push_int a len v =
@@ -366,14 +332,14 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     b.bt_ato <- !r;
     b.bt_an <- len + 1
 
-  (* Batching one (instance, instant)'s arrivals is sound exactly when no
-     interleaved same-instance event at that instant can observe the
-     reordering: the instant must not be a tick (no boundary closes the
-     round, no timer reads the ack flags there), and the fabric must be
-     uniform Const (so every same-instant data copy rides the batch and
-     their relative order — the rng draw order — is append order; acks
-     draw nothing and only set idempotent flags, so they commute and
-     drain after the data copies). *)
+  (* Batching one instant's arrivals is sound exactly when no interleaved
+     event at that instant can observe the reordering: the instant must
+     not be a tick (no boundary closes the round, no timer reads the ack
+     flags there), and the fabric must be uniform Const (so every
+     same-instant data copy rides the batch and their relative order — the
+     rng draw order — is append order; acks draw nothing and only set
+     idempotent flags, so they commute and drain after the data
+     copies). *)
   let batchable eng ~now ~arrival =
     eng.eg_batching && arrival > now
     && Timer_wheel.index_of_time eng.eg_wheel arrival = None
@@ -385,10 +351,10 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     | Some l -> l
     | None -> Topology.link eng.eg_topology ~src ~dst
 
-  let transmit eng inst ~now ~round ~sender ~dest ~copy ~bytes msg =
-    let wire = eng.eg_wire.(inst) in
-    let rng = eng.eg_rng.(inst) in
-    let inj = eng.eg_inj.(inst) in
+  let transmit eng ~now ~round ~sender ~dest ~copy ~bytes msg =
+    let wire = eng.eg_wire in
+    let rng = eng.eg_rng in
+    let inj = eng.eg_inj in
     wire.Net_stats.w_copies <- wire.Net_stats.w_copies + 1;
     wire.Net_stats.w_data_bytes <- wire.Net_stats.w_data_bytes + bytes;
     if copy > 0 then
@@ -419,14 +385,11 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
           wire.Net_stats.w_latency_hist.(bucket) + 1;
         let arrival = now +. l in
         if batchable eng ~now ~arrival then
-          batch_deliver
-            (batch_at eng inst ~now ~arrival)
-            ~round ~sender ~dest ~bytes msg
+          batch_deliver (batch_at eng ~arrival) ~round ~sender ~dest ~bytes msg
         else
           Event_queue.push eng.eg_q ~time:arrival
             (Deliver
                {
-                 v_inst = inst;
                  v_round = round;
                  v_sender = sender;
                  v_dest = dest;
@@ -435,10 +398,10 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
                })
       end
 
-  let send_ack eng inst ~now ~round ~from ~to_ =
-    let wire = eng.eg_wire.(inst) in
-    let rng = eng.eg_rng.(inst) in
-    let inj = eng.eg_inj.(inst) in
+  let send_ack eng ~now ~round ~from ~to_ =
+    let wire = eng.eg_wire in
+    let rng = eng.eg_rng in
+    let inj = eng.eg_inj in
     wire.Net_stats.w_acks <- wire.Net_stats.w_acks + 1;
     wire.Net_stats.w_ack_bytes <-
       wire.Net_stats.w_ack_bytes + Eba_protocols.Protocol_intf.Wire.header;
@@ -452,39 +415,36 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         let l = Link.sample_latency rng link.Link.lat in
         let arrival = now +. l in
         if batchable eng ~now ~arrival then
-          batch_ack (batch_at eng inst ~now ~arrival) ~round ~from ~to_
+          batch_ack (batch_at eng ~arrival) ~round ~from ~to_
         else
           Event_queue.push eng.eg_q ~time:arrival
-            (Ack { k_inst = inst; k_round = round; k_from = from; k_to = to_ })
+            (Ack { k_round = round; k_from = from; k_to = to_ })
 
-  let deliver eng inst ~now ~round ~sender ~dest ~bytes msg =
-    let wire = eng.eg_wire.(inst) in
-    let inj = eng.eg_inj.(inst) in
-    if Inject.dead inj ~now ~proc:dest then
+  let deliver eng ~now ~round ~sender ~dest ~bytes msg =
+    let wire = eng.eg_wire in
+    if Inject.dead eng.eg_inj ~now ~proc:dest then
       wire.Net_stats.w_to_dead <- wire.Net_stats.w_to_dead + 1
     else
-      match N.accept eng.eg_nodes.(inst).(dest) ~round ~sender ~bytes msg with
+      match N.accept eng.eg_nodes.(dest) ~round ~sender ~bytes msg with
       | `Fresh ->
-          eng.eg_del.(inst) <- eng.eg_del.(inst) + 1;
+          eng.eg_del <- eng.eg_del + 1;
           wire.Net_stats.w_delivered_bytes <-
             wire.Net_stats.w_delivered_bytes + bytes;
-          send_ack eng inst ~now ~round ~from:dest ~to_:sender
+          send_ack eng ~now ~round ~from:dest ~to_:sender
       | `Duplicate ->
           wire.Net_stats.w_duplicates <- wire.Net_stats.w_duplicates + 1;
-          send_ack eng inst ~now ~round ~from:dest ~to_:sender
+          send_ack eng ~now ~round ~from:dest ~to_:sender
       | `Late -> wire.Net_stats.w_late <- wire.Net_stats.w_late + 1
 
   let timer_fire eng ~now tm =
-    let inst = tm.tm_inst in
-    eng.eg_evt.(inst) <- eng.eg_evt.(inst) + 1;
-    let node = eng.eg_nodes.(inst).(tm.tm_sender) in
-    let inj = eng.eg_inj.(inst) in
+    eng.eg_evt <- eng.eg_evt + 1;
+    let node = eng.eg_nodes.(tm.tm_sender) in
     if
-      (not (Inject.dead inj ~now ~proc:tm.tm_sender))
+      (not (Inject.dead eng.eg_inj ~now ~proc:tm.tm_sender))
       && N.round node = tm.tm_round
       && not (N.acked node ~dest:tm.tm_dest)
     then begin
-      transmit eng inst ~now ~round:tm.tm_round ~sender:tm.tm_sender
+      transmit eng ~now ~round:tm.tm_round ~sender:tm.tm_sender
         ~dest:tm.tm_dest ~copy:tm.tm_copy ~bytes:tm.tm_bytes tm.tm_msg;
       if
         tm.tm_copy < eng.eg_sync.Sync.max_retries
@@ -500,12 +460,14 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     end
     else free_timer eng tm
 
-  let inst_boundary eng inst ~now k =
+  let fire_boundary eng tick =
+    let now = Timer_wheel.time eng.eg_wheel tick in
+    let k = eng.eg_tick_round.(tick) in
     let params = eng.eg_params in
     let n = params.Params.n and horizon = params.Params.horizon in
-    let nodes = eng.eg_nodes.(inst) in
-    let inj = eng.eg_inj.(inst) in
-    eng.eg_evt.(inst) <- eng.eg_evt.(inst) + 1;
+    let nodes = eng.eg_nodes in
+    let inj = eng.eg_inj in
+    eng.eg_evt <- eng.eg_evt + 1;
     if k >= 1 then
       Array.iter
         (fun node ->
@@ -534,17 +496,16 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
                 match out.(dest) with
                 | None -> ()
                 | Some msg ->
-                    eng.eg_att.(inst) <- eng.eg_att.(inst) + 1;
+                    eng.eg_att <- eng.eg_att + 1;
                     let bytes = size_of msg in
-                    transmit eng inst ~now ~round ~sender:i ~dest ~copy:0 ~bytes
-                      msg;
+                    transmit eng ~now ~round ~sender:i ~dest ~copy:0 ~bytes msg;
                     if
                       eng.eg_sync.Sync.max_retries > 0
                       && now +. eng.eg_sync.Sync.rto < round_end
                     then
                       arm eng
-                        (alloc_timer eng ~inst ~round ~sender:i ~dest ~copy:1
-                           ~bytes msg)
+                        (alloc_timer eng ~round ~sender:i ~dest ~copy:1 ~bytes
+                           msg)
                         ~time:(now +. eng.eg_sync.Sync.rto)
             done
           end)
@@ -553,41 +514,32 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
 
   let dispatch eng ~now ev =
     match ev with
-    | Deliver { v_inst; v_round; v_sender; v_dest; v_bytes; v_msg } ->
-        eng.eg_evt.(v_inst) <- eng.eg_evt.(v_inst) + 1;
-        deliver eng v_inst ~now ~round:v_round ~sender:v_sender ~dest:v_dest
+    | Deliver { v_round; v_sender; v_dest; v_bytes; v_msg } ->
+        eng.eg_evt <- eng.eg_evt + 1;
+        deliver eng ~now ~round:v_round ~sender:v_sender ~dest:v_dest
           ~bytes:v_bytes v_msg
-    | Ack { k_inst; k_round; k_from; k_to } ->
-        eng.eg_evt.(k_inst) <- eng.eg_evt.(k_inst) + 1;
-        N.ack eng.eg_nodes.(k_inst).(k_to) ~round:k_round ~dest:k_from
+    | Ack { k_round; k_from; k_to } ->
+        eng.eg_evt <- eng.eg_evt + 1;
+        N.ack eng.eg_nodes.(k_to) ~round:k_round ~dest:k_from
     | Heap_timer tm -> timer_fire eng ~now tm
     | Batch b ->
-        let inst = b.bt_inst in
         (* each batched copy is one simulated event, same as a per-copy
            heap cell *)
-        eng.eg_evt.(inst) <- eng.eg_evt.(inst) + b.bt_dn + b.bt_an;
+        eng.eg_evt <- eng.eg_evt + b.bt_dn + b.bt_an;
         eng.eg_batched <- eng.eg_batched + b.bt_dn + b.bt_an;
         (* data copies first, in append (= sequence) order — their rng
            draws must replay exactly; the draw-free acks commute and
            drain after *)
         for j = 0 to b.bt_dn - 1 do
-          deliver eng inst ~now ~round:b.bt_dround.(j)
+          deliver eng ~now ~round:b.bt_dround.(j)
             ~sender:b.bt_dsender.(j) ~dest:b.bt_ddest.(j)
             ~bytes:b.bt_dbytes.(j) b.bt_dmsg.(j)
         done;
         for j = 0 to b.bt_an - 1 do
-          N.ack
-            eng.eg_nodes.(inst).(b.bt_ato.(j))
-            ~round:b.bt_around.(j) ~dest:b.bt_afrom.(j)
+          N.ack eng.eg_nodes.(b.bt_ato.(j)) ~round:b.bt_around.(j)
+            ~dest:b.bt_afrom.(j)
         done;
         free_batch eng b
-
-  let fire_boundary eng ~count tick =
-    let now = Timer_wheel.time eng.eg_wheel tick in
-    let k = eng.eg_tick_round.(tick) in
-    for i = 0 to count - 1 do
-      inst_boundary eng i ~now k
-    done
 
   let process_heap eng =
     match Event_queue.pop eng.eg_q with
@@ -595,17 +547,16 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     | Some (now, ev) -> dispatch eng ~now ev
 
   (* The merged event loop.  The reference is the heap-only schedule: one
-     instance alone, every boundary, copy, ack and timer its own heap cell
-     keyed by (time, seqno), boundaries pushed before anything else.
-     Invariant: events are processed in exact global (time, seqno) order,
-     except that (a) boundaries fire for all instances once every earlier
-     event has drained — sound because in the heap-only schedule a
-     boundary's sequence number is smaller than any same-instant event's —
-     and (b) batches reorder only provably commuting same-instant
-     arrivals.  Restricted to one instance, the processing order is
+     run, every boundary, copy, ack and timer its own heap cell keyed by
+     (time, seqno), boundaries pushed before anything else.  Invariant:
+     events are processed in exact global (time, seqno) order, except that
+     (a) a boundary fires once every earlier event has drained — sound
+     because in the heap-only schedule a boundary's sequence number is
+     smaller than any same-instant event's — and (b) batches reorder only
+     provably commuting same-instant arrivals.  The processing order is
      therefore the heap-only schedule's, which is why outcomes are
-     bit-identical for every wave size. *)
-  let drive eng ~count =
+     bit-identical to it. *)
+  let drive eng =
     let q = eng.eg_q and w = eng.eg_wheel in
     let continue = ref true in
     while !continue do
@@ -617,7 +568,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         | heap_top -> (
             if eng.eg_is_boundary.(c) then begin
               eng.eg_ticks_fired <- eng.eg_ticks_fired + 1;
-              fire_boundary eng ~count c;
+              fire_boundary eng c;
               Timer_wheel.advance w
             end
             else
@@ -637,100 +588,61 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         | Some (now, ev) -> dispatch eng ~now ev
     done
 
-  (* Seat one run in instance slot [i].  The adversary is compiled from
-     [rng] after whatever the caller already drew from it (a sweep draws
-     the initial configuration first). *)
-  let setup eng i ~rng config =
-    let params = eng.eg_params in
-    let n = params.Params.n in
-    let inj = Inject.compile rng params ~total_time:eng.eg_total eng.eg_plan in
-    eng.eg_rng.(i) <- rng;
-    eng.eg_cfg.(i) <- config;
-    eng.eg_inj.(i) <- inj;
-    let nodes = eng.eg_nodes.(i) in
-    for p = 0 to n - 1 do
-      N.reset params nodes.(p) ~me:p (Config.value config p) ~sim_time:0.0
-    done;
-    Net_stats.wire_reset eng.eg_wire.(i);
-    eng.eg_att.(i) <- 0;
-    eng.eg_del.(i) <- 0;
-    eng.eg_evt.(i) <- 0;
-    let base = i * bc_slots in
-    for j = 0 to bc_slots - 1 do
-      eng.eg_bc_time.(base + j) <- neg_infinity;
-      eng.eg_bc.(base + j) <- dummy_batch
-    done;
-    eng.eg_bc_next.(i) <- 0;
-    (* the instance slot itself — nodes, wire record, tables — recycled
-       in place rather than reallocated *)
-    eng.eg_reuses <- eng.eg_reuses + 1
+  let flush_metrics eng =
+    let wire = eng.eg_wire in
+    Metrics.incr m_runs;
+    Metrics.add m_events eng.eg_evt;
+    Metrics.add m_copies wire.Net_stats.w_copies;
+    Metrics.add m_retrans wire.Net_stats.w_retransmissions;
+    Metrics.add m_acks wire.Net_stats.w_acks;
+    Metrics.add m_delivered eng.eg_del;
+    Metrics.add m_bytes wire.Net_stats.w_data_bytes;
+    Metrics.add m_dropped
+      (wire.Net_stats.w_dropped_fault + wire.Net_stats.w_dropped_loss
+     + wire.Net_stats.w_dropped_cut);
+    Metrics.add m_mux_ticks eng.eg_ticks_fired;
+    Metrics.add m_mux_batched eng.eg_batched;
+    Metrics.add m_mux_arena eng.eg_reuses
 
-  let outcome_of eng i =
-    let nodes = eng.eg_nodes.(i) in
+  (* The adversary is compiled from [rng] after whatever the caller
+     already drew from it (a sweep draws the initial configuration
+     first). *)
+  let run_one eng ~rng config =
+    let params = eng.eg_params in
+    Event_queue.clear eng.eg_q;
+    Timer_wheel.reset eng.eg_wheel;
+    eng.eg_rng <- rng;
+    eng.eg_inj <- Inject.compile rng params ~total_time:eng.eg_total eng.eg_plan;
+    Array.iteri
+      (fun p node ->
+        N.reset params node ~me:p (Config.value config p) ~sim_time:0.0)
+      eng.eg_nodes;
+    Net_stats.wire_reset eng.eg_wire;
+    eng.eg_att <- 0;
+    eng.eg_del <- 0;
+    eng.eg_evt <- 0;
+    Array.fill eng.eg_bc_time 0 bc_slots neg_infinity;
+    eng.eg_bc_next <- 0;
+    eng.eg_ticks_fired <- 0;
+    eng.eg_batched <- 0;
+    (* the nodes, wire record and batch cache, recycled in place rather
+       than reallocated *)
+    eng.eg_reuses <- 1;
+    drive eng;
+    if Metrics.enabled () then flush_metrics eng;
+    let nodes = eng.eg_nodes in
     {
       Net_stats.o_decisions = Array.map N.decision nodes;
       o_decision_sim_ns =
         Array.map
           (fun node -> Option.map ns_of_seconds (N.decision_sim_time node))
           nodes;
-      o_faulty = Inject.faulty eng.eg_inj.(i);
-      o_unanimous = Config.all_equal eng.eg_cfg.(i);
-      o_attempted = eng.eg_att.(i);
-      o_delivered = eng.eg_del.(i);
-      o_wire = eng.eg_wire.(i);
+      o_faulty = Inject.faulty eng.eg_inj;
+      o_unanimous = Config.all_equal config;
+      o_attempted = eng.eg_att;
+      o_delivered = eng.eg_del;
+      o_wire = eng.eg_wire;
     }
-
-  (* One wave: [seat i] gives instance [i]'s generator and configuration;
-     [consume i] receives its outcome, in instance order. *)
-  let wave eng ~count ~seat ~consume =
-    if count < 1 || count > eng.eg_live then
-      invalid_arg "Mux.run_wave: count outside [1, live]";
-    Event_queue.clear eng.eg_q;
-    Timer_wheel.reset eng.eg_wheel;
-    eng.eg_ticks_fired <- 0;
-    eng.eg_batched <- 0;
-    eng.eg_reuses <- 0;
-    for i = 0 to count - 1 do
-      let rng, config = seat i in
-      setup eng i ~rng config
-    done;
-    drive eng ~count;
-    let enabled = Metrics.enabled () in
-    for i = 0 to count - 1 do
-      if enabled then begin
-        let wire = eng.eg_wire.(i) in
-        Metrics.incr m_runs;
-        Metrics.add m_events eng.eg_evt.(i);
-        Metrics.add m_copies wire.Net_stats.w_copies;
-        Metrics.add m_retrans wire.Net_stats.w_retransmissions;
-        Metrics.add m_acks wire.Net_stats.w_acks;
-        Metrics.add m_delivered eng.eg_del.(i);
-        Metrics.add m_bytes wire.Net_stats.w_data_bytes;
-        Metrics.add m_dropped
-          (wire.Net_stats.w_dropped_fault + wire.Net_stats.w_dropped_loss
-         + wire.Net_stats.w_dropped_cut)
-      end;
-      consume i (outcome_of eng i)
-    done;
-    if enabled then begin
-      Metrics.add m_mux_ticks eng.eg_ticks_fired;
-      Metrics.add m_mux_batched eng.eg_batched;
-      Metrics.add m_mux_arena eng.eg_reuses;
-      Metrics.record g_mux_live count
-    end
-
-  let run_wave eng ~rng_of_run ~first ~count ~consume =
-    let n = eng.eg_params.Params.n in
-    wave eng ~count
-      ~seat:(fun i ->
-        let rng = rng_of_run (first + i) in
-        (rng, random_config ~n rng))
-      ~consume:(fun i o -> consume (first + i) o)
-
-  let run_one eng ~rng config =
-    let out = ref None in
-    wave eng ~count:1 ~seat:(fun _ -> (rng, config)) ~consume:(fun _ o -> out := Some o);
-    Option.get !out
 
   type sweep_acc = {
     sa_st : Net_stats.state;
@@ -738,36 +650,32 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
   }
 
   let sweep_state ?jobs ?cancel ?progress (params : Params.t) ~sync ~topology
-      ~dynamic ~rng_of_run ~live ~runs =
-    if live < 1 then invalid_arg "Mux.sweep_state: live must be >= 1";
+      ~dynamic ~rng_of_run ~runs =
     (* up front, so a sweep of no runs still rejects a bad fabric *)
     check params ~sync ~topology;
     let plan = Inject.Dynamic dynamic in
-    let waves = (runs + live - 1) / live in
+    let n = params.Params.n in
     let init () = { sa_st = Net_stats.fresh_state (); sa_eng = None } in
-    let fold acc wave =
+    let fold acc run =
       Eba_util.Cancel.check_opt cancel;
       let eng =
         match acc.sa_eng with
         | Some e -> e
         | None ->
-            let e = create params ~sync ~topology ~plan ~live in
+            let e = create params ~sync ~topology ~plan in
             acc.sa_eng <- Some e;
             e
       in
-      let first = wave * live in
-      let count = min live (runs - first) in
-      run_wave eng ~rng_of_run ~first ~count ~consume:(fun _ o ->
-          Net_stats.consume acc.sa_st o);
-      match progress with None -> () | Some f -> f count
+      let rng = rng_of_run run in
+      Net_stats.consume acc.sa_st (run_one eng ~rng (random_config ~n rng));
+      match progress with None -> () | Some f -> f ()
     in
     let merge a b = Net_stats.merge a.sa_st b.sa_st in
     let acc =
-      (* one wave per work unit: waves are heavyweight and their results
-         merge exactly, so distribution over domains is free of ordering
-         effects *)
+      (* one run per work unit: results merge exactly, so distribution
+         over domains is free of ordering effects *)
       Parallel.map_reduce_seq ?jobs ~chunk:1 ~init ~fold ~merge
-        (Seq.init waves Fun.id)
+        (Seq.init runs Fun.id)
     in
     acc.sa_st
 end

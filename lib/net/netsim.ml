@@ -21,10 +21,10 @@ let run_seed ~seed ~run =
 module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
   module M = Mux.Make (P)
 
-  (* a fresh one-instance engine per run: the outcome's wire record is
-     the engine's own, so nothing recycles it under the caller *)
+  (* a fresh engine per run: the outcome's wire record is the engine's
+     own, so nothing recycles it under the caller *)
   let run_one params ~sync ~topology ~plan ~rng config =
-    M.run_one (M.create params ~sync ~topology ~plan ~live:1) ~rng config
+    M.run_one (M.create params ~sync ~topology ~plan) ~rng config
 
   let replay ?sync (params : Params.t) pattern config =
     let topology = lossless_topology ~n:params.Params.n in
@@ -38,16 +38,19 @@ end
 let sweep ?jobs ?mux ?cancel ?progress
     (module P : Eba_protocols.Protocol_intf.PROTOCOL) (params : Params.t)
     ~sync ~topology ~dynamic ~seed ~runs =
+  (match mux with
+  | Some k when k < 1 -> invalid_arg "Netsim.sweep: mux must be >= 1"
+  | Some _ | None -> ());
   (* one shared counter across domains: [done] counts completed runs,
      whatever their scheduling order *)
   let completed = Atomic.make 0 in
-  let tick f count = f ~done_:(Atomic.fetch_and_add completed count + count) ~total:runs in
+  let tick f () = f ~done_:(Atomic.fetch_and_add completed 1 + 1) ~total:runs in
   let module M = Mux.Make (P) in
   let st =
     M.sweep_state ?jobs ?cancel ?progress:(Option.map tick progress) params ~sync
       ~topology ~dynamic
       ~rng_of_run:(fun run -> run_seed ~seed ~run)
-      ~live:(Option.value mux ~default:1) ~runs
+      ~runs
   in
   Net_stats.summary_of_state
     ~protocol:P.name

@@ -1,7 +1,8 @@
 (** The discrete-event network simulator's front door.  Every run — a
     sweep's, a single [run_one], a pattern [replay] — executes on the one
-    engine, {!Mux}: a sweep as waves of [mux] instances (waves of one when
-    [mux] is off), a single run as a one-instance engine.
+    engine, {!Mux}, one instance at a time: a sweep on one engine per
+    worker domain, recycled across its runs, a single run on a fresh
+    engine.
 
     A run is a pure function of [(params, config, sync, topology, plan,
     rng)]: every random choice — adversary compilation, per-copy latency
@@ -44,7 +45,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
     rng:Random.State.t ->
     Config.t ->
     Net_stats.outcome
-  (** Simulate one run on a fresh one-instance {!Mux} engine.  Raises
+  (** Simulate one run on a fresh {!Mux} engine.  Raises
       [Invalid_argument] when the topology's latency bound does not fit
       the round window ({!Sync.check}) or its width is not [params.n]. *)
 
@@ -74,16 +75,14 @@ val sweep :
     generators come from {!run_seed} and the accumulators are exact
     integers, so the summary is bit-identical for every job count.
 
-    [mux] is the number of concurrently live instances per {!Mux} wave;
-    absent, each wave is one run.  The summary is bit-identical for every
-    wave size — same seeds, same outcomes, same [net.*] counters — which
-    differ only in wall-clock.
+    [mux] is a legacy wave size: runs execute one at a time whatever it
+    is, so the summary does not depend on it.  Raises [Invalid_argument]
+    when it is below 1.
 
-    [cancel] is a cooperative token polled once per wave (once per run
-    when [mux] is off): once fired, the sweep raises
-    {!Eba_util.Cancel.Cancelled} within one wave per domain.  [progress]
-    is called after each completed wave with the cumulative count of
-    finished runs and the total; calls may arrive
+    [cancel] is a cooperative token polled once per run: once fired, the
+    sweep raises {!Eba_util.Cancel.Cancelled} within one run per domain.
+    [progress] is called after each completed run with the cumulative
+    count of finished runs and the total; calls may arrive
     from worker domains concurrently and [done_] is not guaranteed
     monotone across racing calls — throttle and order on the consumer
     side.  Both default off and cost nothing when absent. *)

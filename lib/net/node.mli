@@ -24,8 +24,8 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
   val reset : Params.t -> t -> me:int -> Value.t -> sim_time:float -> unit
   (** Reinitialize in place to exactly the state [create] would build,
       recycling the inbox/got/acked arrays when the width matches — the
-      arena-reuse hook for engines that run many instances through one
-      node record.  Records a time-0 decision like [create]. *)
+      arena-reuse hook for engines that run many simulated runs through
+      one node record.  Records a time-0 decision like [create]. *)
 
   val me : t -> int
 

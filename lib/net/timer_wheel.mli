@@ -1,12 +1,13 @@
-(** A hierarchical-schedule timer wheel for the multiplexed engine.
+(** A hierarchical-schedule timer wheel for the simulation engine
+    ({!Mux}).
 
-    When every simulated instance shares one synchronizer configuration,
-    all round boundaries and retransmission timers can only ever fire at a
-    {e fixed, precomputed} set of instants — the tick schedule.  The wheel
-    stores one append-ordered slot per tick, so arming a timer is an array
-    append and firing a slot drains it front to back: no heap sifts for
-    the (overwhelmingly common) deterministic timer events, leaving the
-    heap to latency-randomized deliveries.
+    The synchronizer configuration fixes every instant at which a round
+    boundary or retransmission timer can fire: a {e precomputed} set of
+    instants, the tick schedule.  The wheel stores one append-ordered slot
+    per tick, so arming a timer is an array append and firing a slot
+    drains it front to back: no heap sifts for the (overwhelmingly common)
+    deterministic timer events, leaving the heap to latency-randomized
+    deliveries.
 
     Entries carry sequence numbers drawn from the same counter as the
     event heap ({!Event_queue.alloc_seq}).  Appends to a slot happen in
@@ -17,7 +18,7 @@
 
     The cursor advances monotonically; {!reset} rewinds it and empties
     every slot while keeping the slot arrays — the arena-reuse hook for
-    running many simulation waves through one wheel. *)
+    running many simulated runs through one wheel. *)
 
 type 'a t
 

@@ -19,8 +19,8 @@ val link : t -> src:int -> dst:int -> Link.t
 
 val uniform_link : t -> Link.t option
 (** The one link every pair shares, when no override was applied — the
-    condition under which the mux engine may batch same-instant arrivals
-    (a single latency model governs every copy). *)
+    condition under which the engine ({!Mux}) may batch same-instant
+    arrivals (a single latency model governs every copy). *)
 
 val latency_bound : t -> float
 (** The largest {!Link.latency_bound} over every link — what the

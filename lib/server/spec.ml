@@ -142,6 +142,14 @@ let resolve spec =
             (Option.value spec.partition_span ~default:(2.0 *. rto))
           ~max_faulty:spec.t_failures ())
   in
+  (* the wave size first: the runs default derives from it *)
+  let* r_mux =
+    match spec.mux with
+    | Mux_off -> Ok None
+    | Mux_auto -> Ok (Some 1)
+    | Mux_live k ->
+        if k >= 1 then Ok (Some k) else Error "mux wave size must be >= 1"
+  in
   let r_runs =
     match (spec.runs, spec.mux) with
     | Some r, _ -> r
@@ -149,13 +157,6 @@ let resolve spec =
     | None, (Mux_off | Mux_auto) -> 100
   in
   let* () = if r_runs >= 1 then Ok () else Error "runs must be >= 1" in
-  let* r_mux =
-    match spec.mux with
-    | Mux_off -> Ok None
-    | Mux_auto -> Ok (Some (Net.Mux.auto_live ~runs:r_runs))
-    | Mux_live k ->
-        if k >= 1 then Ok (Some k) else Error "mux wave size must be >= 1"
-  in
   Ok { r_spec = spec; r_protocol; r_params; r_topology; r_sync; r_dynamic;
        r_runs; r_mux }
 

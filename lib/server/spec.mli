@@ -14,11 +14,10 @@ module Json = Eba_util.Json
 module Params = Eba_sim.Params
 module Net = Eba_net
 
-(** Multiplex selection, the wave size of the {!Eba_net.Mux} engine
-    every sweep runs on: [Mux_off] runs waves of one, [Mux_auto] picks
-    the measured-throughput-peak wave size ({!Eba_net.Mux.auto_live}),
-    [Mux_live k] waves of [k].  Results are bit-identical across all
-    three. *)
+(** The legacy multiplex selection.  The {!Eba_net.Mux} engine runs one
+    instance at a time whatever is chosen, so the result is the same for
+    all three; only the [runs] default reads it ([Mux_live k] defaults
+    [runs] to [k]), and a wave size below 1 is refused. *)
 type mux = Mux_off | Mux_auto | Mux_live of int
 
 type t = {
@@ -75,7 +74,9 @@ type resolved = {
   r_sync : Net.Sync.t;
   r_dynamic : Net.Inject.dynamic;
   r_runs : int;
-  r_mux : int option;  (** the concrete wave size, [Mux_auto] resolved *)
+  r_mux : int option;
+      (** [None] for [Mux_off], [Some 1] for [Mux_auto], [Some k] for
+          [Mux_live k]; {!Eba_net.Netsim.sweep} ignores it *)
 }
 
 val resolve : t -> (resolved, string) result
@@ -88,8 +89,8 @@ val run :
   resolved ->
   Net.Net_stats.summary
 (** {!Eba_net.Netsim.sweep} with the resolved arguments — bit-identical
-    for every job count and mux wave size.  [cancel] and [progress] pass
-    straight through to the sweep (polled once per wave); both default
+    for every job count and [mux] choice.  [cancel] and [progress] pass
+    straight through to the sweep (polled once per run); both default
     off, so CLI and daemon answers stay byte-identical whether or not a
     caller opts in. *)
 

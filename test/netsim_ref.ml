@@ -27,6 +27,12 @@ let m_bytes = Metrics.counter "net.data_bytes"
 
 let ns_of_seconds = Net_stats.ns_of_seconds
 
+(* A sweep run's initial configuration: one fair bit per processor, the
+   first draws from the run's generator. *)
+let random_config ~n rng =
+  Config.make
+    (Array.init n (fun _ -> if Random.State.bool rng then Value.One else Value.Zero))
+
 module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
   module N = Node.Make (P)
 
@@ -264,11 +270,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
      generator first, then the adversary is compiled from it. *)
   let sweep_run params ~sync ~topology ~plan ~seed run =
     let rng = Netsim.run_seed ~seed ~run in
-    let config =
-      Config.make
-        (Array.init params.Params.n (fun _ ->
-             if Random.State.bool rng then Value.One else Value.Zero))
-    in
+    let config = random_config ~n:params.Params.n rng in
     run_one params ~sync ~topology ~plan ~rng config
 
   (* A whole sweep, one run after another, rendered with the identity

@@ -36,8 +36,8 @@ let tests =
           (read_file "golden/knowledge_query.expected")
           (Eba_harness.Knowledge_cases.render ()));
     (* Netsim sweep summaries for every operational protocol on four
-       fabrics, one wave size and a second that splits each sweep into a
-       full and a partial wave.  Regenerate with:
+       fabrics, with the spec's legacy mux field off and at 3.  Regenerate
+       with:
 
          dune exec test/regen_golden.exe -- netsim-sweeps > test/golden/netsim_sweeps.expected *)
     test "netsim sweep summaries match the committed golden file at mux off and 3"

@@ -1,14 +1,12 @@
-(* The simulation engine's load-bearing property: running N instances
-   through one shared event loop is invisible.  Per-instance outcomes —
-   decisions, decision instants, wire counters, rng-driven drop/latency
-   draws — are bit-identical to running the sequential reference engine
-   (Netsim_ref, one instance at a time on a plain event heap) once per
-   instance with the same (seed, run) generators, across every operational
+(* The simulation engine's load-bearing property: the timer wheel,
+   batched delivery and the engine recycled across runs are invisible.
+   Per-run outcomes — decisions, decision instants, wire counters,
+   rng-driven drop/latency draws — are bit-identical to the reference
+   engine (Netsim_ref, a plain event heap with every event its own cell)
+   run with the same (seed, run) generators, across every operational
    protocol and its compact variants, on both the batched (uniform
    constant-latency) and heap (randomized-latency, heterogeneous,
-   zero-latency) paths, for every wave size including the waves of one
-   that sweeps run with mux off, and independent of the parallel job
-   count.
+   zero-latency) paths, and independent of the parallel job count.
 
    Plus the satellite regressions: event-queue push/pop order pinned
    across growth boundaries and reserve/clear, timer-wheel slot
@@ -146,44 +144,28 @@ let wheel_tests =
         check "slots emptied" true (TW.peek w = None));
   ]
 
-(* --- per-instance bit-identity against the reference engine --- *)
+(* --- per-run bit-identity against the reference engine --- *)
 
 let crash_params ~n ~t = Eba.Params.make ~n ~t ~horizon:(t + 1) ~mode:Eba.Params.Crash
 
-(* the sequential side of the differential: the reference engine, with a
-   sweep's per-run draw order *)
-let sequential_outcomes (module P : Eba.Protocol_intf.PROTOCOL) params ~sync
-    ~topology ~plan ~seed ~runs =
-  let module S = Netsim_ref.Make (P) in
-  Array.init runs (S.sweep_run params ~sync ~topology ~plan ~seed)
-
+(* one engine recycled over [runs] sweep runs, each compared with the
+   reference engine's run of the same (seed, run) generator *)
 let mux_matches (module P : Eba.Protocol_intf.PROTOCOL) params ?sync ~topology
-    ~dynamic ~seed ~live ~runs () =
+    ~dynamic ~seed ~runs () =
   let sync =
     match sync with Some s -> s | None -> Net.Sync.default_for topology
   in
   let plan = Net.Inject.Dynamic dynamic in
-  let seq =
-    sequential_outcomes (module P) params ~sync ~topology ~plan ~seed ~runs
-  in
+  let module S = Netsim_ref.Make (P) in
   let module M = Net.Mux.Make (P) in
-  let eng = M.create params ~sync ~topology ~plan ~live in
-  let compared = ref 0 in
-  let rec waves first =
-    if first < runs then begin
-      let count = min live (runs - first) in
-      M.run_wave eng
-        ~rng_of_run:(fun run -> Net.Netsim.run_seed ~seed ~run)
-        ~first ~count
-        ~consume:(fun run o ->
-          incr compared;
-          if compare seq.(run) o <> 0 then
-            Alcotest.failf "run %d: mux outcome differs from sequential" run);
-      waves (first + count)
-    end
-  in
-  waves 0;
-  check_int "every run compared" runs !compared
+  let eng = M.create params ~sync ~topology ~plan in
+  for run = 0 to runs - 1 do
+    let rng = Net.Netsim.run_seed ~seed ~run in
+    let config = Netsim_ref.random_config ~n:params.Eba.Params.n rng in
+    let o = M.run_one eng ~rng config in
+    if compare (S.sweep_run params ~sync ~topology ~plan ~seed run) o <> 0 then
+      Alcotest.failf "run %d: mux outcome differs from the reference" run
+  done
 
 let const_topology ~n ~loss =
   Net.Topology.make ~n ~link:(Net.Link.make ~latency:(Net.Link.Const 1.0) ~loss)
@@ -202,25 +184,23 @@ let identity_tests =
           (mux_matches p params
              ~topology:(const_topology ~n:6 ~loss:0.1)
              ~dynamic:(Net.Inject.dynamic ~max_faulty:2 ())
-             ~seed:42 ~live:4 ~runs:7);
+             ~seed:42 ~runs:7);
         test
           (Printf.sprintf "%s: mux = sequential, uniform latency (heap path)" name)
           (mux_matches p params
              ~topology:(uniform_topology ~n:6 ~loss:0.1)
              ~dynamic:(Net.Inject.dynamic ~max_faulty:2 ())
-             ~seed:1729 ~live:4 ~runs:7);
+             ~seed:1729 ~runs:7);
       ])
     all_protocols
 
 let corner_tests =
   [
     qtest ~count:12
-      "qcheck: mux = sequential per instance, any protocol, fabric, seed and wave size"
+      "qcheck: mux = sequential per run, any protocol, fabric and seed"
       QCheck2.Gen.(
-        quad
-          (int_bound (List.length all_protocols - 1))
-          (int_bound 10_000) (int_range 1 5) bool)
-      (fun (which, seed, live, batched) ->
+        triple (int_bound (List.length all_protocols - 1)) (int_bound 10_000) bool)
+      (fun (which, seed, batched) ->
         let topology =
           if batched then const_topology ~n:5 ~loss:0.1
           else uniform_topology ~n:5 ~loss:0.1
@@ -229,7 +209,7 @@ let corner_tests =
           (snd (List.nth all_protocols which))
           (crash_params ~n:5 ~t:2) ~topology
           ~dynamic:(Net.Inject.dynamic ~max_faulty:2 ())
-          ~seed ~live ~runs:6 ();
+          ~seed ~runs:6 ();
         true);
     test "tie corner: rto = link latency, deliveries land exactly on ticks"
       (* every arrival instant is also a retry tick, so nothing batches
@@ -240,7 +220,7 @@ let corner_tests =
          ~sync:(Net.Sync.make ~round_duration:8.0 ~rto:1.0 ~max_retries:7)
          ~topology:(const_topology ~n:5 ~loss:0.3)
          ~dynamic:(Net.Inject.dynamic ~max_faulty:2 ())
-         ~seed:7 ~live:3 ~runs:6);
+         ~seed:7 ~runs:6);
     test "zero-latency links: arrival = now falls back to the heap"
       (mux_matches
          (module Eba.Floodset)
@@ -250,7 +230,7 @@ let corner_tests =
            (Net.Topology.make ~n:4
               ~link:(Net.Link.make ~latency:(Net.Link.Const 0.0) ~loss:0.2))
          ~dynamic:(Net.Inject.dynamic ~max_faulty:1 ())
-         ~seed:11 ~live:4 ~runs:5);
+         ~seed:11 ~runs:5);
     test "heterogeneous override disables batching, not correctness"
       (mux_matches
          (module Eba.Floodset)
@@ -259,7 +239,7 @@ let corner_tests =
            (Net.Topology.with_link (const_topology ~n:5 ~loss:0.1) ~src:0 ~dst:1
               (Net.Link.make ~latency:(Net.Link.Const 2.0) ~loss:0.5))
          ~dynamic:(Net.Inject.dynamic ~max_faulty:1 ())
-         ~seed:23 ~live:3 ~runs:5);
+         ~seed:23 ~runs:5);
     test "omissions and partitions under mux"
       (mux_matches
          (module Eba.Floodset)
@@ -268,14 +248,33 @@ let corner_tests =
          ~dynamic:
            (Net.Inject.dynamic ~max_faulty:2 ~omit_prob:0.3 ~partitions:2
               ~partition_span:2.0 ())
-         ~seed:99 ~live:4 ~runs:8);
-    test "single-instance waves degenerate to the sequential engine"
-      (mux_matches
-         (module Eba.Chain0)
-         (crash_params ~n:4 ~t:1)
-         ~topology:(uniform_topology ~n:4 ~loss:0.05)
-         ~dynamic:(Net.Inject.dynamic ~max_faulty:1 ())
-         ~seed:5 ~live:1 ~runs:4);
+         ~seed:99 ~runs:8);
+    test "a recycled engine = a fresh engine per run, over every configuration"
+      (fun () ->
+        (* the caller's configuration, not a drawn one, seats the run:
+           every n = 4 configuration in turn on one engine, each against
+           the reference and the fresh engine [Netsim.Make.run_one]
+           builds *)
+        let module P = Eba.Chain0 in
+        let module S = Netsim_ref.Make (P) in
+        let module M = Net.Mux.Make (P) in
+        let module F = Net.Netsim.Make (P) in
+        let params = crash_params ~n:4 ~t:1 in
+        let topology = uniform_topology ~n:4 ~loss:0.05 in
+        let sync = Net.Sync.default_for topology in
+        let plan = Net.Inject.Dynamic (Net.Inject.dynamic ~max_faulty:1 ()) in
+        let eng = M.create params ~sync ~topology ~plan in
+        for bits = 0 to 15 do
+          let config = Eba.Config.of_bits ~n:4 bits in
+          let rng () = Net.Netsim.run_seed ~seed:5 ~run:bits in
+          let reference =
+            S.run_one params ~sync ~topology ~plan ~rng:(rng ()) config
+          in
+          let fresh = F.run_one params ~sync ~topology ~plan ~rng:(rng ()) config in
+          check "fresh = reference" true (compare reference fresh = 0);
+          check "recycled = reference" true
+            (compare reference (M.run_one eng ~rng:(rng ()) config) = 0)
+        done);
   ]
 
 (* --- sweep-level equality and jobs-independence --- *)
@@ -300,28 +299,32 @@ let reference_sweep ~seed ~runs ~n ~t topology =
 
 let sweep_tests =
   [
-    qtest ~count:6 "qcheck: sweep ~mux summary = sequential sweep, jobs 1 and 4"
+    qtest ~count:6 "qcheck: sweep summary = reference sweep, jobs 1 and 4"
       QCheck2.Gen.(pair (int_bound 10_000) (int_range 1 3))
       (fun (seed, t) ->
         let topology = uniform_topology ~n:8 ~loss:0.1 in
         let s = reference_sweep ~seed ~runs:11 ~n:8 ~t topology in
         List.for_all
-          (fun (jobs, mux) ->
-            compare s (sweep_of ~jobs ?mux ~seed ~runs:11 ~n:8 ~t topology) = 0)
-          [ (1, None); (4, None); (1, Some 4); (4, Some 4) ]);
-    test "batched path: mux sweep summary = sequential (multi-wave, partial last)"
+          (fun jobs ->
+            compare s (sweep_of ~jobs ~seed ~runs:11 ~n:8 ~t topology) = 0)
+          [ 1; 4 ]);
+    test "batched path: sweep summary = reference at every mux value, jobs 1 and 4"
       (fun () ->
         let topology = const_topology ~n:8 ~loss:0.05 in
         let s = reference_sweep ~seed:2026 ~runs:10 ~n:8 ~t:2 topology in
-        check "mux off (waves of one)" true
-          (compare s (sweep_of ~jobs:1 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology) = 0);
-        check "mux 3 (4 waves)" true
-          (compare s (sweep_of ~jobs:1 ~mux:3 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology)
-          = 0);
-        check "mux larger than runs" true
-          (compare s
-             (sweep_of ~jobs:1 ~mux:64 ~seed:2026 ~runs:10 ~n:8 ~t:2 topology)
-          = 0));
+        List.iter
+          (fun jobs ->
+            List.iter
+              (fun mux ->
+                check
+                  (Printf.sprintf "jobs %d, mux %s" jobs
+                     (match mux with None -> "off" | Some k -> string_of_int k))
+                  true
+                  (compare s
+                     (sweep_of ~jobs ?mux ~seed:2026 ~runs:10 ~n:8 ~t:2 topology)
+                  = 0))
+              [ None; Some 1; Some 3; Some 64 ])
+          [ 1; 4 ]);
   ]
 
 (* --- decision-round quantiles (the p99 headline) --- *)
@@ -355,7 +358,7 @@ let metrics_tests =
             let run ~jobs =
               Metrics.reset ();
               ignore
-                (sweep_of ~jobs ~mux:4 ~seed:3 ~runs:10 ~n:8 ~t:2
+                (sweep_of ~jobs ~seed:3 ~runs:10 ~n:8 ~t:2
                    (const_topology ~n:8 ~loss:0.05));
               Metrics.deterministic_counters ()
             in
@@ -366,10 +369,9 @@ let metrics_tests =
             check "timer ticks" true (value "mux.timer_ticks" > 0);
             check "batched deliveries" true (value "mux.batched_deliveries" > 0);
             check "arena reuses" true (value "mux.arena_reuses" > 0);
-            check_int "peak live instances" 4 (value "mux.live_instances");
             check_int "runs counted once" 10 (value "net.runs_simulated");
             check "jobs-independent" true (run ~jobs:4 = c1)));
-    test "net.* counters equal the reference engine's at every wave size"
+    test "net.* counters equal the reference engine's"
       (fun () ->
         let was = Metrics.enabled () in
         Fun.protect
@@ -389,17 +391,31 @@ let metrics_tests =
             in
             check "events counted" true
               (List.assoc_opt "net.events_processed" reference <> None);
-            List.iter
-              (fun mux ->
-                check "net.* totals" true
-                  (net_counters (fun () ->
-                       sweep_of ~jobs:1 ?mux ~seed:4 ~runs:9 ~n:8 ~t:2 topology)
-                  = reference))
-              [ None; Some 4 ]));
+            check "net.* totals" true
+              (net_counters (fun () ->
+                   sweep_of ~jobs:1 ~seed:4 ~runs:9 ~n:8 ~t:2 topology)
+              = reference)));
+  ]
+
+(* --- the legacy wave size --- *)
+
+let mux_arg_tests =
+  [
+    test "sweep refuses a mux value below 1" (fun () ->
+        List.iter
+          (fun mux ->
+            check (Printf.sprintf "mux %d raises" mux) true
+              (try
+                 ignore
+                   (sweep_of ~jobs:1 ~mux ~seed:1 ~runs:2 ~n:4 ~t:1
+                      (const_topology ~n:4 ~loss:0.0));
+                 false
+               with Invalid_argument _ -> true))
+          [ 0; -3 ]);
   ]
 
 let tests =
   eq_growth_tests @ wheel_tests @ identity_tests @ corner_tests @ sweep_tests
-  @ quantile_tests @ metrics_tests
+  @ quantile_tests @ metrics_tests @ mux_arg_tests
 
 let suite = ("mux", tests)

@@ -277,16 +277,16 @@ let spec_tests =
         check_int "mux 7" 7 (r mux7).Spec.r_runs;
         check_int "mux auto" 100
           (r { Spec.default with mux = Spec.Mux_auto }).Spec.r_runs);
-    test "mux auto resolves to the measured peak, clamped" (fun () ->
-        check_int "peak" 16 (Net.Mux.auto_live ~runs:100);
-        check_int "clamped to runs" 5 (Net.Mux.auto_live ~runs:5);
-        check_int "floor" 1 (Net.Mux.auto_live ~runs:0);
-        let resolved =
-          Result.get_ok
-            (Spec.resolve
-               { (sweep_spec ~seed:3) with runs = Some 40; mux = Spec.Mux_auto })
+    test "mux auto resolves to one; the runs default is unchanged" (fun () ->
+        let r s = Result.get_ok (Spec.resolve s) in
+        let auto = r { Spec.default with mux = Spec.Mux_auto } in
+        check "auto = 1" true (auto.Spec.r_mux = Some 1);
+        check_int "runs default" 100 auto.Spec.r_runs;
+        let auto40 =
+          r { (sweep_spec ~seed:3) with runs = Some 40; mux = Spec.Mux_auto }
         in
-        check "auto = 16 at 40 runs" true (resolved.Spec.r_mux = Some 16));
+        check "auto = 1 at 40 runs" true (auto40.Spec.r_mux = Some 1);
+        check_int "explicit runs" 40 auto40.Spec.r_runs);
     test "mux auto sweep is byte-identical to explicit 16 and to off"
       (fun () ->
         let bytes mux =
@@ -1052,10 +1052,35 @@ let bench_tests =
         check "positive mean" true (r.Bench_load.mean_us > 0.0));
   ]
 
+(* --- served wave-size validation --- *)
+
+let served_mux_tests =
+  [
+    test "a served mux below 1 is refused for its wave size, with or without runs"
+      (fun () ->
+        with_daemon (fun bound ->
+            with_client bound (fun c ->
+                List.iter
+                  (fun params ->
+                    match Client.call c ~verb:"netsim-sweep" ~params () with
+                    | Ok
+                        ( _,
+                          Protocol.Error_reply
+                            { code = Protocol.Bad_request; message } ) ->
+                        check_str "names the wave size"
+                          "mux wave size must be >= 1" message
+                    | _ -> Alcotest.fail "expected bad-request")
+                  [
+                    [ ("mux", Json.Int 0) ];
+                    [ ("mux", Json.Int (-3)) ];
+                    [ ("mux", Json.Int 0); ("runs", Json.Int 5) ];
+                  ])));
+  ]
+
 let suite =
   ( "server",
     frame_tests @ queue_tests @ spec_tests @ differential_tests
     @ concurrency_tests @ backpressure_tests @ cancellation_tests
     @ progress_tests @ cache_tests @ served_cache_tests @ served_jobs_tests
     @ bench_tests
-    @ robustness_tests @ restart_tests @ pool_tests )
+    @ robustness_tests @ restart_tests @ pool_tests @ served_mux_tests )
