@@ -106,32 +106,39 @@ let decimal_of_ratio ?(sig_figs = 9) ~num ~den () =
   else begin
     let ten = Bigint.of_int 10 in
     let n = Bigint.abs num and d = den in
-    (* Mantissa of [sig_figs] digits at trial exponent [e]: round
-       n * 10^(sig_figs - 1 - e) / d half-up on the magnitude. *)
-    let mantissa_at e =
-      let k = sig_figs - 1 - e in
-      let a, b =
-        if k >= 0 then (Bigint.mul n (Bigint.pow ten k), d)
-        else (n, Bigint.mul d (Bigint.pow ten (-k)))
-      in
-      let m, r = Bigint.divmod a b in
-      if Bigint.compare (Bigint.mul (Bigint.of_int 2) r) b >= 0 then
-        Bigint.add m Bigint.one
-      else m
+    (* n/d > 2^(bn - bd - 1), so e0 is at or below the exponent of n/d;
+       the trailing - 1 absorbs any error of the float logarithm. *)
+    let e0 =
+      int_of_float
+        (Float.floor
+           (float_of_int (Bigint.num_bits n - Bigint.num_bits d - 1)
+           *. Float.log10 2.))
+      - 1
     in
-    let lo = Bigint.pow ten (sig_figs - 1) in
-    let hi = Bigint.mul lo ten in
-    let e = ref (Bigint.num_digits n - Bigint.num_digits d) in
-    let m = ref (mantissa_at !e) in
-    while Bigint.compare !m lo < 0 do
-      decr e;
-      m := mantissa_at !e
-    done;
-    while Bigint.compare !m hi >= 0 do
-      incr e;
-      m := mantissa_at !e
-    done;
-    let digits = Bigint.to_string !m in
+    (* The one big division: x = n * 10^(sig_figs - 1 - e0) / d. *)
+    let k = sig_figs - 1 - e0 in
+    let a, b =
+      if k >= 0 then (Bigint.mul n (Bigint.pow ten k), d)
+      else (n, Bigint.mul d (Bigint.pow ten (-k)))
+    in
+    let q, r = Bigint.divmod a b in
+    let hi = Bigint.pow ten sig_figs in
+    (* The exponent is the least e whose half-up mantissa is below
+       10^sig_figs.  One step up divides x by ten: its floor is the
+       previous floor over ten, and it rounds up iff the dropped digit
+       is 5 or more. *)
+    let rec search e q up =
+      let m = if up then Bigint.add q Bigint.one else q in
+      if Bigint.compare m hi < 0 then (e, m)
+      else begin
+        let q', digit = Bigint.divmod q ten in
+        search (e + 1) q' (Bigint.compare digit (Bigint.of_int 5) >= 0)
+      end
+    in
+    let e, m =
+      search e0 q (Bigint.compare (Bigint.mul (Bigint.of_int 2) r) b >= 0)
+    in
+    let digits = Bigint.to_string m in
     let trimmed =
       let stop = ref (String.length digits) in
       while !stop > 1 && digits.[!stop - 1] = '0' do
@@ -140,7 +147,6 @@ let decimal_of_ratio ?(sig_figs = 9) ~num ~den () =
       String.sub digits 0 !stop
     in
     let sign = if Bigint.sign num < 0 then "-" else "" in
-    let e = !e in
     if e >= -4 && e < sig_figs then begin
       if e >= 0 then begin
         let width = e + 1 in

@@ -69,6 +69,15 @@ val decimal_of_ratio :
     powers (e.g. landing-round masses): building them over a hand-picked
     common denominator and skipping normalization avoids the one operation
     the engine cannot afford, a gcd of two structure-free thousand-limb
-    operands.  Requires [den > 0]. *)
+    operands.  Requires [den > 0].
+
+    The exponent comes from bit lengths, never from a power of ten of the
+    operands' size: with [bn], [bd] the bit lengths of [|num|] and [den],
+    [|num|/den > 2^(bn - bd - 1)], so [e0 = floor ((bn - bd - 1) log10 2) - 1]
+    is at or below the exponent.  One division gives the floor of
+    [|num| * 10^(sig_figs - 1 - e0) / den] and its half-up bit; the search
+    then walks up from [e0] to the least exponent whose half-up mantissa
+    is below [10^sig_figs], dividing that small floor by ten per step and
+    rounding up iff the dropped digit is 5 or more. *)
 
 val pp : Format.formatter -> t -> unit

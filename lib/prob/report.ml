@@ -27,17 +27,21 @@ let make ?cancel ~n ~t ~rounds ~loss ~latency ~sync () =
   if n < 2 then invalid_arg "Prob.Report.make: n must be >= 2";
   if t < 0 then invalid_arg "Prob.Report.make: t must be >= 0";
   if rounds < 1 then invalid_arg "Prob.Report.make: rounds must be >= 1";
+  let m, mr =
+    let module C = Eba_util.Combi in
+    try
+      let m = C.mul_exn n (n - 1) in
+      (m, C.mul_exn m rounds)
+    with C.Overflow ->
+      invalid_arg "Prob.Report.make: n * (n - 1) * rounds messages overflow int"
+  in
   let check () = Eba_util.Cancel.check_opt cancel in
   let spec = Round_chain.spec ~sync ~latency ~loss in
-  let m = n * (n - 1) in
-  let mr = m * rounds in
   let q = Round_chain.per_message_miss spec in
   check ();
-  let window_clean = Round_chain.window_clean spec ~m in
+  let landing = Round_chain.landing ~sig_figs ?cancel spec ~m in
   check ();
   let run_all_delivered = Q.pow (Q.one_minus q) mr in
-  check ();
-  let landing = Round_chain.landing ~sig_figs ?cancel spec ~m in
   {
     n;
     t_faults = t;
@@ -50,13 +54,12 @@ let make ?cancel ~n ~t ~rounds ~loss ~latency ~sync () =
     messages_per_run = mr;
     per_message_miss = q;
     expected_misses_per_run = Q.mul (Q.of_int mr) q;
-    window_clean;
+    window_clean = landing.Round_chain.all_by_attempt.(spec.Round_chain.attempts);
     run_all_delivered;
     landing;
     decision_time_ns =
-      Q.mul
-        (Q.of_int (rounds * 1_000_000_000))
-        (Q.of_float sync.Sync.round_duration);
+      Q.mul (Q.of_int rounds)
+        (Q.mul (Q.of_int 1_000_000_000) (Q.of_float sync.Sync.round_duration));
   }
 
 let rat q =

@@ -27,7 +27,9 @@ type t = {
   messages_per_run : int;  (** [messages_per_round * rounds] *)
   per_message_miss : Q.t;
   expected_misses_per_run : Q.t;
-  window_clean : Q.t;  (** [(1-q)^m], exact *)
+  window_clean : Q.t;
+      (** [(1-q)^m], exact: the last entry of [landing.all_by_attempt],
+          shared rather than computed twice *)
   run_all_delivered : Q.t;  (** [(1-q)^(m * rounds)], exact *)
   landing : Round_chain.landing;
   decision_time_ns : Q.t;
@@ -44,10 +46,12 @@ val make :
   sync:Eba_net.Sync.t ->
   unit ->
   t
-(** Raises [Invalid_argument] on [n < 2], [t < 0], [rounds < 1] or a loss
-    outside [[0, 1)].  [cancel] is polled between the report's major
-    exact computations and before each {!Round_chain.landing} row; a
-    fired token raises {!Eba_util.Cancel.Cancelled}. *)
+(** Raises [Invalid_argument] on [n < 2], [t < 0], [rounds < 1], a loss
+    outside [[0, 1)], or message counts [n * (n-1)] or
+    [n * (n-1) * rounds] that overflow a native [int].  [cancel] is
+    polled between the report's major exact computations and before each
+    {!Round_chain.landing} row; a fired token raises
+    {!Eba_util.Cancel.Cancelled}. *)
 
 val sig_figs : int
 (** Significant digits of every decimal rendering in the report (9). *)

@@ -56,7 +56,6 @@ let all_by spec ~m ~k =
   if m < 0 then invalid_arg "Round_chain.all_by: m must be >= 0";
   Q.pow (Q.one_minus (miss_after spec k)) m
 
-let window_clean spec ~m = all_by spec ~m ~k:spec.attempts
 let expected_undelivered spec ~m = Q.mul (Q.of_int m) (per_message_miss spec)
 
 type landing = {
@@ -65,33 +64,45 @@ type landing = {
   residual_decimal : string;
 }
 
+(* Rows over the shared denominator L^m (see the interface): one
+   small-base power and one subtraction each, never a product of two huge
+   denominators, never a gcd. *)
 let landing ?sig_figs ?cancel spec ~m =
   if m < 1 then invalid_arg "Round_chain.landing: m must be >= 1";
-  let all_by_attempt =
-    Array.init
-      (spec.attempts + 1)
-      (fun k ->
-        Eba_util.Cancel.check_opt cancel;
-        all_by spec ~m ~k)
+  let base =
+    Array.init (spec.attempts + 1) (fun k -> Q.one_minus (miss_after spec k))
   in
+  let l =
+    Array.fold_left
+      (fun l b ->
+        let d = Q.den b in
+        Bigint.mul l (fst (Bigint.divmod d (Bigint.gcd l d))))
+      Bigint.one base
+  in
+  let all_by_attempt = Array.make (spec.attempts + 1) Q.zero in
+  let scaled = Array.make (spec.attempts + 1) Bigint.zero in
+  Array.iteri
+    (fun k b ->
+      Eba_util.Cancel.check_opt cancel;
+      let p = Q.pow b m in
+      all_by_attempt.(k) <- p;
+      (* c_k: reuse the numerator when d_k = L already *)
+      let scale = fst (Bigint.divmod l (Q.den b)) in
+      scaled.(k) <-
+        (if Bigint.equal scale Bigint.one then Q.num p
+         else Bigint.pow (Bigint.mul (Q.num b) scale) m))
+    base;
+  let den = Bigint.pow l m in
   let exactly_decimal =
     Array.init spec.attempts (fun i ->
-        (* all_by (k) - all_by (k-1) over the product denominator —
-           never normalized, never gcd'd. *)
-        let hi = all_by_attempt.(i + 1) and lo = all_by_attempt.(i) in
-        let num =
-          Bigint.sub
-            (Bigint.mul (Q.num hi) (Q.den lo))
-            (Bigint.mul (Q.num lo) (Q.den hi))
-        in
-        let den = Bigint.mul (Q.den hi) (Q.den lo) in
-        Q.decimal_of_ratio ?sig_figs ~num ~den ())
+        Q.decimal_of_ratio ?sig_figs
+          ~num:(Bigint.sub scaled.(i + 1) scaled.(i))
+          ~den ())
   in
   let residual_decimal =
-    let clean = all_by_attempt.(spec.attempts) in
     Q.decimal_of_ratio ?sig_figs
-      ~num:(Bigint.sub (Q.den clean) (Q.num clean))
-      ~den:(Q.den clean) ()
+      ~num:(Bigint.sub den scaled.(spec.attempts))
+      ~den ()
   in
   { all_by_attempt; exactly_decimal; residual_decimal }
 

@@ -52,9 +52,6 @@ val all_by : spec -> m:int -> k:int -> Q.t
 (** [(1 - miss_after k)^m]: probability all [m] messages of the window
     land within their first [k] attempts. *)
 
-val window_clean : spec -> m:int -> Q.t
-(** [all_by ~m ~k:attempts]: no message misses the window. *)
-
 val expected_undelivered : spec -> m:int -> Q.t
 (** [m * per_message_miss]: expected misses per window. *)
 
@@ -65,16 +62,22 @@ type landing = {
       (** index [k - 1]: decimal of [all_by k - all_by (k-1)], the
           probability the window's last copy lands on attempt [k] *)
   residual_decimal : string;
-      (** decimal of [1 - window_clean]: some copy misses the window *)
+      (** decimal of [1 - all_by ~k:attempts]: some copy misses the
+          window *)
 }
 
 val landing : ?sig_figs:int -> ?cancel:Eba_util.Cancel.t -> spec -> m:int -> landing
 (** Distribution of the attempt on which the window's last copy lands.
     The [exactly]/[residual] masses are differences of huge same-scale
-    powers, so they are rendered via {!Q.decimal_of_ratio} over a common
-    power denominator instead of materializing normalized rationals.
-    Requires [m >= 1].  [cancel] is polled before each chain row
-    (attempt); a fired token raises {!Eba_util.Cancel.Cancelled}. *)
+    powers, so they are rendered via {!Q.decimal_of_ratio} over one shared
+    denominator [L^m] instead of materializing normalized rationals: [L]
+    is the lcm of the small [miss_after k] denominators [d_k], so with
+    [miss_after k = n_k / d_k], [all_by k = c_k / L^m] where
+    [c_k = ((d_k - n_k) * L / d_k)^m].  Row [k] is [(c_k - c_(k-1)) / L^m]
+    and the residual [(L^m - c_A) / L^m]: one small-base power per row,
+    and no product of two huge denominators.  Requires [m >= 1].
+    [cancel] is polled before each chain row (attempt); a fired token
+    raises {!Eba_util.Cancel.Cancelled}. *)
 
 val chain : spec -> m:int -> Q.t array array
 (** [chain spec ~m] is the exact distribution of the undelivered-message

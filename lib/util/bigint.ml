@@ -190,29 +190,18 @@ let mul a b =
   if a.sign = 0 || b.sign = 0 then zero
   else { sign = a.sign * b.sign; mag = mul_mag a.mag b.mag }
 
-let pow b e =
-  if e < 0 then invalid_arg "Bigint.pow: negative exponent";
-  let r = ref one in
-  let b = ref b in
-  let e = ref e in
-  while !e > 0 do
-    if !e land 1 = 1 then r := mul !r !b;
-    e := !e lsr 1;
-    if !e > 0 then b := mul !b !b
-  done;
-  !r
-
-(* Left shift by [s] bits (0 <= s < base_bits); always one extra limb. *)
-let shl_bits x s =
+(* [x * 2^(limbs * base_bits + s)] for 0 <= s < base_bits, unnormalized:
+   always one extra top limb. *)
+let shl_bits ?(limbs = 0) x s =
   let lx = Array.length x in
-  let r = Array.make (lx + 1) 0 in
+  let r = Array.make (limbs + lx + 1) 0 in
   let carry = ref 0 in
   for i = 0 to lx - 1 do
     let v = (x.(i) lsl s) lor !carry in
-    r.(i) <- v land mask;
+    r.(limbs + i) <- v land mask;
     carry := v lsr base_bits
   done;
-  r.(lx) <- !carry;
+  r.(limbs + lx) <- !carry;
   r
 
 let shr_bits x s =
@@ -226,6 +215,98 @@ let shr_bits x s =
       carry := x.(i) land ((1 lsl s) - 1)
     done;
     norm_mag r
+  end
+
+(* Schoolbook square: the diagonal a_i^2 first, then each cross product
+   once, doubled on the fly (2 * a_i * a_j < 2^61 still fits an int). *)
+let sqr_school a =
+  let la = Array.length a in
+  let r = Array.make (2 * la) 0 in
+  for i = 0 to la - 1 do
+    let d = a.(i) * a.(i) in
+    r.(2 * i) <- d land mask;
+    r.((2 * i) + 1) <- d lsr base_bits
+  done;
+  for i = 0 to la - 2 do
+    let ai2 = 2 * a.(i) in
+    if ai2 <> 0 then begin
+      let carry = ref 0 in
+      for j = i + 1 to la - 1 do
+        let v = r.(i + j) + (ai2 * a.(j)) + !carry in
+        r.(i + j) <- v land mask;
+        carry := v lsr base_bits
+      done;
+      let k = ref (i + la) in
+      while !carry <> 0 do
+        let v = r.(!k) + !carry in
+        r.(!k) <- v land mask;
+        carry := v lsr base_bits;
+        incr k
+      done
+    end
+  done;
+  norm_mag r
+
+(* Karatsuba square: three half-size squarings, the middle one of
+   (a0 + a1), from which 2 * a0 * a1 = mid - z0 - z2. *)
+let rec sqr_mag a =
+  let la = Array.length a in
+  if la <= kara_threshold then sqr_school a
+  else begin
+    let m = (la + 1) / 2 in
+    let a0 = norm_mag (Array.sub a 0 m) and a1 = Array.sub a m (la - m) in
+    let z0 = sqr_mag a0 in
+    let z2 = sqr_mag a1 in
+    let z1 = sub_mag (sub_mag (sqr_mag (add_mag a0 a1)) z0) z2 in
+    let r = Array.make (2 * la) 0 in
+    add_into r z0 0;
+    add_into r z2 (2 * m);
+    add_into r z1 m;
+    norm_mag r
+  end
+
+let trailing_zero_bits mag =
+  let z = ref 0 in
+  while mag.(!z) = 0 do
+    incr z
+  done;
+  let t = ref 0 in
+  while (mag.(!z) lsr !t) land 1 = 0 do
+    incr t
+  done;
+  (!z * base_bits) + !t
+
+(* Left to right: square, then multiply by the base on each set bit of
+   [e].  The base stays its original (small) size, so those multiplies
+   are linear.  Only the odd part of the base is raised: with
+   b = odd * 2^s, b^e = odd^e * 2^(s * e) costs a shift, not s * e bits
+   of squarings. *)
+let pow b e =
+  if e < 0 then invalid_arg "Bigint.pow: negative exponent";
+  if e = 0 then one
+  else if b.sign = 0 then zero
+  else begin
+    let s = trailing_zero_bits b.mag in
+    if s > 0 && e > max_int / s then invalid_arg "Bigint.pow: result too large";
+    let z = s / base_bits in
+    let odd = shr_bits (Array.sub b.mag z (Array.length b.mag - z)) (s mod base_bits) in
+    let r = ref odd in
+    let top = ref 0 in
+    while e lsr (!top + 1) <> 0 do
+      incr top
+    done;
+    for i = !top - 1 downto 0 do
+      r := sqr_mag !r;
+      if (e lsr i) land 1 = 1 then r := mul_mag odd !r
+    done;
+    let shift = s * e in
+    let mag =
+      if shift = 0 then !r
+      else
+        norm_mag
+          (shl_bits ~limbs:(shift / base_bits) !r (shift mod base_bits))
+    in
+    { sign = (if b.sign < 0 && e land 1 = 1 then -1 else 1); mag }
   end
 
 (* Knuth's Algorithm D on magnitudes; returns (quotient, remainder). *)
@@ -386,38 +467,16 @@ let to_string t =
     Buffer.contents buf
   end
 
-let mag_bits mag =
-  let l = Array.length mag in
+let num_bits t =
+  let l = Array.length t.mag in
   if l = 0 then 0
   else begin
-    let top = mag.(l - 1) in
+    let top = t.mag.(l - 1) in
     let b = ref 0 in
     while top lsr !b <> 0 do
       incr b
     done;
     ((l - 1) * base_bits) + !b
-  end
-
-let num_digits t =
-  if t.sign = 0 then 1
-  else begin
-    let bits = mag_bits t.mag in
-    (* 30103/100000 slightly overestimates log10 2; correct by comparing
-       against exact powers of ten (a couple of iterations at most). *)
-    let ten = of_int 10 in
-    let d = ref (max 0 ((bits - 1) * 30103 / 100000)) in
-    let p = ref (pow ten !d) in
-    while !d > 0 && cmp_mag t.mag !p.mag < 0 do
-      decr d;
-      p := fst (divmod !p ten)
-    done;
-    let digits = ref (!d + 1) in
-    let p = ref (mul !p ten) in
-    while cmp_mag t.mag !p.mag >= 0 do
-      incr digits;
-      p := mul !p ten
-    done;
-    !digits
   end
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -7,11 +7,11 @@
     equality coincides with numeric equality.
 
     Sized for the probability engine ({!Eba_prob}): multiplication
-    switches to Karatsuba above a fixed limb threshold, exponentiation is
-    by repeated squaring, and division is Knuth's Algorithm D — whose cost
-    is proportional to quotient limbs times divisor limbs, i.e. cheap in
-    the engine's dominant use (reducing a huge numerator by a huge,
-    same-size denominator to a handful of quotient digits). *)
+    switches to Karatsuba above a fixed limb threshold (32 limbs), {!pow}
+    squares with a dedicated routine, and division is Knuth's Algorithm D
+    — whose cost is proportional to quotient limbs times divisor limbs,
+    i.e. cheap in the engine's dominant use (reducing a huge numerator by
+    a huge, same-size denominator to a handful of quotient digits). *)
 
 type t
 
@@ -33,8 +33,15 @@ val sub : t -> t -> t
 val mul : t -> t -> t
 
 val pow : t -> int -> t
-(** [pow b e] by repeated squaring.  Raises [Invalid_argument] on
-    [e < 0]. *)
+(** [pow b e], left to right over the bits of [e]: square the
+    accumulator, and on each set bit multiply it by the base.  The
+    engine's bases are one or two limbs, so those multiplies are linear;
+    the squarings use a dedicated square (schoolbook computing each cross
+    product once, Karatsuba's three half-size squarings above the
+    threshold).  Only the odd part of the base is raised: with
+    [b = odd * 2^s], [b^e] is [odd^e] shifted left by [s * e] bits.
+    Raises [Invalid_argument] on [e < 0], or when [s * e] overflows an
+    [int]. *)
 
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(q, r)] with [a = q*b + r], [0 <= |r| < |b|] and [r]
@@ -54,7 +61,8 @@ val of_string : string -> t
 val to_string : t -> string
 (** Decimal rendering; [of_string (to_string x) = x]. *)
 
-val num_digits : t -> int
-(** Number of decimal digits of the magnitude ([1] for zero). *)
+val num_bits : t -> int
+(** Bit length of the magnitude: the [b] with [2^(b-1) <= |x| < 2^b]
+    ([0] for zero). *)
 
 val pp : Format.formatter -> t -> unit

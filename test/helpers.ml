@@ -61,5 +61,5 @@ let counter_value name =
   | Some e -> e.Eba.Metrics.e_count
   | None -> 0
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)

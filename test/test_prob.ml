@@ -77,8 +77,15 @@ let bigint_tests =
         if B.sign x = 0 then B.equal g (B.abs y)
         else
           B.sign (snd (B.divmod x g)) = 0 && B.sign (snd (B.divmod y g)) = 0);
-    qtest "qcheck: num_digits equals the decimal rendering's length" gen_big
-      (fun x -> B.num_digits x = String.length (B.to_string (B.abs x)));
+    qtest "qcheck: num_bits b brackets the magnitude, 2^(b-1) <= |x| < 2^b"
+      gen_big
+      (fun x ->
+        let b = B.num_bits x in
+        let two = B.of_int 2 in
+        if B.sign x = 0 then b = 0
+        else
+          B.compare (B.pow two (b - 1)) (B.abs x) <= 0
+          && B.compare (B.abs x) (B.pow two b) < 0);
     test "of_string rejects garbage" (fun () ->
         List.iter
           (fun s ->
@@ -183,6 +190,9 @@ let q_tests =
             (Q.of_ints 1 25_600_000_000, "3.90625e-11");
             (Q.of_ints 567 400_000_000, "1.4175e-06");
             (Q.of_int 180_000_000_000, "1.8e+11");
+            (* 9.99999996: a start one above the exponent once accepted
+               the 8-figure mantissa 10^8 and printed "10" *)
+            (Q.of_ints 249999999 25000000, "9.99999996");
           ]
         in
         List.iter
@@ -190,7 +200,10 @@ let q_tests =
             Alcotest.(check string) expect expect (Q.to_decimal q))
           cases;
         Alcotest.(check string) "sig_figs=3 rounding overflow" "1e+03"
-          (Q.to_decimal ~sig_figs:3 (Q.of_ints 999999 1000)));
+          (Q.to_decimal ~sig_figs:3 (Q.of_ints 999999 1000));
+        Alcotest.(check string) "unreduced 1999999992/200000000" "9.99999996"
+          (Q.decimal_of_ratio ~num:(B.of_int 1999999992)
+             ~den:(B.of_int 200000000) ()));
     test "decimal_of_ratio works unreduced" (fun () ->
         Alcotest.(check string) "6/4" "1.5"
           (Q.decimal_of_ratio ~num:(B.of_int 6) ~den:(B.of_int 4) ()));
@@ -567,7 +580,210 @@ let cancel_tests =
         | exception Eba.Cancel.Cancelled -> ());
   ]
 
+(* --- the fast kernels against independent references --- *)
+
+let limb = 1 lsl 30
+
+(* A magnitude of 1-200 base-2^30 limbs, biased toward all-ones and zero
+   limbs (carry chains), assembled with add/mul only. *)
+let gen_limbs =
+  QCheck2.Gen.(
+    map
+      (fun (limbs, negate) ->
+        let x =
+          List.fold_left
+            (fun acc l -> B.add (B.mul acc (B.of_int limb)) (B.of_int l))
+            B.zero limbs
+        in
+        if negate then B.neg x else x)
+      (pair
+         (list_size (int_range 1 200)
+            (frequency
+               [ (6, int_bound (limb - 1)); (2, return (limb - 1)); (1, return 0) ]))
+         bool))
+
+let ten_to k = B.of_string ("1" ^ String.make k '0')
+
+(* %g-style rendering from the digit string of floor(|n| * 10^K / d) for a
+   K large enough that at least sig_figs + 1 digits survive: the half-up
+   decision needs only the first dropped digit. *)
+let oracle_decimal ~sig_figs ~num ~den =
+  if B.sign num = 0 then "0"
+  else begin
+    let k = sig_figs + 5 + String.length (B.to_string den) in
+    let s = B.to_string (fst (B.divmod (B.mul (B.abs num) (ten_to k)) den)) in
+    let e = String.length s - 1 - k in
+    let digits = Bytes.of_string (String.sub s 0 sig_figs) in
+    let e =
+      if s.[sig_figs] < '5' then e
+      else begin
+        let i = ref (sig_figs - 1) in
+        while !i >= 0 && Bytes.get digits !i = '9' do
+          Bytes.set digits !i '0';
+          decr i
+        done;
+        if !i >= 0 then begin
+          Bytes.set digits !i (Char.chr (Char.code (Bytes.get digits !i) + 1));
+          e
+        end
+        else begin
+          Bytes.set digits 0 '1';
+          e + 1
+        end
+      end
+    in
+    let digits = Bytes.to_string digits in
+    let len = ref sig_figs in
+    while !len > 1 && digits.[!len - 1] = '0' do
+      decr len
+    done;
+    let d = String.sub digits 0 !len in
+    let sign = if B.sign num < 0 then "-" else "" in
+    let frac_of from =
+      if !len > from then "." ^ String.sub d from (!len - from) else ""
+    in
+    if e >= sig_figs || e < -4 then
+      Printf.sprintf "%s%c%se%c%02d" sign d.[0] (frac_of 1)
+        (if e < 0 then '-' else '+')
+        (abs e)
+    else if e < 0 then sign ^ "0." ^ String.make (-e - 1) '0' ^ d
+    else if !len <= e + 1 then sign ^ d ^ String.make (e + 1 - !len) '0'
+    else sign ^ String.sub d 0 (e + 1) ^ frac_of (e + 1)
+  end
+
+(* Unreduced multi-limb ratios, biased toward 10^a +- s over 10^b (the
+   boundaries where a mantissa rounds up to the next power of ten) and
+   exact half-way ties, all scaled by a shared factor. *)
+let gen_ratio =
+  QCheck2.Gen.(
+    let pos = map (fun x -> B.add (B.abs x) B.one) gen_big in
+    let near_power =
+      map
+        (fun ((a, s), up) ->
+          if up then B.add (ten_to a) (B.of_int s)
+          else B.add (B.sub (ten_to a) (B.of_int s)) B.one)
+        (pair (pair (int_range 1 30) (int_range 0 9)) bool)
+    in
+    let tie =
+      map
+        (fun (m, a) -> B.mul (B.of_int ((10 * m) + 5)) (ten_to a))
+        (pair (int_range 0 99_999_999) (int_range 0 12))
+    in
+    let num = frequency [ (3, pos); (3, near_power); (2, tie); (1, return B.zero) ] in
+    let den =
+      frequency [ (3, pos); (3, map ten_to (int_range 0 30)); (1, near_power) ]
+    in
+    let common = frequency [ (1, return B.one); (2, pos) ] in
+    map
+      (fun ((((n, d), c), negate), sig_figs) ->
+        let n = B.mul n c in
+        ((if negate then B.neg n else n), B.mul d c, sig_figs))
+      (pair (pair (pair (pair num den) common) bool) (int_range 1 12)))
+
+(* Latency, loss and timing parameters on an eighths grid (exact floats,
+   small denominators) with decimal losses. *)
+let gen_landing_case =
+  QCheck2.Gen.(
+    let eighths lo hi = map (fun k -> float_of_int k /. 8.0) (int_range lo hi) in
+    let latency =
+      oneof
+        [
+          map (fun c -> Net.Link.Const c) (eighths 1 40);
+          map
+            (fun (lo, w) -> Net.Link.Uniform (lo, lo +. w))
+            (pair (eighths 1 16) (eighths 0 16));
+          map
+            (fun ((base, prob), spike) -> Net.Link.Spike { base; prob; spike })
+            (pair (pair (eighths 1 16) (eighths 0 8)) (eighths 1 80));
+        ]
+    in
+    let loss =
+      oneof
+        [
+          oneofl [ "0"; "0.05"; "0.25"; "0.35"; "0.5"; "0.999"; "0.0001" ];
+          map (Printf.sprintf "0.%02d") (int_range 0 99);
+        ]
+    in
+    let timing =
+      map
+        (fun ((rto, extra), retries) -> (rto, rto +. extra, retries))
+        (pair (pair (eighths 1 16) (eighths 0 64)) (int_range 0 8))
+    in
+    pair (pair (pair latency loss) timing) (int_range 1 300))
+
+let print_landing_case (((latency, loss), (rto, d, retries)), m) =
+  Printf.sprintf "latency=%s loss=%s rto=%g round=%g retries=%d m=%d"
+    (Net.Link.latency_to_string latency)
+    loss rto d retries m
+
+let kernel_tests =
+  [
+    qtest "qcheck: pow equals iterated mul, bases scaled by 2^k and negated"
+      QCheck2.Gen.(pair (pair gen_big (int_range 0 70)) (pair bool (int_range 0 40)))
+      (fun ((x, k), (negate, e)) ->
+        let rec double x k = if k = 0 then x else double (B.add x x) (k - 1) in
+        let b = double (if negate then B.neg x else x) k in
+        let rec iter acc i = if i = 0 then acc else iter (B.mul acc b) (i - 1) in
+        B.equal (B.pow b e) (iter B.one e));
+    qtest ~count:60 "qcheck: pow x 2 = mul x x from 1 to 200 limbs" gen_limbs
+      (fun x -> B.equal (B.pow x 2) (B.mul x x));
+    test "pow refuses a shift count past the int range" (fun () ->
+        match B.pow (B.of_int 4) max_int with
+        | _ -> Alcotest.fail "4^max_int returned"
+        | exception Invalid_argument _ -> ());
+    qtest ~count:300 "qcheck: decimal_of_ratio equals the digit-string oracle"
+      ~print:(fun (num, den, sig_figs) ->
+        Printf.sprintf "%s/%s at %d figures" (B.to_string num)
+          (B.to_string den) sig_figs)
+      gen_ratio
+      (fun (num, den, sig_figs) ->
+        Q.decimal_of_ratio ~sig_figs ~num ~den ()
+        = oracle_decimal ~sig_figs ~num ~den);
+    qtest ~count:40
+      "qcheck: landing rows are the decimals of the normalized all_by differences"
+      ~print:print_landing_case gen_landing_case
+      (fun (((latency, loss), (rto, d, retries)), m) ->
+        let spec =
+          RC.spec ~sync:(sync ~d ~rto ~retries) ~latency
+            ~loss:(Q.of_decimal_string loss)
+        in
+        let landing = RC.landing ~sig_figs:9 spec ~m in
+        let a = spec.RC.attempts in
+        let all_by = landing.RC.all_by_attempt in
+        Array.length all_by = a + 1
+        && Q.is_zero all_by.(0)
+        && Array.for_all Fun.id
+             (Array.init a (fun k -> Q.compare all_by.(k) all_by.(k + 1) <= 0))
+        && Array.for_all Fun.id
+             (Array.init (a + 1) (fun k -> Q.equal all_by.(k) (RC.all_by spec ~m ~k)))
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i s ->
+                  s = Q.to_decimal ~sig_figs:9 (Q.sub all_by.(i + 1) all_by.(i)))
+                landing.RC.exactly_decimal)
+        && landing.RC.residual_decimal
+           = Q.to_decimal ~sig_figs:9 (Q.one_minus all_by.(a)));
+    test "Report.make refuses message counts that overflow int" (fun () ->
+        let sync = sync ~d:20.0 ~rto:2.5 ~retries:7 in
+        match
+          Report.make ~n:2790935979167403064 ~t:1 ~rounds:2 ~loss:Q.zero
+            ~latency:(Net.Link.Const 1.0) ~sync ()
+        with
+        | _ -> Alcotest.fail "an overflowing n * (n - 1) was accepted"
+        | exception Invalid_argument _ -> ());
+    test "decision_time_ns is exact past the int range" (fun () ->
+        let report =
+          Report.make ~n:2 ~t:1 ~rounds:9_300_000_000 ~loss:Q.zero
+            ~latency:(Net.Link.Const 1.0)
+            ~sync:(sync ~d:20.0 ~rto:2.5 ~retries:7)
+            ()
+        in
+        check "186 * 10^18 ns" true
+          (Q.equal report.Report.decision_time_ns
+             (Q.of_bigint (B.mul (B.of_int 186) (ten_to 18)))));
+  ]
+
 let suite =
   ( "prob",
     bigint_tests @ q_tests @ binomial_tests @ chain_tests @ mc_tests
-    @ golden_tests @ cancel_tests )
+    @ golden_tests @ cancel_tests @ kernel_tests )

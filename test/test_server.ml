@@ -1077,10 +1077,33 @@ let served_mux_tests =
                   ])));
   ]
 
+(* --- served probcheck validation --- *)
+
+let served_prob_tests =
+  [
+    test "a served probcheck whose message count overflows is a bad-request"
+      (fun () ->
+        with_daemon (fun bound ->
+            with_client bound (fun c ->
+                match
+                  Client.call c ~verb:"probcheck"
+                    ~params:[ ("n", Json.Int 2790935979167403064) ]
+                    ()
+                with
+                | Ok
+                    ( _,
+                      Protocol.Error_reply { code = Protocol.Bad_request; message }
+                    ) ->
+                    check "names the overflow" true
+                      (contains message "overflow")
+                | _ -> Alcotest.fail "expected bad-request")));
+  ]
+
 let suite =
   ( "server",
     frame_tests @ queue_tests @ spec_tests @ differential_tests
     @ concurrency_tests @ backpressure_tests @ cancellation_tests
     @ progress_tests @ cache_tests @ served_cache_tests @ served_jobs_tests
     @ bench_tests
-    @ robustness_tests @ restart_tests @ pool_tests @ served_mux_tests )
+    @ robustness_tests @ restart_tests @ pool_tests @ served_mux_tests
+    @ served_prob_tests )
