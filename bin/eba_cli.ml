@@ -173,27 +173,29 @@ let experiments_cmd =
     Term.(const run $ jobs_term $ metrics_term $ id_arg)
 
 let tables_cmd =
+  let module T = Eba_harness.Tables in
+  let tables =
+    [
+      ("t1", T.t1_crash_decision_times);
+      ("t2", T.t2_no_optimum);
+      ("t3", T.t3_two_step);
+      ("t4", T.t4_crash_vs_omission);
+      ("t5", T.t5_chain_bound);
+      ("t6", T.t6_sba_knowledge);
+      ("f1", T.f1_decision_cdf);
+      ("f2", T.f2_sba_gap);
+      ("f3", T.f3_engine_scaling);
+    ]
+  in
   let which =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "only" ] ~docv:"TABLE" ~doc:"One of t1..t5, f1..f3; default all.")
+      & opt (some (enum tables)) None
+      & info [ "only" ] ~docv:"TABLE" ~doc:"One of t1..t6, f1..f3; default all.")
   in
   let run () () only =
     let fmt = Format.std_formatter in
-    let module T = Eba_harness.Tables in
-    (match only with
-    | None -> T.all fmt ()
-    | Some "t1" -> T.t1_crash_decision_times fmt ()
-    | Some "t2" -> T.t2_no_optimum fmt ()
-    | Some "t3" -> T.t3_two_step fmt ()
-    | Some "t4" -> T.t4_crash_vs_omission fmt ()
-    | Some "t5" -> T.t5_chain_bound fmt ()
-    | Some "t6" -> T.t6_sba_knowledge fmt ()
-    | Some "f1" -> T.f1_decision_cdf fmt ()
-    | Some "f2" -> T.f2_sba_gap fmt ()
-    | Some "f3" -> T.f3_engine_scaling fmt ()
-    | Some other -> Format.fprintf fmt "unknown table %s@\n" other);
+    (match only with None -> T.all fmt () | Some table -> table fmt ());
     Format.pp_print_flush fmt ()
   in
   Cmd.v
@@ -331,7 +333,8 @@ let netsim_cmd =
     Arg.(
       value & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the summary as an eba-bench style JSON object.")
+          ~doc:"Also write the summary to FILE as JSON: the object a served \
+                 netsim-sweep returns.")
   in
   let compact_arg =
     Arg.(
@@ -603,7 +606,7 @@ let bench_serve_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the result as an eba-bench serve row.")
+          ~doc:"Also write the result to FILE as JSON.")
   in
   let run () () clients requests workers queue_cap check json =
     if clients < 1 then Error (`Msg "--clients must be >= 1")
@@ -642,7 +645,7 @@ let bench_serve_cmd =
        ~doc:
          "Load-test an in-process agreement daemon: concurrent clients \
           issuing netsim-sweep requests, reporting p50/p99 latency and \
-          requests/sec (the benchmark artifact's serve section).")
+          requests/sec.")
     Term.(
       term_result
         (const run $ jobs_term $ metrics_term $ clients_arg $ requests_arg

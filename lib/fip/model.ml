@@ -35,7 +35,7 @@ let m_cell_entries = Metrics.counter "model.cell_entries"
 (* Interior-node view extensions the builder actually performed, and the
    ones it skipped relative to the naive per-run simulation.  Both are
    functions of the universe alone, so they are deterministic across job
-   counts — which is what lets CI assert the sharing factor. *)
+   counts — which is what lets test_build assert the accounting exactly. *)
 let m_tree_nodes = Metrics.counter "model.tree_nodes"
 let m_prefix_hits = Metrics.counter "model.prefix_hits"
 

@@ -1,7 +1,6 @@
-(** The pinned [eba probcheck] parameter sets shared by the golden tests,
-    their regenerator, and the benchmark artifact's [prob] section — one
-    constructor per surface so the committed JSON can never drift from
-    what the library computes. *)
+(** The pinned [eba probcheck] parameter sets shared by the golden tests
+    and their regenerator — one constructor per surface so the committed
+    JSON can never drift from what the library computes. *)
 
 val small : unit -> Eba.Prob.Report.t
 (** [n = 4, t = 1], constant latency 1.0, loss 0.25, default synchronizer

@@ -127,4 +127,5 @@ val pp : Format.formatter -> summary -> unit
 
 val summary_json : summary -> Json.t
 (** Schema-stable object: identity fields as strings, every count as an
-    integer — the [net] rows of the benchmark artifact. *)
+    integer — what [eba netsim --json] writes and a served
+    [netsim-sweep] returns. *)

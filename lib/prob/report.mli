@@ -10,8 +10,8 @@
     and a deterministic decision time of [rounds * round_duration].
 
     The same report object feeds the CLI text/JSON renderings, the
-    benchmark artifact's [prob] section, and the golden tests — one
-    producer, byte-identical everywhere.  Huge power-shaped probabilities
+    served [probcheck] reply and the golden tests — one producer,
+    byte-identical everywhere.  Huge power-shaped probabilities
     are emitted in factored exact form ([base^exp] plus a decimal
     rendering) so the JSON stays small and exact at [n = 64]. *)
 

@@ -15,7 +15,7 @@ module Value = Eba_sim.Value
 (** Sizing conventions of the nominal wire encoding, shared by every
     protocol's {!PROTOCOL.wire_size}.  The encoding is byte-aligned and
     deliberately simple — no varints, no compression — so byte counts are
-    exact, machine-independent integers the benchmark artifact can diff:
+    exact, machine-independent integers that tests can compare:
 
     - every message starts with a {!header}: 1 tag byte (protocol/message
       kind) + 4 bytes of round stamp, the epoch that lets retransmitted or

@@ -109,11 +109,9 @@ val pp_table_row : Format.formatter -> summary -> unit
 val pp_table_header : Format.formatter -> unit -> unit
 
 val source_json : source -> Eba_util.Json.t
-(** [{"kind": ...}] plus the seed/samples/universe of sampled sources —
-    what the benchmark artifact records next to sampled numbers. *)
+(** [{"kind": ...}] plus the seed/samples/universe of sampled sources. *)
 
 val summary_json : summary -> Eba_util.Json.t
 (** Schema-stable object: every count an integer (including the byte
     totals), the means finite floats under the empty-mean convention, the
-    per-failure breakdown as a list, and the {!source_json} identity —
-    the [sampled] rows of the benchmark artifact. *)
+    per-failure breakdown as a list, and the {!source_json} identity. *)

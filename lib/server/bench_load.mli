@@ -4,8 +4,7 @@
     (monotonic clock).
 
     The latency distribution is reported as nearest-rank percentiles in
-    microseconds, plus aggregate throughput — the numbers the benchmark
-    artifact's [serve] section records. *)
+    microseconds, plus aggregate throughput. *)
 
 module Json = Eba_util.Json
 
@@ -59,6 +58,6 @@ val run_local :
     What [eba bench-serve] and the CI smoke step call. *)
 
 val result_json : result -> Json.t
-(** The [serve] section row: every field above, snake_case keys. *)
+(** Every field above, snake_case keys ([eba bench-serve --json]). *)
 
 val pp : Format.formatter -> result -> unit

@@ -132,8 +132,8 @@ let knowledge params =
                   ])))
   | "exhaustive" ->
       (* Every configuration x every pattern through an operational
-         protocol — [Stats.exhaustive]'s summary, same JSON as the
-         benchmark artifact rows. *)
+         protocol — [Stats.exhaustive]'s summary as
+         [Stats.summary_json]. *)
       let* name = P.get_string ~default:"floodset" params "protocol" in
       let* select =
         match List.assoc_opt name Spec.protocols with

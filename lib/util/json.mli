@@ -1,6 +1,6 @@
 (** A minimal JSON value type, printer and parser, enough for the
     machine-readable surfaces of this repository (metrics snapshots, the
-    benchmark artifact [BENCH_*.json], and the [eba serve] wire protocol).
+    [--json] outputs, and the [eba serve] wire protocol).
 
     Strings are escaped per RFC 8259; floats print with enough digits to
     round-trip ([%.17g]) except for integral values, which print as

@@ -99,27 +99,29 @@ let equivalence_tests =
 
 let sharing_tests =
   [
+    (* A naive per-run simulation interns runs * T * n interior views; the
+       trie walk interns each tree node's 2^n * n views once and counts
+       every other visit as a prefix hit. *)
     test "prefix sharing is strict and accounted exactly" (fun () ->
-        let was = Metrics.enabled () in
-        Metrics.set_enabled true;
-        Metrics.reset ();
-        Fun.protect
-          ~finally:(fun () ->
-            Metrics.set_enabled was;
-            Metrics.reset ())
-          (fun () ->
-            let params = crash_3_1_3.params in
-            let (_ : M.t) = M.build params in
-            let det = Metrics.deterministic_counters () in
-            let get name = List.assoc name det in
-            let tree_nodes = get "model.tree_nodes" in
-            let hits = get "model.prefix_hits" in
-            let npatterns = U.count params in
-            let naive_nodes = npatterns * 3 * 8 * 3 in
-            let shared_nodes = tree_nodes * 8 * 3 in
-            check "some prefixes were shared" true (hits > 0);
-            check_int "shared work + hits = naive work" naive_nodes
-              (shared_nodes + hits)));
+        List.iter
+          (fun fx ->
+            with_metrics (fun () ->
+                let params = fx.params in
+                let (_ : M.t) = M.build params in
+                let det = Metrics.deterministic_counters () in
+                let get name = List.assoc name det in
+                let tree_nodes = get "model.tree_nodes" in
+                let hits = get "model.prefix_hits" in
+                let n = params.Params.n in
+                let views_per_node = (1 lsl n) * n in
+                let naive_nodes =
+                  U.count params * params.Params.horizon * views_per_node
+                in
+                let shared_nodes = tree_nodes * views_per_node in
+                check "some prefixes were shared" true (hits > 0);
+                check_int "shared work + hits = naive work" naive_nodes
+                  (shared_nodes + hits)))
+          [ crash_3_1_3; omission_3_1_3; crash_4_2_4 ]);
   ]
 
 let cell_tests =

@@ -356,8 +356,46 @@ let cancel_tests =
         check "no progress after a pre-fired token" false !called);
   ]
 
+let lossy_sweep_tests =
+  [
+    test "lossy sweeps at n=16 and n=8 (one partition): no violations, bytes on the wire"
+      (fun () ->
+        let sweep (module P : Eba.Protocol_intf.PROTOCOL) ~n ~t ~mode ~loss
+            ~partitions ~seed =
+          let params = Eba.Params.make ~n ~t ~horizon:(t + 1) ~mode in
+          let topology =
+            Net.Topology.make ~n
+              ~link:(Net.Link.make ~latency:(Net.Link.Uniform (0.2, 1.0)) ~loss)
+          in
+          let sync = Net.Sync.default_for topology in
+          Net.Netsim.sweep
+            (module P)
+            params ~sync ~topology
+            ~dynamic:
+              (Net.Inject.dynamic ~partitions
+                 ~partition_span:(2.0 *. sync.Net.Sync.rto)
+                 ~max_faulty:t ())
+            ~seed ~runs:5
+        in
+        List.iter
+          (fun s ->
+            let w = s.Net.Net_stats.ns_wire in
+            check_int "agreement violations" 0 s.Net.Net_stats.ns_agreement_violations;
+            check_int "validity violations" 0 s.Net.Net_stats.ns_validity_violations;
+            check_int "undecided nonfaulty" 0 s.Net.Net_stats.ns_undecided_nonfaulty;
+            check "copies" true (w.Net.Net_stats.w_copies > 0);
+            check "data bytes" true (w.Net.Net_stats.w_data_bytes > 0);
+            check "delivered bytes" true (w.Net.Net_stats.w_delivered_bytes > 0))
+          [
+            sweep (module Eba.Floodset) ~n:16 ~t:5 ~mode:Eba.Params.Crash ~loss:0.1
+              ~partitions:0 ~seed:42;
+            sweep (module Eba.P0opt) ~n:8 ~t:2 ~mode:Eba.Params.Omission ~loss:0.02
+              ~partitions:1 ~seed:43;
+          ]);
+  ]
+
 let tests =
   eq_tests @ link_tests @ differential_tests @ determinism_tests
-  @ acceptance_tests @ cancel_tests
+  @ acceptance_tests @ cancel_tests @ lossy_sweep_tests
 
 let suite = ("netsim", tests)

@@ -148,7 +148,29 @@ let sampled_tests =
         let a = Stats.sampled (module Eba.P0opt) params ~seed:7 ~samples:200 in
         let b = Stats.sampled (module Eba.P0opt) params ~seed:7 ~samples:200 in
         check "same mean" true (a.Stats.mean_time = b.Stats.mean_time);
-        check_int "same msgs" a.Stats.messages_delivered b.Stats.messages_delivered);
+        check_int "same msgs" a.Stats.messages_delivered b.Stats.messages_delivered;
+        check_int "runs = samples" 200 a.Stats.runs;
+        (* the summary carries what it takes to regenerate it *)
+        match a.Stats.source with
+        | Stats.Sampled_universe { seed; samples; universe } ->
+            check_int "source seed" 7 seed;
+            check_int "source samples" 200 samples;
+            let source =
+              match Stats.summary_json a with
+              | Eba.Json.Obj fields -> List.assoc_opt "source" fields
+              | _ -> None
+            in
+            check "summary_json source" true
+              (source
+              = Some
+                  (Eba.Json.Obj
+                     [
+                       ("kind", Eba.Json.String "sampled");
+                       ("seed", Eba.Json.Int 7);
+                       ("samples", Eba.Json.Int 200);
+                       ("universe", Eba.Json.String universe);
+                     ]))
+        | _ -> Alcotest.fail "expected a sampled source");
     test "P0opt stays correct on larger sampled crash systems" (fun () ->
         let params = Params.make ~n:8 ~t:3 ~horizon:5 ~mode:Params.Crash in
         let s = Stats.sampled (module Eba.P0opt) params ~seed:11 ~samples:400 in

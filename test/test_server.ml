@@ -1049,7 +1049,45 @@ let bench_tests =
         in
         check_int "all ok" 20 r.Bench_load.ok;
         check_int "samples = completions" 20 r.Bench_load.latency_samples;
-        check "positive mean" true (r.Bench_load.mean_us > 0.0));
+        check "positive mean" true (r.Bench_load.mean_us > 0.0);
+        (* a compute verb, and a knowledge-query whose first request builds
+           its model: every request still gets exactly one typed reply *)
+        Model_cache.clear Registry.model_cache;
+        List.iter
+          (fun (verb, params) ->
+            let r =
+              Bench_load.run_local ~workers:2 ~clients:2 ~requests:5 ~verb ~params
+                ()
+            in
+            check_int (verb ^ ": requests = clients x requests") 10
+              r.Bench_load.requests;
+            check_int (verb ^ ": no errors") 0 r.Bench_load.errors;
+            check (verb ^ ": some ok") true (r.Bench_load.ok > 0);
+            check_int (verb ^ ": ok + busy = requests") r.Bench_load.requests
+              (r.Bench_load.ok + r.Bench_load.busy);
+            check_int (verb ^ ": samples = replies")
+              (r.Bench_load.ok + r.Bench_load.busy)
+              r.Bench_load.latency_samples;
+            check (verb ^ ": 0 < p50 <= p99") true
+              (0.0 < r.Bench_load.p50_us && r.Bench_load.p50_us <= r.Bench_load.p99_us);
+            check (verb ^ ": positive throughput") true
+              (r.Bench_load.requests_per_sec > 0.0))
+          [
+            ( "netsim-sweep",
+              [
+                ("protocol", Json.String "floodset");
+                ("n", Json.Int 4);
+                ("t", Json.Int 1);
+                ("runs", Json.Int 10);
+              ] );
+            ( "knowledge-query",
+              [
+                ("protocol", Json.String "p0");
+                ("n", Json.Int 4);
+                ("t", Json.Int 1);
+                ("horizon", Json.Int 3);
+              ] );
+          ]);
   ]
 
 (* --- served wave-size validation --- *)
