@@ -85,10 +85,17 @@ let jobs_term =
   in
   Term.(term_result (const set $ jobs_arg))
 
+(* [Params.make]'s refusal (say [-t] not below [-n], or [--horizon 0]) is
+   a usage error, like a bad [--jobs]. *)
 let params_term =
-  let make () () n t horizon mode = Eba.Params.make ~n ~t ~horizon ~mode in
+  let make () () n t horizon mode =
+    match Eba.Params.make ~n ~t ~horizon ~mode with
+    | params -> Ok params
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
   Term.(
-    const make $ jobs_term $ metrics_term $ n_arg $ t_arg $ horizon_arg $ mode_arg)
+    term_result
+      (const make $ jobs_term $ metrics_term $ n_arg $ t_arg $ horizon_arg $ mode_arg))
 
 let protocol_arg =
   Arg.(

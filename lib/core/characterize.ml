@@ -3,6 +3,7 @@ module Nonrigid = Eba_epistemic.Nonrigid
 module Pset = Eba_epistemic.Pset
 module Value = Eba_sim.Value
 module Model = Eba_fip.Model
+module Bitset = Eba_util.Bitset
 
 type failure = { condition : string; point : int; proc : int }
 
@@ -20,12 +21,11 @@ type ctx = {
 
 let ctx env (d : Kb_protocol.decisions) =
   let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   let pair = d.Kb_protocol.pair in
   let n_and_o = Kb_protocol.conjoin env n "N&O" pair.Kb_protocol.one in
   let n_and_z = Kb_protocol.conjoin env n "N&Z" pair.Kb_protocol.zero in
-  let e0 = Formula.exists_value model Value.zero in
-  let e1 = Formula.exists_value model Value.one in
+  let e0 = Formula.exists env Value.zero and e1 = Formula.exists env Value.one in
   let decided y =
     Array.init (Model.n model) (fun i -> lazy (Kb_protocol.decided_atom env d y i))
   in
@@ -103,28 +103,59 @@ let sufficient_one_anchored env (d : Kb_protocol.decisions) =
   done;
   !ok
 
+(* Theorem 5.3 read off two belief tables.  [decide_i] is a function of
+   [i]'s view (a first-entry outcome reads only [i]'s views so far), and
+   where [i ∈ N] the point lies in its own cell, so there
+   [B^N_i(ψ_y ∧ ¬decide_i(1−y))] is [B^N_i ψ_y ∧ ¬decide_i(1−y)]: the
+   [B^N ψ_y] table at [i]'s view and [i]'s own outcome settle both
+   conditions.  For each [i] the walk visits points in increasing order,
+   so the first failure it meets for a (condition, [i]) is the least
+   point, the witness the formula's counterexample names. *)
 let optimality_failures env d =
   let c = ctx env d in
   let model = Formula.model env in
-  let mk_zero i =
-    ( Printf.sprintf "5.3a: nonfaulty %d decides 0 iff the knowledge condition" i,
-      Formula.Implies
-        ( Formula.In (c.n, i),
-          Formula.Iff
-            ( c.dec Value.Zero i,
-              Formula.B
-                (c.n, i, Formula.And [ c.e0_c_zero; Formula.Not (c.dec Value.One i) ]) ) ) )
-  in
-  let mk_one i =
-    ( Printf.sprintf "5.3b: nonfaulty %d decides 1 iff the knowledge condition" i,
-      Formula.Implies
-        ( Formula.In (c.n, i),
-          Formula.Iff
-            ( c.dec Value.One i,
-              Formula.B
-                (c.n, i, Formula.And [ c.e1_c_one; Formula.Not (c.dec Value.Zero i) ]) ) ) )
-  in
-  check_per_proc env (Model.n model) mk_zero
-  @ check_per_proc env (Model.n model) mk_one
+  let n = Model.n model and horizon = Model.horizon model in
+  let b0 = Decision_set.believes env c.n c.e0_c_zero
+  and b1 = Decision_set.believes env c.n c.e1_c_one in
+  (* [first.(y * n + i)]: least point failing condition (a) for y = 0 or
+     (b) for y = 1 at nonfaulty [i], or -1 *)
+  let first = Array.make (2 * n) (-1) in
+  Array.iteri
+    (fun r (run : Model.run) ->
+      let nonfaulty = Model.nonfaulty model ~run:r in
+      for i = 0 to n - 1 do
+        if Bitset.mem i nonfaulty then begin
+          let at0, at1 =
+            match Kb_protocol.outcome d ~run:r ~proc:i with
+            | Some { at; value = Value.Zero } -> (at, max_int)
+            | Some { at; value = Value.One } -> (max_int, at)
+            | None -> (max_int, max_int)
+          in
+          for time = 0 to horizon do
+            let v = run.views.((time * n) + i) in
+            let dec0 = at0 <= time and dec1 = at1 <= time in
+            let point = (r * (horizon + 1)) + time in
+            if first.(i) < 0 && dec0 <> (Decision_set.mem b0 v && not dec1) then
+              first.(i) <- point;
+            if first.(n + i) < 0 && dec1 <> (Decision_set.mem b1 v && not dec0) then
+              first.(n + i) <- point
+          done
+        end
+      done)
+    model.Model.runs;
+  List.concat_map
+    (fun y ->
+      List.filter_map
+        (fun i ->
+          let point = first.((y * n) + i) in
+          if point < 0 then None
+          else
+            let condition =
+              Printf.sprintf "5.3%c: nonfaulty %d decides %d iff the knowledge condition"
+                (if y = 0 then 'a' else 'b') i y
+            in
+            Some { condition; point; proc = i })
+        (List.init n Fun.id))
+    [ 0; 1 ]
 
 let is_optimal env d = optimality_failures env d = []

@@ -4,34 +4,26 @@ module Value = Eba_sim.Value
 
 type order = Zero_first | One_first
 
-let nonfaulty_of env =
-  let model = Formula.model env in
-  Nonrigid.nonfaulty model
-
+(* [c] is built once, so both conditions read one memoized C□ node. *)
 let step_zero_first env (pair : Kb_protocol.pair) =
-  let model = Formula.model env in
-  let n = nonfaulty_of env in
+  let n = Formula.nonfaulty env in
   let n_and_o = Kb_protocol.conjoin env n "N&O" pair.Kb_protocol.one in
-  let e0 = Formula.exists_value model Value.zero in
-  let e1 = Formula.exists_value model Value.one in
+  let e0 = Formula.exists env Value.Zero and e1 = Formula.exists env Value.One in
   let c = Formula.Cbox (n_and_o, e0) in
-  (* built once, so every processor's B reads one memoized evaluation *)
-  let zero_cond = Formula.And [ e0; c ] and one_cond = Formula.And [ e1; Formula.Not c ] in
-  let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, zero_cond)) in
-  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, one_cond)) in
-  { Kb_protocol.zero; one }
+  {
+    Kb_protocol.zero = Decision_set.believes env n (Formula.And [ e0; c ]);
+    one = Decision_set.believes env n (Formula.And [ e1; Formula.Not c ]);
+  }
 
 let step_one_first env (pair : Kb_protocol.pair) =
-  let model = Formula.model env in
-  let n = nonfaulty_of env in
+  let n = Formula.nonfaulty env in
   let n_and_z = Kb_protocol.conjoin env n "N&Z" pair.Kb_protocol.zero in
-  let e0 = Formula.exists_value model Value.zero in
-  let e1 = Formula.exists_value model Value.one in
+  let e0 = Formula.exists env Value.Zero and e1 = Formula.exists env Value.One in
   let c = Formula.Cbox (n_and_z, e1) in
-  let zero_cond = Formula.And [ e0; Formula.Not c ] and one_cond = Formula.And [ e1; c ] in
-  let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, zero_cond)) in
-  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, one_cond)) in
-  { Kb_protocol.zero; one }
+  {
+    Kb_protocol.zero = Decision_set.believes env n (Formula.And [ e0; Formula.Not c ]);
+    one = Decision_set.believes env n (Formula.And [ e1; c ]);
+  }
 
 let step order = match order with
   | Zero_first -> step_zero_first

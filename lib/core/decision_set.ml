@@ -1,6 +1,8 @@
 module Model = Eba_fip.Model
 module View = Eba_fip.View
 module Formula = Eba_epistemic.Formula
+module Nonrigid = Eba_epistemic.Nonrigid
+module Knowledge = Eba_epistemic.Knowledge
 module Pset = Eba_epistemic.Pset
 
 type t = Bytes.t
@@ -13,32 +15,8 @@ let mem t v = Bytes.get t v = '\001'
 let of_views model pred =
   Bytes.init (nviews model) (fun v -> if pred v then '\001' else '\000')
 
-(* Projects each [f i] onto [i]'s views run by run: the first point seen
-   with a view fixes its byte in [t] (and marks it in [seen]); every later
-   point of the view's cell must agree. *)
-let of_formulas env f =
-  let model = Formula.model env in
-  let n = Model.n model and per_run = Model.horizon model + 1 in
-  let t = empty model and seen = empty model in
-  for i = 0 to n - 1 do
-    let set = Formula.eval env (f i) in
-    Array.iteri
-      (fun r (run : Model.run) ->
-        for time = 0 to per_run - 1 do
-          let v = run.views.((time * n) + i) in
-          let inside = if Pset.mem set ((r * per_run) + time) then '\001' else '\000' in
-          if Bytes.get seen v = '\000' then begin
-            Bytes.set seen v '\001';
-            Bytes.set t v inside
-          end
-          else if Bytes.get t v <> inside then
-            invalid_arg "Decision_set.of_formulas: formula not view-measurable"
-        done)
-      model.Model.runs
-  done;
-  t
-
-let of_formula env f = of_formulas env (fun _ -> f)
+let believes env s phi =
+  Knowledge.believed_views (Formula.model env) s (Formula.eval env phi)
 
 let points model t ~proc =
   Pset.init (Model.npoints model) (fun pid ->

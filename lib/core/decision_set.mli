@@ -3,13 +3,14 @@
 
     A decision set is stored as a membership table over the model's view
     arena; since a view records its owner, one table represents the whole
-    family [(A_i)_i].  Decision sets defined by knowledge formulas
-    ([B^N_i(...)]) are view-measurable by construction; {!of_formulas}
-    checks this as it projects point sets onto views. *)
+    family [(A_i)_i].  The paper's decision sets are belief families
+    [A_i = B^S_i φ], which are properties of [i]'s view by definition:
+    {!believes} reads the whole family off one all-owner kernel pass. *)
 
 module Model = Eba_fip.Model
 module View = Eba_fip.View
 module Formula = Eba_epistemic.Formula
+module Nonrigid = Eba_epistemic.Nonrigid
 module Pset = Eba_epistemic.Pset
 
 type t
@@ -20,16 +21,12 @@ val mem : t -> View.id -> bool
 
 val of_views : Model.t -> (View.id -> bool) -> t
 
-val of_formulas : Formula.env -> (int -> Formula.t) -> t
-(** [of_formulas env f] builds the set [{A_i}] where [A_i] is the set of
-    views of [i] satisfying [f i].  Raises [Invalid_argument] if some
-    [f i] is not measurable in [i]'s view (two points sharing [i]'s view
-    disagreeing on [f i]). *)
-
-val of_formula : Formula.env -> Formula.t -> t
-(** One formula used for every processor (it may still mention the
-    processor through {!Formula.B} only if constant; prefer
-    {!of_formulas}). *)
+val believes : Formula.env -> Nonrigid.t -> Formula.t -> t
+(** [believes env s φ] is the family [A_i = B^S_i φ]: a view of owner [i]
+    is in the set iff [B^S_i φ] holds there
+    ({!Eba_epistemic.Knowledge.believed_views} of [φ]'s points).  This is
+    the paper's [Z'_i = B^N_i(∃0 ∧ C□_{N∧O} ∃0)] shape, for every [i] in
+    one pass over the cells. *)
 
 val points : Model.t -> t -> proc:int -> Pset.t
 (** Points [(r,m)] with [r_proc(m) ∈ A_proc]. *)

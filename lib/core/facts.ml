@@ -1,5 +1,4 @@
 module Formula = Eba_epistemic.Formula
-module Nonrigid = Eba_epistemic.Nonrigid
 module Pset = Eba_epistemic.Pset
 module Model = Eba_fip.Model
 module Pattern = Eba_sim.Pattern
@@ -8,8 +7,7 @@ module Value = Eba_sim.Value
 module Bitset = Eba_util.Bitset
 
 let believes_faulty env ~suspect i =
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   Formula.eval env (Formula.B (n, i, Formula.Not (Formula.In (n, suspect))))
 
 (* All pairwise believes-faulty tables for a model, suspects indexed

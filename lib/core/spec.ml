@@ -14,48 +14,47 @@ type report = {
   max_decision_time : int option;
 }
 
+(* One pass over each run's processors, keeping values and times as ints
+   (-1 for none), so a run allocates nothing. *)
 let check (d : Kb_protocol.decisions) =
   let model = d.Kb_protocol.model in
+  let n = Model.n model in
   let weak_agreement = ref true
   and weak_validity = ref true
   and validity = ref true
   and decision = ref true
   and simultaneity = ref true in
-  let max_time = ref None in
-  let note_time t =
-    max_time := Some (match !max_time with None -> t | Some m -> max m t)
-  in
-  for run = 0 to Model.nruns model - 1 do
-    let nonfaulty = Model.nonfaulty model ~run in
-    let unanimous = Config.all_equal (Model.run_of_point model (Model.point model ~run ~time:0)).Model.config in
-    let seen_value = ref None and seen_time = ref None in
-    Bitset.iter
-      (fun i ->
-        match Kb_protocol.outcome d ~run ~proc:i with
-        | None -> decision := false
-        | Some { Kb_protocol.at; value } ->
-            note_time at;
-            (match !seen_value with
-            | None -> seen_value := Some value
-            | Some v -> if not (Value.equal v value) then weak_agreement := false);
-            (match !seen_time with
-            | None -> seen_time := Some at
-            | Some t -> if t <> at then simultaneity := false);
-            (match unanimous with
-            | Some v when not (Value.equal v value) -> weak_validity := false
-            | Some _ | None -> ()))
-      nonfaulty;
-    (match unanimous with
-    | Some _ ->
-        Bitset.iter
-          (fun i ->
-            match Kb_protocol.outcome d ~run ~proc:i with
-            | None -> validity := false
-            | Some { Kb_protocol.value; _ } ->
-                if not (Value.equal value (Option.get unanimous)) then validity := false)
-          nonfaulty
-    | None -> ())
-  done;
+  let max_time = ref (-1) in
+  Array.iteri
+    (fun r (run : Model.run) ->
+      let nonfaulty = Model.nonfaulty model ~run:r in
+      (* the unanimous initial value, or -1 *)
+      let first = Value.to_int (Config.value run.config 0) in
+      let unanimous = ref first in
+      for j = 1 to n - 1 do
+        if Value.to_int (Config.value run.config j) <> first then unanimous := -1
+      done;
+      let unanimous = !unanimous in
+      let seen_value = ref (-1) and seen_time = ref (-1) in
+      for i = 0 to n - 1 do
+        if Bitset.mem i nonfaulty then
+          match Kb_protocol.outcome d ~run:r ~proc:i with
+          | None ->
+              decision := false;
+              if unanimous >= 0 then validity := false
+          | Some { Kb_protocol.at; value } ->
+              let value = Value.to_int value in
+              if at > !max_time then max_time := at;
+              if !seen_value < 0 then seen_value := value
+              else if !seen_value <> value then weak_agreement := false;
+              if !seen_time < 0 then seen_time := at
+              else if !seen_time <> at then simultaneity := false;
+              if unanimous >= 0 && unanimous <> value then begin
+                weak_validity := false;
+                validity := false
+              end
+      done)
+    model.Model.runs;
   let weak_agreement = !weak_agreement in
   (* A view in both decision sets is only a real ambiguity for a processor
      that might be nonfaulty; a processor that knows its own faultiness
@@ -73,7 +72,7 @@ let check (d : Kb_protocol.decisions) =
     decision = !decision;
     simultaneity = !simultaneity;
     unambiguous = not nonfaulty_ambiguity;
-    max_decision_time = !max_time;
+    max_decision_time = (if !max_time < 0 then None else Some !max_time);
   }
 
 let is_nontrivial_agreement r = r.weak_agreement && r.weak_validity && r.unambiguous

@@ -1,5 +1,4 @@
 module Formula = Eba_epistemic.Formula
-module Nonrigid = Eba_epistemic.Nonrigid
 module Model = Eba_fip.Model
 module View = Eba_fip.View
 module Value = Eba_sim.Value
@@ -10,18 +9,13 @@ let f_lambda_1 env = Construct.step_zero_first env (f_lambda (Formula.model env)
 let f_lambda_2 env = Construct.optimize ~first:Construct.Zero_first env (f_lambda (Formula.model env))
 
 let believes_exists env v =
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
-  let ev = Formula.exists_value model v in
-  Decision_set.of_formulas env (fun i -> Formula.B (n, i, ev))
+  Decision_set.believes env (Formula.nonfaulty env) (Formula.exists env v)
 
 let crash_simple env =
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   let zero = believes_exists env Value.zero in
   let n_and_z = Kb_protocol.conjoin env n "N&Zcr" zero in
-  let none_decided_zero = Formula.Empty n_and_z in
-  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, none_decided_zero)) in
+  let one = Decision_set.believes env n (Formula.Empty n_and_z) in
   { Kb_protocol.zero; one }
 
 let deadline_pair env ~decide_now ~deadline_value =
@@ -70,30 +64,25 @@ let p1 env =
   { Kb_protocol.zero = late; one = eager }
 
 let chain_zero env =
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   let e0star = Facts.exists0_star env in
-  let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, e0star)) in
+  let zero = Decision_set.believes env n e0star in
   (* The paper writes O⁰_i = B^N_i ¬∃0*; since ¬∃0* trivially holds at time
      0, the intended (and correct) reading — the one Prop 6.4's proof
      actually establishes — is belief that no 0-chain will ever exist. *)
-  let never_e0star = Formula.Always (Formula.Not e0star) in
-  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, never_e0star)) in
+  let one = Decision_set.believes env n (Formula.Always (Formula.Not e0star)) in
   { Kb_protocol.zero; one }
 
 let f_star env = Construct.optimize ~first:Construct.One_first env (chain_zero env)
 
 let f_star_direct env =
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   let pair0 = chain_zero env in
   let n_and_o0 = Kb_protocol.conjoin env n "N&O0" pair0.Kb_protocol.one in
-  let e0 = Formula.exists_value model Value.zero in
-  let e1 = Formula.exists_value model Value.one in
+  let e0 = Formula.exists env Value.zero and e1 = Formula.exists env Value.one in
   let c = Formula.Cbox (n_and_o0, e0) in
-  let zero_cond = Formula.And [ e0; c ] and one_cond = Formula.And [ e1; Formula.Not c ] in
-  let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, zero_cond)) in
-  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, one_cond)) in
+  let zero = Decision_set.believes env n (Formula.And [ e0; c ]) in
+  let one = Decision_set.believes env n (Formula.And [ e1; Formula.Not c ]) in
   { Kb_protocol.zero; one }
 
 let knows_zero_set env =
@@ -107,14 +96,11 @@ let sba_common_knowledge env =
      0.  Common knowledge is shared (C φ ⇒ E C φ), so decisions are
      simultaneous; this is the baseline EBA is measured against at the
      knowledge level. *)
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
-  let e0 = Formula.exists_value model Value.zero in
+  let n = Formula.nonfaulty env in
   let n_and_kz = Kb_protocol.conjoin env n "N&kz" (knows_zero_set env) in
   let never_zero_witness = Formula.Throughout (Formula.Empty n_and_kz) in
-  let c0 = Formula.C (n, e0) and c1 = Formula.C (n, never_zero_witness) in
-  let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, c0)) in
-  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, c1)) in
+  let zero = Decision_set.believes env n (Formula.C (n, Formula.exists env Value.zero)) in
+  let one = Decision_set.believes env n (Formula.C (n, never_zero_witness)) in
   { Kb_protocol.zero; one }
 
 let sba_fixed_time env =
@@ -136,24 +122,20 @@ let f_zero env =
   (* Section 3.2's F0: decide 0 on believing eventual common knowledge of
      ∃0; decide 1 on believing C◇ ∃1 together with the permanent absence
      of C◇ ∃0.  Correct but deliberately suboptimal. *)
-  let model = Formula.model env in
-  let n = Nonrigid.nonfaulty model in
-  let e0 = Formula.exists_value model Value.zero in
-  let e1 = Formula.exists_value model Value.one in
-  let c0 = Formula.Cdia (n, e0) in
-  let one_cond = Formula.And [ Formula.Cdia (n, e1); Formula.Always (Formula.Not c0) ] in
-  let zero = Decision_set.of_formulas env (fun i -> Formula.B (n, i, c0)) in
-  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, one_cond)) in
+  let n = Formula.nonfaulty env in
+  let c0 = Formula.Cdia (n, Formula.exists env Value.zero) in
+  let c1 = Formula.Cdia (n, Formula.exists env Value.one) in
+  let zero = Decision_set.believes env n c0 in
+  let one = Decision_set.believes env n (Formula.And [ c1; Formula.Always (Formula.Not c0) ]) in
   { Kb_protocol.zero; one }
 
 let knows_zero_structural env =
   let model = Formula.model env in
   let store = model.Model.store in
-  let n = Nonrigid.nonfaulty model in
+  let n = Formula.nonfaulty env in
   let zero = Decision_set.of_views model (View.knows_zero store) in
   let n_and_z = Kb_protocol.conjoin env n "N&Zkz" zero in
-  let none_decided_zero = Formula.Empty n_and_z in
-  let one = Decision_set.of_formulas env (fun i -> Formula.B (n, i, none_decided_zero)) in
+  let one = Decision_set.believes env n (Formula.Empty n_and_z) in
   { Kb_protocol.zero; one }
 
 let table =

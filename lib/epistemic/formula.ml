@@ -118,12 +118,26 @@ end)
 
 type env = {
   env_model : Model.t;
+  env_nonfaulty : Nonrigid.t;
+  env_exists0 : t;
+  env_exists1 : t;
   memo : Pset.t Memo.t;
   closures : Continual.closure Closures.t;
 }
 
-let env model = { env_model = model; memo = Memo.create 64; closures = Closures.create 8 }
+let env model =
+  {
+    env_model = model;
+    env_nonfaulty = Nonrigid.nonfaulty model;
+    env_exists0 = exists_value model Value.Zero;
+    env_exists1 = exists_value model Value.One;
+    memo = Memo.create 64;
+    closures = Closures.create 8;
+  }
+
 let model e = e.env_model
+let nonfaulty e = e.env_nonfaulty
+let exists e v = match v with Value.Zero -> e.env_exists0 | Value.One -> e.env_exists1
 
 let closure_for e s =
   match Closures.find_opt e.closures s with

@@ -19,7 +19,9 @@
     Identity matters, as for {!Nonrigid} sets: build each atom and
     nonrigid set once and reuse the value.  A structurally equal copy of
     a leaf (a second [exists_value] atom, a second [Nonrigid.nonfaulty])
-    is a different key, and every node above it is evaluated again. *)
+    is a different key, and every node above it is evaluated again.  The
+    env builds the leaves every construction shares, [𝒩] ({!nonfaulty})
+    and [∃0]/[∃1] ({!exists}), once when it is created. *)
 
 module Model = Eba_fip.Model
 module Value = Eba_sim.Value
@@ -65,6 +67,14 @@ type env
 
 val env : Model.t -> env
 val model : env -> Model.t
+
+val nonfaulty : env -> Nonrigid.t
+(** The env's [𝒩], {!Nonrigid.nonfaulty} of its model: one value per env,
+    so every [B^N_i], [In (N, i)] and [N ∧ A] built on it shares memo
+    entries and closures. *)
+
+val exists : env -> Value.t -> t
+(** The env's [∃0] / [∃1] atoms ({!exists_value}), one per env. *)
 
 val eval : env -> t -> Pset.t
 (** The points at which the formula holds.  The result is shared with the

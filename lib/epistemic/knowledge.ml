@@ -74,8 +74,10 @@ let knows model ~proc phi = project model ~proc (known_per_view ~owner:proc mode
 let believes model s ~proc phi =
   project model ~proc (known_per_view ~owner:proc model (Some s) phi)
 
+let believed_views model s phi = known_per_view model (Some s) phi
+
 let everyone_knows model s phi =
-  let known = known_per_view model (Some s) phi in
+  let known = believed_views model s phi in
   let n = Model.n model and per_run = Model.horizon model + 1 in
   let out = Pset.create (Model.npoints model) in
   Array.iteri
@@ -90,18 +92,3 @@ let everyone_knows model s phi =
       done)
     model.Model.runs;
   out
-
-let view_measurable model ~proc phi =
-  let store = model.Model.store in
-  let nv = View.size store in
-  let status = Array.make nv 0 in
-  (* 0 = unseen, 1 = in phi, 2 = out of phi *)
-  let ok = ref true in
-  Model.iter_points model (fun pid ->
-      let v = Model.view_at model ~point:pid ~proc in
-      if View.owner store v = proc then begin
-        let s = if Pset.mem phi pid then 1 else 2 in
-        if status.(v) = 0 then status.(v) <- s
-        else if status.(v) <> s then ok := false
-      end);
-  !ok

@@ -7,14 +7,17 @@
     processors that need not know whether they belong to the nonrigid set;
     [E_S φ = ∧_{i∈S} B^S_i φ] (vacuously true where [S] is empty).
 
-    All three share one kernel: for each view [v] of owner [i], does φ
-    hold at every point of [v]'s cell where [i ∈ S]?  [K_i] and [B^S_i]
-    read only [i]'s own views, so they scan only the cells of views [i]
-    owns (together, exactly one entry per point of the model); [E_S] scans
-    every view.  The kernel's [knowledge.cell_points_probed] counter adds
-    the full length of every cell scanned, including cells whose scan
-    stops early, so its total depends on the model and the calls alone,
-    never on the job count. *)
+    All of them share one kernel: for each view [v] of owner [i], does φ
+    hold at every point of [v]'s cell where [i ∈ S]?  Its answer is a
+    property of views, one byte per view, and {!believed_views} returns it
+    whole: one scan of every cell gives [B^S_i φ] for every processor at
+    once, read at each view for the view's own owner.  [K_i] and [B^S_i]
+    on their own read only [i]'s views, so they scan only the cells of
+    views [i] owns (together, exactly one entry per point of the model);
+    [E_S] and {!believed_views} scan every view.  The kernel's
+    [knowledge.cell_points_probed] counter adds the full length of every
+    cell scanned, including cells whose scan stops early, so its total
+    depends on the model and the calls alone, never on the job count. *)
 
 module Model = Eba_fip.Model
 
@@ -27,6 +30,9 @@ val believes : Model.t -> Nonrigid.t -> proc:int -> Pset.t -> Pset.t
 val everyone_knows : Model.t -> Nonrigid.t -> Pset.t -> Pset.t
 (** [E_S φ]. *)
 
-val view_measurable : Model.t -> proc:int -> Pset.t -> bool
-(** Does membership of the set depend only on [proc]'s view?  True of every
-    [K_i]/[B^S_i] result; used to project point sets onto decision sets. *)
+val believed_views : Model.t -> Nonrigid.t -> Pset.t -> Bytes.t
+(** The all-owner belief table: byte [v] is ['\001'] iff [B^S_i φ] holds
+    at view [v] for its owner [i], else ['\000'].  Every view sits at its
+    owner's slot in some run (a cell is never empty), so this is the
+    family [(B^S_i φ)_i] as sets of local states.  The bytes are fresh and
+    belong to the caller. *)

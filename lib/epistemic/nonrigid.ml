@@ -54,11 +54,4 @@ let restrict_by_view model ~name s pred =
 
 let is_empty_at s ~point = s.table.(point) = 0
 
-let empty_everywhere_in_run model s ~run =
-  let horizon = Model.horizon model in
-  let rec loop m =
-    m > horizon || (s.table.(Model.point model ~run ~time:m) = 0 && loop (m + 1))
-  in
-  loop 0
-
 let pp fmt s = Format.fprintf fmt "%s" s.nr_name

@@ -38,5 +38,4 @@ val restrict_by_view : Model.t -> name:string -> t -> (proc:int -> view:Eba_fip.
     membership of the view in the decision set 𝒜. *)
 
 val is_empty_at : t -> point:int -> bool
-val empty_everywhere_in_run : Model.t -> t -> run:int -> bool
 val pp : Format.formatter -> t -> unit

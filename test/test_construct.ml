@@ -131,6 +131,57 @@ let characterization_tests =
         check "unchanged" true (KB.pair_equal fl2 again));
   ]
 
+(* The belief-table Theorem 5.3 walk against the per-processor formula
+   oracle, compared as whole failure lists: conditions, witnesses and
+   their order. *)
+let render failures =
+  List.map (fun f -> Printf.sprintf "%s @ point %d" f.Ch.condition f.Ch.point) failures
+
+let same_failures label e d =
+  Alcotest.(check (list string))
+    label
+    (render (Characterize_ref.optimality_failures e d))
+    (render (Ch.optimality_failures e d))
+
+(* A random decision pair over the pool's model: never-decide, P0 or
+   F^Λ,2 with each view's bit in each set flipped at [rate]/64. *)
+let random_pair (pool : Test_epistemic.pool) (base, seed, rate) =
+  let m = pool.p_model and e = pool.p_env in
+  let base = match base with 0 -> KB.never_decide m | 1 -> Zoo.p0 e | _ -> Zoo.f_lambda_2 e in
+  let perturb salt set =
+    DS.of_views m (fun v -> DS.mem set v <> (Hashtbl.hash (seed, salt, v) land 63 < rate))
+  in
+  { KB.zero = perturb 0 base.KB.zero; one = perturb 1 base.KB.one }
+
+let optimality_oracle_tests =
+  List.map
+    (fun (fixture_name, (pool : Test_epistemic.pool)) ->
+      qtest ~count:60
+        ~print:(fun (b, s, r) -> Printf.sprintf "base %d, seed %d, rate %d/64" b s r)
+        (Printf.sprintf "optimality_failures = formula oracle, random pairs [%s]" fixture_name)
+        QCheck2.Gen.(triple (int_bound 2) nat (oneofl [ 0; 1; 4; 16; 32 ]))
+        (fun draw ->
+          let d = KB.decide pool.p_model (random_pair pool draw) in
+          Ch.optimality_failures pool.p_env d
+          = Characterize_ref.optimality_failures pool.p_env d))
+    (Lazy.force Test_epistemic.pools)
+  @ [
+      test "optimality_failures = formula oracle, every Zoo pair" (fun () ->
+          List.iter
+            (fun (fname, fixture) ->
+              let e = env fixture and m = model fixture in
+              List.iter
+                (fun name ->
+                  let d = KB.decide m ((Option.get (Zoo.by_name name)) e) in
+                  same_failures (Printf.sprintf "%s/%s" fname name) e d)
+                Zoo.names)
+            [
+              ("crash n=3 t=1 T=3", crash_3_1_3);
+              ("crash n=4 t=1 T=3", crash_4_1_3);
+              ("omission n=3 t=1 T=3", omission_3_1_3);
+            ]);
+    ]
+
 (* Random NTA protocols: delay P0's decisions by per-processor offsets;
    delaying decisions preserves nontrivial agreement, so the construction
    must dominate and optimize each of them. *)
@@ -201,4 +252,5 @@ let value_symmetry_tests =
 
 let suite =
   ( "construct",
-    step_tests @ characterization_tests @ random_delay_tests @ value_symmetry_tests )
+    step_tests @ characterization_tests @ optimality_oracle_tests @ random_delay_tests
+    @ value_symmetry_tests )

@@ -3,7 +3,6 @@
 
 module F = Eba.Formula
 module M = Eba.Model
-module N = Eba.Nonrigid
 module P = Eba.Pset
 module DS = Eba.Decision_set
 module KB = Eba.Kb_protocol
@@ -20,13 +19,10 @@ let decision_set_tests =
         let m = model crash_3_1_3 in
         check_int "card" 0 (DS.cardinal (DS.empty m));
         check "is_empty" true (DS.is_empty (DS.empty m)));
-    test "of_formulas on B^N e0 is view-measurable and persistent" (fun () ->
+    test "believes on B^N e0 is persistent" (fun () ->
         let m = model crash_3_1_3 in
         let e = env crash_3_1_3 in
-        let nf = N.nonfaulty m in
-        let z =
-          DS.of_formulas e (fun i -> F.B (nf, i, F.exists_value m Val.Zero))
-        in
+        let z = DS.believes e (F.nonfaulty e) (F.exists e Val.Zero) in
         check "nonempty" false (DS.is_empty z);
         check "persistent" true (DS.persistent m z));
     test "of_formulas rejects non-measurable formulas" (fun () ->
@@ -35,12 +31,12 @@ let decision_set_tests =
         (* ∃0 is a property of the run, not of any processor's view *)
         Alcotest.check_raises "not measurable"
           (Invalid_argument "Decision_set.of_formulas: formula not view-measurable")
-          (fun () -> ignore (DS.of_formulas e (fun _ -> F.exists_value m Val.Zero))));
+          (fun () ->
+            ignore (Decision_set_ref.of_formulas e (fun _ -> F.exists_value m Val.Zero))));
     test "points projection agrees with membership" (fun () ->
         let m = model crash_3_1_3 in
         let e = env crash_3_1_3 in
-        let nf = N.nonfaulty m in
-        let z = DS.of_formulas e (fun i -> F.B (nf, i, F.exists_value m Val.Zero)) in
+        let z = DS.believes e (F.nonfaulty e) (F.exists e Val.Zero) in
         let pts = DS.points m z ~proc:1 in
         M.iter_points m (fun pid ->
             check "agree" (DS.mem z (M.view_at m ~point:pid ~proc:1)) (P.mem pts pid)));
@@ -54,6 +50,24 @@ let decision_set_tests =
         check "union card" true
           (DS.cardinal u = DS.cardinal a + DS.cardinal b - DS.cardinal i));
   ]
+
+(* The all-owner belief table against the per-processor reference: each
+   [B^S_i φ] evaluated and projected onto [i]'s views on its own. *)
+let believes_tests =
+  List.map
+    (fun (fixture_name, (pool : Test_epistemic.pool)) ->
+      qtest ~count:30
+        (Printf.sprintf "believes = per-processor of_formulas reference, jobs 1 and 4 [%s]"
+           fixture_name)
+        QCheck2.Gen.(pair (Test_epistemic.gen_small pool) (int_bound 2))
+        (fun (phi, si) ->
+          let e = pool.p_env and s = pool.rigids.(si) in
+          let reference = Decision_set_ref.of_formulas e (fun i -> F.B (s, i, phi)) in
+          List.for_all
+            (fun jobs ->
+              DS.equal (Eba.Parallel.with_jobs jobs (fun () -> DS.believes e s phi)) reference)
+            [ 1; 4 ]))
+    (Lazy.force Test_epistemic.pools)
 
 let kb_tests =
   [
@@ -180,4 +194,5 @@ let dominance_tests =
         check "a>c" true (Dom.dominates a c));
   ]
 
-let suite = ("decision", decision_set_tests @ kb_tests @ spec_tests @ dominance_tests)
+let suite =
+  ("decision", decision_set_tests @ believes_tests @ kb_tests @ spec_tests @ dominance_tests)

@@ -83,7 +83,7 @@ let crash_story_tests =
         let fl1 = Zoo.f_lambda_1 e in
         let nf = Eba.Nonrigid.nonfaulty m in
         let expected_zero =
-          Eba.Decision_set.of_formulas e (fun i ->
+          Decision_set_ref.of_formulas e (fun i ->
               F.B (nf, i, F.exists_value m Val.Zero))
         in
         check "zero set" true (Eba.Decision_set.equal fl1.KB.zero expected_zero);
@@ -92,7 +92,7 @@ let crash_story_tests =
           (Dom.equivalent (KB.decide m fl1) (KB.decide m reduced));
         (* and every O^Λ,1 view indeed knows its own faultiness *)
         let self_faulty =
-          Eba.Decision_set.of_formulas e (fun i ->
+          Decision_set_ref.of_formulas e (fun i ->
               F.K (i, F.Not (F.In (nf, i))))
         in
         check "O ⊆ self-known-faulty" true
