@@ -119,30 +119,29 @@ let optimality_failures env d =
   and b1 = Decision_set.believes env c.n c.e1_c_one in
   (* [first.(y * n + i)]: least point failing condition (a) for y = 0 or
      (b) for y = 1 at nonfaulty [i], or -1 *)
-  let first = Array.make (2 * n) (-1) in
-  Array.iteri
-    (fun r (run : Model.run) ->
-      let nonfaulty = Model.nonfaulty model ~run:r in
-      for i = 0 to n - 1 do
-        if Bitset.mem i nonfaulty then begin
-          let at0, at1 =
-            match Kb_protocol.outcome d ~run:r ~proc:i with
-            | Some { at; value = Value.Zero } -> (at, max_int)
-            | Some { at; value = Value.One } -> (max_int, at)
-            | None -> (max_int, max_int)
-          in
-          for time = 0 to horizon do
-            let v = run.views.((time * n) + i) in
-            let dec0 = at0 <= time and dec1 = at1 <= time in
-            let point = (r * (horizon + 1)) + time in
-            if first.(i) < 0 && dec0 <> (Decision_set.mem b0 v && not dec1) then
-              first.(i) <- point;
-            if first.(n + i) < 0 && dec1 <> (Decision_set.mem b1 v && not dec0) then
-              first.(n + i) <- point
-          done
-        end
-      done)
-    model.Model.runs;
+  let first = Array.make (2 * n) (-1) and views = model.Model.views in
+  for r = 0 to Model.nruns model - 1 do
+    let nonfaulty = Model.nonfaulty model ~run:r in
+    for i = 0 to n - 1 do
+      if Bitset.mem i nonfaulty then begin
+        let at0, at1 =
+          match Kb_protocol.outcome d ~run:r ~proc:i with
+          | Some { at; value = Value.Zero } -> (at, max_int)
+          | Some { at; value = Value.One } -> (max_int, at)
+          | None -> (max_int, max_int)
+        in
+        for time = 0 to horizon do
+          let point = (r * (horizon + 1)) + time in
+          let v = views.((point * n) + i) in
+          let dec0 = at0 <= time and dec1 = at1 <= time in
+          if first.(i) < 0 && dec0 <> (Decision_set.mem b0 v && not dec1) then
+            first.(i) <- point;
+          if first.(n + i) < 0 && dec1 <> (Decision_set.mem b1 v && not dec0) then
+            first.(n + i) <- point
+        done
+      end
+    done
+  done;
   List.concat_map
     (fun y ->
       List.filter_map

@@ -1,29 +1,27 @@
 module Formula = Eba_epistemic.Formula
-module Pset = Eba_epistemic.Pset
 module Model = Eba_fip.Model
 module Pattern = Eba_sim.Pattern
 module Config = Eba_sim.Config
 module Value = Eba_sim.Value
 module Bitset = Eba_util.Bitset
 
-let believes_faulty env ~suspect i =
-  let n = Formula.nonfaulty env in
-  Formula.eval env (Formula.B (n, i, Formula.Not (Formula.In (n, suspect))))
-
-(* All pairwise believes-faulty tables for a model, suspects indexed
-   second. *)
+(* One all-owner table per suspect [j]: byte [v] says whether [v]'s owner
+   [i] believes [j] faulty there, [B^N_i(j ∉ N)], for every [i] in one
+   kernel pass. *)
 let faulty_tables env =
-  let model = Formula.model env in
-  let n = Model.n model in
-  Array.init n (fun i -> Array.init n (fun j -> believes_faulty env ~suspect:j i))
+  let n = Formula.nonfaulty env in
+  Array.init
+    (Model.n (Formula.model env))
+    (fun j -> Decision_set.believes env n (Formula.Not (Formula.In (n, j))))
 
 (* Chain reachability inside one run, as a DP over (chain member set, last
    member).  [reach.(mask * n + last)] at level [m] means: the initial 0 of
    some processor has travelled along a path of distinct processors [mask]
    ending at [last], one hop per round, each hop at round [k] delivered and
-   trusted (the receiver does not believe the sender faulty at time [k]).
-   A 0-chain exists at [(r,m)] iff some level-[m] path ends at a nonfaulty
-   processor; at [m = 0] that is a nonfaulty processor holding a 0. *)
+   trusted (the receiver does not believe the sender faulty at time [k],
+   read at the receiver's view in [bf.(sender)]).  A 0-chain exists at
+   [(r,m)] iff some level-[m] path ends at a nonfaulty processor; at
+   [m = 0] that is a nonfaulty processor holding a 0. *)
 let chains_of_run model bf ~run =
   let n = Model.n model and horizon = Model.horizon model in
   let r = Model.run_of_point model (Model.point model ~run ~time:0) in
@@ -45,11 +43,11 @@ let chains_of_run model bf ~run =
     done;
     !ok
   in
-  let current = ref reach in
+  let current = ref reach and views = model.Model.views in
   chain_at.(0) <- ends_nonfaulty !current;
   for k = 1 to horizon do
     let next = Array.make (nmasks * n) false in
-    let pid_k = Model.point model ~run ~time:k in
+    let row = Model.point model ~run ~time:k * n in
     for mask = 0 to nmasks - 1 do
       for last = 0 to n - 1 do
         if !current.((mask * n) + last) then
@@ -57,7 +55,7 @@ let chains_of_run model bf ~run =
             if
               (not (Bitset.mem j' (Bitset.of_int mask)))
               && Pattern.delivers pattern ~round:k ~sender:last ~receiver:j'
-              && not (Pset.mem bf.(j').(last) pid_k)
+              && not (Decision_set.mem bf.(last) views.(row + j'))
             then next.(((mask lor (1 lsl j')) * n) + j') <- true
           done
       done

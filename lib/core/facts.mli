@@ -17,11 +17,6 @@
     machine-checkable. *)
 
 module Formula = Eba_epistemic.Formula
-module Pset = Eba_epistemic.Pset
-
-val believes_faulty : Formula.env -> suspect:int -> int -> Pset.t
-(** [believes_faulty env ~suspect i] is the point set of
-    [B^N_i(suspect ∉ N)] — processor [i] believes [suspect] is faulty. *)
 
 val exists0_star : Formula.env -> Formula.t
 (** The [∃0*] atom over the whole model. *)

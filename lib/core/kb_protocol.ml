@@ -20,24 +20,29 @@ type decisions = {
   ambiguities : (int * int * int) list;
 }
 
+(* Each (run, i) walks [i]'s column of the run's rows up to the first view
+   in either set. *)
 let decide model pair =
-  let n = Model.n model and horizon = Model.horizon model in
+  let n = Model.n model and per_run = Model.horizon model + 1 in
+  let views = model.Model.views in
   let table = Array.make (Model.nruns model * n) None in
   let ambiguities = ref [] in
   for run = 0 to Model.nruns model - 1 do
     for i = 0 to n - 1 do
-      let rec first time =
-        if time > horizon then ()
-        else
-          let v = Model.view model ~run ~time ~proc:i in
-          let in_zero = Decision_set.mem pair.zero v
-          and in_one = Decision_set.mem pair.one v in
-          if in_zero && in_one then ambiguities := (run, i, time) :: !ambiguities
-          else if in_zero then table.((run * n) + i) <- Some { at = time; value = Value.Zero }
-          else if in_one then table.((run * n) + i) <- Some { at = time; value = Value.One }
-          else first (time + 1)
-      in
-      first 0
+      let time = ref 0 in
+      while !time < per_run do
+        let v = views.((((run * per_run) + !time) * n) + i) in
+        let in_zero = Decision_set.mem pair.zero v
+        and in_one = Decision_set.mem pair.one v in
+        if in_zero || in_one then begin
+          if in_zero && in_one then ambiguities := (run, i, !time) :: !ambiguities
+          else
+            table.((run * n) + i) <-
+              Some { at = !time; value = (if in_zero then Value.Zero else Value.One) };
+          time := per_run
+        end
+        else incr time
+      done
     done
   done;
   { model; pair; table; ambiguities = List.rev !ambiguities }
@@ -58,9 +63,8 @@ let member_atom env pair y i =
     match y with Value.Zero -> pair.zero | Value.One -> pair.one
   in
   let name = Format.asprintf "in_%d(%a)" i Value.pp y in
-  let n = Model.n model in
-  Formula.run_atom model name (fun run time ->
-      Decision_set.mem set run.Model.views.((time * n) + i))
+  let n = Model.n model and views = model.Model.views in
+  Formula.atom model name (fun pid -> Decision_set.mem set views.((pid * n) + i))
 
 let conjoin env s name a =
   let model = Formula.model env in

@@ -48,28 +48,26 @@ let closure model s =
   let uf = Uf.create (Model.nruns model) in
   let landable = Pset.create (Model.npoints model) in
   let participates = Pset.create (Model.nruns model) in
-  let unions = ref 0 in
-  Array.iteri
-    (fun r (run : Model.run) ->
-      for time = 0 to per_run - 1 do
-        let pid = (r * per_run) + time in
-        if not (Nonrigid.is_empty_at s ~point:pid) then begin
-          Pset.add landable pid;
-          Pset.add participates r;
-          for i = 0 to n - 1 do
-            if Nonrigid.mem s ~point:pid ~proc:i then begin
-              (* [i] lands on [pid] through its view's lander group *)
-              let v = run.views.((time * n) + i) in
-              if first.(v) < 0 then first.(v) <- r
-              else begin
-                incr unions;
-                Uf.union uf first.(v) r
-              end
+  let unions = ref 0 and views = model.Model.views in
+  for r = 0 to Model.nruns model - 1 do
+    for pid = r * per_run to ((r + 1) * per_run) - 1 do
+      if not (Nonrigid.is_empty_at s ~point:pid) then begin
+        Pset.add landable pid;
+        Pset.add participates r;
+        for i = 0 to n - 1 do
+          if Nonrigid.mem s ~point:pid ~proc:i then begin
+            (* [i] lands on [pid] through its view's lander group *)
+            let v = views.((pid * n) + i) in
+            if first.(v) < 0 then first.(v) <- r
+            else begin
+              incr unions;
+              Uf.union uf first.(v) r
             end
-          done
-        end
-      done)
-    model.Model.runs;
+          end
+        done
+      end
+    done
+  done;
   Metrics.add m_unions !unions;
   if Metrics.enabled () then Metrics.add m_landable (Pset.cardinal landable);
   { model; uf; landable; participates }

@@ -54,19 +54,15 @@ let known_per_view ?owner model s phi =
       end);
   known
 
-(* The points at which [proc]'s current view is known, walked run by run
-   so each run's view row is fetched once. *)
+(* The points at which [proc]'s current view is known, read down [proc]'s
+   column of the point-indexed rows. *)
 let project model ~proc known =
-  let n = Model.n model and per_run = Model.horizon model + 1 in
-  let out = Pset.create (Model.npoints model) in
-  Array.iteri
-    (fun r (run : Model.run) ->
-      let base = r * per_run in
-      for time = 0 to per_run - 1 do
-        if Bytes.get known run.views.((time * n) + proc) = '\001' then
-          Pset.add out (base + time)
-      done)
-    model.Model.runs;
+  let n = Model.n model and views = model.Model.views in
+  let npoints = Model.npoints model in
+  let out = Pset.create npoints in
+  for pid = 0 to npoints - 1 do
+    if Bytes.get known views.((pid * n) + proc) = '\001' then Pset.add out pid
+  done;
   out
 
 let knows model ~proc phi = project model ~proc (known_per_view ~owner:proc model None phi)
@@ -76,19 +72,21 @@ let believes model s ~proc phi =
 
 let believed_views model s phi = known_per_view model (Some s) phi
 
+(* [E_S φ] at a point: every member's view is known.  The member loop
+   tests the point's bits directly, with no closure per point. *)
 let everyone_knows model s phi =
   let known = believed_views model s phi in
-  let n = Model.n model and per_run = Model.horizon model + 1 in
-  let out = Pset.create (Model.npoints model) in
-  Array.iteri
-    (fun r (run : Model.run) ->
-      let base = r * per_run in
-      for time = 0 to per_run - 1 do
-        if
-          Bitset.for_all
-            (fun i -> Bytes.get known run.views.((time * n) + i) = '\001')
-            (Nonrigid.members s ~point:(base + time))
-        then Pset.add out (base + time)
-      done)
-    model.Model.runs;
+  let n = Model.n model and views = model.Model.views in
+  let npoints = Model.npoints model in
+  let out = Pset.create npoints in
+  for pid = 0 to npoints - 1 do
+    let members = Bitset.to_int (Nonrigid.members s ~point:pid) in
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < n do
+      if members land (1 lsl !i) <> 0 && Bytes.get known views.((pid * n) + !i) <> '\001'
+      then ok := false;
+      incr i
+    done;
+    if !ok then Pset.add out pid
+  done;
   out

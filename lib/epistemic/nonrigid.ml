@@ -30,26 +30,21 @@ let rigid model ~name set = of_run_fun model ~name (fun _ -> set)
 
 let everyone model = rigid model ~name:"All" (Bitset.full (Model.n model))
 
-(* Run-major: each run's view row is fetched once, and the member loop
-   tests the table's bits directly instead of allocating a [Bitset.filter]
-   closure per point. *)
+(* Point by point over the rows; the member loop tests the table's bits
+   directly instead of allocating a [Bitset.filter] closure per point. *)
 let restrict_by_view model ~name s pred =
-  let n = Model.n model and per_run = Model.horizon model + 1 in
+  let n = Model.n model and views = model.Model.views in
   let table = Array.make (Model.npoints model) 0 in
-  Array.iteri
-    (fun r (run : Model.run) ->
-      for time = 0 to per_run - 1 do
-        let pid = (r * per_run) + time in
-        let members = s.table.(pid) in
-        let kept = ref 0 in
-        for i = 0 to n - 1 do
-          let bit = 1 lsl i in
-          if members land bit <> 0 && pred ~proc:i ~view:run.views.((time * n) + i)
-          then kept := !kept lor bit
-        done;
-        table.(pid) <- !kept
-      done)
-    model.Model.runs;
+  for pid = 0 to Model.npoints model - 1 do
+    let members = s.table.(pid) in
+    let kept = ref 0 in
+    for i = 0 to n - 1 do
+      let bit = 1 lsl i in
+      if members land bit <> 0 && pred ~proc:i ~view:views.((pid * n) + i) then
+        kept := !kept lor bit
+    done;
+    table.(pid) <- !kept
+  done;
   make ~name table
 
 let is_empty_at s ~point = s.table.(point) = 0

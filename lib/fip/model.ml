@@ -12,20 +12,21 @@ type run = {
   config : Config.t;
   pattern : Pattern.t;
   faulty : Bitset.t;
-  views : View.id array;
 }
 
 type t = {
   params : Params.t;
   store : View.store;
   runs : run array;
+  views : View.id array;
   cell_off : int array;
   cell_ids : int array;
   by_key : (int, int list) Hashtbl.t Lazy.t;
 }
 
 let s_build = Metrics.span "model.build"
-let s_simulate = Metrics.span "model.build.simulate"
+let s_walk = Metrics.span "model.build.walk"
+let s_intern = Metrics.span "model.build.intern"
 let s_cells = Metrics.span "model.build.cells"
 let m_runs = Metrics.counter "model.runs"
 let m_points = Metrics.counter "model.points"
@@ -40,38 +41,27 @@ let m_tree_nodes = Metrics.counter "model.tree_nodes"
 let m_prefix_hits = Metrics.counter "model.prefix_hits"
 
 (* CSR layout: cell of view [v] is [cell_ids.(cell_off.(v)) ..
-   cell_ids.(cell_off.(v+1) - 1)].  Two passes in canonical run order, so
-   within a cell the point ids are sorted ascending whatever builder
-   produced the runs. *)
-let build_cells store runs horizon n =
+   cell_ids.(cell_off.(v+1) - 1)].  Two passes over the point-indexed
+   rows, so within a cell the point ids are sorted ascending. *)
+let build_cells store views ~n =
   let nviews = View.size store in
-  let npoints_per_run = horizon + 1 in
   let off = Array.make (nviews + 1) 0 in
-  Array.iter
-    (fun run ->
-      for m = 0 to horizon do
-        for i = 0 to n - 1 do
-          let v = run.views.((m * n) + i) in
-          off.(v + 1) <- off.(v + 1) + 1
-        done
-      done)
-    runs;
+  for k = 0 to Array.length views - 1 do
+    let v = views.(k) in
+    off.(v + 1) <- off.(v + 1) + 1
+  done;
   for v = 1 to nviews do
     off.(v) <- off.(v) + off.(v - 1)
   done;
   let ids = Array.make off.(nviews) (-1) in
   let fill = Array.sub off 0 nviews in
-  Array.iter
-    (fun run ->
-      for m = 0 to horizon do
-        let pid = (run.index * npoints_per_run) + m in
-        for i = 0 to n - 1 do
-          let v = run.views.((m * n) + i) in
-          ids.(fill.(v)) <- pid;
-          fill.(v) <- fill.(v) + 1
-        done
-      done)
-    runs;
+  for pid = 0 to (Array.length views / n) - 1 do
+    for i = 0 to n - 1 do
+      let v = views.((pid * n) + i) in
+      ids.(fill.(v)) <- pid;
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
   (off, ids)
 
 (* Locating a run by (config, pattern) is a rare operation on a huge array,
@@ -91,10 +81,10 @@ let make_index runs =
      done;
      tbl)
 
-let finish (params : Params.t) store runs =
+let finish (params : Params.t) store runs views =
+  let n = params.Params.n in
   let cell_off, cell_ids =
-    Metrics.time s_cells (fun () ->
-        build_cells store runs params.Params.horizon params.Params.n)
+    Metrics.time s_cells (fun () -> build_cells store views ~n)
   in
   if Metrics.enabled () then begin
     let nruns = Array.length runs in
@@ -102,9 +92,9 @@ let finish (params : Params.t) store runs =
     Metrics.add m_runs nruns;
     Metrics.add m_points npoints;
     Metrics.add m_views (View.size store);
-    Metrics.add m_cell_entries (npoints * params.Params.n)
+    Metrics.add m_cell_entries (npoints * n)
   end;
-  { params; store; runs; cell_off; cell_ids; by_key = make_index runs }
+  { params; store; runs; views; cell_off; cell_ids; by_key = make_index runs }
 
 (* --- the shared-prefix builder ------------------------------------------
 
@@ -114,21 +104,79 @@ let finish (params : Params.t) store runs =
    extends each processor's view once per signature-prefix class instead of
    once per run.  It is bit-identical to that naive per-run simulation (the
    test suite keeps it as the reference) by allocation order: it interns
-   views in exactly the order the naive enumeration first needs them. *)
+   views in exactly the order the naive enumeration first needs them.
 
-(* One signature-prefix class, grown lazily while patterns stream by in
-   canonical order.  [t_levels.(c)] is the per-processor view vector of the
-   class at its depth for configuration [c], computed on first use — per
-   configuration, not per class, so the store's allocation order is exactly
-   the naive simulation's (pattern-major, configuration-inner, time-ascending). *)
+   It runs in two passes.  The walk streams the patterns in canonical
+   order into one signature trie per faulty set, recording each pattern's
+   deepest node; the tries bound the views the model can hold, so the
+   intern pass allocates the store, the runs and the rows once at their
+   final sizes and then fills the rows run by run. *)
+
+(* One signature-prefix class: the patterns whose round signatures agree
+   through the node's depth.  [t_deliv.(i)] has bit [j] set iff [j]'s
+   message of the node's round reaches [i]; [t_past.(i)] is [i]'s causal
+   past at the node, the processors whose initial value can reach [i]'s
+   view along the deliveries so far.  [t_levels.(c)] is the offset in the
+   model's rows of the node's per-processor views for configuration [c],
+   or [-1] until the first run through the node under [c] interns them —
+   per configuration, not per class, so the store's allocation order is
+   exactly the naive simulation's (pattern-major, configuration-inner,
+   time-ascending). *)
 type trie = {
-  t_send : Bitset.t array;
-  t_recv : Bitset.t array;
-  t_levels : int array array;
+  t_parent : trie option;
+  t_deliv : int array;
+  t_past : int array;
+  t_levels : int array;
   t_children : (int array, trie) Hashtbl.t;
+  mutable t_seen : int list;
+      (* the (receiver, delivery mask) pairs among the children, each as
+         [i lsl n lor mask] *)
 }
 
-(* [jobs] is accepted and ignored: the walk runs in the calling domain. *)
+let fresh_node ~nconfigs parent deliv past =
+  {
+    t_parent = parent;
+    t_deliv = deliv;
+    t_past = past;
+    t_levels = Array.make (max 1 nconfigs) (-1);
+    t_children = Hashtbl.create 4;
+    t_seen = [];
+  }
+
+(* The child of [parent] for round signature [key] (send and receive
+   omissions of each faulty processor in [procs], interleaved).  Its
+   capacity bound: a child's view of [i] under a configuration is fixed by
+   the parent's views under it and [i]'s delivery mask, and depends only on
+   the initial values in [i]'s causal past, so each distinct (i, mask) pair
+   among a node's children adds at most [min nconfigs 2^|past|] views. *)
+let new_child ~n ~nconfigs ~bound parent procs key =
+  let deliv = Array.init n (fun i -> (1 lsl n) - 1 - (1 lsl i)) in
+  Array.iteri
+    (fun q p ->
+      let send = key.(2 * q) and recv = key.((2 * q) + 1) in
+      for i = 0 to n - 1 do
+        if send land (1 lsl i) <> 0 then deliv.(i) <- deliv.(i) land lnot (1 lsl p)
+      done;
+      deliv.(p) <- deliv.(p) land lnot recv)
+    procs;
+  let past =
+    Array.init n (fun i ->
+        let acc = ref parent.t_past.(i) in
+        for j = 0 to n - 1 do
+          if deliv.(i) land (1 lsl j) <> 0 then acc := !acc lor parent.t_past.(j)
+        done;
+        !acc)
+  in
+  for i = 0 to n - 1 do
+    let pair = (i lsl n) lor deliv.(i) in
+    if not (List.mem pair parent.t_seen) then begin
+      parent.t_seen <- pair :: parent.t_seen;
+      bound := !bound + min nconfigs (1 lsl Bitset.cardinal (Bitset.of_int past.(i)))
+    end
+  done;
+  fresh_node ~nconfigs (Some parent) deliv past
+
+(* [jobs] is accepted and ignored: both passes run in the calling domain. *)
 let build ?(flavour = Universe.Exhaustive) ?configs ?jobs:_ (params : Params.t) =
   Metrics.time s_build @@ fun () ->
   let n = params.Params.n and horizon = params.Params.horizon in
@@ -137,110 +185,92 @@ let build ?(flavour = Universe.Exhaustive) ?configs ?jobs:_ (params : Params.t) 
       (match configs with Some cs -> cs | None -> Config.all ~n)
   in
   let nconfigs = Array.length configs in
-  let store = View.create_store ~n () in
-  let parts = Array.make (max 1 n) (-1) in
-  let runs = ref [] in
-  let index = ref 0 in
-  let npatterns = ref 0 in
-  let tree_nodes = ref 0 in
-  let dummy =
-    { t_send = [||]; t_recv = [||]; t_levels = [||]; t_children = Hashtbl.create 1 }
+  let tree_nodes = ref 0 and bound = ref 0 in
+  (* pass 1: every pattern, with its depth-[horizon] node, in canonical order *)
+  let walked =
+    Metrics.time s_walk @@ fun () ->
+    let found = ref [] in
+    List.iter
+      (fun set ->
+        let procs = Array.of_list (Bitset.to_list set) in
+        let behs =
+          Array.to_list
+            (Array.map (fun proc -> Universe.behaviours_for ~flavour params ~proc) procs)
+        in
+        let root = fresh_node ~nconfigs None [||] (Array.init n (fun i -> 1 lsl i)) in
+        let key = Array.make (2 * Array.length procs) 0 in
+        Seq.iter
+          (fun tuple ->
+            let node = ref root in
+            for k = 1 to horizon do
+              List.iteri
+                (fun q b ->
+                  let s, r = Pattern.round_signature ~n b ~round:k in
+                  key.(2 * q) <- Bitset.to_int s;
+                  key.((2 * q) + 1) <- Bitset.to_int r)
+                tuple;
+              node :=
+                match Hashtbl.find_opt !node.t_children key with
+                | Some c -> c
+                | None ->
+                    let c = new_child ~n ~nconfigs ~bound !node procs key in
+                    incr tree_nodes;
+                    Hashtbl.add !node.t_children (Array.copy key) c;
+                    c
+            done;
+            found := (Pattern.make params tuple, !node) :: !found)
+          (Combi.cartesian_seq behs))
+      (Bitset.subsets_upto n params.Params.t_failures);
+    Array.of_list (List.rev !found)
   in
-  let path = Array.make (horizon + 1) dummy in
-  Metrics.time s_simulate (fun () ->
-      List.iter
-        (fun set ->
-          let procs = Bitset.to_list set in
-          let behs =
-            List.map (fun proc -> Universe.behaviours_for ~flavour params ~proc) procs
-          in
-          let fresh_node send recv =
-            {
-              t_send = send;
-              t_recv = recv;
-              t_levels = Array.make (max 1 nconfigs) [||];
-              t_children = Hashtbl.create 4;
-            }
-          in
-          let empty_sig = Array.make n Bitset.empty in
-          let root = fresh_node empty_sig empty_sig in
-          path.(0) <- root;
-          Seq.iter
-            (fun tuple ->
-              let pattern = Pattern.make params tuple in
-              incr npatterns;
-              for k = 1 to horizon do
-                let key =
-                  Array.of_list
-                    (List.concat_map
-                       (fun b ->
-                         let s, r = Pattern.round_signature ~n b ~round:k in
-                         [ Bitset.to_int s; Bitset.to_int r ])
-                       tuple)
-                in
-                let parent = path.(k - 1) in
-                let child =
-                  match Hashtbl.find_opt parent.t_children key with
-                  | Some c -> c
-                  | None ->
-                      let send = Array.make n Bitset.empty
-                      and recv = Array.make n Bitset.empty in
-                      List.iter2
-                        (fun proc b ->
-                          let s, r = Pattern.round_signature ~n b ~round:k in
-                          send.(proc) <- s;
-                          recv.(proc) <- r)
-                        procs tuple;
-                      let c = fresh_node send recv in
-                      incr tree_nodes;
-                      Hashtbl.add parent.t_children key c;
-                      c
-                in
-                path.(k) <- child
-              done;
-              let faulty = Pattern.faulty pattern in
-              for c = 0 to nconfigs - 1 do
-                if Array.length root.t_levels.(c) = 0 then
-                  root.t_levels.(c) <-
-                    Array.init n (fun i ->
-                        View.leaf store ~owner:i (Config.value configs.(c) i));
-                for k = 1 to horizon do
-                  let nd = path.(k) in
-                  if Array.length nd.t_levels.(c) = 0 then begin
-                    let prev = path.(k - 1).t_levels.(c) in
-                    let lv = Array.make n (-1) in
-                    for i = 0 to n - 1 do
-                      for j = 0 to n - 1 do
-                        parts.(j) <-
-                          (if
-                             j = i
-                             || Bitset.mem i nd.t_send.(j)
-                             || Bitset.mem j nd.t_recv.(i)
-                           then -1
-                           else prev.(j))
-                      done;
-                      lv.(i) <- View.node_parts store ~owner:i ~prev:prev.(i) ~parts
-                    done;
-                    nd.t_levels.(c) <- lv
-                  end
+  let npatterns = Array.length walked in
+  let per_run = horizon + 1 in
+  (* pass 2: run [r] is pattern [r / nconfigs] under configuration
+     [r mod nconfigs]; its row at time [k] starts at [(r * per_run + k) * n] *)
+  let store, runs, views =
+    Metrics.time s_intern @@ fun () ->
+    let store = View.create_store ~n ~capacity:((2 * n) + !bound) () in
+    let views = Array.make (npatterns * nconfigs * per_run * n) 0 in
+    let path = Array.make per_run (snd walked.(0)) in
+    let runs =
+      Array.init (npatterns * nconfigs) (fun r ->
+          let pattern, leaf = walked.(r / nconfigs) and c = r mod nconfigs in
+          if c = 0 then begin
+            let node = ref leaf in
+            for k = horizon downto 1 do
+              path.(k) <- !node;
+              node := Option.get !node.t_parent
+            done;
+            path.(0) <- !node
+          end;
+          for k = 0 to horizon do
+            let node = path.(k) and row = ((r * per_run) + k) * n in
+            let level = node.t_levels.(c) in
+            if level >= 0 then Array.blit views level views row n
+            else begin
+              if k = 0 then
+                for i = 0 to n - 1 do
+                  views.(row + i) <- View.leaf store ~owner:i (Config.value configs.(c) i)
+                done
+              else
+                for i = 0 to n - 1 do
+                  views.(row + i) <-
+                    View.node_row store ~owner:i ~row:views ~base:(row - n)
+                      ~delivered:node.t_deliv.(i)
                 done;
-                let views = Array.make ((horizon + 1) * n) (-1) in
-                for m = 0 to horizon do
-                  Array.blit path.(m).t_levels.(c) 0 views (m * n) n
-                done;
-                runs :=
-                  { index = !index; config = configs.(c); pattern; faulty; views }
-                  :: !runs;
-                incr index
-              done)
-            (Combi.cartesian_seq behs))
-        (Bitset.subsets_upto n params.Params.t_failures));
+              node.t_levels.(c) <- row
+            end
+          done;
+          { index = r; config = configs.(c); pattern; faulty = Pattern.faulty pattern })
+    in
+    (store, runs, views)
+  in
   if Metrics.enabled () then begin
     Metrics.add m_tree_nodes !tree_nodes;
     Metrics.add m_prefix_hits
-      (((!npatterns * horizon) - !tree_nodes) * nconfigs * n)
+      (((npatterns * horizon) - !tree_nodes) * nconfigs * n)
   end;
-  finish params store (Array.of_list (List.rev !runs))
+  finish params store runs views
 
 let nruns m = Array.length m.runs
 let horizon m = m.params.Params.horizon
@@ -251,11 +281,8 @@ let run_index_of_point m pid = pid / (horizon m + 1)
 let run_of_point m pid = m.runs.(run_index_of_point m pid)
 let time_of_point m pid = pid mod (horizon m + 1)
 
-let view m ~run ~time ~proc = m.runs.(run).views.((time * n m) + proc)
-
-let view_at m ~point:pid ~proc =
-  let run = run_of_point m pid and time = time_of_point m pid in
-  run.views.((time * n m) + proc)
+let view_at m ~point ~proc = m.views.((point * n m) + proc)
+let view m ~run ~time ~proc = view_at m ~point:(point m ~run ~time) ~proc
 
 let nonfaulty m ~run = Bitset.diff (Bitset.full (n m)) m.runs.(run).faulty
 

@@ -7,12 +7,14 @@
     pair).  A {e point} is a pair (run, time); points are densely numbered
     so the epistemic layer can work with flat bitsets over point ids.
 
-    There is one builder.  It extends views once per signature-prefix
-    class rather than once per run: it grows a signature trie while the
-    patterns stream by canonically, interning straight into the model's
-    store in the order a naive per-run simulation would allocate, in the
-    calling domain.  The store, runs and cells are bit-identical to the
-    naive simulation's, which the test suite keeps as the reference. *)
+    There is one builder, in two passes in the calling domain.  The walk
+    streams the patterns canonically into one signature trie per faulty
+    set; the tries bound the number of distinct views, so the intern pass
+    allocates the store, the runs and the view rows once and extends views
+    once per signature-prefix class rather than once per run, in the order
+    a naive per-run simulation would allocate them.  The store, runs, rows
+    and cells are bit-identical to the naive simulation's, which the test
+    suite keeps as the reference. *)
 
 module Bitset = Eba_util.Bitset
 module Value = Eba_sim.Value
@@ -26,13 +28,15 @@ type run = private {
   config : Config.t;
   pattern : Pattern.t;
   faulty : Bitset.t;
-  views : View.id array;  (** [views.(time * n + proc)] *)
 }
 
 type t = private {
   params : Params.t;
   store : View.store;
   runs : run array;
+  views : View.id array;
+      (** point-indexed rows: [views.(point * n + proc)] is [proc]'s view at
+          the point; a run's points are consecutive, so its rows are too *)
   cell_off : int array;
       (** CSR row offsets: cell of view [v] occupies
           [cell_ids.(cell_off.(v)) .. cell_ids.(cell_off.(v+1) - 1)] *)

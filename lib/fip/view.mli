@@ -22,17 +22,25 @@ type store
 (** A mutable hash-consing arena for one model, laid out flat: view [v]'s
     key — kind, owner, prev id or initial value, then the [n] received ids
     ([-1] for none) — is [n + 3] ints of one array from [v * (n + 3)], and
-    its time, initial value, heard set and knows-zero flag live in parallel
-    arrays.  The interner is an open-addressing slot table hashed over those
-    ints: interning a new view allocates no per-view block, and re-interning
-    an existing one allocates nothing.  Every array starts with room for
-    1024 views and grows by doubling; a store is never merged into another.
+    its time, initial value, heard set and knows-zero flag are packed into
+    one metadata int.  The interner is an open-addressing slot table hashed
+    over the key ints: interning a new view allocates no per-view block,
+    and re-interning an existing one allocates nothing.  The arrays are
+    allocated once at the capacity the store is created with and double
+    when a view past it is interned (counted by the [view.grows] metric);
+    a store is never merged into another.
 
     Reads are safe from any domain once interning has stopped; interning is
     single-domain (one domain per store at a time). *)
 
-val create_store : n:int -> unit -> store
-(** [n] is the number of processors (fixes the arity of interior nodes). *)
+val max_n : int
+(** The largest processor count a store accepts (32): the metadata int
+    holds the heard set in its low [n] bits. *)
+
+val create_store : n:int -> capacity:int -> unit -> store
+(** [n] is the number of processors (fixes the arity of interior nodes);
+    [capacity] is the number of views the store holds before it first
+    grows.  Raises [Invalid_argument] unless [0 <= n <= max_n]. *)
 
 val leaf : store -> owner:int -> Value.t -> id
 (** The time-0 view of [owner] with the given initial value. *)
@@ -50,8 +58,14 @@ val node_parts : store -> owner:int -> prev:id -> parts:id array -> id
     The key is probed through a scratch buffer, so re-interning an existing
     view allocates nothing; [parts] is borrowed and may be reused by the
     caller immediately.  Preconditions ({!node}'s owner/time checks) are
-    the caller's responsibility — this is for the model builder, whose
-    simulation loop establishes them structurally. *)
+    the caller's responsibility. *)
+
+val node_row : store -> owner:int -> row:id array -> base:int -> delivered:int -> id
+(** The model builder's fast path: [row.(base + j)] is processor [j]'s view
+    one round earlier, for every [j], and bit [j] of [delivered] says
+    whether [j]'s message reached [owner] (bit [owner] must be clear).  The
+    key is written straight into the scratch buffer, so a hit allocates
+    nothing.  Unchecked, like {!node_parts}. *)
 
 val size : store -> int
 (** Number of distinct views allocated so far. *)

@@ -1,5 +1,5 @@
 (* The reference decision-set builder: each processor's formula evaluated
-   to a point set on its own, then projected run by run onto that
+   to a point set on its own, then projected point by point onto that
    processor's views.  The library reads a whole belief family off one
    all-owner kernel pass (Decision_set.believes); this builder goes
    through the per-processor formula evaluator and checks, as it
@@ -15,23 +15,20 @@ module DS = Eba.Decision_set
    the view's cell must agree, or the formula is not view-measurable. *)
 let of_formulas env f =
   let model = Formula.model env in
-  let n = Model.n model and per_run = Model.horizon model + 1 in
+  let n = Model.n model in
   let nviews = Eba.View.size model.Model.store in
   let t = Bytes.make nviews '\000' and seen = Bytes.make nviews '\000' in
   for i = 0 to n - 1 do
     let set = Formula.eval env (f i) in
-    Array.iteri
-      (fun r (run : Model.run) ->
-        for time = 0 to per_run - 1 do
-          let v = run.views.((time * n) + i) in
-          let inside = if Pset.mem set ((r * per_run) + time) then '\001' else '\000' in
-          if Bytes.get seen v = '\000' then begin
-            Bytes.set seen v '\001';
-            Bytes.set t v inside
-          end
-          else if Bytes.get t v <> inside then
-            invalid_arg "Decision_set.of_formulas: formula not view-measurable"
-        done)
-      model.Model.runs
+    for pid = 0 to Model.npoints model - 1 do
+      let v = model.Model.views.((pid * n) + i) in
+      let inside = if Pset.mem set pid then '\001' else '\000' in
+      if Bytes.get seen v = '\000' then begin
+        Bytes.set seen v '\001';
+        Bytes.set t v inside
+      end
+      else if Bytes.get t v <> inside then
+        invalid_arg "Decision_set.of_formulas: formula not view-measurable"
+    done
   done;
   DS.of_views model (fun v -> Bytes.get t v = '\001')

@@ -89,7 +89,7 @@ let build ?(flavour = Universe.Exhaustive) ?configs (params : Params.t) =
   let configs =
     match configs with Some cs -> cs | None -> Config.all ~n:params.Params.n
   in
-  let store = View.create_store ~n:params.Params.n () in
+  let store = View.create_store ~n:params.Params.n ~capacity:1024 () in
   let parts = Array.make (max 1 params.Params.n) (-1) in
   let runs = ref [] in
   let index = ref 0 in
@@ -108,8 +108,10 @@ let build ?(flavour = Universe.Exhaustive) ?configs (params : Params.t) =
   in
   { store; runs; cell_off; cell_ids }
 
-(* The same fields read off a library model. *)
+(* The same fields read off a library model, each run's rows cut from its
+   point-indexed ones. *)
 let of_model (m : Eba.Model.t) =
+  let row = (Eba.Model.horizon m + 1) * Eba.Model.n m in
   {
     store = m.store;
     runs =
@@ -120,7 +122,7 @@ let of_model (m : Eba.Model.t) =
             config = r.config;
             pattern = r.pattern;
             faulty = r.faulty;
-            views = r.views;
+            views = Array.sub m.views (r.index * row) row;
           })
         m.runs;
     cell_off = m.cell_off;

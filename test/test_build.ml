@@ -168,6 +168,40 @@ let find_run_tests =
           (M.find_run m ~config ~pattern:(Pat.failure_free params) <> None));
   ]
 
+(* The walk bounds the views before the store is allocated, so the intern
+   pass never regrows it: over every mode and flavour, with all
+   configurations and with a third of them, the build reports no
+   [view.grows] and stays bit-identical to the naive reference. *)
+let capacity_tests =
+  [
+    qtest ~count:30 ~print:scenario_print
+      "the view store is sized once: no regrowth, bit-identical to naive"
+      scenario_gen (fun ((mode, flavour, n, t, horizon) as sc) ->
+        QCheck2.assume (t < n);
+        let params = Params.make ~n ~t ~horizon ~mode in
+        QCheck2.assume (U.count ~flavour params * (1 lsl n) <= 6000);
+        List.iter
+          (fun (label, configs) ->
+            let label = scenario_print sc ^ label in
+            let m =
+              with_metrics (fun () ->
+                  let m = M.build ~flavour ?configs params in
+                  check_int (label ^ ": view.grows") 0
+                    (Option.value ~default:0
+                       (List.assoc_opt "view.grows" (Metrics.deterministic_counters ())));
+                  m)
+            in
+            check_models_equal label
+              (Naive_build.build ~flavour ?configs params)
+              (Naive_build.of_model m))
+          [
+            ("", None);
+            (" [every third config]", Some (List.filteri (fun k _ -> k mod 3 = 0) (Cfg.all ~n)));
+          ];
+        true);
+  ]
+
 let suite =
   ( "build",
-    List.concat [ equivalence_tests; sharing_tests; cell_tests; find_run_tests ] )
+    List.concat
+      [ equivalence_tests; sharing_tests; cell_tests; find_run_tests; capacity_tests ] )

@@ -194,5 +194,48 @@ let dominance_tests =
         check "a>c" true (Dom.dominates a c));
   ]
 
+(* First-entry semantics written out per (run, i) through [Model.view]:
+   each processor stops at its first view in either set, an ambiguity if
+   the view is in both. *)
+let decide_ref m (pair : KB.pair) =
+  let n = M.n m in
+  let table = Array.make (M.nruns m * n) None and ambiguities = ref [] in
+  for run = 0 to M.nruns m - 1 do
+    for i = 0 to n - 1 do
+      let rec first time =
+        if time <= M.horizon m then
+          let v = M.view m ~run ~time ~proc:i in
+          match (DS.mem pair.KB.zero v, DS.mem pair.KB.one v) with
+          | true, true -> ambiguities := (run, i, time) :: !ambiguities
+          | true, false -> table.((run * n) + i) <- Some { KB.at = time; value = Val.Zero }
+          | false, true -> table.((run * n) + i) <- Some { KB.at = time; value = Val.One }
+          | false, false -> first (time + 1)
+      in
+      first 0
+    done
+  done;
+  (table, List.rev !ambiguities)
+
+let decide_oracle_tests =
+  [
+    qtest ~count:40
+      ~print:(fun (seed, rate) -> Printf.sprintf "seed %d, rate %d/64" seed rate)
+      "decide = the per-(run, i) first-entry scan, random overlapping pairs"
+      QCheck2.Gen.(pair nat (oneofl [ 1; 4; 16; 32; 63 ]))
+      (fun (seed, rate) ->
+        List.for_all
+          (fun (_, fx) ->
+            let m = model fx in
+            let set salt =
+              DS.of_views m (fun v -> Hashtbl.hash (seed, salt, v) land 63 < rate)
+            in
+            let pair = { KB.zero = set 0; one = set 1 } in
+            let d = KB.decide m pair in
+            (d.KB.table, d.KB.ambiguities) = decide_ref m pair)
+          small_fixtures);
+  ]
+
 let suite =
-  ("decision", decision_set_tests @ believes_tests @ kb_tests @ spec_tests @ dominance_tests)
+  ( "decision",
+    decision_set_tests @ believes_tests @ kb_tests @ spec_tests @ dominance_tests
+    @ decide_oracle_tests )

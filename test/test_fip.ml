@@ -12,7 +12,7 @@ open Helpers
 let view_tests =
   [
     test "leaf identity" (fun () ->
-        let s = V.create_store ~n:3 () in
+        let s = V.create_store ~n:3 ~capacity:1024 () in
         let a = V.leaf s ~owner:0 Val.Zero in
         let b = V.leaf s ~owner:0 Val.Zero in
         let c = V.leaf s ~owner:0 Val.One in
@@ -21,7 +21,7 @@ let view_tests =
         check "value distinguishes" true (a <> c);
         check "owner distinguishes" true (a <> d));
     test "node identity and metadata" (fun () ->
-        let s = V.create_store ~n:3 () in
+        let s = V.create_store ~n:3 ~capacity:1024 () in
         let l0 = V.leaf s ~owner:0 Val.Zero in
         let l1 = V.leaf s ~owner:1 Val.One in
         let recv = [| None; Some l1; None |] in
@@ -38,7 +38,7 @@ let view_tests =
           (Invalid_argument "View.received: sender out of range") (fun () ->
             ignore (V.received s a 3)));
     test "knows_zero propagates" (fun () ->
-        let s = V.create_store ~n:2 () in
+        let s = V.create_store ~n:2 ~capacity:1024 () in
         let z = V.leaf s ~owner:0 Val.Zero in
         let o = V.leaf s ~owner:1 Val.One in
         check "leaf zero" true (V.knows_zero s z);
@@ -48,7 +48,7 @@ let view_tests =
         let n2 = V.node s ~owner:1 ~prev:o ~received:[| None; None |] in
         check "no zero" false (V.knows_zero s n2));
     test "node validation" (fun () ->
-        let s = V.create_store ~n:2 () in
+        let s = V.create_store ~n:2 ~capacity:1024 () in
         let l0 = V.leaf s ~owner:0 Val.Zero in
         let l1 = V.leaf s ~owner:1 Val.One in
         Alcotest.check_raises "self message" (Invalid_argument "View.node: self-message")
@@ -160,7 +160,7 @@ let growth_tests =
   in
   [
     test "interning stays injective past the 1024-meta capacity" (fun () ->
-        let s = V.create_store ~n:2 () in
+        let s = V.create_store ~n:2 ~capacity:1024 () in
         (* two interleaved chains, so growth copies a mixed-owner prefix *)
         let len = 1300 in
         let c0 = chain s ~owner:0 ~len and c1 = chain s ~owner:1 ~len in
@@ -170,7 +170,7 @@ let growth_tests =
         check_int "ids are dense" (V.size s)
           (1 + List.fold_left max 0 all));
     test "metas survive growth intact" (fun () ->
-        let s = V.create_store ~n:2 () in
+        let s = V.create_store ~n:2 ~capacity:1024 () in
         let c = chain s ~owner:1 ~len:1500 in
         List.iteri
           (fun time v ->
@@ -182,7 +182,7 @@ let growth_tests =
             | Some p -> check_int "prev is one round back" (time - 1) (V.time s p))
           c);
     test "re-interning after growth returns the same ids" (fun () ->
-        let s = V.create_store ~n:2 () in
+        let s = V.create_store ~n:2 ~capacity:1024 () in
         let c1 = chain s ~owner:0 ~len:1100 in
         let size1 = V.size s in
         let c2 = chain s ~owner:0 ~len:1100 in
@@ -296,4 +296,51 @@ let model_tests =
         check_int "runs" (49 * 8) (M.nruns m));
   ]
 
-let suite = ("fip", view_tests @ growth_tests @ model_tests @ store_tests)
+(* A view's time, initial value, heard set and knows-zero flag share one
+   packed int; at the widest store the heard set fills its low [max_n]
+   bits, so every field is checked there, across regrowths of a store
+   created with room for four views. *)
+let packing_tests =
+  [
+    test "packed metadata round-trips at the largest n; a larger n is refused"
+      (fun () ->
+        let n = V.max_n and rounds = 40 in
+        let s = V.create_store ~n ~capacity:4 () in
+        let value i = if i = 0 then Val.Zero else Val.One in
+        let leaves = Array.init n (fun i -> V.leaf s ~owner:i (value i)) in
+        (* every round, processor [i] hears everybody but itself, except the
+           last, which hears nobody: it holds a 1 and never learns of the 0 *)
+        let row = ref leaves in
+        for time = 1 to rounds do
+          let prev = !row in
+          row :=
+            Array.init n (fun i ->
+                let received =
+                  Array.init n (fun j ->
+                      if j = i || i = n - 1 then None else Some prev.(j))
+                in
+                V.node s ~owner:i ~prev:prev.(i) ~received);
+          Array.iteri
+            (fun i v ->
+              let lone = i = n - 1 in
+              check_int "time" time (V.time s v);
+              check "initial value" true (Val.equal (value i) (V.init_value s v));
+              check "heard set" true
+                (B.equal (V.heard_from s v)
+                   (if lone then B.empty else B.remove i (B.full n)));
+              check "knows zero" (not lone) (V.knows_zero s v))
+            !row
+        done;
+        Array.iteri
+          (fun i v ->
+            check_int "leaf time" 0 (V.time s v);
+            check "leaf heard nobody" true (B.is_empty (V.heard_from s v));
+            check "leaf knows zero iff 0" (i = 0) (V.knows_zero s v))
+          leaves;
+        Alcotest.check_raises "n past max_n"
+          (Invalid_argument "View.create_store: n out of range") (fun () ->
+            ignore (V.create_store ~n:(V.max_n + 1) ~capacity:1 ())));
+  ]
+
+let suite =
+  ("fip", view_tests @ growth_tests @ model_tests @ store_tests @ packing_tests)
