@@ -1,104 +1,102 @@
-type 'a cell = { ev_time : float; ev_seq : int; ev_payload : 'a }
-
 type 'a t = {
-  mutable heap : 'a cell array;  (* heap.(0) unused when len = 0 *)
-  mutable len : int;
-  mutable next_seq : int;
-  mutable want : int;  (* requested capacity for the next allocation *)
+  mutable eq_times : float array;
+  mutable eq_seqs : int array;
+  mutable eq_pay : 'a array;
+  mutable eq_len : int;
+  mutable eq_next_seq : int;
 }
 
-let create () = { heap = [||]; len = 0; next_seq = 0; want = 0 }
+let create () =
+  { eq_times = [||]; eq_seqs = [||]; eq_pay = [||]; eq_len = 0; eq_next_seq = 0 }
 
-let earlier a b =
-  a.ev_time < b.ev_time || (a.ev_time = b.ev_time && a.ev_seq < b.ev_seq)
-
-let grow q cell =
-  let cap = Array.length q.heap in
-  if q.len = cap then begin
-    let heap = Array.make (max q.want (max 16 (2 * cap))) cell in
-    q.want <- 0;
-    Array.blit q.heap 0 heap 0 q.len;
-    q.heap <- heap
-  end
-
-let reserve q n =
-  if n < 0 then invalid_arg "Event_queue.reserve: negative capacity";
-  if n > Array.length q.heap then
-    if q.len = 0 then q.want <- max q.want n
-    else begin
-      (* 'a cell arrays need a seed element; any live cell works *)
-      let heap = Array.make n q.heap.(0) in
-      Array.blit q.heap 0 heap 0 q.len;
-      q.heap <- heap
-    end
+(* Doubling growth.  The payload array needs a seed element, so capacity
+   appears with the first push and [payload] seeds the spare slots. *)
+let grow q payload =
+  let len = q.eq_len in
+  let cap = max 16 (2 * len) in
+  let times = Array.make cap 0.0 and seqs = Array.make cap 0 in
+  let pay = Array.make cap payload in
+  Array.blit q.eq_times 0 times 0 len;
+  Array.blit q.eq_seqs 0 seqs 0 len;
+  Array.blit q.eq_pay 0 pay 0 len;
+  q.eq_times <- times;
+  q.eq_seqs <- seqs;
+  q.eq_pay <- pay
 
 let clear q =
-  q.len <- 0;
-  q.next_seq <- 0
+  q.eq_len <- 0;
+  q.eq_next_seq <- 0
 
 let alloc_seq q =
-  let s = q.next_seq in
-  q.next_seq <- s + 1;
+  let s = q.eq_next_seq in
+  q.eq_next_seq <- s + 1;
   s
 
+(* Both sifts move a hole rather than swapping cells: each level copies
+   one (time, seqno, payload) triple, and the moving event is written
+   once, where the hole stops. *)
 let push q ~time payload =
   if not (Float.is_finite time) || time < 0.0 then
     invalid_arg "Event_queue.push: time must be finite and non-negative";
-  let cell = { ev_time = time; ev_seq = q.next_seq; ev_payload = payload } in
-  q.next_seq <- q.next_seq + 1;
-  grow q cell;
-  let heap = q.heap in
-  (* sift up *)
-  let i = ref q.len in
-  q.len <- q.len + 1;
-  heap.(!i) <- cell;
+  let seq = q.eq_next_seq in
+  q.eq_next_seq <- seq + 1;
+  if q.eq_len = Array.length q.eq_seqs then grow q payload;
+  let times = q.eq_times and seqs = q.eq_seqs and pay = q.eq_pay in
+  let i = ref q.eq_len in
+  q.eq_len <- q.eq_len + 1;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if earlier cell heap.(parent) then begin
-      heap.(!i) <- heap.(parent);
-      heap.(parent) <- cell;
+    let pt = times.(parent) in
+    if time < pt || (time = pt && seq < seqs.(parent)) then begin
+      times.(!i) <- pt;
+      seqs.(!i) <- seqs.(parent);
+      pay.(!i) <- pay.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  pay.(!i) <- payload
 
-let pop q =
-  if q.len = 0 then None
-  else begin
-    let heap = q.heap in
-    let top = heap.(0) in
-    q.len <- q.len - 1;
-    let last = heap.(q.len) in
-    if q.len > 0 then begin
-      heap.(0) <- last;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < q.len && earlier heap.(l) heap.(!smallest) then smallest := l;
-        if r < q.len && earlier heap.(r) heap.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = heap.(!i) in
-          heap.(!i) <- heap.(!smallest);
-          heap.(!smallest) <- tmp;
-          i := !smallest
+let take q =
+  let len = q.eq_len - 1 in
+  if len < 0 then invalid_arg "Event_queue.take: empty queue";
+  let times = q.eq_times and seqs = q.eq_seqs and pay = q.eq_pay in
+  let top = pay.(0) in
+  q.eq_len <- len;
+  if len > 0 then begin
+    (* sift the last event down from the root *)
+    let t = times.(len) and s = seqs.(len) and x = pay.(len) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= len then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < len
+            && (times.(r) < times.(l) || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        let ct = times.(c) in
+        if ct < t || (ct = t && seqs.(c) < s) then begin
+          times.(!i) <- ct;
+          seqs.(!i) <- seqs.(c);
+          pay.(!i) <- pay.(c);
+          i := c
         end
         else continue := false
-      done
-    end;
-    Some (top.ev_time, top.ev_payload)
-  end
+      end
+    done;
+    times.(!i) <- t;
+    seqs.(!i) <- s;
+    pay.(!i) <- x
+  end;
+  top
 
-let peek_time q = if q.len = 0 then None else Some q.heap.(0).ev_time
-
-let peek q =
-  if q.len = 0 then None
-  else
-    let top = q.heap.(0) in
-    Some (top.ev_time, top.ev_seq)
-let is_empty q = q.len = 0
-let size q = q.len
-let pushed q = q.next_seq
+let is_empty q = q.eq_len = 0

@@ -2,11 +2,32 @@
     keyed by [(time, seqno)].
 
     The sequence number is assigned by {!push} in call order, so two events
-    scheduled for the same instant pop in the order they were pushed —
-    simulation outcomes are a pure function of the push sequence, never of
-    heap internals.  Times must be finite and non-negative. *)
+    scheduled for the same instant are taken in the order they were pushed
+    — simulation outcomes are a pure function of the push sequence, never
+    of heap internals.  Times must be finite and non-negative.
 
-type 'a t
+    Layout: struct of arrays.  Slot [k] of the heap is [eq_times.(k)] (an
+    unboxed [float array]), [eq_seqs.(k)] and [eq_pay.(k)], for
+    [k < eq_len]; sifts move a hole, copying one triple per level.  The
+    queue allocates nothing per event beyond amortized growth.
+
+    The record is [private] so the engine ({!Mux}) reads the top's key in
+    place, [eq_times.(0)] and [eq_seqs.(0)] when [eq_len > 0], to merge
+    against its timer wheel.  The dev profile compiles with [-opaque], so
+    nothing is inlined across modules: an accessor function returning the
+    top time would box a float (and a [(time, seqno)] option a tuple and
+    an option) on every step of the loop, where a field read allocates
+    nothing. *)
+
+type 'a t = private {
+  mutable eq_times : float array;
+  mutable eq_seqs : int array;
+  mutable eq_pay : 'a array;
+      (** Slots at and past [eq_len] are spare; one may still reference
+          the last payload taken until a later push overwrites it. *)
+  mutable eq_len : int;  (** events currently scheduled *)
+  mutable eq_next_seq : int;  (** the next sequence number *)
+}
 
 val create : unit -> 'a t
 
@@ -14,22 +35,10 @@ val push : 'a t -> time:float -> 'a -> unit
 (** Schedule an event.  Raises [Invalid_argument] if [time] is negative or
     not finite. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event; ties break by push order. *)
-
-val peek_time : 'a t -> float option
-
-val peek : 'a t -> (float * int) option
-(** The earliest event's [(time, seqno)] without removing it — lets an
-    external event source (the {!Mux} engine's timer wheel) merge against
-    the heap by the exact scheduling key. *)
-
-val reserve : 'a t -> int -> unit
-(** [reserve q n] pre-sizes the heap for at least [n] events, so pushes up
-    to that capacity never copy through the intermediate arrays of repeated
-    doubling.  On an empty queue the allocation is deferred to the first
-    push (cells are not nullable); otherwise it happens immediately.  Never
-    shrinks.  Raises [Invalid_argument] on a negative capacity. *)
+val take : 'a t -> 'a
+(** Remove the earliest event and return its payload; ties break by push
+    order.  Read its time first, from [eq_times.(0)].  Raises
+    [Invalid_argument] on an empty queue. *)
 
 val clear : 'a t -> unit
 (** Drop every scheduled event and restart sequence numbers from 0,
@@ -38,11 +47,6 @@ val clear : 'a t -> unit
     survive in the backing array until overwritten by later pushes. *)
 
 val is_empty : 'a t -> bool
-val size : 'a t -> int
-(** Events currently scheduled. *)
-
-val pushed : 'a t -> int
-(** Total number of pushes so far (the next event's sequence number). *)
 
 val alloc_seq : 'a t -> int
 (** Consume and return the next sequence number without scheduling

@@ -118,11 +118,16 @@ let blocks_send c rng ~round ~sender ~receiver =
           && d.omit_prob > 0.0
           && Random.State.float rng 1.0 < d.omit_prob)
 
+(* [cut] runs on every data copy and ack: a top-level scan, so no
+   closure is built per call. *)
+let rec severed parts ~now ~src ~dst =
+  match parts with
+  | [] -> false
+  | p :: rest ->
+      (now >= p.p_from && now < p.p_until && p.p_side.(src) <> p.p_side.(dst))
+      || severed rest ~now ~src ~dst
+
 let cut c ~now ~src ~dst =
   match c with
-  | C_replay _ -> false
-  | C_dynamic d ->
-      List.exists
-        (fun p ->
-          now >= p.p_from && now < p.p_until && p.p_side.(src) <> p.p_side.(dst))
-        d.parts
+  | C_replay _ | C_dynamic { parts = []; _ } -> false
+  | C_dynamic { parts; _ } -> severed parts ~now ~src ~dst

@@ -236,12 +236,12 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
      push, consuming one sequence number — the wheel draws the same number
      from the shared counter so the merged order is identical. *)
   let arm eng tm ~time =
-    match Timer_wheel.index_of_time eng.eg_wheel time with
-    | Some tick when tick >= Timer_wheel.cursor eng.eg_wheel ->
-        Timer_wheel.schedule eng.eg_wheel ~tick
-          ~seq:(Event_queue.alloc_seq eng.eg_q)
-          tm
-    | Some _ | None -> Event_queue.push eng.eg_q ~time (Heap_timer tm)
+    let w = eng.eg_wheel in
+    let tick = Timer_wheel.index_of_time w time in
+    (* a miss is -1, below any cursor *)
+    if tick >= w.Timer_wheel.tw_cursor then
+      Timer_wheel.schedule w ~tick ~seq:(Event_queue.alloc_seq eng.eg_q) tm
+    else Event_queue.push eng.eg_q ~time (Heap_timer tm)
 
   (* -- batches --------------------------------------------------------- *)
 
@@ -339,10 +339,11 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
      same-instant data copy rides the batch and their relative order — the
      rng draw order — is append order; acks draw nothing and only set
      idempotent flags, so they commute and drain after the data
-     copies). *)
+     copies).  Callers test the fabric ([eg_batching]) first: on any
+     other fabric that spares the call, and the float it boxes, per
+     copy. *)
   let batchable eng ~now ~arrival =
-    eng.eg_batching && arrival > now
-    && Timer_wheel.index_of_time eng.eg_wheel arrival = None
+    arrival > now && Timer_wheel.index_of_time eng.eg_wheel arrival < 0
 
   (* -- the per-copy hot path ------------------------------------------- *)
 
@@ -384,7 +385,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         wire.Net_stats.w_latency_hist.(bucket) <-
           wire.Net_stats.w_latency_hist.(bucket) + 1;
         let arrival = now +. l in
-        if batchable eng ~now ~arrival then
+        if eng.eg_batching && batchable eng ~now ~arrival then
           batch_deliver (batch_at eng ~arrival) ~round ~sender ~dest ~bytes msg
         else
           Event_queue.push eng.eg_q ~time:arrival
@@ -414,7 +415,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
       else
         let l = Link.sample_latency rng link.Link.lat in
         let arrival = now +. l in
-        if batchable eng ~now ~arrival then
+        if eng.eg_batching && batchable eng ~now ~arrival then
           batch_ack (batch_at eng ~arrival) ~round ~from ~to_
         else
           Event_queue.push eng.eg_q ~time:arrival
@@ -461,7 +462,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     else free_timer eng tm
 
   let fire_boundary eng tick =
-    let now = Timer_wheel.time eng.eg_wheel tick in
+    let now = eng.eg_wheel.Timer_wheel.tw_times.(tick) in
     let k = eng.eg_tick_round.(tick) in
     let params = eng.eg_params in
     let n = params.Params.n and horizon = params.Params.horizon in
@@ -541,10 +542,12 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         done;
         free_batch eng b
 
+  (* The heap's earliest event, at its instant: the time is read before
+     [take] moves the next event into the top slot. *)
   let process_heap eng =
-    match Event_queue.pop eng.eg_q with
-    | None -> ()
-    | Some (now, ev) -> dispatch eng ~now ev
+    let q = eng.eg_q in
+    let now = q.Event_queue.eq_times.(0) in
+    dispatch eng ~now (Event_queue.take q)
 
   (* The merged event loop.  The reference is the heap-only schedule: one
      run, every boundary, copy, ack and timer its own heap cell keyed by
@@ -555,37 +558,41 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
      smaller than any same-instant event's — and (b) batches reorder only
      provably commuting same-instant arrivals.  The processing order is
      therefore the heap-only schedule's, which is why outcomes are
-     bit-identical to it. *)
+     bit-identical to it.
+
+     Each step reads both candidates' keys in place — the heap top's
+     [(time, seqno)] and the cursor slot's instant and head seqno — so
+     choosing the next event allocates nothing. *)
   let drive eng =
     let q = eng.eg_q and w = eng.eg_wheel in
+    let nticks = Array.length w.Timer_wheel.tw_times in
     let continue = ref true in
     while !continue do
-      let c = Timer_wheel.cursor w in
-      if c < Timer_wheel.nticks w then begin
-        let tc = Timer_wheel.time w c in
-        match Event_queue.peek q with
-        | Some (ht, _) when ht < tc -> process_heap eng
-        | heap_top -> (
-            if eng.eg_is_boundary.(c) then begin
-              eng.eg_ticks_fired <- eng.eg_ticks_fired + 1;
-              fire_boundary eng c;
-              Timer_wheel.advance w
-            end
-            else
-              match Timer_wheel.peek w with
-              | None -> Timer_wheel.advance w
-              | Some (_, tseq) -> (
-                  match heap_top with
-                  | Some (ht, hseq) when ht = tc && hseq < tseq ->
-                      process_heap eng
-                  | _ ->
-                      eng.eg_ticks_fired <- eng.eg_ticks_fired + 1;
-                      timer_fire eng ~now:tc (Timer_wheel.take w)))
+      let c = w.Timer_wheel.tw_cursor in
+      if c < nticks then begin
+        let tc = w.Timer_wheel.tw_times.(c) in
+        if q.Event_queue.eq_len > 0 && q.Event_queue.eq_times.(0) < tc then
+          process_heap eng
+        else if eng.eg_is_boundary.(c) then begin
+          eng.eg_ticks_fired <- eng.eg_ticks_fired + 1;
+          fire_boundary eng c;
+          Timer_wheel.advance w
+        end
+        else
+          let next = w.Timer_wheel.tw_next.(c) in
+          if next >= w.Timer_wheel.tw_len.(c) then Timer_wheel.advance w
+          else if
+            q.Event_queue.eq_len > 0
+            && q.Event_queue.eq_times.(0) = tc
+            && q.Event_queue.eq_seqs.(0) < w.Timer_wheel.tw_seqs.(c).(next)
+          then process_heap eng
+          else begin
+            eng.eg_ticks_fired <- eng.eg_ticks_fired + 1;
+            timer_fire eng ~now:tc (Timer_wheel.take w)
+          end
       end
-      else
-        match Event_queue.pop q with
-        | None -> continue := false
-        | Some (now, ev) -> dispatch eng ~now ev
+      else if Event_queue.is_empty q then continue := false
+      else process_heap eng
     done
 
   let flush_metrics eng =

@@ -19,7 +19,12 @@
       instant collapse into one batch cell and drain in append order — a
       reordering only of provably commuting events;
     - run state (nodes, wire counters, timers, batch cells) recycles
-      across runs, so steady-state allocation per run is near zero.
+      across runs, and each step of the loop reads the heap top's and the
+      wheel head's keys in place, allocating nothing to choose the next
+      event.  What a run allocates is per event: a record per in-flight
+      copy or ack and a boxed float wherever an instant crosses a call,
+      ≈ 16 minor words per processed event on a uniform-latency FloodSet
+      n=16 sweep.
 
     Deterministic metrics: the per-run [net.*] counters, and
     [mux.timer_ticks], [mux.batched_deliveries] and [mux.arena_reuses]. *)

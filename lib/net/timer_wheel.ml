@@ -25,10 +25,6 @@ let create ~times =
     tw_cursor = 0;
   }
 
-let nticks w = Array.length w.tw_times
-let time w tick = w.tw_times.(tick)
-let cursor w = w.tw_cursor
-
 let index_of_time w t =
   (* exact binary search: fire times are computed by the same float
      arithmetic that built the schedule, so equality is the contract *)
@@ -39,7 +35,7 @@ let index_of_time w t =
     let v = w.tw_times.(mid) in
     if v = t then found := mid else if v < t then lo := mid + 1 else hi := mid - 1
   done;
-  if !found < 0 then None else Some !found
+  !found
 
 let schedule w ~tick ~seq payload =
   if tick < w.tw_cursor || tick >= Array.length w.tw_times then
@@ -60,14 +56,6 @@ let schedule w ~tick ~seq payload =
   w.tw_seqs.(tick).(len) <- seq;
   w.tw_pay.(tick).(len) <- payload;
   w.tw_len.(tick) <- len + 1
-
-let peek w =
-  let c = w.tw_cursor in
-  if c >= Array.length w.tw_times then None
-  else
-    let next = w.tw_next.(c) in
-    if next >= w.tw_len.(c) then None
-    else Some (w.tw_times.(c), w.tw_seqs.(c).(next))
 
 let take w =
   let c = w.tw_cursor in

@@ -18,39 +18,44 @@
 
     The cursor advances monotonically; {!reset} rewinds it and empties
     every slot while keeping the slot arrays — the arena-reuse hook for
-    running many simulated runs through one wheel. *)
+    running many simulated runs through one wheel.
 
-type 'a t
+    The record is [private], like {!Event_queue.t}'s, so the engine's
+    merge loop reads the cursor slot's instant and head in place: under
+    [-opaque] an accessor would box the float instant and wrap the head
+    in an option on every step. *)
+
+type 'a t = private {
+  tw_times : float array;
+      (** the tick schedule: slot [k] fires at [tw_times.(k)] *)
+  tw_len : int array;  (** entries scheduled into each slot *)
+  tw_next : int array;
+      (** entries already drained from each slot: the cursor slot's head
+          is [tw_seqs.(c).(tw_next.(c))] while [tw_next.(c) < tw_len.(c)] *)
+  tw_seqs : int array array;
+  tw_pay : 'a array array;
+  mutable tw_cursor : int;
+      (** the slot currently draining; [Array.length tw_times] once the
+          wheel is exhausted *)
+}
 
 val create : times:float array -> 'a t
 (** [create ~times] builds a wheel over the given tick schedule.  Raises
     [Invalid_argument] unless [times] is strictly increasing, finite and
     non-negative.  The array is copied. *)
 
-val nticks : 'a t -> int
-val time : 'a t -> int -> float
-(** The instant of a tick index. *)
-
-val index_of_time : 'a t -> float -> int option
+val index_of_time : 'a t -> float -> int
 (** Exact binary search for a tick at precisely this float instant —
-    [None] when the instant is not a tick.  Fire times computed by the
+    [-1] when the instant is not a tick.  Fire times computed by the
     same float arithmetic as the schedule always hit. *)
-
-val cursor : 'a t -> int
-(** The slot currently draining; [nticks] once the wheel is exhausted. *)
 
 val schedule : 'a t -> tick:int -> seq:int -> 'a -> unit
 (** Append an entry to a slot.  Raises [Invalid_argument] for a slot
     before the cursor or past the end. *)
 
-val peek : 'a t -> (float * int) option
-(** The cursor slot's next undrained entry as [(time, seqno)]; [None]
-    when the cursor slot is drained (other slots may still hold
-    entries — advancing is the caller's scheduling decision). *)
-
 val take : 'a t -> 'a
-(** Remove and return the cursor slot's next entry.  Raises
-    [Invalid_argument] when {!peek} is [None]. *)
+(** Remove and return the cursor slot's head.  Raises [Invalid_argument]
+    when the cursor slot is drained or the wheel exhausted. *)
 
 val advance : 'a t -> unit
 (** Move the cursor to the next slot.  Raises [Invalid_argument] unless

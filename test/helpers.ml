@@ -61,5 +61,11 @@ let counter_value name =
   | Some e -> e.Eba.Metrics.e_count
   | None -> 0
 
+(* Every payload of an event queue, earliest first. *)
+let drain_events q =
+  let module EQ = Eba.Net.Event_queue in
+  let rec go acc = if EQ.is_empty q then List.rev acc else go (EQ.take q :: acc) in
+  go []
+
 let qtest ?(count = 100) ?print name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)

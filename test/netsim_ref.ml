@@ -1,9 +1,10 @@
 (* The reference network simulation engine: one run at a time over a
-   plain event heap, where every event — round boundaries, deliveries,
-   acknowledgements, retransmission timers — is its own heap cell.  The
-   library simulates on Mux (shared tick wheel, batched arrivals,
-   recycled arenas); this engine shares none of that machinery, which is
-   what makes it an independent oracle for test_mux's per-instance
+   plain event heap (Event_queue_ref), where every event — round
+   boundaries, deliveries, acknowledgements, retransmission timers — is
+   its own heap cell.  The library simulates on Mux (its own
+   struct-of-arrays heap, a shared tick wheel, batched arrivals, recycled
+   arenas); this engine shares none of that machinery, which is what
+   makes it an independent oracle for test_mux's per-instance
    bit-identity checks and for the sweep-level summaries built from it.
 
    A run is a pure function of (params, config, sync, topology, plan,
@@ -65,12 +66,12 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
     let inj = Inject.compile rng params ~total_time:(float_of_int horizon *. d) plan in
     let wire = Net_stats.fresh_wire () in
     let attempted = ref 0 and delivered = ref 0 in
-    let q : event Event_queue.t = Event_queue.create () in
+    let q : event Event_queue_ref.t = Event_queue_ref.create () in
     let nodes =
       Array.init n (fun i -> N.create params ~me:i (Config.value config i) ~sim_time:0.0)
     in
     for k = 0 to horizon do
-      Event_queue.push q ~time:(float_of_int k *. d) (Boundary k)
+      Event_queue_ref.push q ~time:(float_of_int k *. d) (Boundary k)
     done;
     (* Put one copy of a data message on the wire.  Bytes are charged here,
        before any drop decision: a lost copy was still transmitted. *)
@@ -99,7 +100,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
           in
           wire.Net_stats.w_latency_hist.(bucket) <-
             wire.Net_stats.w_latency_hist.(bucket) + 1;
-          Event_queue.push q ~time:(now +. l)
+          Event_queue_ref.push q ~time:(now +. l)
             (Deliver
                {
                  d_round = round;
@@ -126,7 +127,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
           wire.Net_stats.w_dropped_loss <- wire.Net_stats.w_dropped_loss + 1
         else
           let l = Link.sample_latency rng link.Link.lat in
-          Event_queue.push q ~time:(now +. l)
+          Event_queue_ref.push q ~time:(now +. l)
             (Ack { a_round = round; a_from = from; a_to = to_ })
     in
     let boundary ~now k =
@@ -166,7 +167,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
                       transmit ~now ~round ~sender:i ~dest ~copy:0 ~bytes msg;
                       if sync.Sync.max_retries > 0 && now +. sync.Sync.rto < round_end
                       then
-                        Event_queue.push q ~time:(now +. sync.Sync.rto)
+                        Event_queue_ref.push q ~time:(now +. sync.Sync.rto)
                           (Timer
                              {
                                t_round = round;
@@ -183,7 +184,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
     in
     let events = ref 0 in
     let rec loop () =
-      match Event_queue.pop q with
+      match Event_queue_ref.pop q with
       | None -> ()
       | Some (now, ev) ->
           incr events;
@@ -223,7 +224,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
                   t_copy < sync.Sync.max_retries
                   && now +. sync.Sync.rto < Sync.round_end sync ~round:t_round
                 then
-                  Event_queue.push q ~time:(now +. sync.Sync.rto)
+                  Event_queue_ref.push q ~time:(now +. sync.Sync.rto)
                     (Timer
                        {
                          t_round;

@@ -8,10 +8,11 @@
    constant-latency) and heap (randomized-latency, heterogeneous,
    zero-latency) paths, and independent of the parallel job count.
 
-   Plus the satellite regressions: event-queue push/pop order pinned
-   across growth boundaries and reserve/clear, timer-wheel slot
-   semantics, the mux.* metrics counters, and the decision-round
-   quantiles feeding the p99 headline number. *)
+   Plus the component regressions: event-queue push/take order pinned
+   across growth boundaries and clear, and against the reference heap
+   (Event_queue_ref) deep into ties; timer-wheel slot semantics; the
+   mux.* metrics counters; the decision-round quantiles feeding the p99
+   headline number; and the engine's allocation per event. *)
 
 module Net = Eba.Net
 module EQ = Net.Event_queue
@@ -31,54 +32,21 @@ let all_protocols : (string * (module Eba.Protocol_intf.PROTOCOL)) list =
     ("Chain0-cert", (module Eba.Chain0_cert));
   ]
 
-(* --- event queue: growth boundaries, reserve, clear --- *)
+(* --- event queue: growth boundaries, clear --- *)
 
 let eq_growth_tests =
   [
-    test "push/pop order pinned across growth boundaries" (fun () ->
+    test "push/take order pinned across growth boundaries" (fun () ->
         (* interleave duplicate and descending times so every growth
            boundary (16, 32, 64, 128) happens mid-tie; stable (time,
            seqno) order must survive the reallocation *)
         let q = EQ.create () in
         let items = List.init 200 (fun i -> (float_of_int ((i * 7) mod 13), i)) in
         List.iter (fun (t, i) -> EQ.push q ~time:t (t, i)) items;
-        let rec drain acc =
-          match EQ.pop q with None -> List.rev acc | Some (_, x) -> drain (x :: acc)
-        in
         let expected =
           List.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2) items
         in
-        check "stable across growth" true (drain [] = expected));
-    test "reserve on an empty queue sizes the next allocation" (fun () ->
-        let q = EQ.create () in
-        EQ.reserve q 500;
-        List.iter (fun i -> EQ.push q ~time:(float_of_int (i mod 7)) i)
-          (List.init 400 Fun.id);
-        let rec drain acc =
-          match EQ.pop q with None -> List.rev acc | Some (_, x) -> drain (x :: acc)
-        in
-        let expected =
-          List.stable_sort
-            (fun a b -> compare (a mod 7) (b mod 7))
-            (List.init 400 Fun.id)
-        in
-        check "order with reserve" true (drain [] = expected));
-    test "reserve grows a live queue in place" (fun () ->
-        let q = EQ.create () in
-        List.iter (fun i -> EQ.push q ~time:(float_of_int i) i) (List.init 10 Fun.id);
-        EQ.reserve q 1000;
-        List.iter
-          (fun i -> EQ.push q ~time:(float_of_int i) i)
-          (List.init 10 (fun i -> i + 10));
-        let rec drain acc =
-          match EQ.pop q with None -> List.rev acc | Some (_, x) -> drain (x :: acc)
-        in
-        check "content preserved" true (drain [] = List.init 20 Fun.id);
-        check "reject negative" true
-          (try
-             EQ.reserve q (-1);
-             false
-           with Invalid_argument _ -> true));
+        check "stable across growth" true (drain_events q = expected));
     test "clear rewinds the shared sequence counter" (fun () ->
         let q = EQ.create () in
         EQ.push q ~time:1.0 "x";
@@ -86,21 +54,29 @@ let eq_growth_tests =
         EQ.clear q;
         check_int "seq restarts" 0 (EQ.alloc_seq q);
         check "emptied" true (EQ.is_empty q));
-    test "peek agrees with pop" (fun () ->
+    test "the top's fields agree with take" (fun () ->
         let q = EQ.create () in
         EQ.push q ~time:2.0 "b";
         EQ.push q ~time:1.0 "a";
-        (match EQ.peek q with
-        | Some (t, s) ->
-            check "peek time" true (t = 1.0);
-            check_int "peek seq" 1 s
-        | None -> Alcotest.fail "peek on non-empty");
-        ignore (EQ.pop q);
-        ignore (EQ.pop q);
-        check "peek empty" true (EQ.peek q = None));
+        check_int "two scheduled" 2 q.EQ.eq_len;
+        check "top time" true (q.EQ.eq_times.(0) = 1.0);
+        check_int "top seq" 1 q.EQ.eq_seqs.(0);
+        Alcotest.(check string) "take the top" "a" (EQ.take q);
+        check "next time" true (q.EQ.eq_times.(0) = 2.0);
+        check_int "next seq" 0 q.EQ.eq_seqs.(0);
+        Alcotest.(check string) "take the next" "b" (EQ.take q);
+        check "empty" true (EQ.is_empty q));
   ]
 
 (* --- timer wheel --- *)
+
+(* the cursor slot's head as (time, seqno), read in place the way Mux's
+   merge loop reads it; None when the cursor slot is drained *)
+let wheel_head w =
+  let c = w.TW.tw_cursor in
+  if c < Array.length w.TW.tw_times && w.TW.tw_next.(c) < w.TW.tw_len.(c) then
+    Some (w.TW.tw_times.(c), w.TW.tw_seqs.(c).(w.TW.tw_next.(c)))
+  else None
 
 let wheel_tests =
   [
@@ -115,16 +91,16 @@ let wheel_tests =
           [ [| 1.0; 1.0 |]; [| 2.0; 1.0 |]; [| -1.0 |]; [| Float.nan |] ]);
     test "slots drain in append order and merge keys are exact" (fun () ->
         let w = TW.create ~times:[| 0.0; 1.5; 3.0 |] in
-        check "exact hit" true (TW.index_of_time w 1.5 = Some 1);
-        check "miss" true (TW.index_of_time w 1.4999 = None);
+        check_int "exact hit" 1 (TW.index_of_time w 1.5);
+        check_int "miss" (-1) (TW.index_of_time w 1.4999);
         TW.schedule w ~tick:1 ~seq:7 "a";
         TW.schedule w ~tick:1 ~seq:9 "b";
-        check "cursor slot empty" true (TW.peek w = None);
+        check "cursor slot empty" true (wheel_head w = None);
         TW.advance w;
-        check "peek head" true (TW.peek w = Some (1.5, 7));
+        check "head" true (wheel_head w = Some (1.5, 7));
         Alcotest.(check string) "take order" "a" (TW.take w);
         Alcotest.(check string) "take order" "b" (TW.take w);
-        check "drained" true (TW.peek w = None);
+        check "drained" true (wheel_head w = None);
         check "advance requires drained" true
           (try
              TW.schedule w ~tick:0 ~seq:1 "late";
@@ -132,16 +108,16 @@ let wheel_tests =
            with Invalid_argument _ -> true);
         TW.advance w;
         TW.advance w;
-        check_int "exhausted" 3 (TW.cursor w));
+        check_int "exhausted" 3 w.TW.tw_cursor);
     test "reset rewinds and keeps capacity" (fun () ->
         let w = TW.create ~times:[| 0.0; 1.0 |] in
         for i = 0 to 20 do
           TW.schedule w ~tick:1 ~seq:i i
         done;
         TW.reset w;
-        check_int "rewound" 0 (TW.cursor w);
+        check_int "rewound" 0 w.TW.tw_cursor;
         TW.advance w;
-        check "slots emptied" true (TW.peek w = None));
+        check "slots emptied" true (wheel_head w = None));
   ]
 
 (* --- per-run bit-identity against the reference engine --- *)
@@ -414,8 +390,123 @@ let mux_arg_tests =
           [ 0; -3 ]);
   ]
 
+(* --- the heap against its reference, deep; the engine at n = 32 --- *)
+
+module EQR = Event_queue_ref
+
+(* One round of random pushes and takes on both heaps, growing to [peak]
+   live events and draining back to [floor], every take checked against
+   the reference's pop.  Times come from [ties] values, so thousands of
+   events share an instant and only the seqno orders them; an occasional
+   [alloc_seq] skips a seqno on both sides. *)
+let heap_round rng q r ~ties ~peak ~floor ~next_id =
+  let same what a b = if a <> b then Alcotest.failf "%s differs" what in
+  let push () =
+    let time = 0.25 *. float_of_int (Random.State.int rng ties) in
+    EQ.push q ~time !next_id;
+    EQR.push r ~time !next_id;
+    incr next_id
+  in
+  let take () =
+    match EQR.pop r with
+    | None -> check "both empty" true (EQ.is_empty q)
+    | Some (time, id) ->
+        check "top time" true (q.EQ.eq_times.(0) = time);
+        same "payload" (EQ.take q) id
+  in
+  let step ~push_share =
+    let u = Random.State.float rng 1.0 in
+    if u < 0.02 then same "alloc_seq" (EQ.alloc_seq q) (EQR.alloc_seq r)
+    else if u < push_share then push ()
+    else take ();
+    same "size" q.EQ.eq_len r.EQR.len
+  in
+  while q.EQ.eq_len < peak do
+    step ~push_share:0.75
+  done;
+  while q.EQ.eq_len > floor do
+    step ~push_share:0.25
+  done
+
+let deep_tests =
+  [
+    qtest ~count:10
+      "qcheck: the heap drains like the reference, tied times, 40,000+ live, across clear"
+      QCheck2.Gen.(triple (int_bound 1_000_000) (int_range 1 8) (int_range 1 2_000))
+      (fun (seed, ties, small) ->
+        let rng = Random.State.make [| seed |] in
+        let q = EQ.create () and r = EQR.create () in
+        let next_id = ref 0 in
+        (* a small round left half full, cleared with events still live,
+           then a deep one drained to empty on the recycled arrays *)
+        heap_round rng q r ~ties ~peak:small ~floor:(small / 2) ~next_id;
+        EQ.clear q;
+        EQR.clear r;
+        heap_round rng q r ~ties ~peak:(40_000 + small) ~floor:0 ~next_id;
+        EQ.is_empty q && EQR.is_empty r);
+    test "mux = sequential per run at n = 32, uniform lossy fabric" (fun () ->
+        let params = crash_params ~n:32 ~t:4 in
+        let topology = uniform_topology ~n:32 ~loss:0.1 in
+        let dynamic = Net.Inject.dynamic ~max_faulty:4 () in
+        mux_matches (module Eba.Floodset) params ~topology ~dynamic ~seed:3232
+          ~runs:3 ();
+        mux_matches (module Eba.P0opt_delta) params ~topology ~dynamic ~seed:3233
+          ~runs:2 ());
+  ]
+
+(* --- allocation per event --- *)
+
+(* sim's uniform sweep: FloodSet n=16 t=5, uniform 0.2-1.0 latency, loss
+   0.1, 20 runs, one domain *)
+let uniform_sweep () =
+  let module Spec = Eba.Server.Spec in
+  let spec =
+    {
+      Spec.default with
+      protocol = "floodset";
+      n = 16;
+      t_failures = 5;
+      latency = Net.Link.Uniform (0.2, 1.0);
+      loss = 0.1;
+      seed = 22;
+      runs = Some 20;
+      jobs = Some 1;
+    }
+  in
+  match Spec.resolve spec with
+  | Ok r -> fun () -> ignore (Spec.run r)
+  | Error m -> Alcotest.fail m
+
+let alloc_tests =
+  [
+    test "a warm sweep allocates at most 24 minor words per event" (fun () ->
+        let sweep = uniform_sweep () in
+        (* the warm-up sweep counts the events; the measured one runs
+           with the metrics layer off, as a plain sweep does *)
+        let events =
+          with_metrics (fun () ->
+              sweep ();
+              counter_value "net.events_processed")
+        in
+        let was = Metrics.enabled () in
+        Metrics.set_enabled false;
+        let words =
+          Fun.protect
+            ~finally:(fun () -> Metrics.set_enabled was)
+            (fun () ->
+              let w0 = Gc.minor_words () in
+              sweep ();
+              Gc.minor_words () -. w0)
+        in
+        check "events counted" true (events > 0);
+        let per_event = words /. float_of_int events in
+        if per_event > 24.0 then
+          Alcotest.failf "%.1f minor words per event (%.0f words, %d events)"
+            per_event words events);
+  ]
+
 let tests =
   eq_growth_tests @ wheel_tests @ identity_tests @ corner_tests @ sweep_tests
-  @ quantile_tests @ metrics_tests @ mux_arg_tests
+  @ quantile_tests @ metrics_tests @ mux_arg_tests @ deep_tests @ alloc_tests
 
 let suite = ("mux", tests)

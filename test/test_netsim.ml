@@ -24,15 +24,20 @@ open Helpers
 
 let eq_tests =
   [
-    test "pop order is (time, seqno)" (fun () ->
+    test "take order is (time, seqno)" (fun () ->
         let q = EQ.create () in
         EQ.push q ~time:2.0 "c";
         EQ.push q ~time:1.0 "a";
         EQ.push q ~time:1.0 "b";
         EQ.push q ~time:0.5 "z";
-        let order = List.init 4 (fun _ -> snd (Option.get (EQ.pop q))) in
+        let order = List.init 4 (fun _ -> EQ.take q) in
         Alcotest.(check (list string)) "order" [ "z"; "a"; "b"; "c" ] order;
-        check "drained" true (EQ.is_empty q));
+        check "drained" true (EQ.is_empty q);
+        check "take on empty raises" true
+          (try
+             ignore (EQ.take q);
+             false
+           with Invalid_argument _ -> true));
     test "push rejects bad times" (fun () ->
         let q = EQ.create () in
         check "neg" true
@@ -45,15 +50,12 @@ let eq_tests =
              EQ.push q ~time:Float.nan ();
              false
            with Invalid_argument _ -> true));
-    qtest ~count:200 "qcheck: pop is a stable sort by time"
+    qtest ~count:200 "qcheck: take is a stable sort by time"
       QCheck2.Gen.(list_size (int_bound 40) (int_bound 5))
       (fun times ->
         let q = EQ.create () in
         List.iteri (fun i t -> EQ.push q ~time:(float_of_int t) (t, i)) times;
-        let rec drain acc =
-          match EQ.pop q with None -> List.rev acc | Some (_, x) -> drain (x :: acc)
-        in
-        let popped = drain [] in
+        let popped = drain_events q in
         let expected =
           List.stable_sort
             (fun (t1, i1) (t2, i2) -> if t1 <> t2 then compare t1 t2 else compare i1 i2)
