@@ -216,20 +216,12 @@ let parallel_tests =
   let sweep jobs () =
     ignore (Eba.Stats.exhaustive ~jobs (module Eba.P0opt_plus) om_params)
   in
-  let kernel jobs () =
-    Eba.Parallel.with_jobs jobs (fun () ->
-        ignore (Eba.Knowledge.everyone_knows crash4_model nf e0_pts))
-  in
   Test.make_grouped ~name:"parallel"
     [
       Test.make ~name:"Stats.exhaustive omission n=3 t=1 jobs=1" (Staged.stage (sweep 1));
       Test.make
         ~name:(Printf.sprintf "Stats.exhaustive omission n=3 t=1 jobs=%d" sweep_jobs)
         (Staged.stage (sweep sweep_jobs));
-      Test.make ~name:"E_N closure n=4 t=2 jobs=1" (Staged.stage (kernel 1));
-      Test.make
-        ~name:(Printf.sprintf "E_N closure n=4 t=2 jobs=%d" sweep_jobs)
-        (Staged.stage (kernel sweep_jobs));
     ]
 
 (* --- one bench per table / figure --- *)

@@ -13,7 +13,9 @@ module Formula = Eba_epistemic.Formula
 module Nonrigid = Eba_epistemic.Nonrigid
 module Pset = Eba_epistemic.Pset
 
-type t
+type t = private Bytes.t
+(** Byte [v] is ['\001'] iff view [v] is in its owner's set, else
+    ['\000']: the table {!Eba_epistemic.Nonrigid.restrict_by_view} reads. *)
 
 val empty : Model.t -> t
 val mem : t -> View.id -> bool
@@ -26,7 +28,7 @@ val believes : Formula.env -> Nonrigid.t -> Formula.t -> t
     is in the set iff [B^S_i φ] holds there
     ({!Eba_epistemic.Knowledge.believed_views} of [φ]'s points).  This is
     the paper's [Z'_i = B^N_i(∃0 ∧ C□_{N∧O} ∃0)] shape, for every [i] in
-    one pass over the cells. *)
+    one pass over the points where φ fails. *)
 
 val points : Model.t -> t -> proc:int -> Pset.t
 (** Points [(r,m)] with [r_proc(m) ∈ A_proc]. *)

@@ -68,4 +68,4 @@ let member_atom env pair y i =
 
 let conjoin env s name a =
   let model = Formula.model env in
-  Nonrigid.restrict_by_view model ~name s (fun ~proc:_ ~view -> Decision_set.mem a view)
+  Nonrigid.restrict_by_view model ~name s (a : Decision_set.t :> Bytes.t)

@@ -13,7 +13,9 @@
     of [cell v] at which [i ∈ S].  All runs touching a group are mutually
     reachable and every point of the group is reachable.  We compute
     connected components of runs with a union-find over the groups once per
-    nonrigid set, after which every [C□_S φ] query is a linear scan:
+    nonrigid set (each component linked under its least run, then
+    flattened, so a built closure is only ever read), after which every
+    [C□_S φ] query is a linear scan:
     [C□_S φ] holds at [(r,m)] iff either [r] touches no group (so no step
     can start — the vacuous case of an everywhere-empty [S]) or no landable
     point in [r]'s component refutes φ.  The result is constant along each
@@ -35,7 +37,9 @@ val ebox : Model.t -> Nonrigid.t -> Pset.t -> Pset.t
 (** [E□_S φ]. *)
 
 val cbox : closure -> Pset.t -> Pset.t
-(** [C□_S φ] via the reachability characterization. *)
+(** [C□_S φ] via the reachability characterization.  Raises
+    [Invalid_argument] when φ is not a set of the closure's model's
+    points. *)
 
 val cbox_naive : Model.t -> Nonrigid.t -> Pset.t -> Pset.t
 (** [C□_S φ] by iterating [X ← E□_S(φ ∧ X)] to the fixed point. *)

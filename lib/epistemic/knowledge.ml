@@ -1,57 +1,55 @@
 module Model = Eba_fip.Model
 module View = Eba_fip.View
-module Bitset = Eba_util.Bitset
 module Metrics = Eba_util.Metrics
-module Parallel = Eba_util.Parallel
 
 let s_kernel = Metrics.span "knowledge.known_per_view"
-let m_views = Metrics.counter "knowledge.views_scanned"
 let m_probes = Metrics.counter "knowledge.cell_points_probed"
 
 (* [known_per_view model ?owner s phi] computes, for every view [v] with
    owner [i], whether φ holds at every point of [cell v] where [i ∈ S];
-   this is the kernel shared by [K], [B] and [E].  With [~owner] only that
-   processor's views are scanned (their bytes are the only ones [K_i] and
-   [B^S_i] read); the others are left at '\001' and must not be read.  The
-   model is immutable after [Model.build] and each iteration writes only
-   its own byte, so the per-view loop parallelizes over domains; cells are
-   read straight out of the model's CSR arrays, so the inner loop
-   allocates nothing.  [m_views]/[m_probes] count the scanned views and
-   their whole cells even when the scan exits early, summed per chunk
-   rather than bumped per view, keeping the totals a function of the model
-   alone — identical across job counts and short-circuit luck. *)
+   this is the kernel shared by [K], [B] and [E].  A point [q] lies in the
+   cell of [views.(q·n + i)] for each [i], so [v] is refuted exactly by
+   the points [q ∉ φ] with [i ∈ S(q)]: one sequential pass over φ's clear
+   bits clears those views, skipping every full word.  With [~owner] only
+   that processor's views are cleared (their bytes are the only ones [K_i]
+   and [B^S_i] read); the others stay '\001' and must not be read.
+   [m_probes] counts the cleared (point, processor) pairs, each one entry
+   of the cleared view's cell. *)
 let known_per_view ?owner model s phi =
   Metrics.time s_kernel @@ fun () ->
-  let store = model.Model.store in
-  let nv = View.size store in
-  let off = model.Model.cell_off and ids = model.Model.cell_ids in
-  let known = Bytes.make nv '\001' in
-  Parallel.parallel_ranges nv (fun lo hi ->
-      let views = ref 0 and probes = ref 0 in
-      for v = lo to hi - 1 do
-        let i = View.owner store v in
-        if match owner with Some o -> o = i | None -> true then begin
-          let e = off.(v + 1) in
-          incr views;
-          probes := !probes + (e - off.(v));
-          let ok = ref true in
-          let k = ref off.(v) in
-          while !ok && !k < e do
-            let q = ids.(!k) in
-            ok :=
-              (match s with
-              | Some s -> not (Nonrigid.mem s ~point:q ~proc:i)
-              | None -> false)
-              || Pset.mem phi q;
-            incr k
-          done;
-          if not !ok then Bytes.set known v '\000'
+  let n = Model.n model and views = model.Model.views in
+  let npoints = Model.npoints model in
+  if Pset.length phi <> npoints then
+    invalid_arg "Knowledge: φ is not a set of the model's points";
+  let known = Bytes.make (View.size model.Model.store) '\001' in
+  (* the processors whose views a refuting point clears, before [S] *)
+  let scanned =
+    match owner with
+    | None -> (1 lsl n) - 1
+    | Some o -> if o >= 0 && o < n then 1 lsl o else 0
+  in
+  let table = match s with Some s -> s.Nonrigid.table | None -> [||] in
+  let words = phi.Pset.words and bpw = Pset.bits_per_word and full = Pset.full_word in
+  let probes = ref 0 in
+  for w = 0 to Array.length words - 1 do
+    let word = words.(w) in
+    if word <> full then begin
+      let lo = w * bpw in
+      for q = lo to min npoints (lo + bpw) - 1 do
+        if word land (1 lsl (q - lo)) = 0 then begin
+          let members = match s with None -> scanned | Some _ -> table.(q) land scanned in
+          if members <> 0 then
+            for i = 0 to n - 1 do
+              if members land (1 lsl i) <> 0 then begin
+                incr probes;
+                Bytes.set known views.((q * n) + i) '\000'
+              end
+            done
         end
-      done;
-      if Metrics.enabled () then begin
-        Metrics.add m_views !views;
-        Metrics.add m_probes !probes
-      end);
+      done
+    end
+  done;
+  Metrics.add m_probes !probes;
   known
 
 (* The points at which [proc]'s current view is known, read down [proc]'s
@@ -80,7 +78,7 @@ let everyone_knows model s phi =
   let npoints = Model.npoints model in
   let out = Pset.create npoints in
   for pid = 0 to npoints - 1 do
-    let members = Bitset.to_int (Nonrigid.members s ~point:pid) in
+    let members = s.Nonrigid.table.(pid) in
     let ok = ref true and i = ref 0 in
     while !ok && !i < n do
       if members land (1 lsl !i) <> 0 && Bytes.get known views.((pid * n) + !i) <> '\001'

@@ -10,14 +10,17 @@
     All of them share one kernel: for each view [v] of owner [i], does φ
     hold at every point of [v]'s cell where [i ∈ S]?  Its answer is a
     property of views, one byte per view, and {!believed_views} returns it
-    whole: one scan of every cell gives [B^S_i φ] for every processor at
-    once, read at each view for the view's own owner.  [K_i] and [B^S_i]
-    on their own read only [i]'s views, so they scan only the cells of
-    views [i] owns (together, exactly one entry per point of the model);
-    [E_S] and {!believed_views} scan every view.  The kernel's
-    [knowledge.cell_points_probed] counter adds the full length of every
-    cell scanned, including cells whose scan stops early, so its total
-    depends on the model and the calls alone, never on the job count. *)
+    whole, [B^S_i φ] for every processor at once, read at each view for the
+    view's own owner.  A point [q] lies in the cell of [i]'s view at [q]
+    for every [i], so the kernel makes one sequential pass over the points
+    where φ fails and clears, at each, the views of the members of [S]
+    there (of every processor when [S] is absent); words of φ with every
+    point set are skipped whole.  [K_i] and [B^S_i] on their own clear only
+    [i]'s views.  The model keeps no cells: the rows are all the kernel
+    reads.  Its [knowledge.cell_points_probed] counter adds one per
+    (refuting point, cleared member) pair, so its total depends on the
+    model, φ and the calls alone.  Every operator raises [Invalid_argument]
+    when φ is not a set of the model's points. *)
 
 module Model = Eba_fip.Model
 

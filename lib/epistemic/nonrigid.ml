@@ -10,8 +10,8 @@ let id s = s.nr_id
 let name s = s.nr_name
 let members s ~point = Bitset.of_int s.table.(point)
 
-(* The knowledge kernels' inner-loop probe: [Bitset.mem] inlined (a
-   [Bitset.t] is the bits of a native int), so it makes no calls. *)
+(* [Bitset.mem] inlined (a [Bitset.t] is the bits of a native int), so it
+   makes no calls. *)
 let mem s ~point ~proc =
   proc >= 0 && proc < Bitset.max_width && s.table.(point) land (1 lsl proc) <> 0
 
@@ -31,19 +31,23 @@ let rigid model ~name set = of_run_fun model ~name (fun _ -> set)
 let everyone model = rigid model ~name:"All" (Bitset.full (Model.n model))
 
 (* Point by point over the rows; the member loop tests the table's bits
-   directly instead of allocating a [Bitset.filter] closure per point. *)
-let restrict_by_view model ~name s pred =
+   and the view bytes directly, with no call per member. *)
+let restrict_by_view model ~name s kept_views =
   let n = Model.n model and views = model.Model.views in
+  if Bytes.length kept_views <> View.size model.Model.store then
+    invalid_arg "Nonrigid.restrict_by_view: not a table over the model's views";
   let table = Array.make (Model.npoints model) 0 in
   for pid = 0 to Model.npoints model - 1 do
     let members = s.table.(pid) in
-    let kept = ref 0 in
-    for i = 0 to n - 1 do
-      let bit = 1 lsl i in
-      if members land bit <> 0 && pred ~proc:i ~view:views.((pid * n) + i) then
-        kept := !kept lor bit
-    done;
-    table.(pid) <- !kept
+    if members <> 0 then begin
+      let kept = ref 0 in
+      for i = 0 to n - 1 do
+        let bit = 1 lsl i in
+        if members land bit <> 0 && Bytes.get kept_views views.((pid * n) + i) = '\001'
+        then kept := !kept lor bit
+      done;
+      table.(pid) <- !kept
+    end
   done;
   make ~name table
 

@@ -4,7 +4,9 @@
     The canonical example is 𝒩, the nonfaulty processors; the paper's
     constructions use intersections 𝒩 ∧ 𝒜 with decision sets.  Membership is
     precomputed per point as a processor bitset so the epistemic operators
-    can query it in constant time.
+    can query it in constant time.  The record is [private] so that the
+    kernels read the table in place: under the dev profile's [-opaque],
+    a {!mem} from another module is a real call.
 
     Identity matters: the continual-common-knowledge engine caches a
     reachability closure per nonrigid set, keyed on physical identity, so
@@ -13,7 +15,13 @@
 module Bitset = Eba_util.Bitset
 module Model = Eba_fip.Model
 
-type t
+type t = private {
+  nr_id : int;
+  nr_name : string;
+  table : int array;
+      (** [table.(point)]: bit [i] set iff processor [i] is in the set at
+          the point *)
+}
 
 val id : t -> int
 (** A number distinct for every set ever built: its identity, for tables
@@ -32,10 +40,12 @@ val everyone : Model.t -> t
 
 val rigid : Model.t -> name:string -> Bitset.t -> t
 
-val restrict_by_view : Model.t -> name:string -> t -> (proc:int -> view:Eba_fip.View.id -> bool) -> t
-(** [restrict_by_view model ~name s pred] is the nonrigid set
-    [{i ∈ s(r,m) : pred i (r_i(m))}] — the paper's 𝒩 ∧ 𝒜 when [pred] is
-    membership of the view in the decision set 𝒜. *)
+val restrict_by_view : Model.t -> name:string -> t -> Bytes.t -> t
+(** [restrict_by_view model ~name s a] is the nonrigid set
+    [{i ∈ s(r,m) : r_i(m) ∈ a}], where byte [v] of [a] is ['\001'] iff
+    view [v] is in [a] — the paper's 𝒩 ∧ 𝒜 when [a] is the decision set 𝒜.
+    Raises [Invalid_argument] unless [a] has one byte per view of the
+    model. *)
 
 val is_empty_at : t -> point:int -> bool
 val pp : Format.formatter -> t -> unit

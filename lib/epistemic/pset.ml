@@ -10,15 +10,17 @@ let id s = s.id
 
 (* Word-granularity traffic counters: how much bitset material the
    epistemic kernels actually stream.  Each [init]/[map2] touches a fixed
-   number of words regardless of the job count, so both are deterministic. *)
+   number of words, so both are deterministic. *)
 let m_words_init = Metrics.counter "pset.words_init"
 let m_words_map2 = Metrics.counter "pset.words_map2"
 
 let bpw = 62
+let bits_per_word = bpw
 
 (* [bpw] low bits set, computed without shifting into the sign bit:
    [max_int] already has [Sys.int_size - 1] one bits. *)
 let all_ones = max_int lsr (Sys.int_size - 1 - bpw)
+let full_word = all_ones
 
 let nwords len = (len + bpw - 1) / bpw
 
@@ -52,21 +54,18 @@ let remove s i =
   check_index s i;
   s.words.(i / bpw) <- s.words.(i / bpw) land lnot (1 lsl (i mod bpw))
 
-(* Parallel over whole words: each index computes one word of the vector
-   from scratch, so domains never write to the same array slot and the
-   result is identical for every job count.  [f] must be pure (every caller
-   passes a read-only probe of an immutable model). *)
+(* Word by word, so each word is assembled in a register and stored once. *)
 let init len f =
   let s = create len in
   Metrics.add m_words_init (nwords len);
-  Eba_util.Parallel.parallel_for (nwords len) (fun w ->
-      let lo = w * bpw in
-      let hi = min len (lo + bpw) in
-      let word = ref 0 in
-      for i = lo to hi - 1 do
-        if f i then word := !word lor (1 lsl (i - lo))
-      done;
-      s.words.(w) <- !word);
+  for w = 0 to nwords len - 1 do
+    let lo = w * bpw in
+    let word = ref 0 in
+    for i = lo to min len (lo + bpw) - 1 do
+      if f i then word := !word lor (1 lsl (i - lo))
+    done;
+    s.words.(w) <- !word
+  done;
   s
 
 let check_same a b = if a.len <> b.len then invalid_arg "Pset: length mismatch"
@@ -89,10 +88,6 @@ let complement a =
     s.words.(lw) <- s.words.(lw) land last_word_mask a.len
   end;
   s
-
-let inter_ip acc s =
-  check_same acc s;
-  Array.iteri (fun w x -> acc.words.(w) <- x land s.words.(w)) acc.words
 
 let equal a b = a.len = b.len && a.words = b.words
 

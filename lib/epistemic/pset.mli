@@ -4,9 +4,26 @@
     to a few million points, so sets are flat bit vectors with word-wise
     boolean operations.  All binary operations require operands of the same
     length (the number of points in the model) and raise [Invalid_argument]
-    otherwise. *)
+    otherwise.
 
-type t
+    The record is [private] so that the epistemic kernels can read (and
+    fill the sets they have just created) word by word, without a call per
+    point: under the dev profile's [-opaque] every {!mem}/{!add} from
+    another module is a real call. *)
+
+type t = private {
+  id : int;
+  len : int;
+  words : int array;
+      (** bit [b] of [words.(w)] is point [w * bits_per_word + b]; bits at
+          or past [len] are always clear, and there is at least one word *)
+}
+
+val bits_per_word : int
+(** 62: the points per word of {!t.words}. *)
+
+val full_word : int
+(** A word with all {!bits_per_word} bits set. *)
 
 val create : int -> t
 (** [create len] is the empty set over a universe of [len] points. *)
@@ -14,9 +31,8 @@ val create : int -> t
 val full : int -> t
 
 val init : int -> (int -> bool) -> t
-(** [init len f] is [{i | f i}].  [f] must be a pure predicate: when the
-    engine runs with more than one domain the indices are evaluated
-    concurrently (word-parallel), in no particular order. *)
+(** [init len f] is [{i | f i}], calling [f] on every index in increasing
+    order. *)
 
 val copy : t -> t
 val length : t -> int
@@ -37,9 +53,6 @@ val inter : t -> t -> t
 val diff : t -> t -> t
 val complement : t -> t
 (** All fresh; operands are not mutated. *)
-
-val inter_ip : t -> t -> unit
-(** [inter_ip acc s] replaces [acc] with [acc ∩ s]. *)
 
 val equal : t -> t -> bool
 val subset : t -> t -> bool

@@ -19,19 +19,15 @@ type t = {
   store : View.store;
   runs : run array;
   views : View.id array;
-  cell_off : int array;
-  cell_ids : int array;
   by_key : (int, int list) Hashtbl.t Lazy.t;
 }
 
 let s_build = Metrics.span "model.build"
 let s_walk = Metrics.span "model.build.walk"
 let s_intern = Metrics.span "model.build.intern"
-let s_cells = Metrics.span "model.build.cells"
 let m_runs = Metrics.counter "model.runs"
 let m_points = Metrics.counter "model.points"
 let m_views = Metrics.counter "model.views"
-let m_cell_entries = Metrics.counter "model.cell_entries"
 
 (* Interior-node view extensions the builder actually performed, and the
    ones it skipped relative to the naive per-run simulation.  Both are
@@ -39,30 +35,6 @@ let m_cell_entries = Metrics.counter "model.cell_entries"
    counts — which is what lets test_build assert the accounting exactly. *)
 let m_tree_nodes = Metrics.counter "model.tree_nodes"
 let m_prefix_hits = Metrics.counter "model.prefix_hits"
-
-(* CSR layout: cell of view [v] is [cell_ids.(cell_off.(v)) ..
-   cell_ids.(cell_off.(v+1) - 1)].  Two passes over the point-indexed
-   rows, so within a cell the point ids are sorted ascending. *)
-let build_cells store views ~n =
-  let nviews = View.size store in
-  let off = Array.make (nviews + 1) 0 in
-  for k = 0 to Array.length views - 1 do
-    let v = views.(k) in
-    off.(v + 1) <- off.(v + 1) + 1
-  done;
-  for v = 1 to nviews do
-    off.(v) <- off.(v) + off.(v - 1)
-  done;
-  let ids = Array.make off.(nviews) (-1) in
-  let fill = Array.sub off 0 nviews in
-  for pid = 0 to (Array.length views / n) - 1 do
-    for i = 0 to n - 1 do
-      let v = views.((pid * n) + i) in
-      ids.(fill.(v)) <- pid;
-      fill.(v) <- fill.(v) + 1
-    done
-  done;
-  (off, ids)
 
 (* Locating a run by (config, pattern) is a rare operation on a huge array,
    so the index is lazy: a hash bucket per [Hashtbl.hash] key, resolved by
@@ -82,19 +54,13 @@ let make_index runs =
      tbl)
 
 let finish (params : Params.t) store runs views =
-  let n = params.Params.n in
-  let cell_off, cell_ids =
-    Metrics.time s_cells (fun () -> build_cells store views ~n)
-  in
   if Metrics.enabled () then begin
     let nruns = Array.length runs in
-    let npoints = nruns * (params.Params.horizon + 1) in
     Metrics.add m_runs nruns;
-    Metrics.add m_points npoints;
-    Metrics.add m_views (View.size store);
-    Metrics.add m_cell_entries (npoints * n)
+    Metrics.add m_points (nruns * (params.Params.horizon + 1));
+    Metrics.add m_views (View.size store)
   end;
-  { params; store; runs; views; cell_off; cell_ids; by_key = make_index runs }
+  { params; store; runs; views; by_key = make_index runs }
 
 (* --- the shared-prefix builder ------------------------------------------
 
@@ -285,20 +251,6 @@ let view_at m ~point ~proc = m.views.((point * n m) + proc)
 let view m ~run ~time ~proc = view_at m ~point:(point m ~run ~time) ~proc
 
 let nonfaulty m ~run = Bitset.diff (Bitset.full (n m)) m.runs.(run).faulty
-
-let cell_length m v = m.cell_off.(v + 1) - m.cell_off.(v)
-
-let cell_iter m v f =
-  for k = m.cell_off.(v) to m.cell_off.(v + 1) - 1 do
-    f m.cell_ids.(k)
-  done
-
-let cell_forall m v p =
-  let e = m.cell_off.(v + 1) in
-  let rec go k = k >= e || (p m.cell_ids.(k) && go (k + 1)) in
-  go m.cell_off.(v)
-
-let cell m v = Array.sub m.cell_ids m.cell_off.(v) (cell_length m v)
 
 let prepare_index m = ignore (Lazy.force m.by_key : (int, int list) Hashtbl.t)
 

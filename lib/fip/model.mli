@@ -12,9 +12,13 @@
     set; the tries bound the number of distinct views, so the intern pass
     allocates the store, the runs and the view rows once and extends views
     once per signature-prefix class rather than once per run, in the order
-    a naive per-run simulation would allocate them.  The store, runs, rows
-    and cells are bit-identical to the naive simulation's, which the test
-    suite keeps as the reference. *)
+    a naive per-run simulation would allocate them.  The store, runs and
+    rows are bit-identical to the naive simulation's, which the test suite
+    keeps as the reference.
+
+    The model keeps no view→points cells: the cell of a view [v] with
+    owner [i] is the set of points [q] with [views.(q·n + i) = v], and the
+    epistemic kernels reach it through the rows alone. *)
 
 module Bitset = Eba_util.Bitset
 module Value = Eba_sim.Value
@@ -37,12 +41,6 @@ type t = private {
   views : View.id array;
       (** point-indexed rows: [views.(point * n + proc)] is [proc]'s view at
           the point; a run's points are consecutive, so its rows are too *)
-  cell_off : int array;
-      (** CSR row offsets: cell of view [v] occupies
-          [cell_ids.(cell_off.(v)) .. cell_ids.(cell_off.(v+1) - 1)] *)
-  cell_ids : int array;
-      (** point ids, ascending within each cell — all points at which the
-          view's owner holds exactly that view *)
   by_key : (int, int list) Hashtbl.t Lazy.t;
       (** lazy (config, pattern)-hash -> run-index buckets for {!find_run} *)
 }
@@ -84,21 +82,6 @@ val view : t -> run:int -> time:int -> proc:int -> View.id
 
 val nonfaulty : t -> run:int -> Bitset.t
 (** The paper's 𝒩(r): processors that follow the protocol throughout. *)
-
-val cell_length : t -> View.id -> int
-(** Number of points in the view's cell (always [>= 1]: the point the view
-    was taken from is a member). *)
-
-val cell_iter : t -> View.id -> (int -> unit) -> unit
-(** Iterate the view's cell in ascending point order, without allocating. *)
-
-val cell_forall : t -> View.id -> (int -> bool) -> bool
-(** Short-circuiting universal quantification over the cell — the knowledge
-    test [∀ points ≈ here. φ]. *)
-
-val cell : t -> View.id -> int array
-(** The cell as a fresh array (allocates; the hot paths use {!cell_iter} /
-    {!cell_forall} or index [cell_ids] through [cell_off] directly). *)
 
 val find_run : t -> config:Config.t -> pattern:Pattern.t -> run option
 (** Locate the run with this configuration and pattern, if the model

@@ -69,37 +69,6 @@ let run_workers n worker =
   if Atomic.get failed then raise (Atomic.get failure);
   Array.to_list (Array.append [| first |] rest) |> List.filter_map Fun.id
 
-let parallel_ranges ?jobs n f =
-  let j = min (effective jobs) n in
-  if j <= 1 then begin
-    if n > 0 then f 0 n
-  end
-  else begin
-    let chunk = max 1 (n / (j * 8)) in
-    let next = Atomic.make 0 in
-    let worker () =
-      let mine = ref 0 in
-      let rec loop () =
-        let start = Atomic.fetch_and_add next chunk in
-        if start < n then begin
-          Stdlib.incr mine;
-          f start (min n (start + chunk));
-          loop ()
-        end
-      in
-      loop ();
-      note_chunks !mine;
-      None
-    in
-    ignore (run_workers j worker : unit list)
-  end
-
-let parallel_for ?jobs n f =
-  parallel_ranges ?jobs n (fun lo hi ->
-      for i = lo to hi - 1 do
-        f i
-      done)
-
 let default_chunk = 64
 
 let map_reduce_seq ?jobs ?(chunk = default_chunk) ~init ~fold ~merge seq =

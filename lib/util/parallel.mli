@@ -27,19 +27,6 @@ val with_jobs : int -> (unit -> 'a) -> 'a
 (** [with_jobs j f] runs [f] with the override set to [j], restoring the
     previous override afterwards (also on exceptions). *)
 
-val parallel_for : ?jobs:int -> int -> (int -> unit) -> unit
-(** [parallel_for n f] applies [f] to every index in [0 .. n-1], in chunks
-    stolen from a shared counter.  [f] must be safe to call concurrently on
-    distinct indices (the engine's uses write to disjoint array slots of a
-    shared buffer).  Sequential when the effective job count is 1. *)
-
-val parallel_ranges : ?jobs:int -> int -> (int -> int -> unit) -> unit
-(** [parallel_ranges n f] covers [0 .. n-1] with disjoint half-open ranges,
-    calling [f lo hi] for each — the chunked scheduler behind
-    {!parallel_for}, exposed so callers can hoist per-chunk work (batched
-    metric updates, scratch buffers) out of the per-index loop.  With an
-    effective job count of 1 it makes the single call [f 0 n]. *)
-
 val map_reduce_seq :
   ?jobs:int ->
   ?chunk:int ->

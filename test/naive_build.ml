@@ -3,7 +3,10 @@
    in pattern-major, configuration-inner order.  The library builds
    models by sharing signature prefixes (Model.build); this builder
    shares nothing, which makes it the reference test_build compares the
-   library against — runs, view ids, store metadata and CSR cells. *)
+   library against — runs, view ids and store metadata.  It also lays out
+   every view's cell (the points where the view's owner holds it) as CSR
+   arrays, which the library model does not keep: the cell-scanning
+   reference kernel (Knowledge_ref) reads them. *)
 
 module View = Eba.View
 module Params = Eba.Params
@@ -109,22 +112,23 @@ let build ?(flavour = Universe.Exhaustive) ?configs (params : Params.t) =
   { store; runs; cell_off; cell_ids }
 
 (* The same fields read off a library model, each run's rows cut from its
-   point-indexed ones. *)
+   point-indexed ones and the cells derived from those rows. *)
 let of_model (m : Eba.Model.t) =
   let row = (Eba.Model.horizon m + 1) * Eba.Model.n m in
-  {
-    store = m.store;
-    runs =
-      Array.map
-        (fun (r : Eba.Model.run) ->
-          {
-            index = r.index;
-            config = r.config;
-            pattern = r.pattern;
-            faulty = r.faulty;
-            views = Array.sub m.views (r.index * row) row;
-          })
-        m.runs;
-    cell_off = m.cell_off;
-    cell_ids = m.cell_ids;
-  }
+  let runs =
+    Array.map
+      (fun (r : Eba.Model.run) ->
+        {
+          index = r.index;
+          config = r.config;
+          pattern = r.pattern;
+          faulty = r.faulty;
+          views = Array.sub m.views (r.index * row) row;
+        })
+      m.runs
+  in
+  let cell_off, cell_ids = build_cells m.store runs (Eba.Model.horizon m) (Eba.Model.n m) in
+  { store = m.store; runs; cell_off; cell_ids }
+
+(* The cell of view [v] as a fresh array, ascending. *)
+let cell t v = Array.sub t.cell_ids t.cell_off.(v) (t.cell_off.(v + 1) - t.cell_off.(v))

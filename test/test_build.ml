@@ -1,5 +1,5 @@
 (* The shared-prefix model builder: it is bit-identical to the naive
-   reference (Naive_build) — same runs, same view ids, same CSR cells —
+   reference (Naive_build) — same runs, same view ids, same cells —
    for every flavour, mode and job count, while provably doing less
    interning work, and the hashed run index agrees with a linear scan. *)
 
@@ -124,27 +124,6 @@ let sharing_tests =
           [ crash_3_1_3; omission_3_1_3; crash_4_2_4 ]);
   ]
 
-let cell_tests =
-  [
-    test "CSR accessors agree with the materialized cell" (fun () ->
-        let m = model crash_3_1_3 in
-        let store = m.M.store in
-        for v = 0 to V.size store - 1 do
-          let cell = M.cell m v in
-          check_int "length" (Array.length cell) (M.cell_length m v);
-          let got = ref [] in
-          M.cell_iter m v (fun q -> got := q :: !got);
-          check "iter order" true (Array.of_list (List.rev !got) = cell);
-          check "sorted ascending" true
-            (Array.for_all2 ( = ) cell (let c = Array.copy cell in Array.sort compare c; c));
-          let owner = V.owner store v in
-          check "forall matches the cell" true
-            (M.cell_forall m v (fun q -> M.view_at m ~point:q ~proc:owner = v));
-          check "forall short-circuits falsity" false
-            (M.cell_forall m v (fun _ -> false))
-        done);
-  ]
-
 let find_run_tests =
   [
     test "find_run locates every run by (config, pattern)" (fun () ->
@@ -204,4 +183,4 @@ let capacity_tests =
 let suite =
   ( "build",
     List.concat
-      [ equivalence_tests; sharing_tests; cell_tests; find_run_tests; capacity_tests ] )
+      [ equivalence_tests; sharing_tests; find_run_tests; capacity_tests ] )

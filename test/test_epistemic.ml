@@ -21,6 +21,7 @@ type pool = {
   p_model : M.t;
   atoms : F.t array;
   rigids : N.t array;  (* nonrigid sets to quantify over *)
+  p_cells : Naive_build.t Lazy.t;  (* the model's CSR cells, for Knowledge_ref *)
 }
 
 let pool_of fixture =
@@ -32,12 +33,14 @@ let pool_of fixture =
   let nf = N.nonfaulty m in
   let everyone = N.everyone m in
   let knows_zero =
-    N.restrict_by_view m ~name:"N&kz" nf (fun ~proc:_ ~view ->
-        Eba.View.knows_zero m.M.store view)
+    N.restrict_by_view m ~name:"N&kz" nf
+      (Bytes.init (Eba.View.size m.M.store) (fun v ->
+           if Eba.View.knows_zero m.M.store v then '\001' else '\000'))
   in
   {
     p_env = e;
     p_model = m;
+    p_cells = lazy (Naive_build.of_model m);
     atoms =
       [|
         F.exists_value m Val.Zero;
@@ -363,13 +366,23 @@ let memo_tests =
           done);
     ]
 
-(* B^S_i φ at p iff ∀q ∈ cell(r_i(p)): i ∈ S(q) ⇒ φ(q), read over all views
-   straight from the model (no kernel, no memo); K_i φ drops the S guard. *)
-let reference_belief m s ~proc phi =
+(* B^S_i φ at p iff ∀q ∈ cell(r_i(p)): i ∈ S(q) ⇒ φ(q), read point by point
+   off the CSR cells (no kernel, no memo); K_i φ drops the S guard. *)
+let reference_belief m cells s ~proc phi =
   P.init (M.npoints m) (fun p ->
-      M.cell_forall m (M.view_at m ~point:p ~proc) (fun q ->
+      Array.for_all
+        (fun q ->
           (match s with Some s -> not (B.mem proc (N.members s ~point:q)) | None -> false)
-          || P.mem phi q))
+          || P.mem phi q)
+        (Naive_build.cell cells (M.view_at m ~point:p ~proc)))
+
+(* The nonrigid sets of the pool, and S absent ([None], the K kernel). *)
+let nonrigid_choices pool = None :: Array.to_list (Array.map Option.some pool.rigids)
+
+(* φ: a random formula, or ∅ or every point outright. *)
+let gen_phi pool =
+  QCheck2.Gen.(
+    frequency [ (6, gen_small pool); (1, pure (F.Const false)); (1, pure (F.Const true)) ])
 
 let kernel_tests =
   let pools = Lazy.force pools in
@@ -379,36 +392,214 @@ let kernel_tests =
         (Printf.sprintf "per-owner B/K = all-views reference [%s]" fixture_name)
         QCheck2.Gen.(triple (gen_small pool) (int_bound 2) (int_bound 2))
         (fun (phi, si, i) ->
-          let m = pool.p_model in
+          let m = pool.p_model and cells = Lazy.force pool.p_cells in
           let s = pool.rigids.(si) and proc = i mod M.n m in
           let phi = F.eval pool.p_env phi in
-          P.equal (K.believes m s ~proc phi) (reference_belief m (Some s) ~proc phi)
-          && P.equal (K.knows m ~proc phi) (reference_belief m None ~proc phi)))
+          P.equal (K.believes m s ~proc phi) (reference_belief m cells (Some s) ~proc phi)
+          && P.equal (K.knows m ~proc phi) (reference_belief m cells None ~proc phi)))
     pools
+  @ List.map
+      (fun (fixture_name, pool) ->
+        qtest ~count:40
+          (Printf.sprintf "kernel = cell-scanning reference, every S and owner [%s]"
+             fixture_name)
+          (gen_phi pool)
+          (fun phi ->
+            let module R = Knowledge_ref in
+            let m = pool.p_model and cells = Lazy.force pool.p_cells in
+            let phi = F.eval pool.p_env phi in
+            let procs = List.init (M.n m) Fun.id in
+            List.for_all
+              (function
+                | None ->
+                    List.for_all
+                      (fun proc -> P.equal (K.knows m ~proc phi) (R.knows m cells ~proc phi))
+                      procs
+                | Some s ->
+                    Bytes.equal (K.believed_views m s phi) (R.believed_views cells s phi)
+                    && P.equal (K.everyone_knows m s phi) (R.everyone_knows m cells s phi)
+                    && List.for_all
+                         (fun proc ->
+                           P.equal (K.believes m s ~proc phi) (R.believes m cells s ~proc phi))
+                         procs)
+              (nonrigid_choices pool)))
+      pools
   @ [
-      test "B_i probes exactly the cells of i's views, at jobs 1 and 4" (fun () ->
+      test "cell_points_probed counts the refuting (point, member) pairs" (fun () ->
           List.iter
-            (fun (_, pool) ->
+            (fun (fixture_name, pool) ->
               let m = pool.p_model in
-              let store = m.M.store in
               let phi = F.eval pool.p_env pool.atoms.(2) in
-              for proc = 0 to M.n m - 1 do
-                let own = ref 0 in
-                for v = 0 to Eba.View.size store - 1 do
-                  if Eba.View.owner store v = proc then own := !own + M.cell_length m v
-                done;
-                List.iter
-                  (fun jobs ->
-                    let probed =
-                      with_metrics (fun () ->
-                          ignore
-                            (Eba.Parallel.with_jobs jobs (fun () ->
-                                 K.believes m pool.rigids.(0) ~proc phi));
-                          counter_value "knowledge.cell_points_probed")
-                    in
-                    check_int (Printf.sprintf "proc %d, jobs %d" proc jobs) !own probed)
-                  [ 1; 4 ]
-              done)
+              (* pairs (q, i) with q ∉ φ, i among [procs] and i ∈ S(q) *)
+              let pairs s procs =
+                let count = ref 0 in
+                M.iter_points m (fun q ->
+                    if not (P.mem phi q) then
+                      List.iter
+                        (fun i ->
+                          match s with
+                          | Some s when not (N.mem s ~point:q ~proc:i) -> ()
+                          | Some _ | None -> incr count)
+                        procs);
+                !count
+              in
+              let probed f =
+                with_metrics (fun () ->
+                    ignore (f ());
+                    counter_value "knowledge.cell_points_probed")
+              in
+              let all = List.init (M.n m) Fun.id in
+              List.iter
+                (fun s ->
+                  let label who =
+                    Printf.sprintf "%s, S = %s, %s" fixture_name
+                      (match s with Some s -> N.name s | None -> "absent")
+                      who
+                  in
+                  List.iter
+                    (fun proc ->
+                      check_int (label (Printf.sprintf "proc %d" proc)) (pairs s [ proc ])
+                        (probed (fun () ->
+                             match s with
+                             | Some s -> K.believes m s ~proc phi
+                             | None -> K.knows m ~proc phi)))
+                    all;
+                  Option.iter
+                    (fun s ->
+                      check_int (label "all owners") (pairs (Some s) all)
+                        (probed (fun () -> K.believed_views m s phi)))
+                    s)
+                (nonrigid_choices pool))
+            pools);
+    ]
+
+(* --- the tables the kernels read in place --- *)
+
+(* The runs S-□-reachable from each run, read off the CSR cells: runs that
+   touch one lander group (the points of [cell v] where [v]'s owner is in
+   [S]) are linked, and a breadth-first search labels the components.
+   [None] for a run that touches no group, which reaches nothing. *)
+let reference_components m (cells : Naive_build.t) s =
+  let per_run = M.horizon m + 1 and nruns = M.nruns m in
+  let group_runs =
+    Array.init (Eba.View.size cells.store) (fun v ->
+        let owner = Eba.View.owner cells.store v in
+        Naive_build.cell cells v |> Array.to_list
+        |> List.filter (fun q -> N.mem s ~point:q ~proc:owner)
+        |> List.map (fun q -> q / per_run))
+  in
+  let run_groups = Array.make nruns [] in
+  Array.iteri (fun v runs -> List.iter (fun r -> run_groups.(r) <- v :: run_groups.(r)) runs)
+    group_runs;
+  let label = Array.make nruns None in
+  for start = 0 to nruns - 1 do
+    if label.(start) = None && run_groups.(start) <> [] then begin
+      let queue = Queue.create () in
+      label.(start) <- Some start;
+      Queue.add start queue;
+      while not (Queue.is_empty queue) do
+        List.iter
+          (fun v ->
+            List.iter
+              (fun r ->
+                if label.(r) = None then begin
+                  label.(r) <- Some start;
+                  Queue.add r queue
+                end)
+              group_runs.(v))
+          run_groups.(Queue.pop queue)
+      done
+    end
+  done;
+  label
+
+(* A nonrigid set [s ∧ a] for a random view table [a]: [quarters] of
+   every four views, on average, are kept (0: none, 4: all). *)
+let gen_restriction pool =
+  QCheck2.Gen.(
+    map
+      (fun (si, quarters, seed) ->
+        let m = pool.p_model in
+        let st = Random.State.make [| seed |] in
+        let kept =
+          Bytes.init (Eba.View.size m.M.store) (fun _ ->
+              if Random.State.int st 4 < quarters then '\001' else '\000')
+        in
+        (pool.rigids.(si), kept))
+      (triple (int_bound 2) (int_bound 4) int))
+
+let in_place_tests =
+  let pools = Lazy.force pools in
+  List.map
+    (fun (fixture_name, pool) ->
+      qtest ~count:20
+        (Printf.sprintf "restrict_by_view keeps the members whose view is in the table [%s]"
+           fixture_name)
+        (gen_restriction pool)
+        (fun (s, kept) ->
+          let m = pool.p_model in
+          let r = N.restrict_by_view m ~name:"S&a" s kept in
+          let ok = ref true in
+          M.iter_points m (fun q ->
+              for i = 0 to M.n m - 1 do
+                let expected =
+                  N.mem s ~point:q ~proc:i && Bytes.get kept (M.view_at m ~point:q ~proc:i) = '\001'
+                in
+                if N.mem r ~point:q ~proc:i <> expected then ok := false
+              done);
+          !ok))
+    pools
+  @ List.map
+      (fun (fixture_name, pool) ->
+        (* random restrictions split the runs into many components, which
+           the pool's own sets (N, All, N&kz) rarely do *)
+        qtest ~count:20
+          (Printf.sprintf "reachable_runs = components of the lander groups, every run [%s]"
+             fixture_name)
+          (gen_restriction pool)
+          (fun (s, kept) ->
+            let m = pool.p_model and cells = Lazy.force pool.p_cells in
+            let s = N.restrict_by_view m ~name:"S&a" s kept in
+            let cl = Ct.closure m s in
+            let label = reference_components m cells s in
+            let nruns = M.nruns m in
+            List.for_all
+              (fun run ->
+                let expected =
+                  match label.(run) with
+                  | None -> P.create nruns
+                  | Some c -> P.init nruns (fun r -> label.(r) = Some c)
+                in
+                P.equal (Ct.reachable_runs cl ~run) expected)
+              (List.init nruns Fun.id)))
+      pools
+  @ [
+      test "every kernel rejects a φ or view table over another model" (fun () ->
+          List.iter
+            (fun (fixture_name, pool) ->
+              let m = pool.p_model and s = pool.rigids.(0) in
+              let rejects what f =
+                check
+                  (Printf.sprintf "%s [%s]" what fixture_name)
+                  true
+                  (match f () with _ -> false | exception Invalid_argument _ -> true)
+              in
+              List.iter
+                (fun len ->
+                  let phi = P.full len in
+                  let what op = Printf.sprintf "%s over %d points" op len in
+                  rejects (what "knows") (fun () -> K.knows m ~proc:0 phi);
+                  rejects (what "believes") (fun () -> K.believes m s ~proc:0 phi);
+                  rejects (what "believed_views") (fun () -> K.believed_views m s phi);
+                  rejects (what "everyone_knows") (fun () -> K.everyone_knows m s phi);
+                  rejects (what "cbox") (fun () -> Ct.cbox (Ct.closure m s) phi))
+                [ M.npoints m - 1; M.npoints m + 1 ];
+              List.iter
+                (fun len ->
+                  rejects
+                    (Printf.sprintf "restrict_by_view over %d views" len)
+                    (fun () -> N.restrict_by_view m ~name:"bad" s (Bytes.make len '\001')))
+                [ Eba.View.size m.M.store - 1; Eba.View.size m.M.store + 1 ])
             pools);
     ]
 
@@ -416,4 +607,4 @@ let suite =
   ( "epistemic",
     spot_tests @ s5_axioms @ belief_axioms @ common_axioms @ continual_axioms
     @ temporal_axioms @ implementation_agreement @ induction_rule @ memo_tests
-    @ kernel_tests )
+    @ kernel_tests @ in_place_tests )

@@ -191,6 +191,7 @@ let growth_tests =
     test "a real model past 1024 views keeps cells consistent" (fun () ->
         let m = model crash_4_1_3 in
         let store = m.M.store in
+        let cells = Naive_build.of_model m in
         check "model is past the initial capacity" true (V.size store > 1024);
         for v = 0 to V.size store - 1 do
           let owner = V.owner store v in
@@ -198,7 +199,7 @@ let growth_tests =
             (fun pid ->
               check_int "cell member holds the view" v
                 (M.view_at m ~point:pid ~proc:owner))
-            (M.cell m v)
+            (Naive_build.cell cells v)
         done);
   ]
 
@@ -229,19 +230,24 @@ let model_tests =
           (some_points m 50));
     test "cells partition points per owner" (fun () ->
         let m = model crash_3_1_3 in
+        let cells = Naive_build.of_model m in
         (* every point appears in exactly one cell per processor: total cell
            mass = npoints * n *)
-        check_int "mass" (M.npoints m * 3) (Array.length m.M.cell_ids);
-        check_int "offsets cover cell_ids" (Array.length m.M.cell_ids)
-          m.M.cell_off.(Array.length m.M.cell_off - 1));
+        check_int "mass" (M.npoints m * 3) (Array.length cells.cell_ids);
+        check_int "offsets cover cell_ids" (Array.length cells.cell_ids)
+          cells.cell_off.(Array.length cells.cell_off - 1));
     test "cell members share the view" (fun () ->
         let m = model crash_3_1_3 in
         let store = m.M.store in
+        let cells = Naive_build.of_model m in
         for v = 0 to V.size store - 1 do
           let owner = V.owner store v in
+          let cell = Naive_build.cell cells v in
+          (* every view was interned at some point of the model *)
+          check "cell is nonempty" true (Array.length cell > 0);
           Array.iter
             (fun pid -> check_int "same view" v (M.view_at m ~point:pid ~proc:owner))
-            (M.cell m v)
+            cell
         done);
     test "failure-free run is full-information" (fun () ->
         let m = model crash_3_1_3 in

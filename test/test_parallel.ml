@@ -14,16 +14,6 @@ let pool_tests =
         let outside = Par.jobs () in
         Par.with_jobs 3 (fun () -> check_int "inside" 3 (Par.jobs ()));
         check_int "restored" outside (Par.jobs ()));
-    test "parallel_for covers every index exactly once" (fun () ->
-        List.iter
-          (fun jobs ->
-            let n = 1000 in
-            let hits = Array.make n 0 in
-            Par.parallel_for ~jobs n (fun i -> hits.(i) <- hits.(i) + 1);
-            check "all once" true (Array.for_all (fun h -> h = 1) hits))
-          [ 1; 4 ]);
-    test "parallel_for n=0" (fun () ->
-        Par.parallel_for ~jobs:4 0 (fun _ -> failwith "should not run"));
     test "map_reduce_seq sums match sequential" (fun () ->
         let seq () = Seq.init 10_000 Fun.id in
         let total jobs =
@@ -47,7 +37,11 @@ let pool_tests =
     test "worker exceptions propagate" (fun () ->
         check "raises" true
           (try
-             Par.parallel_for ~jobs:4 100 (fun i -> if i = 57 then failwith "boom");
+             ignore
+               (Par.map_reduce_seq ~jobs:4 ~chunk:3 ~init:(fun () -> ref 0)
+                  ~fold:(fun acc x -> if x = 57 then failwith "boom" else acc := !acc + x)
+                  ~merge:(fun acc other -> acc := !acc + !other)
+                  (Seq.init 100 Fun.id));
              false
            with Failure _ -> true));
   ]
@@ -126,14 +120,6 @@ let sweep_determinism_tests =
         let a = Stats.sampled ~jobs:1 (module Eba.Floodset) p ~seed:7 ~samples:200 in
         let b = Stats.sampled ~jobs:4 (module Eba.Floodset) p ~seed:7 ~samples:200 in
         check "equal" true (summary_eq a b));
-    test "knowledge kernels agree across jobs" (fun () ->
-        let model = model crash_3_1_3 in
-        let e = env crash_3_1_3 in
-        let nf = Eba.Nonrigid.nonfaulty model in
-        let phi = Eba.Formula.eval e (Eba.Formula.exists_value model Eba.Value.zero) in
-        let seq = Par.with_jobs 1 (fun () -> Eba.Knowledge.everyone_knows model nf phi) in
-        let par = Par.with_jobs 4 (fun () -> Eba.Knowledge.everyone_knows model nf phi) in
-        check "equal point sets" true (Eba.Pset.equal seq par));
   ]
 
 let suite = ("parallel", pool_tests @ count_tests @ sweep_determinism_tests)

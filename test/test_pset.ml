@@ -42,6 +42,13 @@ let unit_tests =
     test "init matches predicate" (fun () ->
         let s = P.init len (fun i -> i mod 3 = 0) in
         check_int "card" 50 (P.cardinal s));
+    test "init calls f once per index, in increasing order" (fun () ->
+        List.iter
+          (fun l ->
+            let calls = ref [] in
+            ignore (P.init l (fun i -> calls := i :: !calls; i mod 2 = 0));
+            check (Printf.sprintf "order over %d" l) true (List.rev !calls = List.init l Fun.id))
+          [ 0; 1; 61; 62; 63; 124; len ]);
     test "word-boundary lengths" (fun () ->
         (* straddle the 62-bit word size: 0, 61, 62, 63 and 124 exercise
            the last-word mask with rem = 0, bpw-1, 0, 1 and 0 *)
@@ -95,13 +102,37 @@ let prop_tests =
     qtest "subset" QCheck2.Gen.(pair gen_members gen_members) (fun (a, b) ->
         P.subset (of_list a) (of_list b)
         = List.for_all (fun x -> List.mem x b) a);
-    qtest "inter_ip agrees with inter" QCheck2.Gen.(pair gen_members gen_members)
-      (fun (a, b) ->
-        let acc = of_list a in
-        P.inter_ip acc (of_list b);
-        P.equal acc (P.inter (of_list a) (of_list b)));
     qtest "for_all over members" gen_members (fun a ->
         P.for_all (of_list a) (fun i -> List.mem i a));
+    (* The layout the epistemic kernels read in place: point [p] is bit
+       [p mod 62] of word [p / 62], there are ⌈len/62⌉ words (at least
+       one), and no bit at or past [len] is ever set. *)
+    qtest "words: one bit per point, none past the length"
+      QCheck2.Gen.(pair (int_bound 200) (list_size (int_bound 40) nat))
+      (fun (l, raw) ->
+        let members = if l = 0 then [] else List.map (fun x -> x mod l) raw in
+        let s = P.create l in
+        List.iter (P.add s) members;
+        let bpw = P.bits_per_word in
+        let laid_out (t : P.t) =
+          let words = t.P.words in
+          let ok = ref (Array.length words = max 1 ((l + bpw - 1) / bpw)) in
+          for p = 0 to (Array.length words * bpw) - 1 do
+            let bit = words.(p / bpw) land (1 lsl (p mod bpw)) <> 0 in
+            if bit <> (p < l && P.mem t p) then ok := false
+          done;
+          !ok
+        in
+        List.for_all laid_out
+          [
+            s;
+            P.full l;
+            P.complement s;
+            P.init l (fun p -> List.mem p members);
+            P.union s (P.complement s);
+            P.diff (P.full l) s;
+          ]
+        && (l < bpw || (P.full l).P.words.(0) = P.full_word));
     qtest "choose is a member" gen_members (fun a ->
         match P.choose (of_list a) with
         | None -> a = []
