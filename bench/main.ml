@@ -224,6 +224,29 @@ let parallel_tests =
         (Staged.stage (sweep sweep_jobs));
     ]
 
+(* --- exact probabilities: the Bigint square kernel, and the n = 32
+       report that perfbench's exact workload times (its m2_ms) --- *)
+
+let prob_tests =
+  let x = Eba.Bigint.pow (Eba.Bigint.of_int 25_599_999_999) 2479 in
+  let case =
+    {
+      Eba.Server.Spec.Probcheck.default with
+      n = 32;
+      t_failures = 4;
+      latency = Eba.Net.Link.Uniform (0.2, 1.0);
+      loss = "0.05";
+    }
+  in
+  Test.make_grouped ~name:"prob"
+    [
+      Test.make
+        ~name:(Printf.sprintf "square %d limbs" (Array.length x.Eba.Bigint.mag))
+        (Staged.stage (fun () -> ignore (Eba.Bigint.mul x x)));
+      Test.make ~name:"Report.make n=32 t=4 loss=0.05" (Staged.stage (fun () ->
+          ignore (Eba.Server.Spec.Probcheck.report case)));
+    ]
+
 (* --- one bench per table / figure --- *)
 
 let table_tests =
@@ -289,6 +312,8 @@ let () =
   benchmark ~quota:0.5 net_tests;
   print_endline "=== bechamel: sweep engine, 1 domain vs N domains ===";
   benchmark ~quota:1.0 parallel_tests;
+  print_endline "=== bechamel: exact probabilities ===";
+  benchmark ~quota:0.5 prob_tests;
   if not !smoke then begin
     print_endline "=== bechamel: builder scaling ===";
     benchmark ~quota:0.5 build_heavy_tests;

@@ -56,12 +56,8 @@ let known_per_view ?owner model s phi =
    column of the point-indexed rows. *)
 let project model ~proc known =
   let n = Model.n model and views = model.Model.views in
-  let npoints = Model.npoints model in
-  let out = Pset.create npoints in
-  for pid = 0 to npoints - 1 do
-    if Bytes.get known views.((pid * n) + proc) = '\001' then Pset.add out pid
-  done;
-  out
+  Pset.init (Model.npoints model) (fun pid ->
+      Bytes.get known views.((pid * n) + proc) = '\001')
 
 let knows model ~proc phi = project model ~proc (known_per_view ~owner:proc model None phi)
 
@@ -71,20 +67,17 @@ let believes model s ~proc phi =
 let believed_views model s phi = known_per_view model (Some s) phi
 
 (* [E_S φ] at a point: every member's view is known.  The member loop
-   tests the point's bits directly, with no closure per point. *)
+   tests the point's bits directly. *)
 let everyone_knows model s phi =
   let known = believed_views model s phi in
   let n = Model.n model and views = model.Model.views in
-  let npoints = Model.npoints model in
-  let out = Pset.create npoints in
-  for pid = 0 to npoints - 1 do
-    let members = s.Nonrigid.table.(pid) in
-    let ok = ref true and i = ref 0 in
-    while !ok && !i < n do
-      if members land (1 lsl !i) <> 0 && Bytes.get known views.((pid * n) + !i) <> '\001'
-      then ok := false;
-      incr i
-    done;
-    if !ok then Pset.add out pid
-  done;
-  out
+  let table = s.Nonrigid.table in
+  Pset.init (Model.npoints model) (fun pid ->
+      let members = table.(pid) in
+      let ok = ref true and i = ref 0 in
+      while !ok && !i < n do
+        if members land (1 lsl !i) <> 0 && Bytes.get known views.((pid * n) + !i) <> '\001'
+        then ok := false;
+        incr i
+      done;
+      !ok)

@@ -23,7 +23,9 @@ type t = {
 
 let sig_figs = 9
 
-let make ?cancel ~n ~t ~rounds ~loss ~latency ~sync () =
+(* [make]'s argument checks, in its order, then its chain spec and its
+   per-round and per-run message counts. *)
+let validate ~n ~t ~rounds ~loss ~latency ~sync =
   if n < 2 then invalid_arg "Prob.Report.make: n must be >= 2";
   if t < 0 then invalid_arg "Prob.Report.make: t must be >= 0";
   if rounds < 1 then invalid_arg "Prob.Report.make: rounds must be >= 1";
@@ -35,8 +37,20 @@ let make ?cancel ~n ~t ~rounds ~loss ~latency ~sync () =
     with C.Overflow ->
       invalid_arg "Prob.Report.make: n * (n - 1) * rounds messages overflow int"
   in
+  (Round_chain.spec ~sync ~latency ~loss, m, mr)
+
+let power_bits ~n ~t ~rounds ~loss ~latency ~sync =
+  let spec, m, mr = validate ~n ~t ~rounds ~loss ~latency ~sync in
+  match Round_chain.base_bits spec with
+  | 0 -> 0
+  | b ->
+      let module C = Eba_util.Combi in
+      let landing = C.mul_exn m ((3 * spec.Round_chain.attempts) + 4) in
+      C.mul_exn b (C.add_exn landing (C.mul_exn 2 mr))
+
+let make ?cancel ~n ~t ~rounds ~loss ~latency ~sync () =
+  let spec, m, mr = validate ~n ~t ~rounds ~loss ~latency ~sync in
   let check () = Eba_util.Cancel.check_opt cancel in
-  let spec = Round_chain.spec ~sync ~latency ~loss in
   let q = Round_chain.per_message_miss spec in
   check ();
   let landing = Round_chain.landing ~sig_figs ?cancel spec ~m in

@@ -53,6 +53,26 @@ val make :
     {!Round_chain.landing} row; a fired token raises
     {!Eba_util.Cancel.Cancelled}. *)
 
+val power_bits :
+  n:int ->
+  t:int ->
+  rounds:int ->
+  loss:Q.t ->
+  latency:Eba_net.Link.latency ->
+  sync:Eba_net.Sync.t ->
+  int
+(** An upper bound on the summed bit lengths of the exact powers {!make}
+    raises with the same arguments (a power equal to 0 or 1 counting 0),
+    computed without raising any:
+    [b * (m * (3 * attempts + 4) + 2 * m * rounds)], where [m = n * (n-1)]
+    and [b = Round_chain.base_bits].  Each of the [attempts + 1] landing
+    rows raises at most three powers of exponent [m] (its numerator, its
+    denominator, its numerator over the common denominator), the common
+    denominator one more, and [run_all_delivered] two of exponent
+    [m * rounds]; no base passes [2^b].  [0] when [b = 0].  Raises
+    {!make}'s [Invalid_argument], in its order, on the same bad arguments,
+    and {!Eba_util.Combi.Overflow} when the bound passes [max_int]. *)
+
 val sig_figs : int
 (** Significant digits of every decimal rendering in the report (9). *)
 

@@ -56,6 +56,14 @@ let all_by spec ~m ~k =
   if m < 0 then invalid_arg "Round_chain.all_by: m must be >= 0";
   Q.pow (Q.one_minus (miss_after spec k)) m
 
+let base_bits spec =
+  let prod =
+    Array.fold_left
+      (fun acc s -> Bigint.mul acc (Q.den (Q.one_minus s)))
+      Bigint.one spec.success
+  in
+  if Bigint.equal prod Bigint.one then 0 else Bigint.num_bits prod
+
 let expected_undelivered spec ~m = Q.mul (Q.of_int m) (per_message_miss spec)
 
 type landing = {

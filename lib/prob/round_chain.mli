@@ -52,6 +52,14 @@ val all_by : spec -> m:int -> k:int -> Q.t
 (** [(1 - miss_after k)^m]: probability all [m] messages of the window
     land within their first [k] attempts. *)
 
+val base_bits : spec -> int
+(** The bit length of [prod_a den (1 - s_a)] ([0] when that product is 1,
+    every base then being 0 or 1).  The denominator of every
+    [miss_after k], so of q and of {!landing}'s common denominator,
+    divides the product, and every base those powers raise is a ratio of
+    integers at most it: an [e]-th power of them has at most
+    [e * base_bits spec] bits.  Linear in [attempts]; no gcd. *)
+
 val expected_undelivered : spec -> m:int -> Q.t
 (** [m * per_message_miss]: expected misses per window. *)
 

@@ -33,6 +33,8 @@ let netsim params =
 
 let probcheck params =
   let* spec = Spec.Probcheck.of_json params in
+  (* refused here, before queueing: a report past the served budget *)
+  let* () = Spec.Probcheck.admit spec in
   (* [Report.make] IS the computation (the exact Markov analysis), so it
      runs in the worker; its validation failures come back as the
      thunk's [Error]. *)

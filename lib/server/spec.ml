@@ -314,7 +314,9 @@ module Probcheck = struct
       retries = None;
     }
 
-  let report ?cancel spec =
+  (* The exact loss, the synchronizer timing (defaults from the latency
+     bound) and the round count. *)
+  let resolve spec =
     let* loss =
       match Eba_prob.Q.of_decimal_string spec.loss with
       | q -> Ok q
@@ -327,18 +329,59 @@ module Probcheck = struct
     in
     let dflt = Net.Sync.default_for topology in
     let rto = Option.value spec.rto ~default:dflt.Net.Sync.rto in
-    trying (fun () ->
-        let sync =
+    let* sync =
+      trying (fun () ->
           Net.Sync.make
             ~round_duration:
               (Option.value spec.round_duration ~default:(8.0 *. rto))
             ~rto
             ~max_retries:
-              (Option.value spec.retries ~default:dflt.Net.Sync.max_retries)
-        in
-        Eba_prob.Report.make ?cancel ~n:spec.n ~t:spec.t_failures
-          ~rounds:(Option.value spec.rounds ~default:(spec.t_failures + 1))
-          ~loss ~latency:spec.latency ~sync ())
+              (Option.value spec.retries ~default:dflt.Net.Sync.max_retries))
+    in
+    Ok (loss, sync, Option.value spec.rounds ~default:(spec.t_failures + 1))
+
+  let report ?cancel spec =
+    let* loss, sync, rounds = resolve spec in
+    trying (fun () ->
+        Eba_prob.Report.make ?cancel ~n:spec.n ~t:spec.t_failures ~rounds ~loss
+          ~latency:spec.latency ~sync ())
+
+  let max_attempts = 48
+  let max_power_bits = 1 lsl 24
+
+  let too_large fmt =
+    Printf.ksprintf (fun s -> Error ("probcheck too large to serve: " ^ s)) fmt
+
+  let admit spec =
+    let* loss, sync, rounds = resolve spec in
+    let { Net.Sync.round_duration; rto; max_retries } = sync in
+    (* [Sync.attempts] counts retransmissions strictly inside the window,
+       so this bound needs no loop over them *)
+    let attempts_bound =
+      1.0 +. Float.min (float_of_int max_retries) (Float.ceil (round_duration /. rto))
+    in
+    if attempts_bound > float_of_int max_attempts then
+      too_large
+        "up to %.0f attempts per message (%d retries, rto %g in a %g window), past \
+         the budget of %d"
+        attempts_bound max_retries rto round_duration max_attempts
+    else
+      match
+        Eba_prob.Report.power_bits ~n:spec.n ~t:spec.t_failures ~rounds ~loss
+          ~latency:spec.latency ~sync
+      with
+      | bits when bits <= max_power_bits -> Ok ()
+      | bits ->
+          too_large
+            "its exact powers reach %d bits in all (n = %d, %d rounds), past the \
+             budget of %d bits"
+            bits spec.n rounds max_power_bits
+      | exception Eba_util.Combi.Overflow ->
+          too_large
+            "its exact powers pass max_int bits in all (n = %d, %d rounds), past \
+             the budget of %d bits"
+            spec.n rounds max_power_bits
+      | exception Invalid_argument m -> Error m
 
   let keys =
     [ "n"; "t"; "rounds"; "latency"; "loss"; "rto"; "round_duration"; "retries" ]

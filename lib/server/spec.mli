@@ -122,6 +122,23 @@ module Probcheck : sig
   (** The exact Markov analysis ({!Eba_prob.Report.make}); [cancel] is
       polled between its major steps and per landing row. *)
 
+  val max_attempts : int
+  (** 48: the most transmission attempts per message a served request may
+      ask for. *)
+
+  val max_power_bits : int
+  (** 2^24 = 16,777,216: the budget of a served report's exact powers,
+      their summed bit lengths as {!Eba_prob.Report.power_bits} bounds
+      them. *)
+
+  val admit : t -> (unit, string) result
+  (** The served path's bounds, checked before any exact power is
+      raised (the CLI has none): an [Error] naming the size and the budget
+      when [1 + min retries ceil(round_duration / rto)] passes
+      {!max_attempts}, or {!Eba_prob.Report.power_bits} passes
+      {!max_power_bits}.  Within the attempt budget, arguments {!report}
+      would reject get the error it would return. *)
+
   val of_json : Json.t -> (t, string) result
   val to_params : t -> (string * Json.t) list
 end

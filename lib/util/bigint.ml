@@ -106,70 +106,219 @@ let sub_mag a b =
   done;
   norm_mag r
 
-let add_into r x off =
-  let lx = Array.length x in
-  let carry = ref 0 in
-  for i = 0 to lx - 1 do
-    let v = r.(off + i) + x.(i) + !carry in
-    r.(off + i) <- v land mask;
-    carry := v lsr base_bits
+(* --- products on slices ---
+
+   The product and square kernels work on slices [(array, offset, length)]
+   of the result and of one scratch buffer, both allocated by the top-level
+   call ([mul_mag], [sqr_mag]); no recursion level allocates or copies.
+   Every kernel writes all limbs of its result range, so neither buffer
+   needs clearing.  Operand slices may carry leading zero limbs. *)
+
+let karatsuba_threshold = 40
+
+(* r[ro, ro + la + lb) <- a[ao, ao + la) * b[bo, bo + lb), one row per
+   limb of [b] over a cleared low part: row [j] adds into [j, j + la) and
+   writes its carry to the fresh limb [j + la].  A limb product plus a
+   limb and a carry stays below 2^60, so the carry stays below 2^30.
+   Requires la, lb >= 1. *)
+let mul_school r ro a ao la b bo lb =
+  Array.fill r ro la 0;
+  for j = 0 to lb - 1 do
+    let bj = b.(bo + j) and rj = ro + j in
+    let carry = ref 0 in
+    if bj <> 0 then
+      for i = 0 to la - 1 do
+        let v = r.(rj + i) + (a.(ao + i) * bj) + !carry in
+        r.(rj + i) <- v land mask;
+        carry := v lsr base_bits
+      done;
+    r.(rj + la) <- !carry
+  done
+
+(* r[ro, ro + 2la) <- a[ao, ao + la)^2: each cross product a_i * a_j
+   (i < j) once, in rows as above, then one pass doubles them and adds the
+   diagonal a_i^2.  Requires la >= 1. *)
+let sqr_school r ro a ao la =
+  Array.fill r ro la 0;
+  r.(ro + (2 * la) - 1) <- 0;
+  for i = 0 to la - 2 do
+    let ai = a.(ao + i) and ri = ro + i in
+    let carry = ref 0 in
+    if ai <> 0 then
+      for j = i + 1 to la - 1 do
+        let v = r.(ri + j) + (ai * a.(ao + j)) + !carry in
+        r.(ri + j) <- v land mask;
+        carry := v lsr base_bits
+      done;
+    r.(ri + la) <- !carry
   done;
-  let k = ref (off + lx) in
-  while !carry <> 0 do
-    let v = r.(!k) + !carry in
+  let carry = ref 0 in
+  for i = 0 to la - 1 do
+    let ai = a.(ao + i) and k = ro + (2 * i) in
+    let d = ai * ai in
+    let v0 = (r.(k) lsl 1) + (d land mask) + !carry in
+    r.(k) <- v0 land mask;
+    let v1 = (r.(k + 1) lsl 1) + (d lsr base_bits) + (v0 lsr base_bits) in
+    r.(k + 1) <- v1 land mask;
+    carry := v1 lsr base_bits
+  done
+
+(* d[dof, dof + m) <- |x[xo, xo + m) - y[yo, yo + ly)| for ly <= m, [y]
+   read as zero above its length; true when x >= y. *)
+let abs_diff d dof x xo m y yo ly =
+  let i = ref (m - 1) in
+  while !i >= ly && x.(xo + !i) = 0 do
+    decr i
+  done;
+  if !i < ly then
+    while !i >= 0 && x.(xo + !i) = y.(yo + !i) do
+      decr i
+    done;
+  let ge = !i < 0 || !i >= ly || x.(xo + !i) > y.(yo + !i) in
+  let c = ref 0 in
+  if ge then begin
+    for k = 0 to ly - 1 do
+      let v = x.(xo + k) - y.(yo + k) + !c in
+      d.(dof + k) <- v land mask;
+      c := v asr base_bits
+    done;
+    for k = ly to m - 1 do
+      let v = x.(xo + k) + !c in
+      d.(dof + k) <- v land mask;
+      c := v asr base_bits
+    done
+  end
+  else begin
+    (* x < y: the limbs of x at and above [ly] are zero *)
+    for k = 0 to ly - 1 do
+      let v = y.(yo + k) - x.(xo + k) + !c in
+      d.(dof + k) <- v land mask;
+      c := v asr base_bits
+    done;
+    Array.fill d (dof + ly) (m - ly) 0
+  end;
+  ge
+
+(* Adds the signed carry [c] into r[k, top), dropping what passes [top]. *)
+let propagate r k top c =
+  let k = ref k and c = ref c in
+  while !c <> 0 && !k < top do
+    let v = r.(!k) + !c in
     r.(!k) <- v land mask;
-    carry := v lsr base_bits;
+    c := v asr base_bits;
     incr k
   done
 
-let mul_school a b =
-  let la = Array.length a and lb = Array.length b in
-  let r = Array.make (la + lb) 0 in
-  for i = 0 to la - 1 do
-    let ai = a.(i) in
-    if ai <> 0 then begin
-      let carry = ref 0 in
-      for j = 0 to lb - 1 do
-        let v = r.(i + j) + (ai * b.(j)) + !carry in
-        r.(i + j) <- v land mask;
-        carry := v lsr base_bits
-      done;
-      let k = ref (i + lb) in
-      while !carry <> 0 do
-        let v = r.(!k) + !carry in
-        r.(!k) <- v land mask;
-        carry := v lsr base_bits;
-        incr k
+(* Karatsuba's recombination in place.  r[ro, ro + len) holds
+   z0 = L0 + H0·B^m (2m limbs) and above it z2 = L2 + H2·B^m (len - 2m >= m
+   limbs); p = s[po, po + 2m) = P_lo + P_hi·B^m.  Adds mid = z0 + z2 ± p
+   at B^m, so that r becomes
+     L0 + (H0 + L2 + L0 ± P_lo)·B^m + (H0 + L2 + H2 ± P_hi)·B^2m + H2·B^3m,
+   one pass over m limbs with two carry chains (signed: a block sum can be
+   negative when p is subtracted; the whole is not).  No limb reaches 2^32,
+   and carries past [len] cancel, since the true result fits. *)
+let recombine r ro len m s po add =
+  let lz2 = len - (2 * m) in
+  let c1 = ref 0 and c2 = ref 0 in
+  for i = 0 to m - 1 do
+    let t = r.(ro + m + i) + r.(ro + (2 * m) + i) in
+    let h2 = if m + i < lz2 then r.(ro + (3 * m) + i) else 0 in
+    let p_lo = s.(po + i) and p_hi = s.(po + m + i) in
+    let v1 = (if add then t + p_lo else t - p_lo) + r.(ro + i) + !c1 in
+    r.(ro + m + i) <- v1 land mask;
+    c1 := v1 asr base_bits;
+    let v2 = (if add then t + p_hi else t - p_hi) + h2 + !c2 in
+    r.(ro + (2 * m) + i) <- v2 land mask;
+    c2 := v2 asr base_bits
+  done;
+  propagate r (ro + (3 * m)) (ro + len) !c2;
+  propagate r (ro + (2 * m)) (ro + len) !c1
+
+(* r[ro, ro + la + lb) <- a[ao, ao + la) * b[bo, bo + lb) for
+   la >= lb >= 1, with scratch from s[so].  Balanced operands (lb > m, the
+   upper half's split point) take the subtractive Karatsuba step:
+   a0·b1 + a1·b0 = z0 + z2 + (a0 - a1)(b1 - b0).  An operand of at most m
+   limbs cuts [a] into slices of lb limbs instead.  Scratch used from [so]
+   stays within [scratch_words la]. *)
+let rec mul_into r ro a ao la b bo lb s so =
+  if lb <= karatsuba_threshold then mul_school r ro a ao la b bo lb
+  else begin
+    let m = (la + 1) / 2 in
+    if lb <= m then begin
+      (* the first slice's product lands in place; each later one is
+         formed in scratch and added over its predecessor's top lb limbs *)
+      mul_into r ro a ao lb b bo lb s so;
+      let k = ref lb in
+      while !k < la do
+        let c = min lb (la - !k) in
+        if c = lb then mul_into s so a (ao + !k) lb b bo lb s (so + (2 * lb))
+        else mul_into s so b bo lb a (ao + !k) c s (so + lb + c);
+        let rk = ro + !k and carry = ref 0 in
+        for i = 0 to lb - 1 do
+          let v = r.(rk + i) + s.(so + i) + !carry in
+          r.(rk + i) <- v land mask;
+          carry := v lsr base_bits
+        done;
+        for i = lb to lb + c - 1 do
+          let v = s.(so + i) + !carry in
+          r.(rk + i) <- v land mask;
+          carry := v lsr base_bits
+        done;
+        k := !k + lb
       done
     end
-  done;
-  norm_mag r
+    else begin
+      let h = la - m and k = lb - m in
+      mul_into r ro a ao m b bo m s so;
+      mul_into r (ro + (2 * m)) a (ao + m) h b (bo + m) k s so;
+      let sa = abs_diff s so a ao m a (ao + m) h in
+      let sb = abs_diff s (so + m) b bo m b (bo + m) k in
+      (* (a0 - a1)(b1 - b0) is |a0 - a1|·|b1 - b0| when a0 >= a1 and
+         b1 > b0, or a0 < a1 and b1 <= b0 *)
+      mul_into s (so + (2 * m)) s so m s (so + m) m s (so + (4 * m));
+      recombine r ro (la + lb) m s (so + (2 * m)) (sa <> sb)
+    end
+  end
 
-let kara_threshold = 32
-
-let rec mul_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then [||]
-  else if la <= kara_threshold || lb <= kara_threshold then mul_school a b
+(* r[ro, ro + 2la) <- a[ao, ao + la)^2: z0 + z2 - (a0 - a1)^2 is
+   2·a0·a1.  Scratch from [so]: at most 3·la + 3·(levels) words. *)
+let rec sqr_into r ro a ao la s so =
+  if la <= karatsuba_threshold then sqr_school r ro a ao la
   else begin
-    let m = (max la lb + 1) / 2 in
-    let lo x =
-      norm_mag (Array.sub x 0 (min m (Array.length x)))
-    in
-    let hi x =
-      if Array.length x <= m then [||]
-      else Array.sub x m (Array.length x - m)
-    in
-    let a0 = lo a and a1 = hi a and b0 = lo b and b1 = hi b in
-    let z0 = mul_mag a0 b0 in
-    let z2 = mul_mag a1 b1 in
-    let mid = mul_mag (add_mag a0 a1) (add_mag b0 b1) in
-    (* mid >= z0 + z2, so both magnitude subtractions are valid. *)
-    let z1 = sub_mag (sub_mag mid z0) z2 in
+    let m = (la + 1) / 2 in
+    let h = la - m in
+    sqr_into r ro a ao m s so;
+    sqr_into r (ro + (2 * m)) a (ao + m) h s so;
+    ignore (abs_diff s so a ao m a (ao + m) h);
+    sqr_into s (so + m) s so m s (so + (3 * m));
+    recombine r ro (2 * la) m s (so + m) false
+  end
+
+(* A Karatsuba step on an [n]-limb operand holds 4·ceil(n/2) <= 2n + 2
+   words of scratch while its middle product recurses on ceil(n/2) limbs,
+   and a sliced product holds 2·lb <= n + 1 words above a balanced
+   lb-limb one, so a product needs at most 4n + 4·(depth) words; the
+   depth is below 63, the bit length of an [int]. *)
+let scratch_words la = (4 * la) + 256
+
+let mul_mag a b =
+  let a, b = if Array.length a >= Array.length b then (a, b) else (b, a) in
+  let la = Array.length a and lb = Array.length b in
+  if lb = 0 then [||]
+  else begin
     let r = Array.make (la + lb) 0 in
-    add_into r z0 0;
-    add_into r z2 (2 * m);
-    add_into r z1 m;
+    let s = if lb <= karatsuba_threshold then [||] else Array.make (scratch_words la) 0 in
+    mul_into r 0 a 0 la b 0 lb s 0;
+    norm_mag r
+  end
+
+let sqr_mag a =
+  let la = Array.length a in
+  if la = 0 then [||]
+  else begin
+    let r = Array.make (2 * la) 0 in
+    let s = if la <= karatsuba_threshold then [||] else Array.make (scratch_words la) 0 in
+    sqr_into r 0 a 0 la s 0;
     norm_mag r
   end
 
@@ -214,54 +363,6 @@ let shr_bits x s =
       r.(i) <- (x.(i) lsr s) lor (!carry lsl (base_bits - s));
       carry := x.(i) land ((1 lsl s) - 1)
     done;
-    norm_mag r
-  end
-
-(* Schoolbook square: the diagonal a_i^2 first, then each cross product
-   once, doubled on the fly (2 * a_i * a_j < 2^61 still fits an int). *)
-let sqr_school a =
-  let la = Array.length a in
-  let r = Array.make (2 * la) 0 in
-  for i = 0 to la - 1 do
-    let d = a.(i) * a.(i) in
-    r.(2 * i) <- d land mask;
-    r.((2 * i) + 1) <- d lsr base_bits
-  done;
-  for i = 0 to la - 2 do
-    let ai2 = 2 * a.(i) in
-    if ai2 <> 0 then begin
-      let carry = ref 0 in
-      for j = i + 1 to la - 1 do
-        let v = r.(i + j) + (ai2 * a.(j)) + !carry in
-        r.(i + j) <- v land mask;
-        carry := v lsr base_bits
-      done;
-      let k = ref (i + la) in
-      while !carry <> 0 do
-        let v = r.(!k) + !carry in
-        r.(!k) <- v land mask;
-        carry := v lsr base_bits;
-        incr k
-      done
-    end
-  done;
-  norm_mag r
-
-(* Karatsuba square: three half-size squarings, the middle one of
-   (a0 + a1), from which 2 * a0 * a1 = mid - z0 - z2. *)
-let rec sqr_mag a =
-  let la = Array.length a in
-  if la <= kara_threshold then sqr_school a
-  else begin
-    let m = (la + 1) / 2 in
-    let a0 = norm_mag (Array.sub a 0 m) and a1 = Array.sub a m (la - m) in
-    let z0 = sqr_mag a0 in
-    let z2 = sqr_mag a1 in
-    let z1 = sub_mag (sub_mag (sqr_mag (add_mag a0 a1)) z0) z2 in
-    let r = Array.make (2 * la) 0 in
-    add_into r z0 0;
-    add_into r z2 (2 * m);
-    add_into r z1 m;
     norm_mag r
   end
 
@@ -446,7 +547,7 @@ let to_string t =
        cost is dominated by balanced divisions instead of a quadratic
        chunk-at-a-time scan. *)
     let chunk = [| 1_000_000_000 |] in
-    let rec powers acc p = if cmp_mag p t.mag > 0 then acc else powers (p :: acc) (mul_mag p p) in
+    let rec powers acc p = if cmp_mag p t.mag > 0 then acc else powers (p :: acc) (sqr_mag p) in
     let ps = powers [] chunk in
     (* [ps] is descending; [pad] forces full zero-padded width. *)
     let rec emit ~pad x ps =

@@ -6,14 +6,31 @@
     zero limbs and the zero value has an empty magnitude, so structural
     equality coincides with numeric equality.
 
-    Sized for the probability engine ({!Eba_prob}): multiplication
-    switches to Karatsuba above a fixed limb threshold (32 limbs), {!pow}
-    squares with a dedicated routine, and division is Knuth's Algorithm D
-    — whose cost is proportional to quotient limbs times divisor limbs,
-    i.e. cheap in the engine's dominant use (reducing a huge numerator by
-    a huge, same-size denominator to a handful of quotient digits). *)
+    Sized for the probability engine ({!Eba_prob}): products and squares
+    are schoolbook up to {!karatsuba_threshold} limbs and subtractive
+    Karatsuba above it, on slices of one result array and one scratch
+    buffer that each top-level call allocates for itself (no recursion
+    level allocates, and no buffer is shared, so domains may multiply
+    concurrently).  A product whose shorter operand has at most half the
+    longer one's limbs cuts the longer one into slices of the shorter
+    one's length.  Division is Knuth's Algorithm D — whose cost is
+    proportional to quotient limbs times divisor limbs, i.e. cheap in the
+    engine's dominant use (reducing a huge numerator by a huge, same-size
+    denominator to a handful of quotient digits). *)
 
-type t
+type t = private {
+  sign : int;  (** [-1], [0] or [1] *)
+  mag : int array;
+      (** the magnitude's base-2^30 limbs, least significant first, with no
+          leading zero limb *)
+}
+(** [private], so that the magnitude can be read (the test oracle checks
+    the kernels limb by limb) but no value is built outside this module.
+    Treat [mag] as read-only. *)
+
+val karatsuba_threshold : int
+(** 40: the operand length in limbs above which products and squares
+    split. *)
 
 val zero : t
 val one : t
@@ -35,13 +52,13 @@ val mul : t -> t -> t
 val pow : t -> int -> t
 (** [pow b e], left to right over the bits of [e]: square the
     accumulator, and on each set bit multiply it by the base.  The
-    engine's bases are one or two limbs, so those multiplies are linear;
-    the squarings use a dedicated square (schoolbook computing each cross
-    product once, Karatsuba's three half-size squarings above the
-    threshold).  Only the odd part of the base is raised: with
-    [b = odd * 2^s], [b^e] is [odd^e] shifted left by [s * e] bits.
-    Raises [Invalid_argument] on [e < 0], or when [s * e] overflows an
-    [int]. *)
+    engine's bases are one or two limbs, so those multiplies are a linear
+    schoolbook pass; the squarings use the dedicated square (schoolbook
+    computing each cross product once, Karatsuba's three half-size
+    squarings above the threshold), each with its own scratch.  Only the
+    odd part of the base is raised: with [b = odd * 2^s], [b^e] is
+    [odd^e] shifted left by [s * e] bits.  Raises [Invalid_argument] on
+    [e < 0], or when [s * e] overflows an [int]. *)
 
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(q, r)] with [a = q*b + r], [0 <= |r| < |b|] and [r]

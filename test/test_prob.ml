@@ -716,6 +716,156 @@ let print_landing_case (((latency, loss), (rto, d, retries)), m) =
     (Net.Link.latency_to_string latency)
     loss rto d retries m
 
+(* --- the served size bound --- *)
+
+(* The summed bit lengths of every power [Report.make] raises: each
+   landing row's [b^m] (numerator and denominator) and its numerator over
+   the common denominator [L], then [L^m] and [(1 - q)^(m * rounds)].  A
+   power that is 0 or 1 counts 0, as in [Report.power_bits]. *)
+let raised_bits ~n ~rounds spec =
+  let m = n * (n - 1) in
+  let bits x = if B.compare x B.one <= 0 then 0 else B.num_bits x in
+  let base =
+    Array.init (spec.RC.attempts + 1) (fun k -> Q.one_minus (RC.miss_after spec k))
+  in
+  let l =
+    Array.fold_left
+      (fun l b ->
+        let d = Q.den b in
+        B.mul l (fst (B.divmod d (B.gcd l d))))
+      B.one base
+  in
+  let row b =
+    let p = Q.pow b m in
+    bits (Q.num p) + bits (Q.den p)
+    + bits (B.pow (B.mul (Q.num b) (fst (B.divmod l (Q.den b)))) m)
+  in
+  let run_all = Q.pow (Q.one_minus (RC.per_message_miss spec)) (m * rounds) in
+  Array.fold_left (fun acc b -> acc + row b) 0 base
+  + bits (B.pow l m)
+  + bits (Q.num run_all)
+  + bits (Q.den run_all)
+
+let size_tests =
+  [
+    qtest ~count:150 "qcheck: power_bits bounds the bits of every power make raises"
+      ~print:(fun ((case, n), rounds) ->
+        Printf.sprintf "%s n=%d rounds=%d" (print_landing_case case) n rounds)
+      QCheck2.Gen.(pair (pair gen_landing_case (int_range 2 7)) (int_range 1 6))
+      (fun (((((latency, loss), (rto, d, retries)), _), n), rounds) ->
+        let sync = sync ~d ~rto ~retries and loss = Q.of_decimal_string loss in
+        let spec = RC.spec ~sync ~latency ~loss in
+        let bound = Report.power_bits ~n ~t:1 ~rounds ~loss ~latency ~sync in
+        raised_bits ~n ~rounds spec <= bound
+        && (bound = 0) = (RC.base_bits spec = 0));
+    test "power_bits rejects what make rejects, with make's message" (fun () ->
+        let latency = Net.Link.Const 1.0 and sync = boundary_sync in
+        List.iter
+          (fun (n, t, rounds, loss) ->
+            let message f =
+              match f () with
+              | _ -> Alcotest.fail "accepted"
+              | exception Invalid_argument m -> m
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "n=%d t=%d rounds=%d loss=%s" n t rounds (Q.to_string loss))
+              (message (fun () ->
+                   ignore (Report.make ~n ~t ~rounds ~loss ~latency ~sync ())))
+              (message (fun () -> Report.power_bits ~n ~t ~rounds ~loss ~latency ~sync)))
+          [
+            (1, 1, 2, Q.of_ints 3 2);
+            (4, -1, 0, Q.zero);
+            (4, 1, 0, Q.of_ints 3 2);
+            (2790935979167403064, 1, 2, Q.of_ints 3 2);
+            (4, 1, 2, Q.of_ints 3 2);
+          ]);
+  ]
+
+(* --- the product kernels against the reference products --- *)
+
+let kt = B.karatsuba_threshold
+
+(* Limb patterns: [Ones] makes every carry maximal; [Low_zero] and
+   [High_zero] zero the low half, or the high half below a top limb of 1,
+   so Karatsuba's halves and their differences degenerate. *)
+type shape = Random_limbs | Ones | Mixed | Low_zero | High_zero
+
+let shape_name = function
+  | Random_limbs -> "random"
+  | Ones -> "ones"
+  | Mixed -> "mixed"
+  | Low_zero -> "low-zero"
+  | High_zero -> "high-zero"
+
+let shapes = [ Random_limbs; Ones; Mixed; Low_zero; High_zero ]
+
+(* [n] limbs of [shape] from [seed], the top one nonzero. *)
+let limbs_of ~n ~shape ~seed =
+  let st = Random.State.make [| seed; n |] in
+  let l =
+    Array.init n (fun i ->
+        match shape with
+        | Random_limbs -> Random.State.bits st
+        | Ones -> limb - 1
+        | Mixed -> (
+            match Random.State.int st 4 with
+            | 0 -> 0
+            | 1 -> limb - 1
+            | _ -> Random.State.bits st)
+        | Low_zero -> if i < n / 2 then 0 else Random.State.bits st
+        | High_zero -> if i >= n / 2 then 0 else Random.State.bits st)
+  in
+  if l.(n - 1) = 0 then l.(n - 1) <- 1;
+  l
+
+(* A value from its limbs, least significant first: lo + hi * 2^(30 k). *)
+let rec of_limbs l =
+  let n = Array.length l in
+  if n <= 8 then
+    Array.fold_right (fun x acc -> B.add (B.mul acc (B.of_int limb)) (B.of_int x)) l B.zero
+  else
+    let k = n / 2 in
+    B.add
+      (of_limbs (Array.sub l 0 k))
+      (B.mul (of_limbs (Array.sub l k (n - k))) (B.pow (B.of_int 2) (30 * k)))
+
+let operand ~n ~shape ~seed ~negate =
+  let l = limbs_of ~n ~shape ~seed in
+  let x = of_limbs l in
+  if x.B.mag <> l then Alcotest.failf "of_limbs: %d limbs of %s" n (shape_name shape);
+  if negate then B.neg x else x
+
+let gen_shape = QCheck2.Gen.oneofl shapes
+
+(* Two operands' (limbs, shape, negated) and a seed. *)
+let gen_operands size_a size_b =
+  QCheck2.Gen.(
+    pair (pair (triple size_a gen_shape bool) (triple size_b gen_shape bool)) int)
+
+let print_operands (((la, sa, na), (lb, sb, nb)), seed) =
+  Printf.sprintf "%d limbs %s%s x %d limbs %s%s, seed %d" la (shape_name sa)
+    (if na then " negated" else "")
+    lb (shape_name sb)
+    (if nb then " negated" else "")
+    seed
+
+let mul_matches (((la, sa, na), (lb, sb, nb)), seed) =
+  let x = operand ~n:la ~shape:sa ~seed ~negate:na in
+  let y = operand ~n:lb ~shape:sb ~seed:(seed + 1) ~negate:nb in
+  Bigint_ref.equal (B.mul x y) (Bigint_ref.mul x y)
+  && Bigint_ref.equal (B.mul y x) (Bigint_ref.mul x y)
+
+let square_matches ~n ~shape ~seed ~negate =
+  let x = operand ~n ~shape ~seed ~negate in
+  Bigint_ref.equal (B.pow x 2) (Bigint_ref.pow x 2)
+  && Bigint_ref.equal (B.mul x x) (Bigint_ref.mul x x)
+
+(* lengths just below, at and above [kt * 2^k], up to 4,000 limbs *)
+let split_sizes =
+  List.concat_map
+    (fun k -> [ (kt lsl k) - 1; kt lsl k; (kt lsl k) + 1 ])
+    (List.filter (fun k -> (kt lsl k) + 1 <= 4000) (List.init 8 Fun.id))
+
 let kernel_tests =
   [
     qtest "qcheck: pow equals iterated mul, bases scaled by 2^k and negated"
@@ -781,9 +931,79 @@ let kernel_tests =
         check "186 * 10^18 ns" true
           (Q.equal report.Report.decision_time_ns
              (Q.of_bigint (B.mul (B.of_int 186) (ten_to 18)))));
+    qtest ~count:40 "qcheck: mul = the reference product, 1 to 4,000 limbs"
+      ~print:print_operands
+      (gen_operands (QCheck2.Gen.int_range 1 4000) (QCheck2.Gen.int_range 1 4000))
+      mul_matches;
+    qtest ~count:40 "qcheck: pow x 2 = the reference square, 1 to 4,000 limbs"
+      ~print:(fun ((n, shape, negate), seed) ->
+        Printf.sprintf "%d limbs %s%s, seed %d" n (shape_name shape)
+          (if negate then " negated" else "")
+          seed)
+      QCheck2.Gen.(pair (triple (int_range 1 4000) gen_shape bool) int)
+      (fun ((n, shape, negate), seed) -> square_matches ~n ~shape ~seed ~negate);
+    qtest ~count:40 "qcheck: pow x e = the reference power, up to 4,000 limbs"
+      ~print:(fun (((n, shape, negate), seed), e) ->
+        Printf.sprintf "(%d limbs %s%s, seed %d)^%d" n (shape_name shape)
+          (if negate then " negated" else "")
+          seed e)
+      QCheck2.Gen.(
+        let* n = frequency [ (3, int_range 1 3); (1, int_range 4 400) ] in
+        let* e = int_range 0 (4000 / n) in
+        pair (pair (triple (return n) gen_shape bool) int) (return e))
+      (fun (((n, shape, negate), seed), e) ->
+        let x = operand ~n ~shape ~seed ~negate in
+        Bigint_ref.equal (B.pow x e) (Bigint_ref.pow x e));
+    qtest ~count:40
+      "qcheck: unbalanced mul, 1 to threshold + 1 limbs against up to 4,000"
+      ~print:print_operands
+      (gen_operands (QCheck2.Gen.int_range 1 (kt + 1)) (QCheck2.Gen.int_range 1 4000))
+      mul_matches;
+    qtest ~count:40 "qcheck: mul across slice boundaries, j slices +- 1 limb"
+      ~print:print_operands
+      QCheck2.Gen.(
+        let* lb = int_range (kt + 1) 1000 in
+        let* j = int_range 2 (3999 / lb) in
+        let* d = int_range (-1) 1 in
+        gen_operands (return ((j * lb) + d)) (return lb))
+      mul_matches;
+    test "mul and square at threshold * 2^k +- 1 limbs, every limb shape"
+      (fun () ->
+        List.iteri
+          (fun i n ->
+            List.iter
+              (fun shape ->
+                let seed = (17 * i) + 3 in
+                check (Printf.sprintf "%d limbs %s squared" n (shape_name shape))
+                  true
+                  (square_matches ~n ~shape ~seed ~negate:(i land 1 = 1));
+                check
+                  (Printf.sprintf "%d x %d limbs %s" n (n - 1) (shape_name shape))
+                  true
+                  (n < 2
+                  || mul_matches
+                       (((n, shape, false), (n - 1, Random_limbs, true)), seed)))
+              shapes)
+          split_sizes);
+    test "two domains squaring at once each get the reference square" (fun () ->
+        let values =
+          Array.init 2 (fun i ->
+              operand ~n:(2000 + (500 * i)) ~shape:Random_limbs ~seed:(91 + i)
+                ~negate:false)
+        in
+        let expected = Array.map (fun x -> Bigint_ref.pow x 2) values in
+        let worker i () =
+          List.for_all
+            (fun _ -> Bigint_ref.equal (B.pow values.(i) 2) expected.(i))
+            (List.init 30 Fun.id)
+        in
+        let domains = Array.init 2 (fun i -> Domain.spawn (worker i)) in
+        Array.iteri
+          (fun i d -> check (Printf.sprintf "domain %d" i) true (Domain.join d))
+          domains);
   ]
 
 let suite =
   ( "prob",
     bigint_tests @ q_tests @ binomial_tests @ chain_tests @ mc_tests
-    @ golden_tests @ cancel_tests @ kernel_tests )
+    @ golden_tests @ cancel_tests @ size_tests @ kernel_tests )

@@ -1135,6 +1135,66 @@ let served_prob_tests =
                     check "names the overflow" true
                       (contains message "overflow")
                 | _ -> Alcotest.fail "expected bad-request")));
+    test "an oversize probcheck is refused before the queue, counts unchanged"
+      (fun () ->
+        with_daemon ~workers:1 (fun bound ->
+            with_client bound (fun c ->
+                let counts () =
+                  match Client.call c ~verb:"status" () with
+                  | Ok (_, Protocol.Ok_result (Json.Obj fields)) ->
+                      List.map
+                        (fun k -> (k, List.assoc_opt k fields))
+                        [ "queue_depth"; "in_flight"; "served" ]
+                  | _ -> Alcotest.fail "status failed"
+                in
+                let zero = [ ("queue_depth", Some (Json.Int 0)); ("in_flight", Some (Json.Int 0)); ("served", Some (Json.Int 0)) ] in
+                check "idle before" true (counts () = zero);
+                (* Report.power_bits: 35-bit bases (q = 1/25600000000) at
+                   n = 128, 17 rounds, 8 attempts: 16256 * 35 * (3 * 8 + 4 +
+                   2 * 17) bits; at n = 490, t = 0 the landing rows alone
+                   weigh 239610 * 35 * (3 * 8 + 4 + 2) *)
+                let uniform n t =
+                  [
+                    ("n", Json.Int n);
+                    ("t", Json.Int t);
+                    ("latency", Json.String "uniform:0.2,1.0");
+                    ("loss", Json.String "0.05");
+                  ]
+                and oversize_attempts =
+                  [
+                    ("retries", Json.Int 100);
+                    ("rto", Json.Float 0.1);
+                    ("round_duration", Json.Float 20.0);
+                  ]
+                in
+                List.iter
+                  (fun (params, size, budget) ->
+                    match Client.call c ~verb:"probcheck" ~params () with
+                    | Ok
+                        ( _,
+                          Protocol.Error_reply
+                            { code = Protocol.Bad_request; message } ) ->
+                        check ("names the size: " ^ message) true (contains message size);
+                        check ("names the budget: " ^ message) true
+                          (contains message budget)
+                    | _ -> Alcotest.fail "expected bad-request")
+                  [
+                    ( uniform 128 16,
+                      "35275520 bits",
+                      Printf.sprintf "budget of %d bits" Spec.Probcheck.max_power_bits );
+                    ( uniform 490 0,
+                      "251590500 bits",
+                      Printf.sprintf "budget of %d bits" Spec.Probcheck.max_power_bits );
+                    ( oversize_attempts,
+                      "up to 101 attempts",
+                      Printf.sprintf "budget of %d" Spec.Probcheck.max_attempts );
+                  ];
+                check "no worker ran them" true (counts () = zero);
+                (match Client.call c ~verb:"probcheck" () with
+                | Ok (_, Protocol.Ok_result _) -> ()
+                | _ -> Alcotest.fail "a small probcheck failed after the refusals");
+                check "the small one was served" true
+                  (List.assoc "served" (counts ()) = Some (Json.Int 1)))));
   ]
 
 let suite =
