@@ -3,7 +3,10 @@
     the compact variant where one exists, on four fabrics — constant
     latency 1.0 lossless, constant latency 1.0 with loss 0.05, uniform
     latency 0.2..1.0 with loss 0.1, and omission mode with two transient
-    partitions — at two seeds, a few runs each.
+    partitions — at two seeds, a few runs each.  Then P0opt, P0opt+ and
+    Chain0 (in omission mode), each full and compact, at n = 70 — past
+    one word, on [Procset.Wide] sets — on one lossy uniform fabric at one
+    seed, two runs each.
 
     Each sweep is a [#] label line followed by its
     {!Eba.Net.Net_stats.summary_json} bytes,
