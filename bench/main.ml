@@ -189,7 +189,7 @@ let net_tests =
                 in
                 ignore
                   (net_sweep
-                     (Eba.P0opt_delta.for_params params)
+                     (Eba.P0opt.Compact.for_params params)
                      ~n:128 ~t:16 ~mode:Eba.Params.Crash ~loss:0.05 ~seed:1
                      ~runs:1 ())));
        ]))

@@ -61,7 +61,8 @@ module Facts = Eba_core.Facts
 module Zoo = Eba_core.Zoo
 module Trace = Eba_core.Trace
 
-(* operational protocols *)
+(* operational protocols; P0opt, P0opt_plus and Chain0 each carry their
+   bounded-bandwidth message codec as [Compact] *)
 module Protocol_intf = Eba_protocols.Protocol_intf
 module Runner = Eba_protocols.Runner
 module P0 = Eba_protocols.P0
@@ -71,12 +72,6 @@ module Floodset = Eba_protocols.Floodset
 module Chain0 = Eba_protocols.Chain0
 module Fip_op = Eba_protocols.Fip_op
 module Stats = Eba_protocols.Stats
-
-(* bounded-bandwidth (compact-message) variants: identical decisions,
-   strictly fewer bytes on the wire *)
-module P0opt_delta = Eba_protocols.P0opt_delta
-module P0opt_plus_delta = Eba_protocols.P0opt_plus_delta
-module Chain0_cert = Eba_protocols.Chain0_cert
 
 (* exact probability engine *)
 module Prob = Eba_prob

@@ -28,44 +28,130 @@
     and t = 2, that this protocol makes {e exactly} the decisions of
     [F^Λ,2] at corresponding points.
 
-    Rows are immutable once shared (every mutation copies first), so
-    tables flow through messages by reference: [send] shares the whole
-    table with every destination and merging keeps the winning row
-    as-is.  Functorized over {!Eba_util.Procset.S} for the heard-sets,
-    the [O(n² T)]-bit messages run at any [n] under the simulator. *)
+    The rules read the row table alone, and two message codecs fill it:
+
+    - the full codec sends the whole table every round.  Rows are
+      immutable once shared (every mutation copies first), so tables flow
+      through messages by reference: [send] shares the whole table with
+      every destination and merging keeps the winning row as-is;
+    - the compact codec, [P0opt+delta], sends a destination only the
+      {e row extensions} it is not yet proven to hold.  The coverage
+      evidence is the delta traffic itself: when [d]'s message carries an
+      extension of [x]'s row up to round [u], then [d]'s own copy of that
+      row reached [u] at send time (rows only grow, so it still does).  I
+      track [cu.(d).(x)], the highest such [u] per destination and row,
+      and send [d] the extension [(cu.(d).(x), r_upto]] of every row that
+      has outgrown it — with the initial value attached when
+      [cu.(d).(x) < 0], i.e. when [d] is not known to hold the row at
+      all.  [d]'s own row and my rows that [d] already covers travel as
+      nothing.  No echo is needed (unlike [P0opt]'s compact codec): row
+      extensions keep flowing every round a row grows, and what I learned
+      from [d] raises [cu.(d)] directly.  Entries carry an explicit
+      [(from, heard-sets)] window under a round-stamped header, so
+      applying one is idempotent and order-independent: an extension is
+      grafted only where it strictly grows my row and seamlessly
+      continues it, and retransmitted or reordered copies within a round
+      reconstruct the same table (row content is unique per run —
+      heard-sets are facts about the run, not about who reported them).
+
+    By induction the table is the same under both codecs at every
+    processor after every round, message presence being identical — so
+    decisions match in value and time everywhere (differential suite,
+    exhaustive crash and omission universes; [test_compact]'s same-seed
+    lossy sweep pairs at n = 64, on [Procset.Wide] sets).  Only the wire
+    size differs: the full table weighs [O(n · T)] dense sets per message
+    forever, while deltas carry each heard-set roughly once per
+    destination.  Functorized over {!Eba_util.Procset.S} for the
+    heard-sets, the protocol runs at any [n] under the simulator. *)
 
 module Params = Eba_sim.Params
 module Value = Eba_sim.Value
 
 module Make (S : Eba_util.Procset.S) = struct
-  module K = Known_rows.Make (S)
-
-  type row = K.row = {
+  type row = {
     r_value : Value.t;
     r_heard : S.t array;  (* r_heard.(k-1) = senders heard in round k *)
     r_upto : int;  (* rounds covered: r_heard.(0 .. r_upto - 1) are valid *)
   }
 
-  type msg = row option array  (* my whole table *)
-
-  type state = {
+  type 'book core = {
     me : int;
     n : int;
     horizon : int;
     table : row option array;
     time : int;
     decided : Value.t option;
+    book : 'book;  (* the codec's per-destination bookkeeping *)
   }
 
-  let name = "P0opt+"
+  let copy_row r = { r with r_heard = Array.copy r.r_heard }
+
+  let knows_zero table =
+    Array.exists
+      (function Some r -> Value.equal r.r_value Value.Zero | None -> false)
+      table
+
+  (* first round at which x is provably crashed: some known heard-set misses
+     a message from x *)
+  let crash_evidence table x =
+    let best = ref None in
+    Array.iteri
+      (fun a row ->
+        match row with
+        | None -> ()
+        | Some r ->
+            if a <> x then
+              for k = 1 to r.r_upto do
+                if not (S.mem x r.r_heard.(k - 1)) then
+                  match !best with
+                  | Some b when b <= k -> ()
+                  | Some _ | None -> best := Some k
+              done)
+      table;
+    !best
+
+  let upto table x = match table.(x) with None -> -1 | Some r -> r.r_upto
+
+  let known_not_delivered table ~sender ~receiver ~round =
+    match table.(receiver) with
+    | Some r when round <= r.r_upto -> not (S.mem sender r.r_heard.(round - 1))
+    | Some _ | None -> false
+
+  (* Decide 1 at [time] when nobody can possibly know a 0 and be nonfaulty:
+     the possibly-knows-0 fixpoint described above, computed from the
+     table alone. *)
+  let safe_to_decide_one ~time table =
+    let n = Array.length table in
+    let evidence = Array.init n (fun x -> crash_evidence table x) in
+    let k_now = Array.init n (fun x -> table.(x) = None) in
+    let k_now = ref k_now in
+    for k = 1 to time do
+      let next =
+        Array.init n (fun x ->
+            upto table x < k
+            && ((!k_now).(x)
+               ||
+               let feeds b =
+                 (!k_now).(b)
+                 && (not (known_not_delivered table ~sender:b ~receiver:x ~round:k))
+                 && match evidence.(b) with Some kb -> kb >= k | None -> true
+               in
+               let rec any b = b < n && ((b <> x && feeds b) || any (b + 1)) in
+               any 0))
+      in
+      k_now := next
+    done;
+    let threat x = (!k_now).(x) && evidence.(x) = None in
+    let rec any x = x < n && (threat x || any (x + 1)) in
+    not (any 0)
 
   let decide st =
     if st.decided <> None then st.decided
-    else if K.knows_zero st.table then Some Value.Zero
-    else if K.safe_to_decide_one ~time:st.time st.table then Some Value.One
+    else if knows_zero st.table then Some Value.Zero
+    else if safe_to_decide_one ~time:st.time st.table then Some Value.One
     else None
 
-  let init (params : Params.t) ~me value =
+  let init_core (params : Params.t) ~me value book =
     let table = Array.make params.Params.n None in
     table.(me) <-
       Some { r_value = value; r_heard = Array.make params.Params.horizon S.empty; r_upto = 0 };
@@ -77,48 +163,67 @@ module Make (S : Eba_util.Procset.S) = struct
         table;
         time = 0;
         decided = None;
+        book;
       }
     in
     { st with decided = decide st }
 
-  let send (params : Params.t) st ~round:_ =
-    (* Rows are copy-on-write (see [receive]), so the table itself is the
-       snapshot: one reference shared with every destination instead of
-       n - 1 deep copies of an O(n · horizon) structure. *)
-    let snapshot : msg = st.table in
-    Array.init params.Params.n (fun j -> if j = st.me then None else Some snapshot)
-
-  let receive _params st ~round arrived =
-    let table = Array.map Fun.id st.table in
+  (* [merge table j m] folds what [j] sent into my copy of the table *)
+  let receive_core st ~round arrived ~merge book =
+    let table = Array.copy st.table in
     let heard = ref S.empty in
     Array.iteri
       (fun j m ->
         match m with
         | None -> ()
-        | Some their_table ->
+        | Some m ->
             heard := S.add j !heard;
-            Array.iteri (fun x r -> table.(x) <- K.merge_row table.(x) r) their_table)
+            merge table j m)
       arrived;
     (* Extend my own row with this round's heard-set; the copy keeps every
        row that escaped through [send] (or arrived from elsewhere) frozen.
        My own row is present in every reachable state: [init] installs it
-       and [merge_row] never turns a [Some] into [None] — no wire input,
-       however corrupted, can delete a row, it can only fail to add one.
-       Should future state surgery ever break that invariant, fail as a
+       and no merge turns a [Some] into [None] — no wire input, however
+       corrupted, can delete a row, it can only fail to add one.  Should
+       future state surgery ever break that invariant, fail as a
        diagnosable error rather than an assertion crash mid-protocol. *)
     (match table.(st.me) with
     | Some r ->
-        let r = K.copy_row r in
+        let r = copy_row r in
         r.r_heard.(round - 1) <- !heard;
         table.(st.me) <- Some { r with r_upto = round }
     | None -> invalid_arg "P0opt+.receive: own row missing from table");
-    let st = { st with table; time = round } in
+    let st = { st with table; time = round; book } in
     { st with decided = decide st }
 
   let output st = st.decided
 
-  (* full variant: every present row costs its value byte, a length byte
-     for the covered prefix, its owner id and [r_upto] dense heard-sets *)
+  (* the full codec *)
+
+  type msg = row option array  (* my whole table *)
+  type state = unit core
+
+  let name = "P0opt+"
+  let init params ~me value = init_core params ~me value ()
+
+  (* Rows are copy-on-write (see [receive_core]), so the table itself is
+     the snapshot: one reference shared with every destination instead of
+     n - 1 deep copies of an O(n · horizon) structure. *)
+  let send params st ~round:_ = Protocol_intf.broadcast params ~me:st.me st.table
+
+  let merge_row mine theirs =
+    match (mine, theirs) with
+    | None, r | r, None -> r
+    | Some a, Some b -> Some (if a.r_upto >= b.r_upto then a else b)
+
+  let receive _params st ~round arrived =
+    receive_core st ~round arrived
+      ~merge:(fun table _ their_table ->
+        Array.iteri (fun x r -> table.(x) <- merge_row table.(x) r) their_table)
+      ()
+
+  (* every present row costs its value byte, a length byte for the
+     covered prefix, its owner id and [r_upto] dense heard-sets *)
   let wire_size (params : Params.t) (m : msg) =
     let open Protocol_intf.Wire in
     let n = params.Params.n in
@@ -129,11 +234,119 @@ module Make (S : Eba_util.Procset.S) = struct
         | Some r -> bytes := !bytes + proc_id + 2 + (r.r_upto * set_bytes n))
       m;
     !bytes
+
+  module Compact = struct
+    type entry = {
+      e_proc : int;  (* whose row *)
+      e_value : Value.t;  (* its initial value (used when the row is new) *)
+      e_from : int;  (* first covered round of the window, >= 1 *)
+      e_heard : S.t array;  (* heard-sets of rounds e_from .. e_from+len-1 *)
+    }
+
+    type msg = entry array
+
+    (* cu.(d).(x): highest r_upto of x's row provably held at d;
+       -1 = d not known to hold the row *)
+    type state = int array array core
+
+    let name = "P0opt+delta"
+
+    let init (params : Params.t) ~me value =
+      let n = params.Params.n in
+      (* everyone holds their own row from time 0 *)
+      init_core params ~me value
+        (Array.init n (fun d -> Array.init n (fun x -> if x = d then 0 else -1)))
+
+    let send (params : Params.t) st ~round:_ =
+      Array.init params.Params.n (fun d ->
+          if d = st.me then None
+          else begin
+            let entries = ref [] in
+            let cud = st.book.(d) in
+            for x = st.n - 1 downto 0 do
+              (* never offer d its own row: d's copy is extended locally
+                 every round, so it is always at least as long as anyone
+                 else's *)
+              match st.table.(x) with
+              | Some r when x <> d && r.r_upto > cud.(x) ->
+                  let from = max 1 (cud.(x) + 1) in
+                  entries :=
+                    {
+                      e_proc = x;
+                      e_value = r.r_value;
+                      e_from = from;
+                      e_heard = Array.sub r.r_heard (from - 1) (r.r_upto - from + 1);
+                    }
+                    :: !entries
+              | Some _ | None -> ()
+            done;
+            Some (Array.of_list !entries)
+          end)
+
+    (* Graft an arrived extension onto my copy of the row.  Windows that
+       start beyond my covered prefix or beyond the horizon are dropped:
+       an honest sender can produce neither (it extends from my proven
+       coverage), so the guards only shield the merge from corrupted wire
+       input — a protocol step must not crash on it. *)
+    let apply_entry st table e =
+      let len = Array.length e.e_heard in
+      let upto_e = e.e_from + len - 1 in
+      if e.e_from >= 1 && upto_e <= st.horizon then
+        match table.(e.e_proc) with
+        | None ->
+            if e.e_from = 1 then begin
+              let r_heard = Array.make st.horizon S.empty in
+              Array.blit e.e_heard 0 r_heard 0 len;
+              table.(e.e_proc) <- Some { r_value = e.e_value; r_heard; r_upto = upto_e }
+            end
+        | Some r when upto_e > r.r_upto && e.e_from <= r.r_upto + 1 ->
+            let r = copy_row r in
+            for k = r.r_upto + 1 to upto_e do
+              r.r_heard.(k - 1) <- e.e_heard.(k - e.e_from)
+            done;
+            table.(e.e_proc) <- Some { r with r_upto = upto_e }
+        | Some _ -> ()
+
+    let receive _params st ~round arrived =
+      let cu = Array.copy st.book in
+      receive_core st ~round arrived
+        ~merge:(fun table j entries ->
+          let cuj = Array.copy cu.(j) in
+          Array.iter
+            (fun e ->
+              if e.e_proc >= 0 && e.e_proc < st.n then begin
+                let upto_e = e.e_from + Array.length e.e_heard - 1 in
+                (* whatever j sent me, j's row covered at send time *)
+                if upto_e > cuj.(e.e_proc) then cuj.(e.e_proc) <- upto_e;
+                apply_entry st table e
+              end)
+            entries;
+          cu.(j) <- cuj)
+        cu
+
+    let output = output
+
+    (* per entry: owner id, value byte, window bounds, and one dense
+       heard-set per covered round *)
+    let wire_size (params : Params.t) m =
+      let open Protocol_intf.Wire in
+      let n = params.Params.n in
+      let bytes = ref header in
+      Array.iter (fun e -> bytes := !bytes + proc_id + 3 + (Array.length e.e_heard * set_bytes n)) m;
+      !bytes
+  end
 end
 
 module Word = Make (Eba_util.Procset.Word)
 module Wide = Make (Eba_util.Procset.Wide)
 include Word
 
-let for_params (params : Params.t) : (module Protocol_intf.PROTOCOL) =
-  if params.Params.n <= Eba_util.Bitset.max_width then (module Word) else (module Wide)
+let for_params = Protocol_intf.by_width (module Word) (module Wide)
+
+module Compact = struct
+  module Word = Word.Compact
+  module Wide = Wide.Compact
+  include Word
+
+  let for_params = Protocol_intf.by_width (module Word) (module Wide)
+end

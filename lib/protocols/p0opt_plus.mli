@@ -7,20 +7,40 @@
     heard-sets ([O(n² T)] bits).  Decide 0 on any (transitively) learned
     initial 0; decide 1 when every processor that could possibly know a 0
     (a closure over unknown values and uncontradicted deliveries) is
-    provably crashed and hence permanently silent. *)
+    provably crashed and hence permanently silent.
 
-module Make (S : Eba_util.Procset.S) : Protocol_intf.PROTOCOL
-(** The protocol over an arbitrary processor-set representation; all
-    instances decide identically and send bit-identical messages. *)
+    One state and one set of rules, two message codecs: the full codec
+    sends the whole row table every round; the compact one, [P0opt+delta]
+    ({!Compact}), sends each destination only the row extensions beyond
+    its proven coverage.  Both decide identically in value and round on
+    every run; only {!Protocol_intf.PROTOCOL.wire_size} differs. *)
 
 module Word : Protocol_intf.PROTOCOL
-(** [Make (Procset.Word)]: single-word heard-sets, [n <= 62]. *)
+(** Single-word heard-sets, [n <= 62]. *)
 
 module Wide : Protocol_intf.PROTOCOL
-(** [Make (Procset.Wide)]: limb-array heard-sets, any [n]. *)
+(** Limb-array heard-sets, any [n]; decisions and messages are
+    bit-identical to {!Word}'s. *)
 
 include Protocol_intf.PROTOCOL
 (** The historical interface — an alias of {!Word}. *)
 
 val for_params : Eba_sim.Params.t -> (module Protocol_intf.PROTOCOL)
 (** {!Word} when [n] fits a single word, {!Wide} beyond. *)
+
+(** [P0opt+delta], the compact codec: each entry an explicit
+    [(owner, value, from, heard-sets)] window under a round-stamped
+    header, so applying extensions is idempotent and order-independent
+    within a round.  Each heard-set crosses each link roughly once
+    instead of riding in every later round; that saves bytes only over
+    longer horizons — at the default horizon of 3 a compact run can cost
+    more than the full one (README, "Message complexity"). *)
+module Compact : sig
+  module Word : Protocol_intf.PROTOCOL
+  module Wide : Protocol_intf.PROTOCOL
+
+  include Protocol_intf.PROTOCOL
+  (** An alias of {!Word}. *)
+
+  val for_params : Eba_sim.Params.t -> (module Protocol_intf.PROTOCOL)
+end

@@ -64,3 +64,17 @@ module type PROTOCOL = sig
       accounting is deterministic.  The harnesses treat it as a metric
       only: no protocol step may depend on it. *)
 end
+
+(** One message for every destination but [me]: the full-information
+    codecs share a single snapshot, which no [receive] ever writes. *)
+let broadcast (params : Params.t) ~me msg =
+  let out = Array.make params.Params.n None and m = Some msg in
+  for j = 0 to params.Params.n - 1 do
+    if j <> me then out.(j) <- m
+  done;
+  out
+
+(** The instance of a set-carrying protocol for [params]: [word]
+    (single-word sets) while [n] fits one word, [wide] beyond. *)
+let by_width word wide (params : Params.t) : (module PROTOCOL) =
+  if params.Params.n <= Eba_util.Bitset.max_width then word else wide

@@ -69,9 +69,9 @@ let compact_protocols :
     (string * (Params.t -> (module Eba_protocols.Protocol_intf.PROTOCOL))) list
     =
   [
-    ("p0opt", Eba_protocols.P0opt_delta.for_params);
-    ("p0opt+", Eba_protocols.P0opt_plus_delta.for_params);
-    ("chain0", Eba_protocols.Chain0_cert.for_params);
+    ("p0opt", Eba_protocols.P0opt.Compact.for_params);
+    ("p0opt+", Eba_protocols.P0opt_plus.Compact.for_params);
+    ("chain0", Eba_protocols.Chain0.Compact.for_params);
   ]
 
 let protocol_names = List.map fst protocols

@@ -1,7 +1,7 @@
 (* The reference P0opt-delta codec: a delta is a fresh array of
    [(slot, value)] pairs, built per destination by scanning every slot of
    the known vector, and merged one entry at a time.  The library's
-   codec (Eba.P0opt_delta) reads a slot set against the sender's shared
+   codec (Eba.P0opt.Compact) reads a slot set against the sender's shared
    known vector instead; this one shares none of that, which makes it the
    oracle test_compact compares the library's entries, known vectors,
    decisions and sweep summaries against. *)
@@ -10,7 +10,7 @@ module Params = Eba.Params
 module Value = Eba.Value
 module Protocol_intf = Eba.Protocol_intf
 
-module Make (S : Eba.Procset.S) : Eba.P0opt_delta.COMPACT = struct
+module Make (S : Eba.Procset.S) : Eba.P0opt.COMPACT = struct
   type msg = { d_round : int; d_entries : (int * Value.t) array }
 
   type state = {

@@ -41,9 +41,9 @@ let pairs :
     * (module Eba.Protocol_intf.PROTOCOL))
     list =
   [
-    ("P0opt", (module Eba.P0opt), (module Eba.P0opt_delta));
-    ("P0opt+", (module Eba.P0opt_plus), (module Eba.P0opt_plus_delta));
-    ("Chain0", (module Eba.Chain0), (module Eba.Chain0_cert));
+    ("P0opt", (module Eba.P0opt), (module Eba.P0opt.Compact));
+    ("P0opt+", (module Eba.P0opt_plus), (module Eba.P0opt_plus.Compact));
+    ("Chain0", (module Eba.Chain0), (module Eba.Chain0.Compact));
   ]
 
 (* --- exhaustive decision/time/byte differentials --- *)
@@ -161,11 +161,11 @@ let reconstruction_tests =
           Array.init n (fun j ->
               if j = 0 || lost land (1 lsl (j - 1)) <> 0 then None
               else
-                Some (Eba.P0opt_delta.message ~round:1 (entries_of masks.(j - 1))))
+                Some (Eba.P0opt.Compact.message ~round:1 (entries_of masks.(j - 1))))
         in
-        let st = Eba.P0opt_delta.init params ~me:0 Val.One in
-        let st = Eba.P0opt_delta.receive params st ~round:1 inbox in
-        let got = Eba.P0opt_delta.known st in
+        let st = Eba.P0opt.Compact.init params ~me:0 Val.One in
+        let st = Eba.P0opt.Compact.receive params st ~round:1 inbox in
+        let got = Eba.P0opt.Compact.known st in
         let arrived p =
           (* some sender both included slot p and was not lost *)
           let rec go j =
@@ -319,13 +319,13 @@ let netsim_tests =
     pairs
   @ [
       slow "P0opt vs P0opt-delta lossy sweep: same decisions, fewer bytes"
-        (lossy_pair "P0opt" Eba.P0opt.for_params Eba.P0opt_delta.for_params
+        (lossy_pair "P0opt" Eba.P0opt.for_params Eba.P0opt.Compact.for_params
            ~mode:Eba.Params.Crash ~n:16 ~runs:6);
       slow "P0opt+ vs P0opt+delta lossy sweep: same decisions, fewer bytes"
         (lossy_pair "P0opt+" Eba.P0opt_plus.for_params
-           Eba.P0opt_plus_delta.for_params ~mode:Eba.Params.Crash ~n:16 ~runs:6);
+           Eba.P0opt_plus.Compact.for_params ~mode:Eba.Params.Crash ~n:16 ~runs:6);
       slow "Chain0 vs Chain0-cert lossy sweep: same decisions, fewer bytes"
-        (lossy_pair "Chain0" Eba.Chain0.for_params Eba.Chain0_cert.for_params
+        (lossy_pair "Chain0" Eba.Chain0.for_params Eba.Chain0.Compact.for_params
            ~mode:Eba.Params.Omission ~n:16 ~runs:6);
     ]
 
@@ -333,13 +333,13 @@ let netsim_tests =
 let wide_pair_tests =
   [
     slow "P0opt vs P0opt-delta lossy sweep at n=64: same decisions, fewer bytes"
-      (lossy_pair "P0opt" Eba.P0opt.for_params Eba.P0opt_delta.for_params
+      (lossy_pair "P0opt" Eba.P0opt.for_params Eba.P0opt.Compact.for_params
          ~mode:Eba.Params.Crash ~n:64 ~runs:2);
     slow "P0opt+ vs P0opt+delta lossy sweep at n=64: same decisions, fewer bytes"
       (lossy_pair "P0opt+" Eba.P0opt_plus.for_params
-         Eba.P0opt_plus_delta.for_params ~mode:Eba.Params.Crash ~n:64 ~runs:2);
+         Eba.P0opt_plus.Compact.for_params ~mode:Eba.Params.Crash ~n:64 ~runs:2);
     slow "Chain0 vs Chain0-cert lossy sweep at n=64: same decisions, fewer bytes"
-      (lossy_pair "Chain0" Eba.Chain0.for_params Eba.Chain0_cert.for_params
+      (lossy_pair "Chain0" Eba.Chain0.for_params Eba.Chain0.Compact.for_params
          ~mode:Eba.Params.Omission ~n:64 ~runs:2);
   ]
 
@@ -422,9 +422,9 @@ module Ref = P0opt_delta_ref
 
 (* the library's codec and the reference at the representation
    [for_params] picks for n *)
-let codecs n : (module Eba.P0opt_delta.COMPACT) * (module Eba.P0opt_delta.COMPACT) =
-  if n <= Eba.Bitset.max_width then ((module Eba.P0opt_delta.Word), (module Ref.Word))
-  else ((module Eba.P0opt_delta.Wide), (module Ref.Wide))
+let codecs n : (module Eba.P0opt.COMPACT) * (module Eba.P0opt.COMPACT) =
+  if n <= Eba.Bitset.max_width then ((module Eba.P0opt.Compact.Word), (module Ref.Word))
+  else ((module Eba.P0opt.Compact.Wide), (module Ref.Wide))
 
 (* Three lockstep rounds of every processor under both codecs, each
    message delivered or not by a seeded per-message mask: every
@@ -491,7 +491,7 @@ let sweep_matches_ref ~n ~t ~mode ~runs () =
 let stray_slots_ignored () =
   let n = 6 in
   let params = Eba.Params.make ~n ~t:1 ~horizon:3 ~mode:Eba.Params.Crash in
-  let run (module C : Eba.P0opt_delta.COMPACT) =
+  let run (module C : Eba.P0opt.COMPACT) =
     let m =
       C.message ~round:1 [ (-1, Val.Zero); (2, Val.One); (6, Val.Zero); (100, Val.Zero) ]
     in
@@ -500,8 +500,8 @@ let stray_slots_ignored () =
     (C.known st, C.output st, Array.map (Option.map C.entries) (C.send params st ~round:2))
   in
   let want = run (module Ref.Word) in
-  check "Word: as the reference" true (run (module Eba.P0opt_delta.Word) = want);
-  check "Wide: as the reference" true (run (module Eba.P0opt_delta.Wide) = want)
+  check "Word: as the reference" true (run (module Eba.P0opt.Compact.Word) = want);
+  check "Wide: as the reference" true (run (module Eba.P0opt.Compact.Wide) = want)
 
 let ref_codec_tests =
   [

@@ -27,9 +27,9 @@ let all_protocols : (string * (module Eba.Protocol_intf.PROTOCOL)) list =
     ("P0opt+", (module Eba.P0opt_plus));
     ("FloodSet", (module Eba.Floodset));
     ("Chain0", (module Eba.Chain0));
-    ("P0opt-delta", (module Eba.P0opt_delta));
-    ("P0opt+delta", (module Eba.P0opt_plus_delta));
-    ("Chain0-cert", (module Eba.Chain0_cert));
+    ("P0opt-delta", (module Eba.P0opt.Compact));
+    ("P0opt+delta", (module Eba.P0opt_plus.Compact));
+    ("Chain0-cert", (module Eba.Chain0.Compact));
   ]
 
 (* --- event queue: growth boundaries, clear --- *)
@@ -450,7 +450,7 @@ let deep_tests =
         let dynamic = Net.Inject.dynamic ~max_faulty:4 () in
         mux_matches (module Eba.Floodset) params ~topology ~dynamic ~seed:3232
           ~runs:3 ();
-        mux_matches (module Eba.P0opt_delta) params ~topology ~dynamic ~seed:3233
+        mux_matches (module Eba.P0opt.Compact) params ~topology ~dynamic ~seed:3233
           ~runs:2 ());
   ]
 

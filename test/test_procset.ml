@@ -239,11 +239,11 @@ let compact_rep_pairs :
     * (module Eba.Protocol_intf.PROTOCOL))
     list =
   [
-    ("P0opt-delta", (module Eba.P0opt_delta.Word), (module Eba.P0opt_delta.Wide));
+    ("P0opt-delta", (module Eba.P0opt.Compact.Word), (module Eba.P0opt.Compact.Wide));
     ( "P0opt+delta",
-      (module Eba.P0opt_plus_delta.Word),
-      (module Eba.P0opt_plus_delta.Wide) );
-    ("Chain0-cert", (module Eba.Chain0_cert.Word), (module Eba.Chain0_cert.Wide));
+      (module Eba.P0opt_plus.Compact.Word),
+      (module Eba.P0opt_plus.Compact.Wide) );
+    ("Chain0-cert", (module Eba.Chain0.Compact.Word), (module Eba.Chain0.Compact.Wide));
   ]
 
 let rep_disagreements (module A : Eba.Protocol_intf.PROTOCOL)
@@ -330,7 +330,7 @@ let delta_alloc_tests =
   [
     test "P0opt-delta.Wide round-2 send at n=128: under 40 minor words per destination"
       (fun () ->
-        let module P = Eba.P0opt_delta.Wide in
+        let module P = Eba.P0opt.Compact.Wide in
         let n = 128 in
         let params = Eba.Params.make ~n ~t:16 ~horizon:17 ~mode:Eba.Params.Crash in
         let states = Array.init n (fun me -> P.init params ~me Eba.Value.One) in
