@@ -51,10 +51,10 @@ let power_bits ~n ~t ~rounds ~loss ~latency ~sync =
 let make ?cancel ~n ~t ~rounds ~loss ~latency ~sync () =
   let spec, m, mr = validate ~n ~t ~rounds ~loss ~latency ~sync in
   let check () = Eba_util.Cancel.check_opt cancel in
-  let q = Round_chain.per_message_miss spec in
   check ();
   let landing = Round_chain.landing ~sig_figs ?cancel spec ~m in
   check ();
+  let q = landing.Round_chain.miss_after_attempt.(spec.Round_chain.attempts) in
   let run_all_delivered = Q.pow (Q.one_minus q) mr in
   {
     n;
@@ -104,7 +104,7 @@ let to_json r =
           Json.List
             (List.init (spec.Round_chain.attempts + 1) (fun k ->
                  pow_rat
-                   ~base:(Q.one_minus (Round_chain.miss_after spec k))
+                   ~base:(Q.one_minus r.landing.Round_chain.miss_after_attempt.(k))
                    ~exp:r.messages_per_round
                    ~power:r.landing.Round_chain.all_by_attempt.(k))) );
         ( "exactly",

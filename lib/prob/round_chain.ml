@@ -67,6 +67,7 @@ let base_bits spec =
 let expected_undelivered spec ~m = Q.mul (Q.of_int m) (per_message_miss spec)
 
 type landing = {
+  miss_after_attempt : Q.t array;
   all_by_attempt : Q.t array;
   exactly_decimal : string array;
   residual_decimal : string;
@@ -77,9 +78,13 @@ type landing = {
    denominators, never a gcd. *)
 let landing ?sig_figs ?cancel spec ~m =
   if m < 1 then invalid_arg "Round_chain.landing: m must be >= 1";
-  let base =
-    Array.init (spec.attempts + 1) (fun k -> Q.one_minus (miss_after spec k))
-  in
+  (* the running products miss_after 0 .. attempts, one multiply each *)
+  let miss_after_attempt = Array.make (spec.attempts + 1) Q.one in
+  for a = 1 to spec.attempts do
+    miss_after_attempt.(a) <-
+      Q.mul miss_after_attempt.(a - 1) (Q.one_minus spec.success.(a - 1))
+  done;
+  let base = Array.map Q.one_minus miss_after_attempt in
   let l =
     Array.fold_left
       (fun l b ->
@@ -112,7 +117,7 @@ let landing ?sig_figs ?cancel spec ~m =
       ~num:(Bigint.sub den scaled.(spec.attempts))
       ~den ()
   in
-  { all_by_attempt; exactly_decimal; residual_decimal }
+  { miss_after_attempt; all_by_attempt; exactly_decimal; residual_decimal }
 
 let chain spec ~m =
   if m < 0 then invalid_arg "Round_chain.chain: m must be >= 0";

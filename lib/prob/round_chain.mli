@@ -64,6 +64,9 @@ val expected_undelivered : spec -> m:int -> Q.t
 (** [m * per_message_miss]: expected misses per window. *)
 
 type landing = {
+  miss_after_attempt : Q.t array;
+      (** index [k in 0..attempts]: [miss_after k], the running products
+          computed once per landing *)
   all_by_attempt : Q.t array;
       (** index [k in 0..attempts]: [all_by ~m ~k] (exact) *)
   exactly_decimal : string array;
