@@ -63,6 +63,28 @@ let spec_report_json (r : Eba_core.Spec.report) =
 
 let trying f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
 
+(* Sized from [eba model] and [eba check -p f-lambda-2] at --jobs 1:
+   crash n=4 t=2 T=4 (82,608 runs) builds in 0.25 s and peaks at 58 MiB,
+   0.44 s and 99 MiB with the check.  Past the budget, crash n=4 t=2 T=5
+   (126,736 runs) peaks at 104 MiB, n=7 t=1 T=3 (170,368) at 190 MiB,
+   and a crash n=5 t=2 T=3 model (684,512 runs) holds 360 MiB in the
+   cache. *)
+let max_knowledge_runs = 100_000
+
+(* Universe.count x 2^n configurations, refused in the event loop before
+   anything is queued or built *)
+let admit_universe params =
+  let module C = Eba_util.Combi in
+  let too_large count =
+    Error
+      (Printf.sprintf "knowledge-query too large to serve: %s runs, past the budget of %d runs"
+         count max_knowledge_runs)
+  in
+  match C.mul_exn (Eba_sim.Universe.count params) (C.pow 2 params.Params.n) with
+  | runs when runs <= max_knowledge_runs -> Ok ()
+  | runs -> too_large (string_of_int runs)
+  | exception C.Overflow -> too_large "more than max_int"
+
 let knowledge params =
   let* () =
     Spec.check_keys
@@ -81,6 +103,7 @@ let knowledge params =
   let* query = P.get_string ~default:"spec" params "query" in
   let* jobs = Spec.get_jobs params in
   let* model_params = trying (fun () -> Params.make ~n ~t ~horizon ~mode) in
+  let* () = admit_universe model_params in
   let identity name =
     [
       ("protocol", Json.String name);

@@ -36,6 +36,13 @@ val model_cache : Model_cache.t
 (** The process-wide knowledge-model cache every [knowledge-query]
     [spec] thunk goes through (capacity 8). *)
 
+val max_knowledge_runs : int
+(** The served [knowledge-query] budget: a universe of more than this
+    many runs ([Universe.count] patterns × [2^n] configurations, or a
+    count past [max_int]) is refused by {!prepare} with a [bad-request]
+    naming the count and the budget, for the [spec] and the [exhaustive]
+    query alike. *)
+
 val prepare :
   verb:string ->
   params:Json.t ->

@@ -1197,6 +1197,59 @@ let served_prob_tests =
                   (List.assoc "served" (counts ()) = Some (Json.Int 1)))));
   ]
 
+(* --- served knowledge-query admission --- *)
+
+let served_knowledge_tests =
+  [
+    test "an oversize knowledge-query is refused before the queue, counts unchanged"
+      (fun () ->
+        with_daemon ~workers:1 (fun bound ->
+            with_client bound (fun c ->
+                let counts () =
+                  match Client.call c ~verb:"status" () with
+                  | Ok (_, Protocol.Ok_result (Json.Obj fields)) ->
+                      List.map
+                        (fun k -> (k, List.assoc_opt k fields))
+                        [ "queue_depth"; "in_flight"; "served" ]
+                  | _ -> Alcotest.fail "status failed"
+                in
+                let zero = [ ("queue_depth", Some (Json.Int 0)); ("in_flight", Some (Json.Int 0)); ("served", Some (Json.Int 0)) ] in
+                check "idle before" true (counts () = zero);
+                let universe n t horizon =
+                  [ ("n", Json.Int n); ("t", Json.Int t); ("horizon", Json.Int horizon) ]
+                and budget =
+                  Printf.sprintf "budget of %d runs" Eba.Server.Registry.max_knowledge_runs
+                in
+                List.iter
+                  (fun (params, size) ->
+                    match Client.call c ~verb:"knowledge-query" ~params () with
+                    | Ok
+                        ( _,
+                          Protocol.Error_reply
+                            { code = Protocol.Bad_request; message } ) ->
+                        check ("names the size: " ^ message) true (contains message size);
+                        check ("names the budget: " ^ message) true (contains message budget)
+                    | _ -> Alcotest.fail "expected bad-request")
+                  [
+                    (* 240,824,431 crash patterns x 2^7 configurations *)
+                    (universe 7 3 3, "30825527168 runs");
+                    ( universe 7 3 3
+                      @ [ ("query", Json.String "exhaustive"); ("protocol", Json.String "floodset") ],
+                      "30825527168 runs" );
+                    (* the run count overflows int *)
+                    (universe 12 4 4, "more than max_int runs");
+                    (* the smallest crash universe measured past the budget *)
+                    (universe 5 2 3, "684512 runs");
+                  ];
+                check "no worker ran them" true (counts () = zero);
+                (* crash n=4 t=2 T=4, 82,608 runs, is served *)
+                (match Client.call c ~verb:"knowledge-query" ~params:(universe 4 2 4) () with
+                | Ok (_, Protocol.Ok_result _) -> ()
+                | _ -> Alcotest.fail "a knowledge-query within the budget failed");
+                check "the admitted one was served" true
+                  (List.assoc "served" (counts ()) = Some (Json.Int 1)))));
+  ]
+
 let suite =
   ( "server",
     frame_tests @ queue_tests @ spec_tests @ differential_tests
@@ -1204,4 +1257,4 @@ let suite =
     @ progress_tests @ cache_tests @ served_cache_tests @ served_jobs_tests
     @ bench_tests
     @ robustness_tests @ restart_tests @ pool_tests @ served_mux_tests
-    @ served_prob_tests )
+    @ served_prob_tests @ served_knowledge_tests )
