@@ -18,9 +18,11 @@
     (element-for-element, including enumeration order of [to_list],
     [fold] and [subsets_of]) — property-tested in [test_procset.ml].
     Protocols functorized over {!S} therefore make bit-identical decisions
-    under either representation; [P0opt.for_params] and friends pick
-    [Word] at [n ≤ Bitset.max_width] and [Wide] beyond, so small-n runs
-    keep the single-word hot path. *)
+    under either representation; each set-carrying protocol's
+    [for_params] (and [Compact.for_params], for its bounded-bandwidth
+    codec) picks [Word] at [n ≤ Bitset.max_width] and [Wide] beyond,
+    through [Protocol_intf.by_width], so small-n runs keep the
+    single-word hot path. *)
 
 module type S = sig
   type t
