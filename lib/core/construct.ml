@@ -4,6 +4,10 @@ module Value = Eba_sim.Value
 
 type order = Zero_first | One_first
 
+(* A step's set, or its input's when the two are equal: a later
+   [Kb_protocol.conjoin] of the kept set then hits the env's memo. *)
+let keep old fresh = if Decision_set.equal old fresh then old else fresh
+
 (* [c] is built once, so both conditions read one memoized C□ node. *)
 let step_zero_first env (pair : Kb_protocol.pair) =
   let n = Formula.nonfaulty env in
@@ -11,8 +15,8 @@ let step_zero_first env (pair : Kb_protocol.pair) =
   let e0 = Formula.exists env Value.Zero and e1 = Formula.exists env Value.One in
   let c = Formula.Cbox (n_and_o, e0) in
   {
-    Kb_protocol.zero = Decision_set.believes env n (Formula.And [ e0; c ]);
-    one = Decision_set.believes env n (Formula.And [ e1; Formula.Not c ]);
+    Kb_protocol.zero = keep pair.zero (Decision_set.believes env n (Formula.And [ e0; c ]));
+    one = keep pair.one (Decision_set.believes env n (Formula.And [ e1; Formula.Not c ]));
   }
 
 let step_one_first env (pair : Kb_protocol.pair) =
@@ -21,8 +25,9 @@ let step_one_first env (pair : Kb_protocol.pair) =
   let e0 = Formula.exists env Value.Zero and e1 = Formula.exists env Value.One in
   let c = Formula.Cbox (n_and_z, e1) in
   {
-    Kb_protocol.zero = Decision_set.believes env n (Formula.And [ e0; Formula.Not c ]);
-    one = Decision_set.believes env n (Formula.And [ e1; c ]);
+    Kb_protocol.zero =
+      keep pair.zero (Decision_set.believes env n (Formula.And [ e0; Formula.Not c ]));
+    one = keep pair.one (Decision_set.believes env n (Formula.And [ e1; c ]));
   }
 
 let step order = match order with

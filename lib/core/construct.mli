@@ -8,7 +8,14 @@
     {!step_one_first} is the symmetric [(Z'', O'')] step.  Theorem 5.2:
     applying one step and then the other yields an optimal nontrivial
     agreement protocol dominating the original (an optimal EBA protocol if
-    the original was EBA); the process is a fixed point after two steps. *)
+    the original was EBA); the process is a fixed point after two steps.
+
+    A step returns its input's set object, not a fresh copy, for each set
+    it leaves byte-equal ({!Decision_set.equal}).  A later
+    {!Kb_protocol.conjoin} of that set through the same env then returns
+    the nonrigid set the step conjoined, with its [C□] closure: Theorem
+    5.3's check after Theorem 5.2's construction shares the conjunction
+    the second step built whenever that step kept the set. *)
 
 module Formula = Eba_epistemic.Formula
 module Nonrigid = Eba_epistemic.Nonrigid

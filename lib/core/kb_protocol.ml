@@ -66,6 +66,4 @@ let member_atom env pair y i =
   let n = Model.n model and views = model.Model.views in
   Formula.atom model name (fun pid -> Decision_set.mem set views.((pid * n) + i))
 
-let conjoin env s name a =
-  let model = Formula.model env in
-  Nonrigid.restrict_by_view model ~name s (a : Decision_set.t :> Bytes.t)
+let conjoin env s name a = Formula.conjoin env s ~name (a : Decision_set.t :> Bytes.t)

@@ -48,4 +48,7 @@ val member_atom : Formula.env -> pair -> Value.t -> int -> Formula.t
 
 val conjoin : Formula.env -> Nonrigid.t -> string -> Decision_set.t -> Nonrigid.t
 (** [conjoin env s name a] is the paper's [S ∧ A]: members of [S] whose
-    current view lies in [A]. *)
+    current view lies in [A].  It goes through the env's memo
+    ({!Formula.conjoin}): conjoining the same decision-set object with the
+    same [s] and [name] again returns the first nonrigid set, so the [C□]
+    closure and the nodes built over it are shared as well. *)

@@ -37,11 +37,37 @@ let run_atom model name pred =
     model.Model.runs;
   Atom (name, s)
 
+(* [∃0] and [∃1] in one pass over the runs: each run's initial values are
+   read once, and its points' bits are written into both atoms' words in
+   place. *)
+let exists_atoms model =
+  let n = Model.n model and np = Model.npoints model in
+  let per_run = Model.horizon model + 1 and runs = model.Model.runs in
+  let s0 = Pset.create np and s1 = Pset.create np in
+  let w0 = s0.Pset.words and w1 = s1.Pset.words and bpw = Pset.bits_per_word in
+  let w = ref 0 and b = ref 0 in
+  for r = 0 to Array.length runs - 1 do
+    let config = runs.(r).Model.config in
+    let zero = ref false and one = ref false in
+    for i = 0 to n - 1 do
+      match Config.value config i with Value.Zero -> zero := true | Value.One -> one := true
+    done;
+    for _ = 1 to per_run do
+      let bit = 1 lsl !b in
+      if !zero then w0.(!w) <- w0.(!w) lor bit;
+      if !one then w1.(!w) <- w1.(!w) lor bit;
+      incr b;
+      if !b = bpw then begin
+        b := 0;
+        incr w
+      end
+    done
+  done;
+  (Atom ("exists0", s0), Atom ("exists1", s1))
+
 let exists_value model v =
-  let name = Format.asprintf "exists%a" Value.pp v in
-  run_atom model name (fun run ->
-      let holds = Config.exists_value run.Model.config v in
-      fun _ -> holds)
+  let e0, e1 = exists_atoms model in
+  match v with Value.Zero -> e0 | Value.One -> e1
 
 let ( &&& ) a b = And [ a; b ]
 let ( ||| ) a b = Or [ a; b ]
@@ -116,6 +142,16 @@ module Closures = Ephemeron.K1.Make (struct
   let hash = Nonrigid.id
 end)
 
+(* The conjunction memo's key: a view table, by identity.  A moving GC
+   gives it no stable address, so the hash reads its bytes, which never
+   change once the table is built. *)
+module Conjunctions = Ephemeron.K1.Make (struct
+  type t = Bytes.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type env = {
   env_model : Model.t;
   env_nonfaulty : Nonrigid.t;
@@ -123,21 +159,34 @@ type env = {
   env_exists1 : t;
   memo : Pset.t Memo.t;
   closures : Continual.closure Closures.t;
+  conjunctions : (Nonrigid.t * string * Nonrigid.t) list Conjunctions.t;
+      (* per table: (S, name, S ∧ table) *)
 }
 
 let env model =
+  let e0, e1 = exists_atoms model in
   {
     env_model = model;
     env_nonfaulty = Nonrigid.nonfaulty model;
-    env_exists0 = exists_value model Value.Zero;
-    env_exists1 = exists_value model Value.One;
+    env_exists0 = e0;
+    env_exists1 = e1;
     memo = Memo.create 64;
     closures = Closures.create 8;
+    conjunctions = Conjunctions.create 8;
   }
 
 let model e = e.env_model
 let nonfaulty e = e.env_nonfaulty
 let exists e v = match v with Value.Zero -> e.env_exists0 | Value.One -> e.env_exists1
+
+let conjoin e s ~name kept_views =
+  let known = Option.value (Conjunctions.find_opt e.conjunctions kept_views) ~default:[] in
+  match List.find_opt (fun (s', name', _) -> s' == s && String.equal name' name) known with
+  | Some (_, _, c) -> c
+  | None ->
+      let c = Nonrigid.restrict_by_view e.env_model ~name s kept_views in
+      Conjunctions.replace e.conjunctions kept_views ((s, name, c) :: known);
+      c
 
 let closure_for e s =
   match Closures.find_opt e.closures s with

@@ -11,17 +11,26 @@
     constructors and operands over physically the same atoms and nonrigid
     sets share one entry, since their results coincide.  It also keeps
     the continual-knowledge closure of each nonrigid set [S], so repeated
-    [C□_S] evaluations cost one union-find.  Both tables hold their keys
-    weakly (ephemerons): an entry lasts while nodes of its class (or its
-    nonrigid set) are still in use, so a long-lived env does not grow
-    with the formulas its callers drop.
+    [C□_S] evaluations cost one union-find, and each conjunction
+    [S ∧ A] ({!conjoin}), keyed on the decision-set object [A] itself,
+    so conjoining the same set again returns the same nonrigid set and
+    every node and closure above it is shared too.  All three tables hold
+    their keys weakly (ephemerons): an entry lasts while nodes of its
+    class (or its nonrigid set, or its decision set) are still in use, so
+    a long-lived env does not grow with the values its callers drop.
 
     Identity matters, as for {!Nonrigid} sets: build each atom and
     nonrigid set once and reuse the value.  A structurally equal copy of
-    a leaf (a second [exists_value] atom, a second [Nonrigid.nonfaulty])
-    is a different key, and every node above it is evaluated again.  The
-    env builds the leaves every construction shares, [𝒩] ({!nonfaulty})
-    and [∃0]/[∃1] ({!exists}), once when it is created. *)
+    a leaf (a second [exists_value] atom, a second [Nonrigid.nonfaulty],
+    a copy of a decision set) is a different key, and every node above it
+    is evaluated again.  The env builds the leaves every construction
+    shares, [𝒩] ({!nonfaulty}) and [∃0]/[∃1] ({!exists}), once when it is
+    created.
+
+    The conjunction table hashes a decision set's bytes, so it relies on
+    decision sets never being written after they are built.  An env is
+    not safe to share: it belongs to the one domain that uses it (the
+    model underneath may be shared). *)
 
 module Model = Eba_fip.Model
 module Value = Eba_sim.Value
@@ -75,6 +84,12 @@ val nonfaulty : env -> Nonrigid.t
 
 val exists : env -> Value.t -> t
 (** The env's [∃0] / [∃1] atoms ({!exists_value}), one per env. *)
+
+val conjoin : env -> Nonrigid.t -> name:string -> Bytes.t -> Nonrigid.t
+(** [conjoin env s ~name a] is [Nonrigid.restrict_by_view model ~name s a]
+    (the paper's [S ∧ A]), computed once per table object [a], [s] and
+    [name]: the same [a] (physically), [s] and [name] again return the
+    first result.  [a] must not be written afterwards. *)
 
 val eval : env -> t -> Pset.t
 (** The points at which the formula holds.  The result is shared with the

@@ -15,18 +15,20 @@ let members s ~point = Bitset.of_int s.table.(point)
 let mem s ~point ~proc =
   proc >= 0 && proc < Bitset.max_width && s.table.(point) land (1 lsl proc) <> 0
 
-(* Tabulates [f run] at every point of [run], evaluating it once per run. *)
-let of_run_fun model ~name f =
-  let per_run = Model.horizon model + 1 in
+(* One pass over the runs, each run's members written at its points. *)
+let nonfaulty model =
+  let per_run = Model.horizon model + 1 and runs = model.Model.runs in
+  let everyone = (1 lsl Model.n model) - 1 in
   let table = Array.make (Model.npoints model) 0 in
-  for r = 0 to Model.nruns model - 1 do
-    Array.fill table (r * per_run) per_run (Bitset.to_int (f r))
+  for r = 0 to Array.length runs - 1 do
+    let members = everyone land lnot (Bitset.to_int runs.(r).Model.faulty) in
+    for pid = r * per_run to ((r + 1) * per_run) - 1 do
+      table.(pid) <- members
+    done
   done;
-  make ~name table
+  make ~name:"N" table
 
-let nonfaulty model = of_run_fun model ~name:"N" (fun run -> Model.nonfaulty model ~run)
-
-let rigid model ~name set = of_run_fun model ~name (fun _ -> set)
+let rigid model ~name set = make ~name (Array.make (Model.npoints model) (Bitset.to_int set))
 
 let everyone model = rigid model ~name:"All" (Bitset.full (Model.n model))
 

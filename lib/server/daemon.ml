@@ -322,6 +322,7 @@ let dispatch st conn (req : Protocol.request) =
                     | Ok result -> Protocol.ok ~id result
                     | Error msg -> Protocol.error ~id Protocol.Bad_request msg);
                 cancelled = (fun () -> Protocol.cancelled ~id);
+                failed = (fun msg -> Protocol.error ~id Protocol.Internal msg);
                 abort =
                   (fun () ->
                     Protocol.error ~id Protocol.Shutting_down

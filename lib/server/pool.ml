@@ -6,6 +6,7 @@ type job = {
   job_cancel : Eba_util.Cancel.t;
   response : unit -> Json.t;
   cancelled : unit -> Json.t;
+  failed : string -> Json.t;
   abort : unit -> Json.t;
 }
 
@@ -28,8 +29,7 @@ let run_job pool ~complete job =
       match Eba_util.Metrics.time worker_span job.response with
       | json -> json
       | exception Eba_util.Cancel.Cancelled -> job.cancelled ()
-      | exception e ->
-          Protocol.error ~id:Json.Null Protocol.Internal (Printexc.to_string e)
+      | exception e -> job.failed (Printexc.to_string e)
   in
   (* count before handing the reply over: a client holding every reply
      must never read it as still in flight *)

@@ -27,11 +27,15 @@ type job = {
           daemon's in-flight table *)
   response : unit -> Json.t;
       (** runs in a worker; must be total (the daemon wraps handler
-          calls), but a raise still yields a typed [internal] reply —
+          calls), but a raise still yields [failed message] —
           except {!Eba_util.Cancel.Cancelled}, which yields
           [cancelled ()] *)
   cancelled : unit -> Json.t;
       (** the typed [cancelled] reply for this request *)
+  failed : string -> Json.t;
+      (** the typed [internal] reply for this request when [response]
+          raised, given the exception's text; it carries the request's
+          id, so a pipelining client can tell which request failed *)
   abort : unit -> Json.t;
       (** the reply for a job the drain threw out of the queue before
           any worker started it ([shutting-down]) *)

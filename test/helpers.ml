@@ -20,6 +20,7 @@ let fixture ~n ~t ~horizon ~mode =
 let crash_3_1_3 = fixture ~n:3 ~t:1 ~horizon:3 ~mode:Params.Crash
 let crash_4_1_3 = fixture ~n:4 ~t:1 ~horizon:3 ~mode:Params.Crash
 let crash_3_2_4 = fixture ~n:3 ~t:2 ~horizon:4 ~mode:Params.Crash
+let crash_4_1_4 = fixture ~n:4 ~t:1 ~horizon:4 ~mode:Params.Crash
 let crash_4_2_4 = fixture ~n:4 ~t:2 ~horizon:4 ~mode:Params.Crash
 let omission_3_1_2 = fixture ~n:3 ~t:1 ~horizon:2 ~mode:Params.Omission
 let omission_3_1_3 = fixture ~n:3 ~t:1 ~horizon:3 ~mode:Params.Omission
@@ -55,7 +56,8 @@ let with_metrics f =
       Eba.Metrics.reset ())
     f
 
-(* A counter's current total (0 when it has recorded nothing). *)
+(* A counter's current total, or a span's call count (0 when it has
+   recorded nothing). *)
 let counter_value name =
   match List.find_opt (fun e -> e.Eba.Metrics.e_name = name) (Eba.Metrics.snapshot ()) with
   | Some e -> e.Eba.Metrics.e_count
@@ -69,3 +71,9 @@ let drain_events q =
 
 let qtest ?(count = 100) ?print name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))

@@ -250,7 +250,59 @@ let value_symmetry_tests =
         done);
   ]
 
+(* The env's conjunction memo and the steps that keep unchanged sets: the
+   construction and the optimality check share [N ∧ A] and its closure. *)
+let sharing_tests =
+  [
+    qtest ~count:30 "conjoin: restrict_by_view's table, one value per (set, S, name)"
+      QCheck2.Gen.(triple (int_bound 4) bool int)
+      (fun (quarters, everyone, seed) ->
+        let m = model crash_3_1_3 in
+        let e = F.env m in
+        let st = Random.State.make [| seed |] in
+        let a = DS.of_views m (fun _ -> Random.State.int st 4 < quarters) in
+        let s = if everyone then Eba.Nonrigid.everyone m else F.nonfaulty e in
+        let other = if everyone then F.nonfaulty e else Eba.Nonrigid.everyone m in
+        let c = KB.conjoin e s "S&A" a in
+        let r = Eba.Nonrigid.restrict_by_view m ~name:"S&A" s (a :> Bytes.t) in
+        c.Eba.Nonrigid.table = r.Eba.Nonrigid.table
+        && KB.conjoin e s "S&B" a != c
+        && KB.conjoin e other "S&A" a != c
+        && KB.conjoin e s "S&A" a == c);
+    test "a step returns its input's object for each set it leaves byte-equal"
+      (fun () ->
+        let e = env crash_3_1_3 in
+        let kept = ref 0 in
+        List.iter
+          (fun (sname, pair) ->
+            List.iter
+              (fun order ->
+                let next = Con.step order e pair in
+                List.iter
+                  (fun (old, fresh) ->
+                    check (sname ^ ": kept iff byte-equal") (DS.equal old fresh) (old == fresh);
+                    if old == fresh then incr kept)
+                  [ (pair.KB.zero, next.KB.zero); (pair.KB.one, next.KB.one) ])
+              [ Con.Zero_first; Con.One_first ])
+          (seeds crash_3_1_3 @ [ ("F^Λ,2", Zoo.f_lambda_2 e) ]);
+        check "some set kept" true (!kept > 0));
+    test "the optimality check shares the construction's N ∧ A closures" (fun () ->
+        let m = model crash_4_1_4 in
+        List.iter
+          (fun (name, build, closures) ->
+            let spans, unions =
+              with_metrics (fun () ->
+                  let e = F.env m in
+                  let d = KB.decide m (build e) in
+                  check (name ^ " optimal") true (Ch.is_optimal e d);
+                  (counter_value "continual.closure", counter_value "continual.uf_unions"))
+            in
+            check_int (name ^ ": continual.closure spans") closures spans;
+            check_int (name ^ ": continual.uf_unions") 16_552 unions)
+          [ ("F^Λ,2", Zoo.f_lambda_2, 3); ("F*", Zoo.f_star, 2) ]);
+  ]
+
 let suite =
   ( "construct",
     step_tests @ characterization_tests @ optimality_oracle_tests @ random_delay_tests
-    @ value_symmetry_tests )
+    @ value_symmetry_tests @ sharing_tests )

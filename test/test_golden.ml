@@ -11,12 +11,6 @@ open Helpers
 
 let expected_path = "golden/experiments.expected"
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let actual () =
   Format.asprintf "%a" Eba_harness.Experiments.pp_verdicts
     (Eba_harness.Experiments.all ~scale:Eba_harness.Experiments.Small ())

@@ -224,6 +224,7 @@ let pool_tests =
               job_cancel = Eba.Cancel.create ();
               response = (fun () -> Json.Int k);
               cancelled = (fun () -> Json.Null);
+              failed = (fun _ -> Json.Null);
               abort = (fun () -> Json.Null);
             }
           in
@@ -243,6 +244,42 @@ let pool_tests =
         Alcotest.(check (list (pair int int)))
           "(served, in_flight) seen by the k-th completion" [ (1, 0); (2, 0); (3, 0) ]
           (List.rev !seen));
+    test "a job that raises gets an internal reply carrying its request's id"
+      (fun () ->
+        let queue = Req_queue.create ~cap:1 in
+        let reply = Atomic.make None in
+        let complete ~job:_ r = Atomic.set reply (Some r) in
+        let p = Pool.create ~workers:1 ~queue ~complete in
+        let id = Json.String "req-7" in
+        let job =
+          {
+            Pool.job_conn = 0;
+            job_key = None;
+            job_cancel = Eba.Cancel.create ();
+            response = (fun () -> failwith "boom");
+            cancelled = (fun () -> Json.Null);
+            failed = (fun msg -> Protocol.error ~id Protocol.Internal msg);
+            abort = (fun () -> Json.Null);
+          }
+        in
+        check "pushed" true (Req_queue.try_push queue job = `Ok);
+        let rec wait tries =
+          match Atomic.get reply with
+          | Some r -> r
+          | None ->
+              if tries > 10_000 then Alcotest.fail "the job never completed"
+              else begin
+                Unix.sleepf 0.001;
+                wait (tries + 1)
+              end
+        in
+        let r = wait 0 in
+        ignore (Req_queue.close queue);
+        Pool.join p;
+        check_str "the request's id, the internal code and the exception's text"
+          (Json.to_string
+             (Protocol.error ~id Protocol.Internal (Printexc.to_string (Failure "boom"))))
+          (Json.to_string r));
   ]
 
 (* --- spec interpretation (shared CLI/daemon semantics) --- *)
@@ -909,6 +946,66 @@ let cache_tests =
         check_int "misses zeroed" 0 s.Model_cache.s_misses);
   ]
 
+(* The served bytes of [name] in the golden file's [universe] section. *)
+let golden_served ~universe name =
+  let doc = read_file "golden/knowledge_query.expected" in
+  let rec find ~from sub =
+    if from + String.length sub > String.length doc then
+      Alcotest.failf "%S not in knowledge_query.expected" sub
+    else if String.sub doc from (String.length sub) = sub then from
+    else find ~from:(from + 1) sub
+  in
+  let section = find ~from:0 ("# " ^ universe ^ "\n") in
+  let head = "\n" ^ name ^ "\n  served: " in
+  let start = find ~from:section head + String.length head in
+  String.sub doc start (find ~from:start "\n  optimality_failures:" - start)
+
+let shared_state_tests =
+  [
+    test "two domains share cached models and the 0-chain table: golden bytes"
+      (fun () ->
+        Model_cache.clear Registry.model_cache;
+        let cases =
+          [ ("chain0", 3, 1, 3, "omission"); ("f-lambda-2", 4, 1, 3, "crash") ]
+        in
+        let prepared =
+          List.map
+            (fun (name, n, t, horizon, mode) ->
+              let params =
+                Json.Obj
+                  [
+                    ("protocol", Json.String name);
+                    ("n", Json.Int n);
+                    ("t", Json.Int t);
+                    ("horizon", Json.Int horizon);
+                    ("mode", Json.String mode);
+                  ]
+              in
+              match Registry.prepare ~verb:"knowledge-query" ~params with
+              | Ok thunk -> (name, Printf.sprintf "%s n=%d t=%d T=%d" mode n t horizon, thunk)
+              | Error _ -> Alcotest.fail ("refused: " ^ name))
+            cases
+        in
+        (* both domains query both universes at once, in the same order,
+           so they wait on one build each and race to fill the one
+           omission model's 0-chain table *)
+        let run () =
+          List.map
+            (fun (name, universe, thunk) ->
+              match thunk Registry.no_ctx with
+              | Ok json -> (name, universe, Json.to_string json)
+              | Error m -> failwith m)
+            prepared
+        in
+        let results = List.concat_map Domain.join (List.init 2 (fun _ -> Domain.spawn run)) in
+        List.iter
+          (fun (name, universe, bytes) ->
+            check_str (name ^ " at " ^ universe) (golden_served ~universe name) bytes)
+          results;
+        check_int "one build per universe" 2
+          (Model_cache.stats Registry.model_cache).Model_cache.s_misses);
+  ]
+
 let served_cache_tests =
   let warm_vs_cold ~workers () =
     Model_cache.clear Registry.model_cache;
@@ -1254,7 +1351,8 @@ let suite =
   ( "server",
     frame_tests @ queue_tests @ spec_tests @ differential_tests
     @ concurrency_tests @ backpressure_tests @ cancellation_tests
-    @ progress_tests @ cache_tests @ served_cache_tests @ served_jobs_tests
+    @ progress_tests @ cache_tests @ shared_state_tests @ served_cache_tests
+    @ served_jobs_tests
     @ bench_tests
     @ robustness_tests @ restart_tests @ pool_tests @ served_mux_tests
     @ served_prob_tests @ served_knowledge_tests )
