@@ -1,7 +1,7 @@
-type 'a t = {
+type t = {
   mutable eq_times : float array;
   mutable eq_seqs : int array;
-  mutable eq_pay : 'a array;
+  mutable eq_pay : int array;
   mutable eq_len : int;
   mutable eq_next_seq : int;
 }
@@ -9,13 +9,12 @@ type 'a t = {
 let create () =
   { eq_times = [||]; eq_seqs = [||]; eq_pay = [||]; eq_len = 0; eq_next_seq = 0 }
 
-(* Doubling growth.  The payload array needs a seed element, so capacity
-   appears with the first push and [payload] seeds the spare slots. *)
-let grow q payload =
+(* Doubling growth. *)
+let grow q =
   let len = q.eq_len in
   let cap = max 16 (2 * len) in
   let times = Array.make cap 0.0 and seqs = Array.make cap 0 in
-  let pay = Array.make cap payload in
+  let pay = Array.make cap 0 in
   Array.blit q.eq_times 0 times 0 len;
   Array.blit q.eq_seqs 0 seqs 0 len;
   Array.blit q.eq_pay 0 pay 0 len;
@@ -40,7 +39,7 @@ let push q ~time payload =
     invalid_arg "Event_queue.push: time must be finite and non-negative";
   let seq = q.eq_next_seq in
   q.eq_next_seq <- seq + 1;
-  if q.eq_len = Array.length q.eq_seqs then grow q payload;
+  if q.eq_len = Array.length q.eq_seqs then grow q;
   let times = q.eq_times and seqs = q.eq_seqs and pay = q.eq_pay in
   let i = ref q.eq_len in
   q.eq_len <- q.eq_len + 1;

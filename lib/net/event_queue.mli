@@ -6,6 +6,12 @@
     — simulation outcomes are a pure function of the push sequence, never
     of heap internals.  Times must be finite and non-negative.
 
+    An event's payload is an [int]: a handle the caller resolves in
+    storage of its own ({!Mux} keeps each event's fields in
+    struct-of-arrays columns indexed by handle).  With no pointer in the
+    heap, a sift writes only floats and ints, so it never passes through
+    the GC's write barrier.
+
     Layout: struct of arrays.  Slot [k] of the heap is [eq_times.(k)] (an
     unboxed [float array]), [eq_seqs.(k)] and [eq_pay.(k)], for
     [k < eq_len]; sifts move a hole, copying one triple per level.  The
@@ -19,38 +25,35 @@
     an option) on every step of the loop, where a field read allocates
     nothing. *)
 
-type 'a t = private {
+type t = private {
   mutable eq_times : float array;
   mutable eq_seqs : int array;
-  mutable eq_pay : 'a array;
-      (** Slots at and past [eq_len] are spare; one may still reference
-          the last payload taken until a later push overwrites it. *)
+  mutable eq_pay : int array;  (** slots at and past [eq_len] are spare *)
   mutable eq_len : int;  (** events currently scheduled *)
   mutable eq_next_seq : int;  (** the next sequence number *)
 }
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val push : 'a t -> time:float -> 'a -> unit
+val push : t -> time:float -> int -> unit
 (** Schedule an event.  Raises [Invalid_argument] if [time] is negative or
     not finite. *)
 
-val take : 'a t -> 'a
+val take : t -> int
 (** Remove the earliest event and return its payload; ties break by push
-    order.  Read its time first, from [eq_times.(0)].  Raises
-    [Invalid_argument] on an empty queue. *)
+    order.  Read its time and sequence number first, from [eq_times.(0)]
+    and [eq_seqs.(0)].  Raises [Invalid_argument] on an empty queue. *)
 
-val clear : 'a t -> unit
+val clear : t -> unit
 (** Drop every scheduled event and restart sequence numbers from 0,
     keeping the allocated capacity — the reuse entry point for engines
-    that run many simulations through one queue.  Payload references
-    survive in the backing array until overwritten by later pushes. *)
+    that run many simulations through one queue. *)
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val alloc_seq : 'a t -> int
+val alloc_seq : t -> int
 (** Consume and return the next sequence number without scheduling
-    anything.  External event sources (the {!Mux} engine's timer wheel) key
-    their entries with sequence numbers from the same counter as the heap,
-    so merging the two streams by [(time, seqno)] reproduces exactly the
+    anything.  The {!Mux} engine keys its timer wheel's entries and its
+    acknowledgement records with sequence numbers from the same counter
+    as the heap, so comparing by [(time, seqno)] reproduces exactly the
     order a single all-heap schedule would have produced. *)

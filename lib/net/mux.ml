@@ -31,49 +31,30 @@ let ns_of_seconds = Net_stats.ns_of_seconds
 module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
   module N = Node.Make (P)
 
-  (* A retransmission timer.  Mutable throughout so one record re-arms in
-     place across its retry ladder and recycles through the free list
-     across runs. *)
-  type timer = {
-    mutable tm_round : int;
-    mutable tm_sender : int;
-    mutable tm_dest : int;
-    mutable tm_copy : int;
-    mutable tm_bytes : int;
-    mutable tm_msg : P.msg;
+  (* The event slab: the fields of every in-flight delivery, armed timer
+     and open batch, struct-of-arrays by handle.  The heap and the wheel
+     carry handles, so neither holds a pointer, and no event allocates a
+     record.  Freed handles go on an int stack; a run starts from an
+     empty slab and keeps the capacity of the runs before it. *)
+  type slab = {
+    mutable s_round : int array;
+    mutable s_sender : int array;
+    mutable s_dest : int array;
+    mutable s_bytes : int array;
+    mutable s_copy : int array;  (* a timer's next copy number *)
+    mutable s_link : int array;  (* a batch's next delivery; -1 ends it *)
+    mutable s_msg : P.msg array;
+        (* spare slots may keep a stale message alive until reused *)
+    mutable s_free : int array;  (* the free stack, [s_nfree] deep *)
+    mutable s_nfree : int;
+    mutable s_hi : int;  (* handles handed out since the run began *)
   }
 
-  (* All copies (data and acks) landing at one instant under a uniform
-     constant-latency fabric, stored struct-of-arrays in append order.  One
-     heap cell replaces them all; see [batchable] for why this is only
-     sound at non-tick instants. *)
-  type batch = {
-    mutable bt_dn : int;
-    mutable bt_dround : int array;
-    mutable bt_dsender : int array;
-    mutable bt_ddest : int array;
-    mutable bt_dbytes : int array;
-    mutable bt_dmsg : P.msg array;
-    mutable bt_an : int;
-    mutable bt_around : int array;
-    mutable bt_afrom : int array;
-    mutable bt_ato : int array;
-  }
-
-  type ev =
-    | Deliver of {
-        v_round : int;
-        v_sender : int;
-        v_dest : int;
-        v_bytes : int;
-        v_msg : P.msg;
-      }
-    | Ack of { k_round : int; k_from : int; k_to : int }
-    | Batch of batch
-    | Heap_timer of timer
-        (* defensive fallback: a fire instant that missed the tick
-           schedule (float absorption) rides the heap — same (time, seq)
-           key, same semantics *)
+  (* A heap payload is a handle and a tag for what it names.  The wheel
+     holds timers only, so its payloads are bare handles. *)
+  let tag_deliver = 0
+  let tag_timer = 1
+  let tag_batch = 2
 
   type engine = {
     eg_params : Params.t;
@@ -84,8 +65,9 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     eg_round_end : float array;  (* index by round, 0 .. horizon *)
     eg_is_boundary : bool array;  (* per tick *)
     eg_tick_round : int array;  (* boundary index k, or retry round *)
-    eg_wheel : timer Timer_wheel.t;
-    eg_q : ev Event_queue.t;
+    eg_wheel : Timer_wheel.t;
+    eg_q : Event_queue.t;
+    eg_slab : slab;
     eg_ulink : Link.t option;  (* the one link, when no overrides *)
     eg_batching : bool;  (* uniform link with Const latency *)
     (* the run's state: nodes and wire record recycled across runs *)
@@ -96,13 +78,11 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     mutable eg_att : int;
     mutable eg_del : int;
     mutable eg_evt : int;
-    (* cache of open batches: parallel (arrival, batch) *)
+    (* cache of open batches: parallel (arrival, handle of the batch's
+       last delivery, or of the batch itself while it is empty) *)
     eg_bc_time : float array;
-    eg_bc : batch array;
+    eg_bc_tail : int array;
     mutable eg_bc_next : int;
-    (* free lists *)
-    mutable eg_free_timers : timer list;
-    mutable eg_free_batches : batch list;
     (* run-local accounting, flushed to Metrics per run *)
     mutable eg_ticks_fired : int;
     mutable eg_batched : int;
@@ -110,20 +90,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
   }
 
   let bc_slots = 4
-
-  let dummy_batch =
-    {
-      bt_dn = 0;
-      bt_dround = [||];
-      bt_dsender = [||];
-      bt_ddest = [||];
-      bt_dbytes = [||];
-      bt_dmsg = [||];
-      bt_an = 0;
-      bt_around = [||];
-      bt_afrom = [||];
-      bt_ato = [||];
-    }
 
   (* The tick schedule: every instant a boundary or retransmission timer
      can fire, fixed by the synchronizer.  Mirrors the heap-only schedule's
@@ -182,6 +148,19 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
       eg_tick_round = tick_round;
       eg_wheel = Timer_wheel.create ~times;
       eg_q = Event_queue.create ();
+      eg_slab =
+        {
+          s_round = [||];
+          s_sender = [||];
+          s_dest = [||];
+          s_bytes = [||];
+          s_copy = [||];
+          s_link = [||];
+          s_msg = [||];
+          s_free = [||];
+          s_nfree = 0;
+          s_hi = 0;
+        };
       eg_ulink = ulink;
       eg_batching = batching;
       eg_nodes =
@@ -193,155 +172,125 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
       eg_del = 0;
       eg_evt = 0;
       eg_bc_time = Array.make bc_slots neg_infinity;
-      eg_bc = Array.make bc_slots dummy_batch;
+      eg_bc_tail = Array.make bc_slots 0;
       eg_bc_next = 0;
-      eg_free_timers = [];
-      eg_free_batches = [];
       eg_ticks_fired = 0;
       eg_batched = 0;
       eg_reuses = 0;
     }
 
-  (* -- timers ---------------------------------------------------------- *)
+  (* -- the slab -------------------------------------------------------- *)
 
-  let alloc_timer eng ~round ~sender ~dest ~copy ~bytes msg =
-    match eng.eg_free_timers with
-    | tm :: rest ->
-        eng.eg_free_timers <- rest;
-        tm.tm_round <- round;
-        tm.tm_sender <- sender;
-        tm.tm_dest <- dest;
-        tm.tm_copy <- copy;
-        tm.tm_bytes <- bytes;
-        tm.tm_msg <- msg;
-        tm
-    | [] ->
-        {
-          tm_round = round;
-          tm_sender = sender;
-          tm_dest = dest;
-          tm_copy = copy;
-          tm_bytes = bytes;
-          tm_msg = msg;
-        }
+  (* Doubling growth.  The message column has no neutral element, so its
+     first 64 slots take the message at hand as their seed, and later
+     doublings append the column to itself: [Array.make] past 256 slots
+     forces a minor collection to promote a young seed, where
+     [Array.append] allocates in the major heap directly. *)
+  let grow s msg =
+    let cap = Array.length s.s_round in
+    let ncap = max 64 (2 * cap) in
+    let widen a =
+      let na = Array.make ncap 0 in
+      Array.blit a 0 na 0 cap;
+      na
+    in
+    s.s_round <- widen s.s_round;
+    s.s_sender <- widen s.s_sender;
+    s.s_dest <- widen s.s_dest;
+    s.s_bytes <- widen s.s_bytes;
+    s.s_copy <- widen s.s_copy;
+    s.s_link <- widen s.s_link;
+    s.s_free <- widen s.s_free;
+    s.s_msg <-
+      (if cap = 0 then Array.make ncap msg else Array.append s.s_msg s.s_msg)
+
+  (* The top of the free stack, or a fresh handle; [msg] seeds the
+     message column if it grows. *)
+  let new_handle s msg =
+    if s.s_nfree > 0 then begin
+      s.s_nfree <- s.s_nfree - 1;
+      s.s_free.(s.s_nfree)
+    end
+    else begin
+      let h = s.s_hi in
+      if h = Array.length s.s_round then grow s msg;
+      s.s_hi <- h + 1;
+      h
+    end
+
+  (* A slot for one copy of [msg]: a delivery's, or a timer's. *)
+  let alloc_slot s ~round ~sender ~dest ~bytes msg =
+    let h = new_handle s msg in
+    s.s_round.(h) <- round;
+    s.s_sender.(h) <- sender;
+    s.s_dest.(h) <- dest;
+    s.s_bytes.(h) <- bytes;
+    s.s_msg.(h) <- msg;
+    h
+
+  let free_slot s h =
+    s.s_free.(s.s_nfree) <- h;
+    s.s_nfree <- s.s_nfree + 1
+
+  (* -- timers ---------------------------------------------------------- *)
 
   (* arena accounting counts returns and in-place recycles — pure
      per-run functions of the workload, unlike free-list hit rates,
      which depend on how runs distribute over worker engines *)
-  let free_timer eng tm =
+  let free_timer eng h =
     eng.eg_reuses <- eng.eg_reuses + 1;
-    eng.eg_free_timers <- tm :: eng.eg_free_timers
+    free_slot eng.eg_slab h
 
   (* Arm a timer at [time].  In the heap-only schedule this is a heap
      push, consuming one sequence number — the wheel draws the same number
      from the shared counter so the merged order is identical. *)
-  let arm eng tm ~time =
+  let arm eng h ~time =
     let w = eng.eg_wheel in
     let tick = Timer_wheel.index_of_time w time in
     (* a miss is -1, below any cursor *)
     if tick >= w.Timer_wheel.tw_cursor then
-      Timer_wheel.schedule w ~tick ~seq:(Event_queue.alloc_seq eng.eg_q) tm
-    else Event_queue.push eng.eg_q ~time (Heap_timer tm)
+      Timer_wheel.schedule w ~tick ~seq:(Event_queue.alloc_seq eng.eg_q) h
+    else
+      (* defensive fallback: a fire instant that missed the tick schedule
+         (float absorption) rides the heap — same (time, seq) key, same
+         semantics *)
+      Event_queue.push eng.eg_q ~time ((h lsl 2) lor tag_timer)
 
   (* -- batches --------------------------------------------------------- *)
 
-  let alloc_batch eng =
-    let b =
-      match eng.eg_free_batches with
-      | b :: rest ->
-          eng.eg_free_batches <- rest;
-          b
-      | [] -> { dummy_batch with bt_dn = 0 }
-    in
-    b.bt_dn <- 0;
-    b.bt_an <- 0;
-    b
-
-  let free_batch eng b =
-    eng.eg_reuses <- eng.eg_reuses + 1;
-    eng.eg_free_batches <- b :: eng.eg_free_batches
-
-  (* An open batch for this arrival instant, creating and scheduling one
-     if none is cached.  Stale cache entries can never collide: an open
-     batch's instant is strictly in the future, and each run wipes the
-     cache before simulated time restarts. *)
-  let batch_at eng ~arrival =
-    let rec scan j =
-      if j = bc_slots then None
-      else if eng.eg_bc_time.(j) = arrival then Some eng.eg_bc.(j)
-      else scan (j + 1)
-    in
-    match scan 0 with
-    | Some b -> b
-    | None ->
-        let b = alloc_batch eng in
-        Event_queue.push eng.eg_q ~time:arrival (Batch b);
-        let slot = eng.eg_bc_next in
-        eng.eg_bc_time.(slot) <- arrival;
-        eng.eg_bc.(slot) <- b;
-        eng.eg_bc_next <- (slot + 1) mod bc_slots;
-        b
-
-  let push_int a len v =
-    let cap = Array.length !a in
-    if len = cap then begin
-      let na = Array.make (max 8 (2 * cap)) 0 in
-      Array.blit !a 0 na 0 len;
-      a := na
+  (* A batch is a slot of its own heading a list of delivery slots linked
+     through [s_link] in append order.  Append a delivery to the open
+     batch for this arrival instant, opening and scheduling one if none
+     is cached.  Stale cache entries can never collide: an open batch's
+     instant is strictly in the future, and each run wipes the cache
+     before simulated time restarts. *)
+  let batch_deliver eng ~arrival h =
+    let s = eng.eg_slab in
+    s.s_link.(h) <- -1;
+    let j = ref 0 in
+    while !j < bc_slots && eng.eg_bc_time.(!j) <> arrival do
+      incr j
+    done;
+    if !j = bc_slots then begin
+      let b = new_handle s s.s_msg.(h) in
+      s.s_link.(b) <- -1;
+      Event_queue.push eng.eg_q ~time:arrival ((b lsl 2) lor tag_batch);
+      j := eng.eg_bc_next;
+      eng.eg_bc_time.(!j) <- arrival;
+      eng.eg_bc_tail.(!j) <- b;
+      eng.eg_bc_next <- (!j + 1) mod bc_slots
     end;
-    !a.(len) <- v
-
-  let push_msg a len (v : P.msg) =
-    let cap = Array.length !a in
-    if len = cap then begin
-      let na = Array.make (max 8 (2 * cap)) v in
-      Array.blit !a 0 na 0 len;
-      a := na
-    end;
-    !a.(len) <- v
-
-  let batch_deliver b ~round ~sender ~dest ~bytes msg =
-    let len = b.bt_dn in
-    let r = ref b.bt_dround in
-    push_int r len round;
-    b.bt_dround <- !r;
-    let r = ref b.bt_dsender in
-    push_int r len sender;
-    b.bt_dsender <- !r;
-    let r = ref b.bt_ddest in
-    push_int r len dest;
-    b.bt_ddest <- !r;
-    let r = ref b.bt_dbytes in
-    push_int r len bytes;
-    b.bt_dbytes <- !r;
-    let r = ref b.bt_dmsg in
-    push_msg r len msg;
-    b.bt_dmsg <- !r;
-    b.bt_dn <- len + 1
-
-  let batch_ack b ~round ~from ~to_ =
-    let len = b.bt_an in
-    let r = ref b.bt_around in
-    push_int r len round;
-    b.bt_around <- !r;
-    let r = ref b.bt_afrom in
-    push_int r len from;
-    b.bt_afrom <- !r;
-    let r = ref b.bt_ato in
-    push_int r len to_;
-    b.bt_ato <- !r;
-    b.bt_an <- len + 1
+    s.s_link.(eng.eg_bc_tail.(!j)) <- h;
+    eng.eg_bc_tail.(!j) <- h
 
   (* Batching one instant's arrivals is sound exactly when no interleaved
      event at that instant can observe the reordering: the instant must
-     not be a tick (no boundary closes the round, no timer reads the ack
-     flags there), and the fabric must be uniform Const (so every
-     same-instant data copy rides the batch and their relative order — the
-     rng draw order — is append order; acks draw nothing and only set
-     idempotent flags, so they commute and drain after the data
-     copies).  Callers test the fabric ([eg_batching]) first: on any
-     other fabric that spares the call, and the float it boxes, per
-     copy. *)
+     not be a tick (no boundary closes the round there, and no timer
+     draws from the rng between two deliveries), and the fabric must be
+     uniform Const (so every same-instant data copy rides the batch and
+     their relative order — the rng draw order of their acks — is append
+     order).  Callers test the fabric ([eg_batching]) first: on any other
+     fabric that spares the call, and the float it boxes, per copy. *)
   let batchable eng ~now ~arrival =
     arrival > now && Timer_wheel.index_of_time eng.eg_wheel arrival < 0
 
@@ -385,20 +334,22 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         wire.Net_stats.w_latency_hist.(bucket) <-
           wire.Net_stats.w_latency_hist.(bucket) + 1;
         let arrival = now +. l in
+        let h = alloc_slot eng.eg_slab ~round ~sender ~dest ~bytes msg in
         if eng.eg_batching && batchable eng ~now ~arrival then
-          batch_deliver (batch_at eng ~arrival) ~round ~sender ~dest ~bytes msg
-        else
-          Event_queue.push eng.eg_q ~time:arrival
-            (Deliver
-               {
-                 v_round = round;
-                 v_sender = sender;
-                 v_dest = dest;
-                 v_bytes = bytes;
-                 v_msg = msg;
-               })
+          batch_deliver eng ~arrival h
+        else Event_queue.push eng.eg_q ~time:arrival ((h lsl 2) lor tag_deliver)
       end
 
+  (* An ack's loss and latency are drawn here, where the reference pushes
+     the ack's heap cell.  All that cell would do is tell the data
+     sender's later timers that the copy got through, so the sender's
+     node records its key [(arrival, seqno)], the seqno drawn where the
+     reference's push draws it, and each timer compares its own key with
+     it.  Every ack of round r is sent in round r's window ([accept]
+     answers [`Late] otherwise), and the sender's next [start_round]
+     drops the record, as the reference's round guard drops an ack that
+     lands after the boundary.  The reference processes every ack it
+     pushes: one event here too. *)
   let send_ack eng ~now ~round ~from ~to_ =
     let wire = eng.eg_wire in
     let rng = eng.eg_rng in
@@ -412,14 +363,12 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
       let link = link_of eng ~src:from ~dst:to_ in
       if link.Link.loss > 0.0 && Random.State.float rng 1.0 < link.Link.loss then
         wire.Net_stats.w_dropped_loss <- wire.Net_stats.w_dropped_loss + 1
-      else
+      else begin
         let l = Link.sample_latency rng link.Link.lat in
-        let arrival = now +. l in
-        if eng.eg_batching && batchable eng ~now ~arrival then
-          batch_ack (batch_at eng ~arrival) ~round ~from ~to_
-        else
-          Event_queue.push eng.eg_q ~time:arrival
-            (Ack { k_round = round; k_from = from; k_to = to_ })
+        eng.eg_evt <- eng.eg_evt + 1;
+        N.ack eng.eg_nodes.(to_) ~round ~dest:from ~time:(now +. l)
+          ~seq:(Event_queue.alloc_seq eng.eg_q)
+      end
 
   let deliver eng ~now ~round ~sender ~dest ~bytes msg =
     let wire = eng.eg_wire in
@@ -437,29 +386,42 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
           send_ack eng ~now ~round ~from:dest ~to_:sender
       | `Late -> wire.Net_stats.w_late <- wire.Net_stats.w_late + 1
 
-  let timer_fire eng ~now tm =
+  (* One delivery event: its fields are read out and its slot freed
+     before the copy is offered (delivering allocates no slot). *)
+  let deliver_slot eng ~now h =
+    let s = eng.eg_slab in
+    let round = s.s_round.(h) and sender = s.s_sender.(h) in
+    let dest = s.s_dest.(h) and bytes = s.s_bytes.(h) and msg = s.s_msg.(h) in
+    free_slot s h;
     eng.eg_evt <- eng.eg_evt + 1;
-    let node = eng.eg_nodes.(tm.tm_sender) in
+    deliver eng ~now ~round ~sender ~dest ~bytes msg
+
+  (* The timer in slot [h] fires at [(now, seq)]. *)
+  let timer_fire eng ~now ~seq h =
+    eng.eg_evt <- eng.eg_evt + 1;
+    let s = eng.eg_slab in
+    let round = s.s_round.(h) and sender = s.s_sender.(h) and dest = s.s_dest.(h) in
+    let node = eng.eg_nodes.(sender) in
     if
-      (not (Inject.dead eng.eg_inj ~now ~proc:tm.tm_sender))
-      && N.round node = tm.tm_round
-      && not (N.acked node ~dest:tm.tm_dest)
+      (not (Inject.dead eng.eg_inj ~now ~proc:sender))
+      && N.round node = round
+      && not (N.acked node ~dest ~time:now ~seq)
     then begin
-      transmit eng ~now ~round:tm.tm_round ~sender:tm.tm_sender
-        ~dest:tm.tm_dest ~copy:tm.tm_copy ~bytes:tm.tm_bytes tm.tm_msg;
+      let copy = s.s_copy.(h) in
+      transmit eng ~now ~round ~sender ~dest ~copy ~bytes:s.s_bytes.(h) s.s_msg.(h);
       if
-        tm.tm_copy < eng.eg_sync.Sync.max_retries
-        && now +. eng.eg_sync.Sync.rto < eng.eg_round_end.(tm.tm_round)
+        copy < eng.eg_sync.Sync.max_retries
+        && now +. eng.eg_sync.Sync.rto < eng.eg_round_end.(round)
       then begin
-        (* re-arm the same record in place: one timer allocation per
-           (sender, dest, round), however many retries it climbs *)
-        tm.tm_copy <- tm.tm_copy + 1;
+        (* re-arm the same slot in place: one timer slot per (sender,
+           dest, round), however many retries it climbs *)
+        s.s_copy.(h) <- copy + 1;
         eng.eg_reuses <- eng.eg_reuses + 1;
-        arm eng tm ~time:(now +. eng.eg_sync.Sync.rto)
+        arm eng h ~time:(now +. eng.eg_sync.Sync.rto)
       end
-      else free_timer eng tm
+      else free_timer eng h
     end
-    else free_timer eng tm
+    else free_timer eng h
 
   let fire_boundary eng tick =
     let now = eng.eg_wheel.Timer_wheel.tw_times.(tick) in
@@ -503,51 +465,42 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
                     if
                       eng.eg_sync.Sync.max_retries > 0
                       && now +. eng.eg_sync.Sync.rto < round_end
-                    then
-                      arm eng
-                        (alloc_timer eng ~round ~sender:i ~dest ~copy:1 ~bytes
-                           msg)
-                        ~time:(now +. eng.eg_sync.Sync.rto)
+                    then begin
+                      let s = eng.eg_slab in
+                      let h = alloc_slot s ~round ~sender:i ~dest ~bytes msg in
+                      s.s_copy.(h) <- 1;
+                      arm eng h ~time:(now +. eng.eg_sync.Sync.rto)
+                    end
             done
           end)
         nodes
     end
 
-  let dispatch eng ~now ev =
-    match ev with
-    | Deliver { v_round; v_sender; v_dest; v_bytes; v_msg } ->
-        eng.eg_evt <- eng.eg_evt + 1;
-        deliver eng ~now ~round:v_round ~sender:v_sender ~dest:v_dest
-          ~bytes:v_bytes v_msg
-    | Ack { k_round; k_from; k_to } ->
-        eng.eg_evt <- eng.eg_evt + 1;
-        N.ack eng.eg_nodes.(k_to) ~round:k_round ~dest:k_from
-    | Heap_timer tm -> timer_fire eng ~now tm
-    | Batch b ->
-        (* each batched copy is one simulated event, same as a per-copy
-           heap cell *)
-        eng.eg_evt <- eng.eg_evt + b.bt_dn + b.bt_an;
-        eng.eg_batched <- eng.eg_batched + b.bt_dn + b.bt_an;
-        (* data copies first, in append (= sequence) order — their rng
-           draws must replay exactly; the draw-free acks commute and
-           drain after *)
-        for j = 0 to b.bt_dn - 1 do
-          deliver eng ~now ~round:b.bt_dround.(j)
-            ~sender:b.bt_dsender.(j) ~dest:b.bt_ddest.(j)
-            ~bytes:b.bt_dbytes.(j) b.bt_dmsg.(j)
-        done;
-        for j = 0 to b.bt_an - 1 do
-          N.ack eng.eg_nodes.(b.bt_ato.(j)) ~round:b.bt_around.(j)
-            ~dest:b.bt_afrom.(j)
-        done;
-        free_batch eng b
+  (* A batch's deliveries, in append (= sequence) order: their rng draws
+     must replay exactly.  Each is one simulated event, as a per-copy
+     heap cell would be. *)
+  let drain_batch eng ~now b =
+    let s = eng.eg_slab in
+    let h = ref s.s_link.(b) in
+    while !h >= 0 do
+      let d = !h in
+      h := s.s_link.(d);
+      eng.eg_batched <- eng.eg_batched + 1;
+      deliver_slot eng ~now d
+    done;
+    eng.eg_reuses <- eng.eg_reuses + 1;
+    free_slot s b
 
-  (* The heap's earliest event, at its instant: the time is read before
-     [take] moves the next event into the top slot. *)
+  (* The heap's earliest event, at its instant: the time and seqno are
+     read before [take] moves the next event into the top slot. *)
   let process_heap eng =
     let q = eng.eg_q in
-    let now = q.Event_queue.eq_times.(0) in
-    dispatch eng ~now (Event_queue.take q)
+    let now = q.Event_queue.eq_times.(0) and seq = q.Event_queue.eq_seqs.(0) in
+    let ev = Event_queue.take q in
+    let h = ev lsr 2 and tag = ev land 3 in
+    if tag = tag_deliver then deliver_slot eng ~now h
+    else if tag = tag_timer then timer_fire eng ~now ~seq h
+    else drain_batch eng ~now h
 
   (* The merged event loop.  The reference is the heap-only schedule: one
      run, every boundary, copy, ack and timer its own heap cell keyed by
@@ -555,10 +508,11 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
      events are processed in exact global (time, seqno) order, except that
      (a) a boundary fires once every earlier event has drained — sound
      because in the heap-only schedule a boundary's sequence number is
-     smaller than any same-instant event's — and (b) batches reorder only
-     provably commuting same-instant arrivals.  The processing order is
-     therefore the heap-only schedule's, which is why outcomes are
-     bit-identical to it.
+     smaller than any same-instant event's — (b) batches reorder only
+     provably commuting same-instant arrivals, and (c) an ack takes
+     effect as a key in its sender's node, which each timer compares with
+     its own.  The processing order is therefore the heap-only
+     schedule's, which is why outcomes are bit-identical to it.
 
      Each step reads both candidates' keys in place — the heap top's
      [(time, seqno)] and the cursor slot's instant and head seqno — so
@@ -581,15 +535,17 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         else
           let next = w.Timer_wheel.tw_next.(c) in
           if next >= w.Timer_wheel.tw_len.(c) then Timer_wheel.advance w
-          else if
-            q.Event_queue.eq_len > 0
-            && q.Event_queue.eq_times.(0) = tc
-            && q.Event_queue.eq_seqs.(0) < w.Timer_wheel.tw_seqs.(c).(next)
-          then process_heap eng
-          else begin
-            eng.eg_ticks_fired <- eng.eg_ticks_fired + 1;
-            timer_fire eng ~now:tc (Timer_wheel.take w)
-          end
+          else
+            let seq = w.Timer_wheel.tw_seqs.(c).(next) in
+            if
+              q.Event_queue.eq_len > 0
+              && q.Event_queue.eq_times.(0) = tc
+              && q.Event_queue.eq_seqs.(0) < seq
+            then process_heap eng
+            else begin
+              eng.eg_ticks_fired <- eng.eg_ticks_fired + 1;
+              timer_fire eng ~now:tc ~seq (Timer_wheel.take w)
+            end
       end
       else if Event_queue.is_empty q then continue := false
       else process_heap eng
@@ -618,6 +574,8 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     let params = eng.eg_params in
     Event_queue.clear eng.eg_q;
     Timer_wheel.reset eng.eg_wheel;
+    eng.eg_slab.s_nfree <- 0;
+    eng.eg_slab.s_hi <- 0;
     eng.eg_rng <- rng;
     eng.eg_inj <- Inject.compile rng params ~total_time:eng.eg_total eng.eg_plan;
     Array.iteri

@@ -15,26 +15,44 @@
     - deterministic timers (round boundaries, retransmission ladders) live
       in a {!Timer_wheel} over the precomputed tick schedule instead of
       the heap, merged back by exact [(time, seqno)];
-    - on a uniform constant-latency fabric, all copies landing at one
-      instant collapse into one batch cell and drain in append order — a
-      reordering only of provably commuting events;
-    - run state (nodes, wire counters, timers, batch cells) recycles
+    - an acknowledgement is node state, not an event: its loss and
+      latency are drawn when it is sent, and its arrival key [(time,
+      seqno)] is recorded in the data sender's {!Node} at once, where
+      each later retransmission timer compares it with its own key — all
+      the reference's ack cell would have done;
+    - on a uniform constant-latency fabric, all data copies landing at
+      one instant collapse into one batch cell and drain in append order
+      — a reordering only of provably commuting events;
+    - the heap and the wheel carry [int] handles into a struct-of-arrays
+      slab of the deliveries', timers' and batches' fields, with an int
+      free stack, so no event allocates a record and a sift never passes
+      the GC's write barrier;
+    - run state (nodes, wire counters, the slab, batch cells) recycles
       across runs, and each step of the loop reads the heap top's and the
       wheel head's keys in place, allocating nothing to choose the next
-      event.  What a run allocates is per event: a record per in-flight
-      copy or ack and a boxed float wherever an instant crosses a call,
-      ≈ 16 minor words per processed event on a uniform-latency FloodSet
-      n=16 sweep.
+      event.  What a run still allocates per event is a boxed float
+      wherever an instant crosses a call and the protocol's own
+      messages: ≈ 11 minor words per processed event on a
+      uniform-latency FloodSet n=16 sweep (≈ 16 with a record per
+      in-flight copy or ack).
 
     Deterministic metrics: the per-run [net.*] counters, and
-    [mux.timer_ticks], [mux.batched_deliveries] and [mux.arena_reuses]. *)
+    [mux.timer_ticks], [mux.batched_deliveries] and [mux.arena_reuses].
+    [net.events_processed] counts an ack when it is recorded, so it equals
+    the reference's count of processed heap cells.
+    [mux.batched_deliveries] counts data copies only, since acks no longer
+    ride batches: FloodSet n=16 t=5 on const:1 with loss 0.05, 50 runs at
+    seed 8128, reads 49,247 (80,835 when batches also held acks), and the
+    benchmark's per-layer [mux.batched_share] reads ≈ 1.46 where it read
+    ≈ 2.46.  [mux.arena_reuses] no longer counts the batches that held
+    only acks (50,705 against 51,159 on the same sweep). *)
 
 module Params = Eba_sim.Params
 
 module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
   type engine
-  (** The reusable arena: one timer wheel, one event queue, one run's
-      nodes.  Create once, run any number of times. *)
+  (** The reusable arena: one timer wheel, one event queue, one event
+      slab, one run's nodes.  Create once, run any number of times. *)
 
   val create :
     Params.t ->

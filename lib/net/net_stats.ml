@@ -298,7 +298,9 @@ let pp fmt s =
     s.ns_delivered s.ns_attempted w.w_copies w.w_retransmissions w.w_acks
     w.w_dropped_fault w.w_dropped_loss w.w_dropped_cut w.w_late w.w_duplicates
     w.w_to_dead w.w_data_bytes w.w_ack_bytes w.w_delivered_bytes
-    (let flights = w.w_copies - w.w_dropped_fault - w.w_dropped_loss - w.w_dropped_cut in
+    (* the histogram counts exactly the copies whose latency the sum
+       holds; the drop counters also count acks *)
+    (let flights = Array.fold_left ( + ) 0 w.w_latency_hist in
      if flights = 0 then 0.0
      else float_of_int w.w_latency_ns_sum /. float_of_int flights /. 1e9)
     (float_of_int w.w_latency_ns_max /. 1e9)

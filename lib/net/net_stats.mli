@@ -28,8 +28,9 @@ type wire = {
   mutable w_retransmissions : int;
   mutable w_acks : int;  (** acknowledgement copies put on the wire *)
   mutable w_dropped_fault : int;  (** suppressed by the injected adversary *)
-  mutable w_dropped_loss : int;  (** lost to link loss *)
-  mutable w_dropped_cut : int;  (** severed by a transient partition *)
+  mutable w_dropped_loss : int;  (** data and ack copies lost to link loss *)
+  mutable w_dropped_cut : int;
+      (** data and ack copies severed by a transient partition *)
   mutable w_late : int;  (** data copies arriving after their round closed *)
   mutable w_duplicates : int;  (** redelivery of an already-received message *)
   mutable w_to_dead : int;  (** copies arriving at a crashed node *)
@@ -42,7 +43,9 @@ type wire = {
       (** ... of the fresh deliveries only (duplicates and late excluded) *)
   mutable w_latency_ns_sum : int;  (** over in-flight data copies *)
   mutable w_latency_ns_max : int;
-  w_latency_hist : int array;  (** length {!hist_buckets} *)
+  w_latency_hist : int array;
+      (** length {!hist_buckets}, over in-flight data copies: its total
+          is their count *)
 }
 
 val fresh_wire : unit -> wire

@@ -9,8 +9,11 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     mutable nd_round : int;
     mutable nd_closed : bool;  (* current round already fed to [receive] *)
     mutable nd_inbox : P.msg option array;
-    mutable nd_got : bool array;
-    mutable nd_acked : bool array;
+        (* a [Some] slot: that sender got through this round *)
+    mutable nd_ack_time : float array;
+        (* per destination, the arrival instant of this round's earliest
+           acknowledgement; [infinity] when none is on its way *)
+    mutable nd_ack_seq : int array;  (* that acknowledgement's seqno *)
     mutable nd_bytes_in : int;  (* wire bytes of fresh-accepted copies *)
     mutable nd_decision : Runner.decision option;
     mutable nd_decision_sim : float option;
@@ -35,8 +38,8 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         nd_round = 0;
         nd_closed = true;
         nd_inbox = Array.make n None;
-        nd_got = Array.make n false;
-        nd_acked = Array.make n false;
+        nd_ack_time = Array.make n infinity;
+        nd_ack_seq = Array.make n 0;
         nd_bytes_in = 0;
         nd_decision = None;
         nd_decision_sim = None;
@@ -49,13 +52,12 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     let n = params.Params.n in
     if Array.length node.nd_inbox <> n then begin
       node.nd_inbox <- Array.make n None;
-      node.nd_got <- Array.make n false;
-      node.nd_acked <- Array.make n false
+      node.nd_ack_time <- Array.make n infinity;
+      node.nd_ack_seq <- Array.make n 0
     end
     else begin
       Array.fill node.nd_inbox 0 n None;
-      Array.fill node.nd_got 0 n false;
-      Array.fill node.nd_acked 0 n false
+      Array.fill node.nd_ack_time 0 n infinity
     end;
     node.nd_me <- me;
     node.nd_state <- P.init params ~me value;
@@ -75,8 +77,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     node.nd_round <- round;
     node.nd_closed <- false;
     Array.fill node.nd_inbox 0 (Array.length node.nd_inbox) None;
-    Array.fill node.nd_got 0 (Array.length node.nd_got) false;
-    Array.fill node.nd_acked 0 (Array.length node.nd_acked) false;
+    Array.fill node.nd_ack_time 0 (Array.length node.nd_ack_time) infinity;
     let out = P.send params node.nd_state ~round in
     if Array.length out <> Array.length node.nd_inbox then
       invalid_arg "Node: send must return one slot per destination";
@@ -84,16 +85,27 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
 
   let accept node ~round ~sender ~bytes msg =
     if round <> node.nd_round || node.nd_closed then `Late
-    else if node.nd_got.(sender) then `Duplicate
-    else begin
-      node.nd_got.(sender) <- true;
-      node.nd_inbox.(sender) <- Some msg;
-      node.nd_bytes_in <- node.nd_bytes_in + bytes;
-      `Fresh
+    else
+      match node.nd_inbox.(sender) with
+      | Some _ -> `Duplicate
+      | None ->
+          node.nd_inbox.(sender) <- Some msg;
+          node.nd_bytes_in <- node.nd_bytes_in + bytes;
+          `Fresh
+
+  (* Sequence numbers grow in the order acks are recorded, so a later ack
+     at the same instant never precedes the one kept; the seqnos of a
+     cleared slot are never read, since no instant equals [infinity]. *)
+  let ack node ~round ~dest ~time ~seq =
+    if round = node.nd_round && time < node.nd_ack_time.(dest) then begin
+      node.nd_ack_time.(dest) <- time;
+      node.nd_ack_seq.(dest) <- seq
     end
 
-  let ack node ~round ~dest = if round = node.nd_round then node.nd_acked.(dest) <- true
-  let acked node ~dest = node.nd_acked.(dest)
+  let acked node ~dest ~time ~seq =
+    let a = node.nd_ack_time.(dest) in
+    a < time || (a = time && node.nd_ack_seq.(dest) < seq)
+
   let bytes_in node = node.nd_bytes_in
 
   let finish_round params node ~sim_time =

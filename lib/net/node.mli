@@ -3,8 +3,16 @@
 
     A node owns the protocol state, the current round's receive buffer with
     per-sender deduplication (retransmissions may deliver a message twice),
-    the per-destination acknowledgement flags the retransmission timers
-    consult, and the decision record.  The simulation engine drives it with
+    the per-destination acknowledgement records the retransmission timers
+    consult, and the decision record: three n-long arrays (inbox, ack
+    instants, ack seqnos) per node.
+
+    An acknowledgement is node state, not an event: the engine draws its
+    loss and latency when the receiver sends it and records its arrival
+    key [(time, seqno)] in the data sender's node at once.  A timer that
+    fires at [(time, seqno)] then asks whether an ack arrived before it,
+    which is exactly what an ack event processed in [(time, seqno)] order
+    would have told it.  The simulation engine drives it with
     [start_round] / [accept] / [finish_round]; decisions are read after any
     state change, mirroring the runner's "first non-[None] output" rule,
     and carry both the round number (comparable to the lockstep runner) and
@@ -23,7 +31,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
 
   val reset : Params.t -> t -> me:int -> Value.t -> sim_time:float -> unit
   (** Reinitialize in place to exactly the state [create] would build,
-      recycling the inbox/got/acked arrays when the width matches — the
+      recycling the inbox and ack arrays when the width matches — the
       arena-reuse hook for engines that run many simulated runs through
       one node record.  Records a time-0 decision like [create]. *)
 
@@ -34,7 +42,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
       the first [start_round]. *)
 
   val start_round : Params.t -> t -> round:int -> P.msg option array
-  (** Enter a round: clears the receive buffer and ack flags and returns
+  (** Enter a round: clears the receive buffer and ack records and returns
       the protocol's outgoing messages (one slot per destination).  Rounds
       must be entered in order. *)
 
@@ -45,12 +53,16 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
       node's inbox byte count; [`Duplicate] if this sender already got
       through this round; [`Late] if the copy's round is already over. *)
 
-  val ack : t -> round:int -> dest:int -> unit
-  (** Record a received acknowledgement for this round's message to
-      [dest]; stale-round acks are ignored. *)
+  val ack : t -> round:int -> dest:int -> time:float -> seq:int -> unit
+  (** Record an acknowledgement of this round's message to [dest] that
+      arrives at instant [time] with sequence number [seq]; the node keeps
+      the earliest [(time, seq)] per destination until the next
+      {!start_round}.  [seq] must exceed every seqno recorded before it.
+      Acks stamped with another round are ignored. *)
 
-  val acked : t -> dest:int -> bool
-  (** Has this round's message to [dest] been acknowledged? *)
+  val acked : t -> dest:int -> time:float -> seq:int -> bool
+  (** Has an acknowledgement of this round's message to [dest] arrived
+      strictly before [(time, seq)]? *)
 
   val bytes_in : t -> int
   (** Exact wire bytes of every fresh copy this node accepted over its

@@ -1,9 +1,9 @@
-type 'a t = {
+type t = {
   tw_times : float array;
   tw_len : int array;  (* entries scheduled into each slot *)
   tw_next : int array;  (* entries already drained from each slot *)
   tw_seqs : int array array;
-  tw_pay : 'a array array;
+  tw_pay : int array array;
   mutable tw_cursor : int;
 }
 
@@ -26,16 +26,23 @@ let create ~times =
   }
 
 let index_of_time w t =
-  (* exact binary search: fire times are computed by the same float
-     arithmetic that built the schedule, so equality is the contract *)
-  let lo = ref 0 and hi = ref (Array.length w.tw_times - 1) in
-  let found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = w.tw_times.(mid) in
-    if v = t then found := mid else if v < t then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
+  (* exact search: fire times are computed by the same float arithmetic
+     that built the schedule, so equality is the contract.  A timer armed
+     at a boundary, or re-armed from a wheel slot, lands on the slot after
+     the cursor, so that one is tried before the binary search. *)
+  let times = w.tw_times in
+  let c = w.tw_cursor + 1 in
+  if c < Array.length times && times.(c) = t then c
+  else begin
+    let lo = ref 0 and hi = ref (Array.length times - 1) in
+    let found = ref (-1) in
+    while !found < 0 && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let v = times.(mid) in
+      if v = t then found := mid else if v < t then lo := mid + 1 else hi := mid - 1
+    done;
+    !found
+  end
 
 let schedule w ~tick ~seq payload =
   if tick < w.tw_cursor || tick >= Array.length w.tw_times then
@@ -43,11 +50,9 @@ let schedule w ~tick ~seq payload =
   let len = w.tw_len.(tick) in
   let cap = Array.length w.tw_seqs.(tick) in
   if len = cap then begin
-    (* payload arrays need a seed element, so capacity appears with the
-       first entry and doubles in place after that *)
     let ncap = max 8 (2 * cap) in
     let seqs = Array.make ncap 0 in
-    let pay = Array.make ncap payload in
+    let pay = Array.make ncap 0 in
     Array.blit w.tw_seqs.(tick) 0 seqs 0 len;
     Array.blit w.tw_pay.(tick) 0 pay 0 len;
     w.tw_seqs.(tick) <- seqs;

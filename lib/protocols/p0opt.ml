@@ -202,17 +202,27 @@ module Make (S : Eba_util.Procset.S) = struct
 
     let init (params : Params.t) ~me value =
       let n = params.Params.n in
-      init_core params ~me value
-        { confirmed = Array.init n (fun d -> S.singleton d); fresh = S.singleton me }
+      (* made with [S.empty] and filled, for the reason [send]'s array is
+         made with [None] *)
+      let confirmed = Array.make n S.empty in
+      for d = 0 to n - 1 do
+        confirmed.(d) <- S.singleton d
+      done;
+      init_core params ~me value { confirmed; fresh = S.singleton me }
 
     let send (params : Params.t) st ~round:_ =
       (* [fresh] is a subset of [known_set], so this is "every known slot
-         unconfirmed at d, or fresh", minus d's own *)
-      Array.init params.Params.n (fun d ->
-          if d = st.me then None
-          else
-            let slots = S.union (S.diff st.known_set st.book.confirmed.(d)) st.book.fresh in
-            Some { slots = S.remove d slots; values = st.known })
+         unconfirmed at d, or fresh", minus d's own.  The array is made
+         with [None]: past 256 slots, a young seed would force a minor
+         collection per call. *)
+      let out = Array.make params.Params.n None in
+      for d = 0 to params.Params.n - 1 do
+        if d <> st.me then begin
+          let slots = S.union (S.diff st.known_set st.book.confirmed.(d)) st.book.fresh in
+          out.(d) <- Some { slots = S.remove d slots; values = st.known }
+        end
+      done;
+      out
 
     let receive _params st ~round arrived =
       (* whatever j sent me, j knew at send time *)

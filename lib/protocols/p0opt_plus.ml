@@ -257,31 +257,35 @@ module Make (S : Eba_util.Procset.S) = struct
       init_core params ~me value
         (Array.init n (fun d -> Array.init n (fun x -> if x = d then 0 else -1)))
 
+    (* The array is made with [None]: past 256 slots, a young seed would
+       force a minor collection per call. *)
     let send (params : Params.t) st ~round:_ =
-      Array.init params.Params.n (fun d ->
-          if d = st.me then None
-          else begin
-            let entries = ref [] in
-            let cud = st.book.(d) in
-            for x = st.n - 1 downto 0 do
-              (* never offer d its own row: d's copy is extended locally
-                 every round, so it is always at least as long as anyone
-                 else's *)
-              match st.table.(x) with
-              | Some r when x <> d && r.r_upto > cud.(x) ->
-                  let from = max 1 (cud.(x) + 1) in
-                  entries :=
-                    {
-                      e_proc = x;
-                      e_value = r.r_value;
-                      e_from = from;
-                      e_heard = Array.sub r.r_heard (from - 1) (r.r_upto - from + 1);
-                    }
-                    :: !entries
-              | Some _ | None -> ()
-            done;
-            Some (Array.of_list !entries)
-          end)
+      let out = Array.make params.Params.n None in
+      for d = 0 to params.Params.n - 1 do
+        if d <> st.me then begin
+          let entries = ref [] in
+          let cud = st.book.(d) in
+          for x = st.n - 1 downto 0 do
+            (* never offer d its own row: d's copy is extended locally
+               every round, so it is always at least as long as anyone
+               else's *)
+            match st.table.(x) with
+            | Some r when x <> d && r.r_upto > cud.(x) ->
+                let from = max 1 (cud.(x) + 1) in
+                entries :=
+                  {
+                    e_proc = x;
+                    e_value = r.r_value;
+                    e_from = from;
+                    e_heard = Array.sub r.r_heard (from - 1) (r.r_upto - from + 1);
+                  }
+                  :: !entries
+            | Some _ | None -> ()
+          done;
+          out.(d) <- Some (Array.of_list !entries)
+        end
+      done;
+      out
 
     (* Graft an arrived extension onto my copy of the row.  Windows that
        start beyond my covered prefix or beyond the horizon are dropped:

@@ -70,6 +70,9 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
     let nodes =
       Array.init n (fun i -> N.create params ~me:i (Config.value config i) ~sim_time:0.0)
     in
+    (* acked.(i).(j): has j acknowledged i's message of i's current
+       round?  Cleared whenever i enters a round. *)
+    let acked = Array.make_matrix n n false in
     for k = 0 to horizon do
       Event_queue_ref.push q ~time:(float_of_int k *. d) (Boundary k)
     done;
@@ -145,6 +148,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
             let i = N.me node in
             if not (Inject.dead inj ~now ~proc:i) then begin
               let out = N.start_round params node ~round in
+              Array.fill acked.(i) 0 n false;
               (* the full protocols share one message snapshot across all
                  destinations — size it once (physical equality) rather
                  than per destination *)
@@ -210,13 +214,14 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
                     send_ack ~now ~round:d_round ~from:d_dest ~to_:d_sender
                 | `Late -> wire.Net_stats.w_late <- wire.Net_stats.w_late + 1)
           | Ack { a_round; a_from; a_to } ->
-              N.ack nodes.(a_to) ~round:a_round ~dest:a_from
+              (* a stale-round ack is ignored *)
+              if a_round = N.round nodes.(a_to) then acked.(a_to).(a_from) <- true
           | Timer { t_round; t_sender; t_dest; t_copy; t_bytes; t_msg } ->
               let node = nodes.(t_sender) in
               if
                 (not (Inject.dead inj ~now ~proc:t_sender))
                 && N.round node = t_round
-                && not (N.acked node ~dest:t_dest)
+                && not acked.(t_sender).(t_dest)
               then begin
                 transmit ~now ~round:t_round ~sender:t_sender ~dest:t_dest
                   ~copy:t_copy ~bytes:t_bytes t_msg;

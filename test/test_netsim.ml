@@ -25,12 +25,14 @@ open Helpers
 let eq_tests =
   [
     test "take order is (time, seqno)" (fun () ->
+        (* payloads are indices into [names] *)
+        let names = [| "c"; "a"; "b"; "z" |] in
         let q = EQ.create () in
-        EQ.push q ~time:2.0 "c";
-        EQ.push q ~time:1.0 "a";
-        EQ.push q ~time:1.0 "b";
-        EQ.push q ~time:0.5 "z";
-        let order = List.init 4 (fun _ -> EQ.take q) in
+        EQ.push q ~time:2.0 0;
+        EQ.push q ~time:1.0 1;
+        EQ.push q ~time:1.0 2;
+        EQ.push q ~time:0.5 3;
+        let order = List.init 4 (fun _ -> names.(EQ.take q)) in
         Alcotest.(check (list string)) "order" [ "z"; "a"; "b"; "c" ] order;
         check "drained" true (EQ.is_empty q);
         check "take on empty raises" true
@@ -42,20 +44,22 @@ let eq_tests =
         let q = EQ.create () in
         check "neg" true
           (try
-             EQ.push q ~time:(-1.0) ();
+             EQ.push q ~time:(-1.0) 0;
              false
            with Invalid_argument _ -> true);
         check "nan" true
           (try
-             EQ.push q ~time:Float.nan ();
+             EQ.push q ~time:Float.nan 0;
              false
            with Invalid_argument _ -> true));
     qtest ~count:200 "qcheck: take is a stable sort by time"
       QCheck2.Gen.(list_size (int_bound 40) (int_bound 5))
       (fun times ->
+        (* payload i stands for the pair (times.(i), i) *)
         let q = EQ.create () in
-        List.iteri (fun i t -> EQ.push q ~time:(float_of_int t) (t, i)) times;
-        let popped = drain_events q in
+        List.iteri (fun i t -> EQ.push q ~time:(float_of_int t) i) times;
+        let pairs = Array.of_list (List.mapi (fun i t -> (t, i)) times) in
+        let popped = List.map (fun i -> pairs.(i)) (drain_events q) in
         let expected =
           List.stable_sort
             (fun (t1, i1) (t2, i2) -> if t1 <> t2 then compare t1 t2 else compare i1 i2)
@@ -394,6 +398,29 @@ let lossy_sweep_tests =
             sweep (module Eba.P0opt) ~n:8 ~t:2 ~mode:Eba.Params.Omission ~loss:0.02
               ~partitions:1 ~seed:43;
           ]);
+    test "text summary: a lossy const-latency sweep's mean copy latency is the constant"
+      (fun () ->
+        (* the drop counters count lost acks too; the mean must divide by
+           the copies whose latency was recorded *)
+        let topology =
+          Net.Topology.make ~n:8
+            ~link:(Net.Link.make ~latency:(Net.Link.Const 1.25) ~loss:0.2)
+        in
+        let s =
+          Net.Netsim.sweep ~jobs:1
+            (module Eba.Floodset)
+            (Eba.Params.make ~n:8 ~t:2 ~horizon:3 ~mode:Eba.Params.Crash)
+            ~sync:(Net.Sync.make ~round_duration:20.0 ~rto:2.5 ~max_retries:7)
+            ~topology
+            ~dynamic:(Net.Inject.dynamic ~max_faulty:2 ())
+            ~seed:2 ~runs:40
+        in
+        check "copies were lost" true
+          (s.Net.Net_stats.ns_wire.Net.Net_stats.w_dropped_loss > 0);
+        let text = Format.asprintf "%a" Net.Net_stats.pp s in
+        let line = "copy latency: mean 1.25 s, max 1.25 s" in
+        check line true
+          (List.mem line (List.map String.trim (String.split_on_char '\n' text))));
   ]
 
 let tests =
