@@ -348,9 +348,12 @@ let netsim_cmd =
       value & flag
       & info [ "compact" ]
           ~doc:
-            "Use the bounded-bandwidth variant of the protocol (p0opt, \
-             p0opt+ and chain0 only): identical decisions, fewer bytes on \
-             the wire.")
+            "Use the bounded-bandwidth codec of the protocol (p0opt, \
+             p0opt+ and chain0 only): identical decisions, and each \
+             destination is sent only what it is not proven to hold.  The \
+             p0opt and chain0 codecs never send more bytes than the full \
+             ones; p0opt+'s saves bytes only over longer horizons and \
+             sends more at the default one.")
   in
   let run params name compact latency loss seed runs mux rto window retries
       omit_prob partitions span json =

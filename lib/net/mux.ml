@@ -375,7 +375,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     if Inject.dead eng.eg_inj ~now ~proc:dest then
       wire.Net_stats.w_to_dead <- wire.Net_stats.w_to_dead + 1
     else
-      match N.accept eng.eg_nodes.(dest) ~round ~sender ~bytes msg with
+      match N.accept eng.eg_nodes.(dest) ~round ~sender msg with
       | `Fresh ->
           eng.eg_del <- eng.eg_del + 1;
           wire.Net_stats.w_delivered_bytes <-

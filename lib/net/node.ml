@@ -14,7 +14,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         (* per destination, the arrival instant of this round's earliest
            acknowledgement; [infinity] when none is on its way *)
     mutable nd_ack_seq : int array;  (* that acknowledgement's seqno *)
-    mutable nd_bytes_in : int;  (* wire bytes of fresh-accepted copies *)
     mutable nd_decision : Runner.decision option;
     mutable nd_decision_sim : float option;
   }
@@ -40,7 +39,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         nd_inbox = Array.make n None;
         nd_ack_time = Array.make n infinity;
         nd_ack_seq = Array.make n 0;
-        nd_bytes_in = 0;
         nd_decision = None;
         nd_decision_sim = None;
       }
@@ -63,7 +61,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     node.nd_state <- P.init params ~me value;
     node.nd_round <- 0;
     node.nd_closed <- true;
-    node.nd_bytes_in <- 0;
     node.nd_decision <- None;
     node.nd_decision_sim <- None;
     note_output node ~time:0 ~sim_time
@@ -83,14 +80,13 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
       invalid_arg "Node: send must return one slot per destination";
     out
 
-  let accept node ~round ~sender ~bytes msg =
+  let accept node ~round ~sender msg =
     if round <> node.nd_round || node.nd_closed then `Late
     else
       match node.nd_inbox.(sender) with
       | Some _ -> `Duplicate
       | None ->
           node.nd_inbox.(sender) <- Some msg;
-          node.nd_bytes_in <- node.nd_bytes_in + bytes;
           `Fresh
 
   (* Sequence numbers grow in the order acks are recorded, so a later ack
@@ -105,8 +101,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
   let acked node ~dest ~time ~seq =
     let a = node.nd_ack_time.(dest) in
     a < time || (a = time && node.nd_ack_seq.(dest) < seq)
-
-  let bytes_in node = node.nd_bytes_in
 
   let finish_round params node ~sim_time =
     node.nd_closed <- true;

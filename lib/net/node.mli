@@ -46,11 +46,9 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
       the protocol's outgoing messages (one slot per destination).  Rounds
       must be entered in order. *)
 
-  val accept :
-    t -> round:int -> sender:int -> bytes:int -> P.msg -> [ `Fresh | `Duplicate | `Late ]
-  (** Offer a delivered copy of [bytes] wire bytes.  [`Fresh] stores it
-      (and is the receiver's cue to acknowledge), adding [bytes] to the
-      node's inbox byte count; [`Duplicate] if this sender already got
+  val accept : t -> round:int -> sender:int -> P.msg -> [ `Fresh | `Duplicate | `Late ]
+  (** Offer a delivered copy.  [`Fresh] stores it (and is the receiver's
+      cue to acknowledge); [`Duplicate] if this sender already got
       through this round; [`Late] if the copy's round is already over. *)
 
   val ack : t -> round:int -> dest:int -> time:float -> seq:int -> unit
@@ -63,11 +61,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
   val acked : t -> dest:int -> time:float -> seq:int -> bool
   (** Has an acknowledgement of this round's message to [dest] arrived
       strictly before [(time, seq)]? *)
-
-  val bytes_in : t -> int
-  (** Exact wire bytes of every fresh copy this node accepted over its
-      lifetime (duplicates and late copies excluded) — the per-node share
-      of {!Net_stats.wire.w_delivered_bytes}. *)
 
   val finish_round : Params.t -> t -> sim_time:float -> unit
   (** Close the current round: feed the buffered arrivals to [P.receive]

@@ -55,7 +55,6 @@ let attempt_times t =
   done;
   Array.of_list (List.rev !acc)
 
-let round_start t ~round = float_of_int (round - 1) *. t.round_duration
 let round_end t ~round = float_of_int round *. t.round_duration
 
 let pp fmt t =

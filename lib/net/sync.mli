@@ -55,7 +55,6 @@ val attempt_times : t -> float array
     ({!Eba_prob.Round_chain}) keys its per-attempt window cutoffs off
     these offsets. *)
 
-val round_start : t -> round:int -> float
 val round_end : t -> round:int -> float
 
 val pp : Format.formatter -> t -> unit

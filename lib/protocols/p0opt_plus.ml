@@ -40,19 +40,24 @@
       extension of [x]'s row up to round [u], then [d]'s own copy of that
       row reached [u] at send time (rows only grow, so it still does).  I
       track [cu.(d).(x)], the highest such [u] per destination and row,
-      and send [d] the extension [(cu.(d).(x), r_upto]] of every row that
-      has outgrown it — with the initial value attached when
+      and every row that has outgrown it travels to [d] as the extension
+      [(cu.(d).(x), r_upto]] — with the initial value attached when
       [cu.(d).(x) < 0], i.e. when [d] is not known to hold the row at
-      all.  [d]'s own row and my rows that [d] already covers travel as
-      nothing.  No echo is needed (unlike [P0opt]'s compact codec): row
-      extensions keep flowing every round a row grows, and what I learned
-      from [d] raises [cu.(d)] directly.  Entries carry an explicit
-      [(from, heard-sets)] window under a round-stamped header, so
-      applying one is idempotent and order-independent: an extension is
-      grafted only where it strictly grows my row and seamlessly
-      continues it, and retransmitted or reordered copies within a round
-      reconstruct the same table (row content is unique per run —
-      heard-sets are facts about the run, not about who reported them).
+      all.  [d]'s own row ([cu.(d).(d) = max_int]) and my rows that [d]
+      already covers travel as nothing.  No echo is needed (unlike
+      [P0opt]'s compact codec): row extensions keep flowing every round a
+      row grows, and what I learned from [d] raises [cu.(d)] directly.
+
+      In memory a compact message is my table and my coverage row
+      [cu.(d)], both shared by reference (book rows are copy-on-write
+      like table rows), so [send] copies nothing.  The wire encoding it
+      is sized by is one explicit [(owner, value, from, heard-sets)]
+      entry per travelling row under a round-stamped header, so applying
+      it is idempotent and order-independent: an extension is adopted
+      only where it strictly grows my row and seamlessly continues it,
+      and retransmitted or reordered copies within a round reconstruct
+      the same table (row content is unique per run — heard-sets are
+      facts about the run, not about who reported them).
 
     By induction the table is the same under both codecs at every
     processor after every round, message presence being identical — so
@@ -236,107 +241,76 @@ module Make (S : Eba_util.Procset.S) = struct
     !bytes
 
   module Compact = struct
-    type entry = {
-      e_proc : int;  (* whose row *)
-      e_value : Value.t;  (* its initial value (used when the row is new) *)
-      e_from : int;  (* first covered round of the window, >= 1 *)
-      e_heard : S.t array;  (* heard-sets of rounds e_from .. e_from+len-1 *)
-    }
-
-    type msg = entry array
+    (* the sender's whole table and its coverage row for the
+       destination, both shared: only the rows that outgrew the coverage
+       travel, each as the window past it *)
+    type msg = { rows : row option array; cov : int array }
 
     (* cu.(d).(x): highest r_upto of x's row provably held at d;
-       -1 = d not known to hold the row *)
+       -1 = d not known to hold the row; cu.(d).(d) = max_int, so d's own
+       row never travels to d *)
     type state = int array array core
 
     let name = "P0opt+delta"
 
     let init (params : Params.t) ~me value =
       let n = params.Params.n in
-      (* everyone holds their own row from time 0 *)
       init_core params ~me value
-        (Array.init n (fun d -> Array.init n (fun x -> if x = d then 0 else -1)))
+        (Array.init n (fun d -> Array.init n (fun x -> if x = d then max_int else -1)))
 
-    (* The array is made with [None]: past 256 slots, a young seed would
-       force a minor collection per call. *)
+    (* Book rows are copy-on-write (see [receive]), like table rows, so a
+       message is one small record per destination.  The array is made
+       with [None]: past 256 slots, a young seed would force a minor
+       collection per call. *)
     let send (params : Params.t) st ~round:_ =
       let out = Array.make params.Params.n None in
       for d = 0 to params.Params.n - 1 do
-        if d <> st.me then begin
-          let entries = ref [] in
-          let cud = st.book.(d) in
-          for x = st.n - 1 downto 0 do
-            (* never offer d its own row: d's copy is extended locally
-               every round, so it is always at least as long as anyone
-               else's *)
-            match st.table.(x) with
-            | Some r when x <> d && r.r_upto > cud.(x) ->
-                let from = max 1 (cud.(x) + 1) in
-                entries :=
-                  {
-                    e_proc = x;
-                    e_value = r.r_value;
-                    e_from = from;
-                    e_heard = Array.sub r.r_heard (from - 1) (r.r_upto - from + 1);
-                  }
-                  :: !entries
-            | Some _ | None -> ()
-          done;
-          out.(d) <- Some (Array.of_list !entries)
-        end
+        if d <> st.me then out.(d) <- Some { rows = st.table; cov = st.book.(d) }
       done;
       out
 
-    (* Graft an arrived extension onto my copy of the row.  Windows that
-       start beyond my covered prefix or beyond the horizon are dropped:
-       an honest sender can produce neither (it extends from my proven
-       coverage), so the guards only shield the merge from corrupted wire
-       input — a protocol step must not crash on it. *)
-    let apply_entry st table e =
-      let len = Array.length e.e_heard in
-      let upto_e = e.e_from + len - 1 in
-      if e.e_from >= 1 && upto_e <= st.horizon then
-        match table.(e.e_proc) with
-        | None ->
-            if e.e_from = 1 then begin
-              let r_heard = Array.make st.horizon S.empty in
-              Array.blit e.e_heard 0 r_heard 0 len;
-              table.(e.e_proc) <- Some { r_value = e.e_value; r_heard; r_upto = upto_e }
-            end
-        | Some r when upto_e > r.r_upto && e.e_from <= r.r_upto + 1 ->
-            let r = copy_row r in
-            for k = r.r_upto + 1 to upto_e do
-              r.r_heard.(k - 1) <- e.e_heard.(k - e.e_from)
-            done;
-            table.(e.e_proc) <- Some { r with r_upto = upto_e }
-        | Some _ -> ()
-
+    (* Row [x] travels when the sender's copy outgrew the destination's
+       proven coverage [cov.(x)], as the window [max 1 (cov.(x) + 1) ..
+       r_upto].  Where that window continues my row, my row is a prefix
+       of the sender's (row content is unique per run), so [merge_row]
+       adopts the sender's row as-is.  Rows past [n] or past a short
+       [cov], and windows that start past my covered prefix or end past
+       the horizon, are dropped: an honest sender produces none of them,
+       so the guards only shield a protocol step from corrupted wire
+       input. *)
     let receive _params st ~round arrived =
       let cu = Array.copy st.book in
       receive_core st ~round arrived
-        ~merge:(fun table j entries ->
+        ~merge:(fun table j { rows; cov } ->
           let cuj = Array.copy cu.(j) in
-          Array.iter
-            (fun e ->
-              if e.e_proc >= 0 && e.e_proc < st.n then begin
-                let upto_e = e.e_from + Array.length e.e_heard - 1 in
+          for x = 0 to min st.n (min (Array.length rows) (Array.length cov)) - 1 do
+            match rows.(x) with
+            | Some r as theirs when r.r_upto > cov.(x) ->
                 (* whatever j sent me, j's row covered at send time *)
-                if upto_e > cuj.(e.e_proc) then cuj.(e.e_proc) <- upto_e;
-                apply_entry st table e
-              end)
-            entries;
+                if r.r_upto > cuj.(x) then cuj.(x) <- r.r_upto;
+                let from = Int.max 1 (cov.(x) + 1) in
+                if r.r_upto <= st.horizon && from <= Int.max 0 (upto table x) + 1 then
+                  table.(x) <- merge_row table.(x) theirs
+            | Some _ | None -> ()
+          done;
           cu.(j) <- cuj)
         cu
 
     let output = output
 
-    (* per entry: owner id, value byte, window bounds, and one dense
-       heard-set per covered round *)
-    let wire_size (params : Params.t) m =
+    (* the wire encoding: per travelled row, owner id, value byte, window
+       bounds, and one dense heard-set per round of the window.  [Int.max],
+       not the polymorphic [max]: this runs once per destination. *)
+    let wire_size (params : Params.t) { rows; cov } =
       let open Protocol_intf.Wire in
-      let n = params.Params.n in
+      let set = set_bytes params.Params.n in
       let bytes = ref header in
-      Array.iter (fun e -> bytes := !bytes + proc_id + 3 + (Array.length e.e_heard * set_bytes n)) m;
+      for x = 0 to min (Array.length rows) (Array.length cov) - 1 do
+        match rows.(x) with
+        | Some r when r.r_upto > cov.(x) ->
+            bytes := !bytes + proc_id + 3 + ((r.r_upto - Int.max 0 cov.(x)) * set)
+        | Some _ | None -> ()
+      done;
       !bytes
   end
 end

@@ -28,13 +28,16 @@ include Protocol_intf.PROTOCOL
 val for_params : Eba_sim.Params.t -> (module Protocol_intf.PROTOCOL)
 (** {!Word} when [n] fits a single word, {!Wide} beyond. *)
 
-(** [P0opt+delta], the compact codec: each entry an explicit
-    [(owner, value, from, heard-sets)] window under a round-stamped
-    header, so applying extensions is idempotent and order-independent
-    within a round.  Each heard-set crosses each link roughly once
-    instead of riding in every later round; that saves bytes only over
-    longer horizons — at the default horizon of 3 a compact run can cost
-    more than the full one (README, "Message complexity"). *)
+(** [P0opt+delta], the compact codec: a destination gets only the rows
+    that outgrew its proven coverage.  In memory a message is the
+    sender's row table plus its coverage row for the destination, both
+    shared by reference; the wire encoding it is sized by is one explicit
+    [(owner, value, from, heard-sets)] window per travelling row under a
+    round-stamped header, so applying extensions is idempotent and
+    order-independent within a round.  Each heard-set crosses each link
+    roughly once instead of riding in every later round; that saves bytes
+    only over longer horizons — at the default horizon of 3 a compact run
+    can cost more than the full one (README, "Message complexity"). *)
 module Compact : sig
   module Word : Protocol_intf.PROTOCOL
   module Wide : Protocol_intf.PROTOCOL

@@ -35,7 +35,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         | (Some _ | None), _ -> ())
       states
 
-  let execute (params : Params.t) config pattern =
+  let run (params : Params.t) config pattern =
     let n = params.Params.n in
     let states =
       Array.init n (fun i -> P.init params ~me:i (Config.value config i))
@@ -87,10 +87,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       Metrics.add m_delivered stats.delivered;
       Metrics.add m_bytes stats.bytes_attempted
     end;
-    (states, decisions, stats)
-
-  let run params config pattern =
-    let _, decisions, stats = execute params config pattern in
     {
       decisions;
       messages_attempted = stats.attempted;
@@ -98,8 +94,4 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       bytes_attempted = stats.bytes_attempted;
       bytes_delivered = stats.bytes_delivered;
     }
-
-  let final_states params config pattern =
-    let states, _, _ = execute params config pattern in
-    states
 end

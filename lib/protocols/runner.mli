@@ -28,8 +28,4 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
   val run : Params.t -> Config.t -> Pattern.t -> trace
   (** Executes rounds [1..horizon] and returns the per-processor decisions
       (scanning outputs at every time from 0 to the horizon). *)
-
-  val final_states : Params.t -> Config.t -> Pattern.t -> P.state array
-  (** The states at the horizon, for tests that inspect protocol
-      internals. *)
 end

@@ -187,12 +187,6 @@ let get_string ?default params key =
       | Some d -> Ok d
       | None -> Error (Printf.sprintf "missing %S" key))
 
-let get_string_opt params key =
-  match mem params key with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.String s) -> Ok (Some s)
-  | Some _ -> wrong key "a string"
-
 let get_bool ?default params key =
   match mem params key with
   | Some (Json.Bool b) -> Ok b

@@ -106,5 +106,4 @@ val get_int_opt : Json.t -> string -> (int option, string) result
 val get_float : ?default:float -> Json.t -> string -> (float, string) result
 val get_float_opt : Json.t -> string -> (float option, string) result
 val get_string : ?default:string -> Json.t -> string -> (string, string) result
-val get_string_opt : Json.t -> string -> (string option, string) result
 val get_bool : ?default:bool -> Json.t -> string -> (bool, string) result

@@ -93,6 +93,18 @@ type resolved = {
    on it. *)
 let trying f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
 
+(* The synchronizer both verbs resolve: what the request leaves out
+   defaults from the latency bound ([Sync.default_for]), the window to
+   8 rto. *)
+let sync_of topology ~rto ~round_duration ~retries =
+  let dflt = Net.Sync.default_for topology in
+  let rto = Option.value rto ~default:dflt.Net.Sync.rto in
+  trying (fun () ->
+      Net.Sync.make
+        ~round_duration:(Option.value round_duration ~default:(8.0 *. rto))
+        ~rto
+        ~max_retries:(Option.value retries ~default:dflt.Net.Sync.max_retries))
+
 let resolve spec =
   let* r_params =
     trying (fun () ->
@@ -123,23 +135,16 @@ let resolve spec =
         Net.Topology.make ~n:spec.n
           ~link:(Net.Link.make ~latency:spec.latency ~loss:spec.loss))
   in
-  let dflt = Net.Sync.default_for r_topology in
-  let rto = Option.value spec.rto ~default:dflt.Net.Sync.rto in
   let* r_sync =
-    trying (fun () ->
-        Net.Sync.make
-          ~round_duration:
-            (Option.value spec.round_duration ~default:(8.0 *. rto))
-          ~rto
-          ~max_retries:
-            (Option.value spec.retries ~default:dflt.Net.Sync.max_retries))
+    sync_of r_topology ~rto:spec.rto ~round_duration:spec.round_duration
+      ~retries:spec.retries
   in
   let* r_dynamic =
     trying (fun () ->
         Net.Inject.dynamic ~omit_prob:spec.omit_prob
           ~partitions:spec.partitions
           ~partition_span:
-            (Option.value spec.partition_span ~default:(2.0 *. rto))
+            (Option.value spec.partition_span ~default:(2.0 *. r_sync.Net.Sync.rto))
           ~max_faulty:spec.t_failures ())
   in
   (* the wave size first: the runs default derives from it *)
@@ -327,16 +332,9 @@ module Probcheck = struct
           Net.Topology.make ~n:spec.n
             ~link:(Net.Link.make ~latency:spec.latency ~loss:0.0))
     in
-    let dflt = Net.Sync.default_for topology in
-    let rto = Option.value spec.rto ~default:dflt.Net.Sync.rto in
     let* sync =
-      trying (fun () ->
-          Net.Sync.make
-            ~round_duration:
-              (Option.value spec.round_duration ~default:(8.0 *. rto))
-            ~rto
-            ~max_retries:
-              (Option.value spec.retries ~default:dflt.Net.Sync.max_retries))
+      sync_of topology ~rto:spec.rto ~round_duration:spec.round_duration
+        ~retries:spec.retries
     in
     Ok (loss, sync, Option.value spec.rounds ~default:(spec.t_failures + 1))
 

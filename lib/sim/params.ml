@@ -1,4 +1,3 @@
-module Bitset = Eba_util.Bitset
 
 type mode = Crash | Omission | General_omission
 
@@ -11,8 +10,6 @@ let make ~n ~t ~horizon ~mode =
   if horizon < 1 then invalid_arg "Params.make: horizon must be >= 1";
   { n; t_failures = t; horizon; mode }
 
-let mode_equal a b = a = b
-
 let pp_mode fmt = function
   | Crash -> Format.pp_print_string fmt "crash"
   | Omission -> Format.pp_print_string fmt "omission"
@@ -23,6 +20,5 @@ let pp fmt p =
     p.mode
 
 let procs p = List.init p.n Fun.id
-let all_procs p = Bitset.full p.n
 let times p = List.init (p.horizon + 1) Fun.id
 let rounds p = List.init p.horizon (fun k -> k + 1)

@@ -23,18 +23,14 @@ val make : n:int -> t:int -> horizon:int -> mode:mode -> t
     [n] may exceed [Bitset.max_width]: the network simulator runs the
     scale-safe operational protocols (those whose state does not pack
     processor sets into words) far beyond the enumerable sizes.  Anything
-    that needs processor bitsets — {!all_procs}, patterns, universes, the
-    model builder — still raises loudly past [Bitset.max_width]. *)
+    that needs processor bitsets — patterns, universes, the model builder
+    — still raises loudly past [Bitset.max_width]. *)
 
-val mode_equal : mode -> mode -> bool
 val pp_mode : Format.formatter -> mode -> unit
 val pp : Format.formatter -> t -> unit
 
 val procs : t -> int list
 (** [[0; ...; n-1]]. *)
-
-val all_procs : t -> Eba_util.Bitset.t
-(** The full processor set. *)
 
 val times : t -> int list
 (** [[0; ...; horizon]]. *)

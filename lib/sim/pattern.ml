@@ -42,9 +42,6 @@ let omission ~horizon ~proc ~omits =
     invalid_arg "Pattern.omission: a processor does not message itself";
   Omits { om_proc = proc; om_omits = Array.copy omits }
 
-let clean_omission ~horizon ~proc =
-  Omits { om_proc = proc; om_omits = Array.make horizon Bitset.empty }
-
 let general ~horizon ~proc ~send ~recv =
   if Array.length send <> horizon || Array.length recv <> horizon then
     invalid_arg "Pattern.general: omission sets must cover every round";

@@ -54,8 +54,6 @@ val omission : horizon:int -> proc:int -> omits:Bitset.t array -> behaviour
 (** Raises [Invalid_argument] if [omits] has length [<> horizon] or some
     omission set contains [proc]. *)
 
-val clean_omission : horizon:int -> proc:int -> behaviour
-
 val general :
   horizon:int -> proc:int -> send:Bitset.t array -> recv:Bitset.t array -> behaviour
 (** General-omission behaviour; a sending-only omitter ([Omits]) is also

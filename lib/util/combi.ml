@@ -38,9 +38,6 @@ let choose n k =
     let rec loop acc i = if i > k then acc else loop (mul_exn acc (n - k + i) / i) (i + 1) in
     loop 1 1
 
-let assignments keys values =
-  cartesian (List.map (fun k -> List.map (fun v -> (k, v)) values) keys)
-
 let pow base e =
   if e < 0 then invalid_arg "Combi.pow: negative exponent";
   let rec loop acc e = if e = 0 then acc else loop (mul_exn acc base) (e - 1) in

@@ -33,10 +33,6 @@ val choose : int -> int -> int
     conservative: the running product stays within a factor [k] of the
     result). *)
 
-val assignments : 'a list -> 'b list -> ('a * 'b) list list
-(** [assignments keys values] enumerates every total function from [keys]
-    to [values], represented as an association list in key order. *)
-
 val pow : int -> int -> int
 (** Integer exponentiation.  Raises [Invalid_argument] on negative
     exponents and {!Overflow} when the result exceeds [max_int]. *)

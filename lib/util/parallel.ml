@@ -116,6 +116,3 @@ let map_reduce_seq ?jobs ?(chunk = default_chunk) ~init ~fold ~merge seq =
         List.iter (merge acc) rest;
         acc
   end
-
-let map_reduce_list ?jobs ?chunk ~init ~fold ~merge l =
-  map_reduce_seq ?jobs ?chunk ~init ~fold ~merge (List.to_seq l)

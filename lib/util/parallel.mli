@@ -42,13 +42,3 @@ val map_reduce_seq :
     domain at a time; [merge acc other] folds a worker's accumulator into
     the first one, called in a fixed order after all workers join.
     [fold]/[merge] mutate their first argument in place. *)
-
-val map_reduce_list :
-  ?jobs:int ->
-  ?chunk:int ->
-  init:(unit -> 'acc) ->
-  fold:('acc -> 'a -> unit) ->
-  merge:('acc -> 'acc -> unit) ->
-  'a list ->
-  'acc
-(** {!map_reduce_seq} over a materialized work list. *)

@@ -199,8 +199,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
                 wire.Net_stats.w_to_dead <- wire.Net_stats.w_to_dead + 1
               else (
                 match
-                  N.accept nodes.(d_dest) ~round:d_round ~sender:d_sender
-                    ~bytes:d_bytes d_msg
+                  N.accept nodes.(d_dest) ~round:d_round ~sender:d_sender d_msg
                 with
                 | `Fresh ->
                     incr delivered;

@@ -28,7 +28,12 @@
    6. P0opt-delta's slot-set codec against the per-slot reference codec
       (P0opt_delta_ref): lockstep rounds under random delivery masks
       across the Word/Wide switch agree message by message, and netsim
-      sweep summaries agree byte for byte. *)
+      sweep summaries agree byte for byte.
+
+   7. The same for P0opt+delta's shared-table codec against the
+      entry-window reference codec (P0opt_plus_delta_ref), message sizes
+      and decisions round by round, plus an allocation ratchet on its
+      send. *)
 
 module Net = Eba.Net
 module Runner = Eba.Runner
@@ -426,62 +431,77 @@ let codecs n : (module Eba.P0opt.COMPACT) * (module Eba.P0opt.COMPACT) =
   if n <= Eba.Bitset.max_width then ((module Eba.P0opt.Compact.Word), (module Ref.Word))
   else ((module Eba.P0opt.Compact.Wide), (module Ref.Wide))
 
-(* Three lockstep rounds of every processor under both codecs, each
-   message delivered or not by a seeded per-message mask: every
-   message's entries and size, every known vector and every decision
-   must agree round by round. *)
+let delta_protocols n :
+    (module Eba.Protocol_intf.PROTOCOL) * (module Eba.Protocol_intf.PROTOCOL) =
+  let (module C), (module R) = codecs n in
+  ((module C), (module R))
+
+(* Lockstep rounds of every processor under a codec [C] and its
+   reference [R], each message delivered or not by a seeded per-message
+   mask: every message's presence and size, every decision, and what
+   [same_msg] / [same_state] compare must agree round by round. *)
+module Lockstep (C : Eba.Protocol_intf.PROTOCOL) (R : Eba.Protocol_intf.PROTOCOL) = struct
+  let agrees ~same_msg ~same_state ~n ~horizon ~seed =
+    let rng = Random.State.make [| seed |] in
+    let params = Eba.Params.make ~n ~t:1 ~horizon ~mode:Eba.Params.Crash in
+    let zeros = Random.State.bool rng in
+    let values =
+      Array.init n (fun _ ->
+          if zeros && Random.State.int rng 8 = 0 then Val.Zero else Val.One)
+    in
+    let loss = Random.State.float rng 0.6 in
+    let cs = Array.init n (fun me -> C.init params ~me values.(me)) in
+    let rs = Array.init n (fun me -> R.init params ~me values.(me)) in
+    let ok = ref true in
+    for round = 1 to horizon do
+      let cout = Array.map (fun st -> C.send params st ~round) cs in
+      let rout = Array.map (fun st -> R.send params st ~round) rs in
+      for i = 0 to n - 1 do
+        for d = 0 to n - 1 do
+          if d <> i then
+            match (cout.(i).(d), rout.(i).(d)) with
+            | Some c, Some r ->
+                if
+                  (not (same_msg c r))
+                  || C.wire_size params c <> R.wire_size params r
+                then ok := false
+            | None, None -> ()
+            | Some _, None | None, Some _ -> ok := false
+        done
+      done;
+      let delivered =
+        Array.init n (fun _ -> Array.init n (fun _ -> Random.State.float rng 1.0 >= loss))
+      in
+      let inbox out d =
+        Array.init n (fun j -> if j <> d && delivered.(j).(d) then out.(j).(d) else None)
+      in
+      Array.iteri (fun d st -> cs.(d) <- C.receive params st ~round (inbox cout d)) cs;
+      Array.iteri (fun d st -> rs.(d) <- R.receive params st ~round (inbox rout d)) rs;
+      Array.iteri
+        (fun d c ->
+          if
+            (not (same_state c rs.(d)))
+            || not (Option.equal Val.equal (C.output c) (R.output rs.(d)))
+          then ok := false)
+        cs
+    done;
+    !ok
+end
+
+(* three rounds; entries and known vectors agree too *)
 let lockstep_agrees ~n ~seed =
   let (module C), (module R) = codecs n in
-  let rng = Random.State.make [| seed |] in
-  let params = Eba.Params.make ~n ~t:1 ~horizon:3 ~mode:Eba.Params.Crash in
-  let zeros = Random.State.bool rng in
-  let values =
-    Array.init n (fun _ ->
-        if zeros && Random.State.int rng 8 = 0 then Val.Zero else Val.One)
-  in
-  let loss = Random.State.float rng 0.6 in
-  let cs = Array.init n (fun me -> C.init params ~me values.(me)) in
-  let rs = Array.init n (fun me -> R.init params ~me values.(me)) in
-  let ok = ref true in
-  for round = 1 to 3 do
-    let cout = Array.map (fun st -> C.send params st ~round) cs in
-    let rout = Array.map (fun st -> R.send params st ~round) rs in
-    for i = 0 to n - 1 do
-      for d = 0 to n - 1 do
-        if d <> i then
-          match (cout.(i).(d), rout.(i).(d)) with
-          | Some c, Some r ->
-              if
-                C.entries c <> R.entries r
-                || C.wire_size params c <> R.wire_size params r
-              then ok := false
-          | None, None -> ()
-          | Some _, None | None, Some _ -> ok := false
-      done
-    done;
-    let delivered =
-      Array.init n (fun _ -> Array.init n (fun _ -> Random.State.float rng 1.0 >= loss))
-    in
-    let inbox out d =
-      Array.init n (fun j -> if j <> d && delivered.(j).(d) then out.(j).(d) else None)
-    in
-    Array.iteri (fun d st -> cs.(d) <- C.receive params st ~round (inbox cout d)) cs;
-    Array.iteri (fun d st -> rs.(d) <- R.receive params st ~round (inbox rout d)) rs;
-    Array.iteri
-      (fun d c ->
-        if
-          (not (Array.for_all2 (Option.equal Val.equal) (C.known c) (R.known rs.(d))))
-          || not (Option.equal Val.equal (C.output c) (R.output rs.(d)))
-        then ok := false)
-      cs
-  done;
-  !ok
+  let module L = Lockstep (C) (R) in
+  L.agrees ~n ~horizon:3 ~seed
+    ~same_msg:(fun c r -> C.entries c = R.entries r)
+    ~same_state:(fun c r ->
+      Array.for_all2 (Option.equal Val.equal) (C.known c) (R.known r))
 
-let sweep_matches_ref ~n ~t ~mode ~runs () =
-  let (module C), (module R) = codecs n in
+let sweep_matches_ref codecs ~n ~t ~mode ~runs () =
+  let c, r = codecs n in
   let sweep p = pair_sweep (fun _ -> p) ~jobs:1 ~n ~t ~mode ~seed:17 ~runs in
-  let got = sweep (module C : Eba.Protocol_intf.PROTOCOL) in
-  let want = sweep (module R : Eba.Protocol_intf.PROTOCOL) in
+  let got = sweep c in
+  let want = sweep r in
   let json s = Eba.Json.to_string (Net.Net_stats.summary_json s) in
   Alcotest.(check string) "summary JSON" (json want) (json got);
   check "summary identical, delivered bytes included" true (compare got want = 0)
@@ -511,17 +531,76 @@ let ref_codec_tests =
     test "hand-built delta: slots outside 0..n-1 are ignored, as by the reference"
       stray_slots_ignored;
     test "P0opt-delta sweep = reference codec, crash n=6"
-      (sweep_matches_ref ~n:6 ~t:2 ~mode:Eba.Params.Crash ~runs:20);
+      (sweep_matches_ref delta_protocols ~n:6 ~t:2 ~mode:Eba.Params.Crash ~runs:20);
     test "P0opt-delta sweep = reference codec, omission n=6"
-      (sweep_matches_ref ~n:6 ~t:2 ~mode:Eba.Params.Omission ~runs:20);
+      (sweep_matches_ref delta_protocols ~n:6 ~t:2 ~mode:Eba.Params.Omission ~runs:20);
     slow "P0opt-delta sweep = reference codec, crash n=70"
-      (sweep_matches_ref ~n:70 ~t:4 ~mode:Eba.Params.Crash ~runs:2);
+      (sweep_matches_ref delta_protocols ~n:70 ~t:4 ~mode:Eba.Params.Crash ~runs:2);
     slow "P0opt-delta sweep = reference codec, omission n=70"
-      (sweep_matches_ref ~n:70 ~t:4 ~mode:Eba.Params.Omission ~runs:2);
+      (sweep_matches_ref delta_protocols ~n:70 ~t:4 ~mode:Eba.Params.Omission ~runs:2);
+  ]
+
+(* --- P0opt+delta's shared-table codec against the entry-window
+   reference codec --- *)
+
+module Plus_ref = P0opt_plus_delta_ref
+
+let plus_codecs n :
+    (module Eba.Protocol_intf.PROTOCOL) * (module Eba.Protocol_intf.PROTOCOL) =
+  if n <= Eba.Bitset.max_width then
+    ((module Eba.P0opt_plus.Compact.Word), (module Plus_ref.Word))
+  else ((module Eba.P0opt_plus.Compact.Wide), (module Plus_ref.Wide))
+
+(* four rounds, so rows grow past their first windows *)
+let plus_lockstep_agrees ~n ~seed =
+  let module C = (val fst (plus_codecs n)) in
+  let module R = (val snd (plus_codecs n)) in
+  let module L = Lockstep (C) (R) in
+  L.agrees ~n ~horizon:4 ~seed
+    ~same_msg:(fun _ _ -> true)
+    ~same_state:(fun _ _ -> true)
+
+(* A send shares the sender's table and its coverage rows: one record and
+   one option per destination (6 words).  At n = 128, with every row two
+   rounds long, the entry-window reference allocates 1,407 words per
+   destination: an entry record, a list cell and a window copy per row. *)
+let plus_send_allocation () =
+  let n = 128 in
+  let params = Eba.Params.make ~n ~t:16 ~horizon:4 ~mode:Eba.Params.Crash in
+  let module C = (val Eba.P0opt_plus.Compact.for_params params) in
+  let sts = Array.init n (fun me -> C.init params ~me Val.One) in
+  for round = 1 to 2 do
+    let out = Array.map (fun st -> C.send params st ~round) sts in
+    Array.iteri
+      (fun d st ->
+        sts.(d) <- C.receive params st ~round (Array.init n (fun j -> out.(j).(d))))
+      sts
+  done;
+  let before = Gc.minor_words () in
+  let out = C.send params sts.(0) ~round:3 in
+  let per_dest = (Gc.minor_words () -. before) /. float_of_int (n - 1) in
+  check_int "one message per destination" (n - 1)
+    (Array.fold_left (fun k m -> if Option.is_some m then k + 1 else k) 0 out);
+  check (Printf.sprintf "%.1f minor words per destination, at most 8" per_dest) true
+    (per_dest <= 8.0)
+
+let plus_ref_codec_tests =
+  [
+    qtest ~count:40
+      "qcheck: P0opt+delta shared table = entry-window reference, lockstep rounds"
+      QCheck2.Gen.(pair (oneof [ int_range 3 8; int_range 60 70 ]) nat)
+      (fun (n, seed) -> plus_lockstep_agrees ~n ~seed);
+    test "P0opt+delta sweep = reference codec, crash n=6"
+      (sweep_matches_ref plus_codecs ~n:6 ~t:2 ~mode:Eba.Params.Crash ~runs:20);
+    slow "P0opt+delta sweep = reference codec, crash n=70"
+      (sweep_matches_ref plus_codecs ~n:70 ~t:4 ~mode:Eba.Params.Crash ~runs:2);
+    test "P0opt+delta send at n=128 allocates a few words per destination"
+      plus_send_allocation;
   ]
 
 let tests =
   differential_tests @ jobs_tests @ reconstruction_tests @ netsim_tests
   @ sync_tests @ empty_mean_tests @ wide_pair_tests @ ref_codec_tests
+  @ plus_ref_codec_tests
 
 let suite = ("compact", tests)
