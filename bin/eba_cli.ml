@@ -40,8 +40,8 @@ let metrics_arg =
            $(b,EBA_METRICS) environment variable ($(b,1)/$(b,pretty) or \
            $(b,json)) enables the same report without a flag.")
 
-(* Like [jobs_term]: evaluated before every command so the flag steers the
-   process-wide metrics layer, with a usage error on a bad format. *)
+(* Evaluated before every command so the flag steers the process-wide
+   metrics layer, with a usage error on a bad format. *)
 let metrics_term =
   let set = function
     | None -> Ok ()
@@ -72,9 +72,10 @@ let jobs_arg =
            $(b,EBA_DOMAINS) (where 0 means all hardware domains), which \
            itself defaults to 1.")
 
-(* Evaluated by every command before it runs, so [--jobs] steers the whole
-   process-wide engine.  Validates the flag and [EBA_DOMAINS] eagerly so a
-   bad value is a usage error up front, not an exception mid-sweep. *)
+(* Evaluated before each command that runs parallel sweeps, so [--jobs]
+   steers the whole process-wide engine.  Validates the flag and
+   [EBA_DOMAINS] eagerly so a bad value is a usage error up front, not an
+   exception mid-sweep. *)
 let jobs_term =
   let set j =
     if j < 0 then Error (`Msg "--jobs must be >= 0")
@@ -87,15 +88,20 @@ let jobs_term =
 
 (* [Params.make]'s refusal (say [-t] not below [-n], or [--horizon 0]) is
    a usage error, like a bad [--jobs]. *)
-let params_term =
-  let make () () n t horizon mode =
-    match Eba.Params.make ~n ~t ~horizon ~mode with
-    | params -> Ok params
-    | exception Invalid_argument msg -> Error (`Msg msg)
+let make_params n t horizon mode =
+  match Eba.Params.make ~n ~t ~horizon ~mode with
+  | params -> Ok params
+  | exception Invalid_argument msg -> Error (`Msg msg)
+
+(* The semantic commands (model, check, optimize) build one model in the
+   calling domain, so they take no [--jobs], and pack processor sets into
+   one word, so they refuse more than [Bitset.max_width] processors. *)
+let model_params_term =
+  let make () n t horizon mode =
+    if n <= Eba.Bitset.max_width then make_params n t horizon mode
+    else Error (`Msg (Printf.sprintf "-n %d: a bounded model has at most %d processors" n Eba.Bitset.max_width))
   in
-  Term.(
-    term_result
-      (const make $ jobs_term $ metrics_term $ n_arg $ t_arg $ horizon_arg $ mode_arg))
+  Term.(term_result (const make $ metrics_term $ n_arg $ t_arg $ horizon_arg $ mode_arg))
 
 let protocol_arg =
   Arg.(
@@ -117,7 +123,7 @@ let model_cmd =
   in
   Cmd.v
     (Cmd.info "model" ~doc:"Build a bounded model and print its size.")
-    Term.(const run $ params_term)
+    Term.(const run $ model_params_term)
 
 let check_cmd =
   let run params name =
@@ -135,7 +141,7 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Check a protocol against the EBA specification and the optimality characterization.")
-    Term.(const run $ params_term $ protocol_arg)
+    Term.(const run $ model_params_term $ protocol_arg)
 
 let optimize_cmd =
   let run params name =
@@ -155,7 +161,7 @@ let optimize_cmd =
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Apply the paper's two-step optimization to a protocol and report the outcome.")
-    Term.(const run $ params_term $ protocol_arg)
+    Term.(const run $ model_params_term $ protocol_arg)
 
 let experiments_cmd =
   let ids = Eba_harness.Experiments.ids () in
@@ -242,7 +248,7 @@ let netsim_cmd =
       & opt latency_conv (Net.Link.Const 1.0)
       & info [ "latency" ] ~docv:"SPEC"
           ~doc:
-            "Per-link latency model: $(b,const:C), $(b,uniform:LO,HI) or \
+            "Latency model of every link: $(b,const:C), $(b,uniform:LO,HI) or \
              $(b,spike:BASE,PROB,SPIKE) (simulated seconds).")
   in
   let loss_arg =
@@ -355,6 +361,11 @@ let netsim_cmd =
              ones; p0opt+'s saves bytes only over longer horizons and \
              sends more at the default one.")
   in
+  (* the simulator takes every [-n] that [Params.make] admits *)
+  let params_term =
+    let make () () n t horizon mode = make_params n t horizon mode in
+    Term.(term_result (const make $ jobs_term $ metrics_term $ n_arg $ t_arg $ horizon_arg $ mode_arg))
+  in
   let run params name compact latency loss seed runs mux rto window retries
       omit_prob partitions span json =
     let spec =
@@ -426,7 +437,7 @@ let probcheck_cmd =
       & opt latency_conv (Net.Link.Const 1.0)
       & info [ "latency" ] ~docv:"SPEC"
           ~doc:
-            "Per-link latency model: $(b,const:C), $(b,uniform:LO,HI) or \
+            "Latency model of every link: $(b,const:C), $(b,uniform:LO,HI) or \
              $(b,spike:BASE,PROB,SPIKE) (simulated seconds).")
   in
   let loss_arg =

@@ -70,7 +70,6 @@ module P0opt = Eba_protocols.P0opt
 module P0opt_plus = Eba_protocols.P0opt_plus
 module Floodset = Eba_protocols.Floodset
 module Chain0 = Eba_protocols.Chain0
-module Fip_op = Eba_protocols.Fip_op
 module Stats = Eba_protocols.Stats
 
 (* exact probability engine *)

@@ -1,4 +1,4 @@
-(** Enumerated bounded models: the system ℛ of all runs of the
+(** Bounded models, enumerated: the system ℛ of all runs of the
     full-information protocol for a parameter set.
 
     A {e run} is determined by an initial configuration and a failure
@@ -54,10 +54,11 @@ val build :
 (** Enumerates every (configuration, pattern) pair and simulates the
     full-information protocol under it.  [configs] defaults to all [2^n]
     configurations — restricting it changes the system runs are drawn from
-    and hence what is known; it exists for ablation experiments only.
-    [jobs] has no effect: the build runs in the calling domain at every
-    job count.  It is kept for source compatibility with callers that
-    still pass it.
+    and hence what is known, which the tests use to check that fewer runs
+    only create knowledge and that a restricted build matches the naive
+    builder.  [jobs] has no effect: the build runs in the calling domain
+    at every job count.  It is kept for source compatibility with callers
+    that still pass it.
 
     The model's store keeps its interning index, so a view interned into
     it after the build (as an operational full-information run does)

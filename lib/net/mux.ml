@@ -50,16 +50,15 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     mutable s_hi : int;  (* handles handed out since the run began *)
   }
 
-  (* A heap payload is a handle and a tag for what it names.  The wheel
-     holds timers only, so its payloads are bare handles. *)
+  (* A heap payload is a handle and a one-bit tag: a delivery or a batch.
+     Timers live on the wheel only, so its payloads are bare handles. *)
   let tag_deliver = 0
-  let tag_timer = 1
-  let tag_batch = 2
+  let tag_batch = 1
 
   type engine = {
     eg_params : Params.t;
     eg_sync : Sync.t;
-    eg_topology : Topology.t;
+    eg_link : Link.t;  (* the one link every pair shares *)
     eg_plan : Inject.plan;
     eg_total : float;  (* horizon * round_duration, the compile bound *)
     eg_round_end : float array;  (* index by round, 0 .. horizon *)
@@ -68,8 +67,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     eg_wheel : Timer_wheel.t;
     eg_q : Event_queue.t;
     eg_slab : slab;
-    eg_ulink : Link.t option;  (* the one link, when no overrides *)
-    eg_batching : bool;  (* uniform link with Const latency *)
+    eg_batching : bool;  (* Const latency *)
     (* the run's state: nodes and wire record recycled across runs *)
     eg_nodes : N.t array;
     eg_wire : Net_stats.wire;
@@ -129,18 +127,14 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     let n = params.Params.n and horizon = params.Params.horizon in
     let d = sync.Sync.round_duration in
     let times, is_boundary, tick_round = tick_schedule params sync in
-    let ulink = Topology.uniform_link topology in
-    let batching =
-      match ulink with
-      | Some { Link.lat = Link.Const _; _ } -> true
-      | Some _ | None -> false
-    in
+    let link = Topology.link topology in
+    let batching = match link.Link.lat with Link.Const _ -> true | _ -> false in
     let dummy_rng = Random.State.make [| 0 |] in
     let total = float_of_int horizon *. d in
     {
       eg_params = params;
       eg_sync = sync;
-      eg_topology = topology;
+      eg_link = link;
       eg_plan = plan;
       eg_total = total;
       eg_round_end = Array.init (horizon + 1) (fun r -> float_of_int r *. d);
@@ -161,7 +155,6 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
           s_nfree = 0;
           s_hi = 0;
         };
-      eg_ulink = ulink;
       eg_batching = batching;
       eg_nodes =
         Array.init n (fun p -> N.create params ~me:p Value.Zero ~sim_time:0.0);
@@ -243,18 +236,16 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
 
   (* Arm a timer at [time].  In the heap-only schedule this is a heap
      push, consuming one sequence number — the wheel draws the same number
-     from the shared counter so the merged order is identical. *)
+     from the shared counter so the merged order is identical.  [time] is
+     always the tick after the cursor: [tick_schedule] computes each
+     retransmission instant with the float operations and the retry and
+     window tests of [fire_boundary] and [timer_fire], and [create]
+     refuses a schedule that is not strictly increasing. *)
   let arm eng h ~time =
     let w = eng.eg_wheel in
     let tick = Timer_wheel.index_of_time w time in
-    (* a miss is -1, below any cursor *)
-    if tick >= w.Timer_wheel.tw_cursor then
-      Timer_wheel.schedule w ~tick ~seq:(Event_queue.alloc_seq eng.eg_q) h
-    else
-      (* defensive fallback: a fire instant that missed the tick schedule
-         (float absorption) rides the heap — same (time, seq) key, same
-         semantics *)
-      Event_queue.push eng.eg_q ~time ((h lsl 2) lor tag_timer)
+    if tick < 0 then invalid_arg "Mux.arm: timer instant off the tick schedule";
+    Timer_wheel.schedule w ~tick ~seq:(Event_queue.alloc_seq eng.eg_q) h
 
   (* -- batches --------------------------------------------------------- *)
 
@@ -274,7 +265,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     if !j = bc_slots then begin
       let b = new_handle s s.s_msg.(h) in
       s.s_link.(b) <- -1;
-      Event_queue.push eng.eg_q ~time:arrival ((b lsl 2) lor tag_batch);
+      Event_queue.push eng.eg_q ~time:arrival ((b lsl 1) lor tag_batch);
       j := eng.eg_bc_next;
       eng.eg_bc_time.(!j) <- arrival;
       eng.eg_bc_tail.(!j) <- b;
@@ -286,20 +277,15 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
   (* Batching one instant's arrivals is sound exactly when no interleaved
      event at that instant can observe the reordering: the instant must
      not be a tick (no boundary closes the round there, and no timer
-     draws from the rng between two deliveries), and the fabric must be
-     uniform Const (so every same-instant data copy rides the batch and
-     their relative order — the rng draw order of their acks — is append
-     order).  Callers test the fabric ([eg_batching]) first: on any other
-     fabric that spares the call, and the float it boxes, per copy. *)
+     draws from the rng between two deliveries), and the latency must be
+     Const (so every same-instant data copy rides the batch and their
+     relative order — the rng draw order of their acks — is append order).
+     Callers test the latency ([eg_batching]) first: on any other link
+     that spares the call, and the float it boxes, per copy. *)
   let batchable eng ~now ~arrival =
     arrival > now && Timer_wheel.index_of_time eng.eg_wheel arrival < 0
 
   (* -- the per-copy hot path ------------------------------------------- *)
-
-  let link_of eng ~src ~dst =
-    match eng.eg_ulink with
-    | Some l -> l
-    | None -> Topology.link eng.eg_topology ~src ~dst
 
   let transmit eng ~now ~round ~sender ~dest ~copy ~bytes msg =
     let wire = eng.eg_wire in
@@ -314,7 +300,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     else if Inject.cut inj ~now ~src:sender ~dst:dest then
       wire.Net_stats.w_dropped_cut <- wire.Net_stats.w_dropped_cut + 1
     else
-      let link = link_of eng ~src:sender ~dst:dest in
+      let link = eng.eg_link in
       if link.Link.loss > 0.0 && Random.State.float rng 1.0 < link.Link.loss then
         wire.Net_stats.w_dropped_loss <- wire.Net_stats.w_dropped_loss + 1
       else begin
@@ -337,7 +323,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         let h = alloc_slot eng.eg_slab ~round ~sender ~dest ~bytes msg in
         if eng.eg_batching && batchable eng ~now ~arrival then
           batch_deliver eng ~arrival h
-        else Event_queue.push eng.eg_q ~time:arrival ((h lsl 2) lor tag_deliver)
+        else Event_queue.push eng.eg_q ~time:arrival ((h lsl 1) lor tag_deliver)
       end
 
   (* An ack's loss and latency are drawn here, where the reference pushes
@@ -360,7 +346,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     if Inject.cut inj ~now ~src:from ~dst:to_ then
       wire.Net_stats.w_dropped_cut <- wire.Net_stats.w_dropped_cut + 1
     else
-      let link = link_of eng ~src:from ~dst:to_ in
+      let link = eng.eg_link in
       if link.Link.loss > 0.0 && Random.State.float rng 1.0 < link.Link.loss then
         wire.Net_stats.w_dropped_loss <- wire.Net_stats.w_dropped_loss + 1
       else begin
@@ -491,16 +477,14 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
     eng.eg_reuses <- eng.eg_reuses + 1;
     free_slot s b
 
-  (* The heap's earliest event, at its instant: the time and seqno are
-     read before [take] moves the next event into the top slot. *)
+  (* The heap's earliest event, at its instant: the time is read before
+     [take] moves the next event into the top slot. *)
   let process_heap eng =
     let q = eng.eg_q in
-    let now = q.Event_queue.eq_times.(0) and seq = q.Event_queue.eq_seqs.(0) in
+    let now = q.Event_queue.eq_times.(0) in
     let ev = Event_queue.take q in
-    let h = ev lsr 2 and tag = ev land 3 in
-    if tag = tag_deliver then deliver_slot eng ~now h
-    else if tag = tag_timer then timer_fire eng ~now ~seq h
-    else drain_batch eng ~now h
+    if ev land 1 = tag_deliver then deliver_slot eng ~now (ev lsr 1)
+    else drain_batch eng ~now (ev lsr 1)
 
   (* The merged event loop.  The reference is the heap-only schedule: one
      run, every boundary, copy, ack and timer its own heap cell keyed by

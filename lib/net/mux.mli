@@ -14,13 +14,14 @@
       loop processes strictly in global [(time, seqno)] order;
     - deterministic timers (round boundaries, retransmission ladders) live
       in a {!Timer_wheel} over the precomputed tick schedule instead of
-      the heap, merged back by exact [(time, seqno)];
+      the heap, merged back by exact [(time, seqno)]; the schedule holds
+      every instant a timer can be armed at, so none rides the heap;
     - an acknowledgement is node state, not an event: its loss and
       latency are drawn when it is sent, and its arrival key [(time,
       seqno)] is recorded in the data sender's {!Node} at once, where
       each later retransmission timer compares it with its own key — all
       the reference's ack cell would have done;
-    - on a uniform constant-latency fabric, all data copies landing at
+    - on a constant-latency link, all data copies landing at
       one instant collapse into one batch cell and drain in append order
       — a reordering only of provably commuting events;
     - the heap and the wheel carry [int] handles into a struct-of-arrays

@@ -5,9 +5,8 @@
     boundary or retransmission timer can fire: a {e precomputed} set of
     instants, the tick schedule.  The wheel stores one append-ordered slot
     per tick, so arming a timer is an array append and firing a slot
-    drains it front to back: no heap sifts for the (overwhelmingly common)
-    deterministic timer events, leaving the heap to latency-randomized
-    deliveries.
+    drains it front to back: no heap sifts for timer events, leaving the
+    heap to latency-randomized deliveries.
 
     An entry is an [int] payload (a handle into the engine's timer
     columns) and a sequence number drawn from the same counter as the

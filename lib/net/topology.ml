@@ -1,40 +1,10 @@
-type t = {
-  top_n : int;
-  default : Link.t;
-  overrides : ((int * int) * Link.t) list;  (* most recent first *)
-}
+type t = { top_n : int; link : Link.t }
 
 let make ~n ~link =
   if n < 2 then invalid_arg "Topology.make: need at least 2 processors";
-  { top_n = n; default = link; overrides = [] }
-
-let check_edge t ~src ~dst =
-  if src < 0 || src >= t.top_n || dst < 0 || dst >= t.top_n then
-    invalid_arg "Topology: endpoint out of range";
-  if src = dst then invalid_arg "Topology: no self link"
-
-let with_link t ~src ~dst link =
-  check_edge t ~src ~dst;
-  { t with overrides = ((src, dst), link) :: t.overrides }
+  { top_n = n; link }
 
 let n t = t.top_n
-
-let uniform_link t = match t.overrides with [] -> Some t.default | _ -> None
-
-let link t ~src ~dst =
-  check_edge t ~src ~dst;
-  match List.assoc_opt (src, dst) t.overrides with
-  | Some l -> l
-  | None -> t.default
-
-let latency_bound t =
-  List.fold_left
-    (fun acc (_, l) -> Float.max acc (Link.latency_bound l.Link.lat))
-    (Link.latency_bound t.default.Link.lat)
-    t.overrides
-
-let pp fmt t =
-  Format.fprintf fmt "mesh n=%d default=%a%s" t.top_n Link.pp t.default
-    (match List.length t.overrides with
-    | 0 -> ""
-    | k -> Printf.sprintf " (+%d overrides)" k)
+let link t = t.link
+let latency_bound t = Link.latency_bound t.link.Link.lat
+let pp fmt t = Format.fprintf fmt "mesh n=%d default=%a" t.top_n Link.pp t.link

@@ -18,7 +18,6 @@ type by_failures = {
 }
 
 type source =
-  | Enumerated
   | Exhaustive_universe of { flavour : string; universe : string }
   | Sampled_universe of { seed : int; samples : int; universe : string }
 
@@ -37,10 +36,6 @@ type summary = {
   bytes_delivered : int;
   source : source;
 }
-
-let run_one (module P : Protocol_intf.PROTOCOL) params config pattern =
-  let module R = Runner.Make (P) in
-  R.run params config pattern
 
 type acc = {
   mutable a_count : int;
@@ -158,7 +153,7 @@ let consume run n st (config, pattern) =
   if !agreement_bad then st.s_agreement <- st.s_agreement + 1;
   if !validity_bad then st.s_validity <- st.s_validity + 1
 
-let summary_of_state ?(source = Enumerated) name st =
+let summary_of_state ~source name st =
   let by_failures =
     Hashtbl.fold (fun f a acc -> (f, a) :: acc) st.s_per_f []
     |> List.sort (fun (f1, _) (f2, _) -> Stdlib.compare f1 f2)
@@ -197,7 +192,9 @@ let summary_of_state ?(source = Enumerated) name st =
 
 let universe_desc (params : Params.t) = Format.asprintf "%a" Params.pp params
 
-let over_seq ?jobs ?cancel ?source (module P : Protocol_intf.PROTOCOL)
+(* The runs of [workload], distributed over [jobs] domains: each domain
+   folds into its own [state] and the states merge in a fixed order. *)
+let sweep ?jobs ?cancel ~source (module P : Protocol_intf.PROTOCOL)
     (params : Params.t) workload =
   let module R = Runner.Make (P) in
   let run config pattern = R.run params config pattern in
@@ -215,10 +212,7 @@ let over_seq ?jobs ?cancel ?source (module P : Protocol_intf.PROTOCOL)
         Parallel.map_reduce_seq ?jobs ~init:fresh_state ~fold
           ~merge:merge_state workload)
   in
-  summary_of_state ?source P.name st
-
-let over ?jobs ?cancel ?source p params workload =
-  over_seq ?jobs ?cancel ?source p params (List.to_seq workload)
+  summary_of_state ~source P.name st
 
 let exhaustive ?(flavour = Universe.Exhaustive) ?jobs ?cancel p
     (params : Params.t) =
@@ -230,7 +224,7 @@ let exhaustive ?(flavour = Universe.Exhaustive) ?jobs ?cancel p
         universe = universe_desc params;
       }
   in
-  over_seq ?jobs ?cancel ~source p params (Universe.workload_seq ~flavour params)
+  sweep ?jobs ?cancel ~source p params (Universe.workload_seq ~flavour params)
 
 let sampled ?jobs ?cancel p (params : Params.t) ~seed ~samples =
   let rng = Random.State.make [| seed |] in
@@ -248,7 +242,7 @@ let sampled ?jobs ?cancel p (params : Params.t) ~seed ~samples =
     Sampled_universe
       { seed; samples; universe = universe_desc params ^ " uniform(config×pattern)" }
   in
-  over ?jobs ?cancel ~source p params workload
+  sweep ?jobs ?cancel ~source p params (List.to_seq workload)
 
 let pp_by_failures fmt b =
   Format.fprintf fmt "f=%d: %d runs, mean %.2f, max %d%s" b.failures b.count b.mean_time
@@ -256,14 +250,12 @@ let pp_by_failures fmt b =
     (if b.undecided > 0 then Printf.sprintf ", %d undecided" b.undecided else "")
 
 let pp_source fmt = function
-  | Enumerated -> Format.pp_print_string fmt "enumerated workload"
   | Exhaustive_universe { flavour; universe } ->
       Format.fprintf fmt "%s universe of %s" flavour universe
   | Sampled_universe { seed; samples; universe } ->
       Format.fprintf fmt "%d samples from %s, seed=%d" samples universe seed
 
 let source_json = function
-  | Enumerated -> Eba_util.Json.Obj [ ("kind", Eba_util.Json.String "enumerated") ]
   | Exhaustive_universe { flavour; universe } ->
       Eba_util.Json.Obj
         [

@@ -28,7 +28,6 @@ type by_failures = {
     artifact can be reproduced with the recorded [(seed, samples,
     universe)] triple. *)
 type source =
-  | Enumerated  (** caller-supplied workload ({!over} / {!over_seq}) *)
   | Exhaustive_universe of { flavour : string; universe : string }
   | Sampled_universe of { seed : int; samples : int; universe : string }
 
@@ -50,38 +49,6 @@ type summary = {
   source : source;
 }
 
-val run_one :
-  (module Protocol_intf.PROTOCOL) -> Params.t -> Config.t -> Pattern.t -> Runner.trace
-
-val over_seq :
-  ?jobs:int ->
-  ?cancel:Eba_util.Cancel.t ->
-  ?source:source ->
-  (module Protocol_intf.PROTOCOL) ->
-  Params.t ->
-  (Config.t * Pattern.t) Seq.t ->
-  summary
-(** Execute the protocol over a streamed workload as a parallel map-reduce:
-    runs are distributed over [jobs] domains (see {!Eba_util.Parallel} for
-    how the count is resolved), each domain folds into a private integer
-    accumulator, and accumulators are merged in a fixed order — so the
-    summary is bit-identical for every job count, and the workload sequence
-    is never materialized.
-
-    [cancel] is polled before each workload pair: once fired, the sweep
-    raises {!Eba_util.Cancel.Cancelled} within one run per domain.  An
-    un-fired token changes nothing — same summary, same metrics. *)
-
-val over :
-  ?jobs:int ->
-  ?cancel:Eba_util.Cancel.t ->
-  ?source:source ->
-  (module Protocol_intf.PROTOCOL) ->
-  Params.t ->
-  (Config.t * Pattern.t) list ->
-  summary
-(** {!over_seq} on an already-materialized workload. *)
-
 val exhaustive :
   ?flavour:Eba_sim.Universe.flavour ->
   ?jobs:int ->
@@ -90,7 +57,15 @@ val exhaustive :
   Params.t ->
   summary
 (** Every configuration × every pattern of the universe, streamed from
-    {!Eba_sim.Universe.workload_seq}. *)
+    {!Eba_sim.Universe.workload_seq} and never materialized.  The runs
+    are distributed over [jobs] domains (see {!Eba_util.Parallel} for how
+    the count is resolved); each domain folds into a private integer
+    accumulator, and the accumulators merge in a fixed order, so the
+    summary is bit-identical for every job count.
+
+    [cancel] is polled before each run: once fired, the sweep raises
+    {!Eba_util.Cancel.Cancelled} within one run per domain.  An un-fired
+    token changes nothing — same summary, same metrics. *)
 
 val sampled :
   ?jobs:int ->
@@ -100,8 +75,9 @@ val sampled :
   seed:int ->
   samples:int ->
   summary
-(** Random configurations and patterns (deterministic in [seed] regardless
-    of [jobs]). *)
+(** [samples] random configurations and patterns, drawn in sequence from
+    [seed], so the workload is the same for every [jobs]; the runs are
+    distributed, merged and cancelled as in {!exhaustive}. *)
 
 val pp : Format.formatter -> summary -> unit
 val pp_source : Format.formatter -> source -> unit

@@ -139,6 +139,7 @@ let resolve spec =
     sync_of r_topology ~rto:spec.rto ~round_duration:spec.round_duration
       ~retries:spec.retries
   in
+  let* () = trying (fun () -> Net.Sync.check r_sync r_topology) in
   let* r_dynamic =
     trying (fun () ->
         Net.Inject.dynamic ~omit_prob:spec.omit_prob

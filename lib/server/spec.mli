@@ -81,7 +81,9 @@ type resolved = {
 
 val resolve : t -> (resolved, string) result
 (** Validates everything up front (protocol name, compact availability,
-    parameter ranges, sync timing) and freezes the derived defaults. *)
+    parameter ranges, sync timing, a latency bound that fits the round
+    window as {!Eba_net.Sync.check} requires) and freezes the derived
+    defaults. *)
 
 val run :
   ?cancel:Eba_util.Cancel.t ->

@@ -13,22 +13,10 @@ module type S = sig
   val diff : t -> t -> t
   val is_empty : t -> bool
   val equal : t -> t -> bool
-  val compare : t -> t -> int
-  val subset : t -> t -> bool
-  val disjoint : t -> t -> bool
   val cardinal : t -> int
   val of_list : int list -> t
   val to_list : t -> int list
   val iter : (int -> unit) -> t -> unit
-  val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-  val for_all : (int -> bool) -> t -> bool
-  val exists : (int -> bool) -> t -> bool
-  val filter : (int -> bool) -> t -> t
-  val choose : t -> int option
-  val subsets : int -> t list
-  val subsets_of : t -> t list
-  val subsets_upto : int -> int -> t list
-  val pp : Format.formatter -> t -> unit
 end
 
 module Word : S with type t = Bitset.t = Bitset
@@ -39,13 +27,11 @@ module Wide : S = struct
      8 bytes per limb (native-endian int64), read and written through the
      compiler's unaligned 64-bit primitives — one load per limb, no bounds
      check, no per-limb boxing — sized so the protocol hot loops (union,
-     inter, subset over n=256 sets) touch four cache-resident words.
+     inter, diff over n=256 sets) touch four cache-resident words.
      Values stay persistent: a buffer is never mutated after the
      constructing operation returns.  Canonical form: no trailing zero
      limbs ([empty] has length 0); every operation restores it, so [equal]
-     is [Bytes.equal] and [compare] orders by numeric bit-pattern value
-     (length first, then limbs most-significant down), agreeing with
-     [Word.compare] on one-limb sets. *)
+     is [Bytes.equal]. *)
   type t = Bytes.t
 
   external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -152,31 +138,6 @@ module Wide : S = struct
   let is_empty s = Bytes.length s = 0
   let equal a b = Bytes.equal a b
 
-  let compare a b =
-    let la = limbs a and lb = limbs b in
-    if la <> lb then Stdlib.compare la lb
-    else
-      let rec cmp w =
-        if w < 0 then 0
-        else
-          let c = Stdlib.compare (get a w) (get b w) in
-          if c <> 0 then c else cmp (w - 1)
-      in
-      cmp (la - 1)
-
-  let subset a b =
-    let la = limbs a and lb = limbs b in
-    let rec ok w =
-      w >= la
-      || (get a w land lnot (if w < lb then get b w else 0) = 0 && ok (w + 1))
-    in
-    ok 0
-
-  let disjoint a b =
-    let len = min (limbs a) (limbs b) in
-    let rec ok w = w >= len || (get a w land get b w = 0 && ok (w + 1)) in
-    ok 0
-
   let popcount x =
     let rec count acc x = if x = 0 then acc else count (acc + 1) (x land (x - 1)) in
     count 0 x
@@ -188,75 +149,22 @@ module Wide : S = struct
     done;
     !acc
 
-  let fold f s init =
-    let acc = ref init in
+  let iter f s =
     for w = 0 to limbs s - 1 do
       let base = w * wbits in
       let rec bits i x =
         if x <> 0 then begin
-          if x land 1 <> 0 then acc := f (base + i) !acc;
+          if x land 1 <> 0 then f (base + i);
           bits (i + 1) (x lsr 1)
         end
       in
       bits 0 (get s w)
-    done;
-    !acc
+    done
 
   let of_list l = List.fold_left (fun s i -> add i s) empty l
-  let to_list s = List.rev (fold (fun i acc -> i :: acc) s [])
-  let iter f s = fold (fun i () -> f i) s ()
-  let for_all p s = fold (fun i acc -> acc && p i) s true
-  let exists p s = fold (fun i acc -> acc || p i) s false
-  let filter p s = fold (fun i acc -> if p i then add i acc else acc) s empty
 
-  let choose s =
-    if is_empty s then None
-    else begin
-      let w = ref 0 in
-      while get s !w = 0 do
-        incr w
-      done;
-      let rec first i x = if x land 1 <> 0 then i else first (i + 1) (x lsr 1) in
-      Some ((!w * wbits) + first 0 (get s !w))
-    end
-
-  (* Counting in binary over the member positions (lowest member =
-     least-significant digit) is exactly the increasing-bit-pattern order
-     Word's [(sub - mask) land mask] successor trick produces. *)
-  let subsets_of s =
-    let members = Array.of_list (to_list s) in
-    let k = Array.length members in
-    if k > wbits then
-      invalid_arg (Printf.sprintf "Procset.Wide.subsets_of: %d members" k);
-    let of_counter c =
-      let r = ref empty in
-      for j = 0 to k - 1 do
-        if c land (1 lsl j) <> 0 then r := add members.(j) !r
-      done;
-      !r
-    in
-    List.init (1 lsl k) of_counter
-
-  let subsets n =
-    if n < 0 || n > wbits then
-      invalid_arg (Printf.sprintf "Procset.Wide.subsets: width %d out of range" n);
-    subsets_of (full n)
-
-  (* [c]-element subsets of [{0..limit-1}] in colexicographic order (sort
-     by largest element, then recurse) — for sets of equal cardinality
-     this coincides with increasing bit-pattern order, matching Word's
-     [subsets_upto]. *)
-  let rec combs c limit =
-    if c = 0 then [ empty ]
-    else
-      List.concat_map
-        (fun m -> List.map (add m) (combs (c - 1) m))
-        (List.init (limit - c + 1) (fun i -> i + c - 1))
-
-  let subsets_upto n k =
-    if n < 0 then invalid_arg "Procset.Wide.subsets_upto";
-    List.concat_map (fun c -> combs c n) (List.init (min k n + 1) Fun.id)
-
-  let pp fmt s =
-    Format.fprintf fmt "{%s}" (String.concat "," (List.map string_of_int (to_list s)))
+  let to_list s =
+    let acc = ref [] in
+    iter (fun i -> acc := i :: !acc) s;
+    List.rev !acc
 end

@@ -15,8 +15,8 @@
 
     The two agree observationally wherever both are defined: for every
     operation and every width ≤ 62, [Word] and [Wide] produce equal sets
-    (element-for-element, including enumeration order of [to_list],
-    [fold] and [subsets_of]) — property-tested in [test_procset.ml].
+    (element-for-element, including the enumeration order of [to_list]
+    and [iter]) — property-tested in [test_procset.ml].
     Protocols functorized over {!S} therefore make bit-identical decisions
     under either representation; each set-carrying protocol's
     [for_params] (and [Compact.for_params], for its bounded-bandwidth
@@ -51,15 +51,6 @@ module type S = sig
   val is_empty : t -> bool
   val equal : t -> t -> bool
 
-  val compare : t -> t -> int
-  (** A total order.  Both implementations order by the numeric value of
-      the bit pattern, so [Word.compare] and [Wide.compare] agree on every
-      pair of sets with elements below 62. *)
-
-  val subset : t -> t -> bool
-  (** [subset a b] is true iff every element of [a] is in [b]. *)
-
-  val disjoint : t -> t -> bool
   val cardinal : t -> int
   val of_list : int list -> t
 
@@ -67,32 +58,7 @@ module type S = sig
   (** Elements in increasing order. *)
 
   val iter : (int -> unit) -> t -> unit
-  val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-  val for_all : (int -> bool) -> t -> bool
-  val exists : (int -> bool) -> t -> bool
-  val filter : (int -> bool) -> t -> t
-
-  val choose : t -> int option
-  (** Smallest element, if any. *)
-
-  val subsets : int -> t list
-  (** [subsets n] enumerates all [2^n] subsets of [full n], in increasing
-      bit-pattern order.  Raises [Invalid_argument] when [2^n] subsets
-      cannot be enumerated ([n > 62]). *)
-
-  val subsets_of : t -> t list
-  (** [subsets_of s] enumerates all [2^(cardinal s)] subsets of [s], in
-      increasing bit-pattern order (equivalently: counting in binary over
-      the member positions, lowest member = least-significant digit).
-      Raises [Invalid_argument] if [cardinal s > 62]. *)
-
-  val subsets_upto : int -> int -> t list
-  (** [subsets_upto n k] enumerates the subsets of [full n] of cardinality
-      at most [k], smallest cardinality first, colexicographic (=
-      increasing bit-pattern) order within each cardinality. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** Prints as [{0,2,3}]. *)
+  (** Elements in increasing order. *)
 end
 
 module Word : S with type t = Bitset.t
@@ -102,5 +68,4 @@ module Wide : S
 (** The wide path: a canonical array of 62-bit limbs (no trailing zero
     limbs, so structural equality is set equality).  Widths are bounded
     only by memory; [full], [add], [mem] & co. accept any non-negative
-    index.  [subsets]/[subsets_of] still refuse to enumerate more than
-    [2^62] subsets. *)
+    index. *)

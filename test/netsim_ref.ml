@@ -88,7 +88,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
       else if Inject.cut inj ~now ~src:sender ~dst:dest then
         wire.Net_stats.w_dropped_cut <- wire.Net_stats.w_dropped_cut + 1
       else
-        let link = Topology.link topology ~src:sender ~dst:dest in
+        let link = Topology.link topology in
         if link.Link.loss > 0.0 && Random.State.float rng 1.0 < link.Link.loss then
           wire.Net_stats.w_dropped_loss <- wire.Net_stats.w_dropped_loss + 1
         else begin
@@ -114,7 +114,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
                })
         end
     in
-    (* Acknowledgement copies ride the reverse link: same loss, same
+    (* Acknowledgement copies ride the same shared link: same loss, same
        latency model, severed by the same partitions — but never by the
        replayed pattern, which only speaks about protocol messages. *)
     let send_ack ~now ~round ~from ~to_ =
@@ -125,7 +125,7 @@ module Make (P : Eba.Protocol_intf.PROTOCOL) = struct
       if Inject.cut inj ~now ~src:from ~dst:to_ then
         wire.Net_stats.w_dropped_cut <- wire.Net_stats.w_dropped_cut + 1
       else
-        let link = Topology.link topology ~src:from ~dst:to_ in
+        let link = Topology.link topology in
         if link.Link.loss > 0.0 && Random.State.float rng 1.0 < link.Link.loss then
           wire.Net_stats.w_dropped_loss <- wire.Net_stats.w_dropped_loss + 1
         else

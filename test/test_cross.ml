@@ -39,7 +39,7 @@ let mismatches fixture pair (module P : Eba.Protocol_intf.PROTOCOL) =
 
 let fip_of fixture pair =
   let m = model fixture in
-  (module Eba.Fip_op.Make (struct
+  (module Fip_op.Make (struct
     let store = m.M.store
     let pair = pair
   end) : Eba.Protocol_intf.PROTOCOL)

@@ -13,9 +13,13 @@ open Helpers
 let crash_params = crash_3_1_3.params
 let omission_params = omission_3_1_3.params
 
-let run_p0 = Stats.run_one (module Eba.P0.P0) crash_params
-let run_p0opt = Stats.run_one (module Eba.P0opt) crash_params
-let run_flood = Stats.run_one (module Eba.Floodset) crash_params
+let run_one (module P : Eba.Protocol_intf.PROTOCOL) params config pattern =
+  let module R = Runner.Make (P) in
+  R.run params config pattern
+
+let run_p0 = run_one (module Eba.P0.P0) crash_params
+let run_p0opt = run_one (module Eba.P0opt) crash_params
+let run_flood = run_one (module Eba.Floodset) crash_params
 
 let decision_of trace i = trace.Runner.decisions.(i)
 
@@ -80,7 +84,7 @@ let unit_tests =
         done);
     test "Chain0: failure-free all-one decides 1 at time 1" (fun () ->
         let trace =
-          Stats.run_one (module Eba.Chain0) omission_params (Cfg.constant ~n:3 Val.One)
+          run_one (module Eba.Chain0) omission_params (Cfg.constant ~n:3 Val.One)
             (Pat.failure_free omission_params)
         in
         for i = 0 to 2 do
