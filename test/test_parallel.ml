@@ -1,6 +1,6 @@
 (* The domain pool and the streaming sweep engine: parallel results must be
-   bit-identical to sequential ones, and the streamed enumerators must agree
-   with the closed-form counts. *)
+   bit-identical to sequential ones, the streamed enumerators must agree
+   with the closed-form counts, and a sweep honours its cancel token. *)
 
 module Par = Eba.Parallel
 module U = Eba.Universe
@@ -122,4 +122,46 @@ let sweep_determinism_tests =
         check "equal" true (summary_eq a b));
   ]
 
-let suite = ("parallel", pool_tests @ count_tests @ sweep_determinism_tests)
+(* the cancel contract of [Stats.exhaustive] and [Stats.sampled] *)
+let sweep_cancel_tests =
+  let fired () =
+    let c = Eba.Cancel.create () in
+    Eba.Cancel.cancel c;
+    c
+  in
+  let cancelled f =
+    match f () with
+    | (_ : Stats.summary) -> false
+    | exception Eba.Cancel.Cancelled -> true
+  in
+  let p = crash_3_1_3.params in
+  [
+    test "exhaustive: a pre-fired token raises Cancelled, jobs 1 and 2" (fun () ->
+        List.iter
+          (fun jobs ->
+            check (Printf.sprintf "jobs %d" jobs) true
+              (cancelled (fun () ->
+                   Stats.exhaustive ~jobs ~cancel:(fired ()) (module Eba.Floodset) p)))
+          [ 1; 2 ]);
+    test "sampled: a pre-fired token raises Cancelled, jobs 1 and 2" (fun () ->
+        List.iter
+          (fun jobs ->
+            check (Printf.sprintf "jobs %d" jobs) true
+              (cancelled (fun () ->
+                   Stats.sampled ~jobs ~cancel:(fired ()) (module Eba.Floodset) p ~seed:7
+                     ~samples:50)))
+          [ 1; 2 ]);
+    test "an un-fired token leaves both summaries unchanged" (fun () ->
+        let cancel = Eba.Cancel.create () in
+        check "exhaustive" true
+          (summary_eq
+             (Stats.exhaustive ~jobs:2 (module Eba.Chain0) p)
+             (Stats.exhaustive ~jobs:2 ~cancel (module Eba.Chain0) p));
+        check "sampled" true
+          (summary_eq
+             (Stats.sampled ~jobs:2 (module Eba.Chain0) p ~seed:3 ~samples:60)
+             (Stats.sampled ~jobs:2 ~cancel (module Eba.Chain0) p ~seed:3 ~samples:60)));
+  ]
+
+let suite =
+  ("parallel", pool_tests @ count_tests @ sweep_determinism_tests @ sweep_cancel_tests)
