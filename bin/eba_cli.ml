@@ -6,27 +6,9 @@ open Cmdliner
 
 let ( let* ) = Result.bind
 
+module Spec = Eba.Server.Spec
+
 (* --- shared arguments --- *)
-
-let n_arg =
-  Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Number of processors.")
-
-let t_arg =
-  Arg.(value & opt int 1 & info [ "t" ] ~docv:"T" ~doc:"Resilience bound (max faulty).")
-
-let horizon_arg =
-  Arg.(value & opt int 3 & info [ "horizon"; "T" ] ~docv:"H" ~doc:"Time horizon of the bounded model.")
-
-let mode_conv =
-  Arg.enum
-    [
-      ("crash", Eba.Params.Crash);
-      ("omission", Eba.Params.Omission);
-      ("general-omission", Eba.Params.General_omission);
-    ]
-
-let mode_arg =
-  Arg.(value & opt mode_conv Eba.Params.Crash & info [ "mode" ] ~docv:"MODE" ~doc:"Failure mode: crash, omission, or general-omission.")
 
 let metrics_arg =
   Arg.(
@@ -61,6 +43,10 @@ let metrics_term =
   in
   Term.(term_result (const set $ metrics_arg))
 
+(* A subcommand: [--metrics] steers the layer before [term] runs. *)
+let cmd name ~doc term =
+  Cmd.v (Cmd.info name ~doc) Term.(const (fun () r -> r) $ metrics_term $ term)
+
 let jobs_arg =
   Arg.(
     value
@@ -86,27 +72,24 @@ let jobs_term =
   in
   Term.(term_result (const set $ jobs_arg))
 
-(* [Params.make]'s refusal (say [-t] not below [-n], or [--horizon 0]) is
-   a usage error, like a bad [--jobs]. *)
-let make_params n t horizon mode =
-  match Eba.Params.make ~n ~t ~horizon ~mode with
-  | params -> Ok params
-  | exception Invalid_argument msg -> Error (`Msg msg)
+let msg r = Result.map_error (fun m -> `Msg m) r
 
 (* The semantic commands (model, check, optimize) build one model in the
    calling domain, so they take no [--jobs], and pack processor sets into
-   one word, so they refuse more than [Bitset.max_width] processors. *)
+   one word, so they refuse more than [Bitset.max_width] processors;
+   [Params.make]'s refusal (say [-t] not below [-n], or [--horizon 0]) is
+   a usage error, like a bad [--jobs]. *)
 let model_params_term =
-  let make () n t horizon mode =
-    if n <= Eba.Bitset.max_width then make_params n t horizon mode
-    else Error (`Msg (Printf.sprintf "-n %d: a bounded model has at most %d processors" n Eba.Bitset.max_width))
+  let make (k : Spec.Knowledge.t) =
+    if k.n <= Eba.Bitset.max_width then msg (Spec.Knowledge.model_params k)
+    else Error (`Msg (Printf.sprintf "-n %d: a bounded model has at most %d processors" k.n Eba.Bitset.max_width))
   in
-  Term.(term_result (const make $ metrics_term $ n_arg $ t_arg $ horizon_arg $ mode_arg))
+  Term.(term_result (const make $ Spec.Knowledge.term))
 
 let protocol_arg =
   Arg.(
     value
-    & opt (enum (List.map (fun s -> (s, s)) Eba.Zoo.names)) "f-lambda-2"
+    & opt (enum (List.map (fun s -> (s, s)) Eba.Zoo.names)) Spec.Knowledge.default.protocol
     & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
         ~doc:(Printf.sprintf "One of: %s." (String.concat ", " Eba.Zoo.names)))
 
@@ -121,8 +104,7 @@ let model_cmd =
     Format.printf "%a@." Eba.Model.pp_stats model;
     Format.printf "failure patterns: %d@." (Eba.Universe.count params)
   in
-  Cmd.v
-    (Cmd.info "model" ~doc:"Build a bounded model and print its size.")
+  cmd "model" ~doc:"Build a bounded model and print its size."
     Term.(const run $ model_params_term)
 
 let check_cmd =
@@ -139,8 +121,7 @@ let check_cmd =
       (Eba.Spec.is_nontrivial_agreement report)
       (Eba.Characterize.is_optimal env d)
   in
-  Cmd.v
-    (Cmd.info "check" ~doc:"Check a protocol against the EBA specification and the optimality characterization.")
+  cmd "check" ~doc:"Check a protocol against the EBA specification and the optimality characterization."
     Term.(const run $ model_params_term $ protocol_arg)
 
 let optimize_cmd =
@@ -159,8 +140,7 @@ let optimize_cmd =
       Eba.Spec.pp
       (Eba.Spec.check dopt)
   in
-  Cmd.v
-    (Cmd.info "optimize" ~doc:"Apply the paper's two-step optimization to a protocol and report the outcome.")
+  cmd "optimize" ~doc:"Apply the paper's two-step optimization to a protocol and report the outcome."
     Term.(const run $ model_params_term $ protocol_arg)
 
 let experiments_cmd =
@@ -171,7 +151,7 @@ let experiments_cmd =
       & opt (some (enum (List.map (fun s -> (s, s)) ids))) None
       & info [ "only" ] ~docv:"ID" ~doc:"Run a single experiment (E1..E12).")
   in
-  let run () () only =
+  let run () only =
     match only with
     | Some id ->
         (match Eba_harness.Experiments.run id with
@@ -181,9 +161,8 @@ let experiments_cmd =
         Format.printf "%a@." Eba_harness.Experiments.pp_summary
           (Eba_harness.Experiments.all ())
   in
-  Cmd.v
-    (Cmd.info "experiments" ~doc:"Reproduce the paper's propositions (E1..E12) on exhaustive models.")
-    Term.(const run $ jobs_term $ metrics_term $ id_arg)
+  cmd "experiments" ~doc:"Reproduce the paper's propositions (E1..E12) on exhaustive models."
+    Term.(const run $ jobs_term $ id_arg)
 
 let tables_cmd =
   let module T = Eba_harness.Tables in
@@ -206,142 +185,16 @@ let tables_cmd =
       & opt (some (enum tables)) None
       & info [ "only" ] ~docv:"TABLE" ~doc:"One of t1..t6, f1..f3; default all.")
   in
-  let run () () only =
+  let run () only =
     let fmt = Format.std_formatter in
     (match only with None -> T.all fmt () | Some table -> table fmt ());
     Format.pp_print_flush fmt ()
   in
-  Cmd.v
-    (Cmd.info "tables" ~doc:"Print the benchmark tables and figure series (EXPERIMENTS.md).")
-    Term.(const run $ jobs_term $ metrics_term $ which)
-
-let latency_conv =
-  let parse s =
-    match Eba.Net.Link.latency_of_string s with
-    | lat -> Ok lat
-    | exception Invalid_argument msg -> Error (`Msg msg)
-  in
-  Arg.conv
-    ( parse,
-      fun fmt l -> Format.pp_print_string fmt (Eba.Net.Link.latency_to_string l) )
+  cmd "tables" ~doc:"Print the benchmark tables and figure series (EXPERIMENTS.md)."
+    Term.(const run $ jobs_term $ which)
 
 let netsim_cmd =
   let module Net = Eba.Net in
-  (* Flags are only collected here; their interpretation — protocol
-     selector tables, derived sync timing, runs/mux defaulting — lives in
-     [Eba.Server.Spec], shared verbatim with the daemon so a served
-     sweep is byte-identical to this command's JSON. *)
-  let module Spec = Eba.Server.Spec in
-  let protocol_arg =
-    let names = List.map (fun name -> (name, name)) Spec.protocol_names in
-    Arg.(
-      value
-      & opt (enum names) "floodset"
-      & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
-          ~doc:
-            (Printf.sprintf "Operational protocol to simulate: %s."
-               (String.concat ", " (List.map fst names))))
-  in
-  let latency_arg =
-    Arg.(
-      value
-      & opt latency_conv (Net.Link.Const 1.0)
-      & info [ "latency" ] ~docv:"SPEC"
-          ~doc:
-            "Latency model of every link: $(b,const:C), $(b,uniform:LO,HI) or \
-             $(b,spike:BASE,PROB,SPIKE) (simulated seconds).")
-  in
-  let loss_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "loss" ] ~docv:"P"
-          ~doc:"Per-copy drop probability of every link (data and acks).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:
-            "Master seed.  The sweep is a pure function of (parameters, \
-             seed): rerunning reproduces the summary bit for bit, for any \
-             $(b,--jobs).")
-  in
-  let runs_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "runs" ] ~docv:"RUNS"
-          ~doc:"Independent runs, each with a fresh random initial \
-                configuration and adversary (default 100; with $(b,--mux K), \
-                defaults to K).")
-  in
-  let mux_conv =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "auto" -> Ok Spec.Mux_auto
-      | "off" -> Ok Spec.Mux_off
-      | s -> (
-          match int_of_string_opt s with
-          | Some k when k >= 1 -> Ok (Spec.Mux_live k)
-          | Some _ -> Error (`Msg "--mux: wave size must be >= 1")
-          | None -> Error (`Msg "--mux: expected auto, off or a wave size"))
-    in
-    let print fmt = function
-      | Spec.Mux_off -> Format.pp_print_string fmt "off"
-      | Spec.Mux_auto -> Format.pp_print_string fmt "auto"
-      | Spec.Mux_live k -> Format.pp_print_int fmt k
-    in
-    Arg.conv (parse, print)
-  in
-  let mux_arg =
-    Arg.(
-      value & opt mux_conv Spec.Mux_off
-      & info [ "mux" ] ~docv:"K"
-          ~doc:
-            "Legacy wave size, kept for existing scripts: runs execute one \
-             at a time whatever is given, so the summary is bit-identical \
-             for $(b,off) (the default), $(b,auto) and every $(docv).  With \
-             $(b,auto) or $(docv), also reports instances per second and \
-             the p99 decision latency; with $(docv), $(b,--runs) defaults \
-             to $(docv).")
-  in
-  let rto_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "rto" ] ~docv:"SECS"
-          ~doc:"Retransmission timeout (default: derived from the latency \
-                bound).")
-  in
-  let window_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "round-duration" ] ~docv:"SECS"
-          ~doc:"Round window width (default: 8 RTOs).")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "retries" ] ~docv:"K"
-          ~doc:"Retransmissions per unacknowledged message (default 7).")
-  in
-  let omit_prob_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "omit-prob" ] ~docv:"P"
-          ~doc:"Omission modes: probability a faulty processor's copy is \
-                suppressed.")
-  in
-  let partitions_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "partitions" ] ~docv:"K"
-          ~doc:"Transient network partitions per run.")
-  in
-  let span_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "partition-span" ] ~docv:"SECS"
-          ~doc:"Duration of each partition (default: 2 RTOs).")
-  in
   let json_arg =
     Arg.(
       value & opt (some string) None
@@ -349,50 +202,12 @@ let netsim_cmd =
           ~doc:"Also write the summary to FILE as JSON: the object a served \
                  netsim-sweep returns.")
   in
-  let compact_arg =
-    Arg.(
-      value & flag
-      & info [ "compact" ]
-          ~doc:
-            "Use the bounded-bandwidth codec of the protocol (p0opt, \
-             p0opt+ and chain0 only): identical decisions, and each \
-             destination is sent only what it is not proven to hold.  The \
-             p0opt and chain0 codecs never send more bytes than the full \
-             ones; p0opt+'s saves bytes only over longer horizons and \
-             sends more at the default one.")
-  in
-  (* the simulator takes every [-n] that [Params.make] admits *)
-  let params_term =
-    let make () () n t horizon mode = make_params n t horizon mode in
-    Term.(term_result (const make $ jobs_term $ metrics_term $ n_arg $ t_arg $ horizon_arg $ mode_arg))
-  in
-  let run params name compact latency loss seed runs mux rto window retries
-      omit_prob partitions span json =
-    let spec =
-      {
-        Spec.default with
-        protocol = name;
-        compact;
-        n = params.Eba.Params.n;
-        t_failures = params.Eba.Params.t_failures;
-        horizon = params.Eba.Params.horizon;
-        mode = params.Eba.Params.mode;
-        latency;
-        loss;
-        seed;
-        runs;
-        mux;
-        rto;
-        round_duration = window;
-        retries;
-        omit_prob;
-        partitions;
-        partition_span = span;
-      }
-    in
-    let* resolved =
-      match Spec.resolve spec with Ok r -> Ok r | Error m -> Error (`Msg m)
-    in
+  (* Every other flag but [--jobs] is a field of [Spec]'s table, and its
+     interpretation (protocol selector tables, derived sync timing,
+     runs/mux defaulting) is shared verbatim with the daemon, so a served
+     sweep is byte-identical to this command's JSON. *)
+  let run () spec json =
+    let* resolved = msg (Spec.resolve spec) in
     let t0 = Monotonic_clock.now () in
     let summary = Spec.run resolved in
     let elapsed = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9 in
@@ -415,109 +230,40 @@ let netsim_cmd =
       json;
     Ok ()
   in
-  Cmd.v
-    (Cmd.info "netsim"
-       ~doc:
-         "Run an operational protocol over the discrete-event network \
-          simulator: seeded sampled workloads with message loss, latency, \
-          crash/omission adversaries and transient partitions, executed \
-          under the timeout-and-retransmission round synchronizer.")
-    Term.(
-      term_result
-        (const run $ params_term $ protocol_arg $ compact_arg $ latency_arg
-        $ loss_arg $ seed_arg $ runs_arg $ mux_arg $ rto_arg $ window_arg
-        $ retries_arg $ omit_prob_arg $ partitions_arg $ span_arg $ json_arg))
+  cmd "netsim"
+    ~doc:
+      "Run an operational protocol over the discrete-event network \
+       simulator: seeded sampled workloads with message loss, latency, \
+       crash/omission adversaries and transient partitions, executed \
+       under the timeout-and-retransmission round synchronizer."
+    Term.(term_result (const run $ jobs_term $ Spec.term $ json_arg))
 
 let probcheck_cmd =
-  let module Net = Eba.Net in
   let module Prob = Eba.Prob in
-  let latency_arg =
-    Arg.(
-      value
-      & opt latency_conv (Net.Link.Const 1.0)
-      & info [ "latency" ] ~docv:"SPEC"
-          ~doc:
-            "Latency model of every link: $(b,const:C), $(b,uniform:LO,HI) or \
-             $(b,spike:BASE,PROB,SPIKE) (simulated seconds).")
-  in
-  let loss_arg =
-    Arg.(
-      value & opt string "0"
-      & info [ "loss" ] ~docv:"P"
-          ~doc:
-            "Per-copy drop probability, read exactly as a decimal literal: \
-             $(b,0.05) means the rational 1/20, not the nearest float.")
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "rounds" ] ~docv:"R"
-          ~doc:"Protocol rounds in a run (default: t + 1, FloodSet's \
-                decision deadline).")
-  in
-  let rto_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "rto" ] ~docv:"SECS"
-          ~doc:"Retransmission timeout (default: derived from the latency \
-                bound).")
-  in
-  let window_arg =
-    Arg.(
-      value & opt (some float) None
-      & info [ "round-duration" ] ~docv:"SECS"
-          ~doc:"Round window width (default: 8 RTOs).")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "retries" ] ~docv:"K"
-          ~doc:"Retransmissions per unacknowledged message (default 7).")
-  in
   let json_arg =
     Arg.(
       value & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Also write the report as an eba-prob/1 JSON object.")
   in
-  let run n t rounds latency loss rto window retries json =
-    (* Same shared interpretation as the daemon's [probcheck] verb. *)
-    let spec =
-      {
-        Eba.Server.Spec.Probcheck.n;
-        t_failures = t;
-        rounds;
-        latency;
-        loss;
-        rto;
-        round_duration = window;
-        retries;
-      }
-    in
-    let* report =
-      match Eba.Server.Spec.Probcheck.report spec with
-      | Ok r -> Ok r
-      | Error msg -> Error (`Msg msg)
-    in
+  (* Same shared interpretation as the daemon's [probcheck] verb. *)
+  let run spec json =
+    let* report = msg (Spec.Probcheck.report spec) in
     print_string (Prob.Report.to_text report);
     Option.iter
       (fun file -> Eba.Json.to_file file (Prob.Report.to_json report))
       json;
     Ok ()
   in
-  Cmd.v
-    (Cmd.info "probcheck"
-       ~doc:
-         "Exact failure probabilities of a lossy sweep, computed instead of \
-          sampled: a Markov analysis of the retransmission schedule inside \
-          one synchronizer round window yields the per-message residual-miss \
-          probability, landing-attempt distribution, and whole-run \
-          all-copies-delivered probability as exact rationals (the numbers \
-          seeded $(b,eba netsim) sweeps fluctuate around).")
-    Term.(
-      term_result
-        (const run $ n_arg $ t_arg $ rounds_arg $ latency_arg $ loss_arg
-        $ rto_arg $ window_arg $ retries_arg $ json_arg))
+  cmd "probcheck"
+    ~doc:
+      "Exact failure probabilities of a lossy sweep, computed instead of \
+       sampled: a Markov analysis of the retransmission schedule inside \
+       one synchronizer round window yields the per-message residual-miss \
+       probability, landing-attempt distribution, and whole-run \
+       all-copies-delivered probability as exact rationals (the numbers \
+       seeded $(b,eba netsim) sweeps fluctuate around)."
+    Term.(term_result (const run $ Spec.Probcheck.term $ json_arg))
 
 (* --- the resident agreement service --- *)
 
@@ -562,7 +308,7 @@ let address_of ~socket ~port =
   | Some _, Some _ -> Error (`Msg "--socket and --port are mutually exclusive")
 
 let serve_cmd =
-  let run () () socket port workers queue_cap =
+  let run () socket port workers queue_cap =
     let* address = address_of ~socket ~port in
     if workers < 0 then Error (`Msg "--workers must be >= 0")
     else if queue_cap < 1 then Error (`Msg "--queue-cap must be >= 1")
@@ -591,17 +337,16 @@ let serve_cmd =
       | exception Invalid_argument msg -> Error (`Msg msg)
     end
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the resident agreement service: a daemon answering \
-          netsim-sweep, probcheck and knowledge-query requests over \
-          length-prefixed JSON frames, with a bounded queue, typed \
-          backpressure, and graceful SIGINT/SIGTERM drain.  Served \
-          results are byte-identical to the batch commands for the same \
-          request identity.")
-    Term.(term_result (const run $ jobs_term $ metrics_term $ socket_arg
-                       $ port_arg $ workers_arg $ queue_cap_arg))
+  cmd "serve"
+    ~doc:
+      "Run the resident agreement service: a daemon answering \
+       netsim-sweep, probcheck and knowledge-query requests over \
+       length-prefixed JSON frames, with a bounded queue, typed \
+       backpressure, and graceful SIGINT/SIGTERM drain.  Served \
+       results are byte-identical to the batch commands for the same \
+       request identity."
+    Term.(term_result (const run $ jobs_term $ socket_arg $ port_arg
+                       $ workers_arg $ queue_cap_arg))
 
 let bench_serve_cmd =
   let clients_arg =
@@ -629,7 +374,7 @@ let bench_serve_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Also write the result to FILE as JSON.")
   in
-  let run () () clients requests workers queue_cap check json =
+  let run () clients requests workers queue_cap check json =
     if clients < 1 then Error (`Msg "--clients must be >= 1")
     else if requests < 1 then Error (`Msg "--requests must be >= 1")
     else begin
@@ -661,16 +406,15 @@ let bench_serve_cmd =
       else Ok ()
     end
   in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "Load-test an in-process agreement daemon: concurrent clients \
-          issuing netsim-sweep requests, reporting p50/p99 latency and \
-          requests/sec.")
+  cmd "bench-serve"
+    ~doc:
+      "Load-test an in-process agreement daemon: concurrent clients \
+       issuing netsim-sweep requests, reporting p50/p99 latency and \
+       requests/sec."
     Term.(
       term_result
-        (const run $ jobs_term $ metrics_term $ clients_arg $ requests_arg
-        $ workers_arg $ queue_cap_arg $ check_arg $ json_arg))
+        (const run $ jobs_term $ clients_arg $ requests_arg $ workers_arg
+        $ queue_cap_arg $ check_arg $ json_arg))
 
 let () =
   (* Spans get bechamel's CLOCK_MONOTONIC stub; the library default is

@@ -1,17 +1,12 @@
-module Net = Eba.Net
-module Prob = Eba.Prob
+module Spec = Eba.Server.Spec
 
+(* what [eba probcheck -n N -t T --latency L --loss P] computes *)
 let case ~n ~t ~latency ~loss () =
-  let topology =
-    Net.Topology.make ~n ~link:(Net.Link.make ~latency ~loss:0.0)
-  in
-  let sync = Net.Sync.default_for topology in
-  Prob.Report.make ~n ~t ~rounds:(t + 1)
-    ~loss:(Prob.Q.of_decimal_string loss)
-    ~latency ~sync ()
+  Result.get_ok
+    (Spec.Probcheck.report { Spec.Probcheck.default with n; t_failures = t; latency; loss })
 
-let small = case ~n:4 ~t:1 ~latency:(Net.Link.Const 1.0) ~loss:"0.25"
-let n64 = case ~n:64 ~t:8 ~latency:(Net.Link.Uniform (0.2, 1.0)) ~loss:"0.05"
+let small = case ~n:4 ~t:1 ~latency:(Eba.Net.Link.Const 1.0) ~loss:"0.25"
+let n64 = case ~n:64 ~t:8 ~latency:(Eba.Net.Link.Uniform (0.2, 1.0)) ~loss:"0.05"
 
 let by_name = function
   | "small" -> Some (small ())

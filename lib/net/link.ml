@@ -40,10 +40,20 @@ let latency_of_string s =
   check_lat lat;
   lat
 
+(* [%g] when it reads back as [x], else the shortest of 15, 16 and 17
+   significant digits that does (17 always does). *)
+let float_to_string x =
+  let at digits = Printf.sprintf "%.*g" digits x in
+  match List.find_opt (fun d -> float_of_string (at d) = x) [ 6; 15; 16 ] with
+  | Some d -> at d
+  | None -> at 17
+
 let latency_to_string = function
-  | Const c -> Printf.sprintf "const:%g" c
-  | Uniform (lo, hi) -> Printf.sprintf "uniform:%g,%g" lo hi
-  | Spike { base; prob; spike } -> Printf.sprintf "spike:%g,%g,%g" base prob spike
+  | Const c -> "const:" ^ float_to_string c
+  | Uniform (lo, hi) -> Printf.sprintf "uniform:%s,%s" (float_to_string lo) (float_to_string hi)
+  | Spike { base; prob; spike } ->
+      Printf.sprintf "spike:%s,%s,%s" (float_to_string base) (float_to_string prob)
+        (float_to_string spike)
 
 let sample_latency rng = function
   | Const c -> c

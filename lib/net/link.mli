@@ -19,7 +19,9 @@ val latency_of_string : string -> latency
     or non-positive/ill-ordered parameters. *)
 
 val latency_to_string : latency -> string
-(** Inverse of {!latency_of_string} (canonical form). *)
+(** Inverse of {!latency_of_string} (canonical form): each parameter
+    prints with [%g] when that reads back equal, else with the fewest of
+    15, 16 or 17 significant digits that does. *)
 
 val sample_latency : Random.State.t -> latency -> float
 

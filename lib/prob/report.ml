@@ -1,5 +1,6 @@
 module Bigint = Eba_util.Bigint
 module Json = Eba_util.Json
+module Metrics = Eba_util.Metrics
 module Link = Eba_net.Link
 module Sync = Eba_net.Sync
 
@@ -22,6 +23,8 @@ type t = {
 }
 
 let sig_figs = 9
+let s_landing = Metrics.span "prob.landing"
+let s_run_all_power = Metrics.span "prob.run_all_power"
 
 (* [make]'s argument checks, in its order, then its chain spec and its
    per-round and per-run message counts. *)
@@ -52,10 +55,14 @@ let make ?cancel ~n ~t ~rounds ~loss ~latency ~sync () =
   let spec, m, mr = validate ~n ~t ~rounds ~loss ~latency ~sync in
   let check () = Eba_util.Cancel.check_opt cancel in
   check ();
-  let landing = Round_chain.landing ~sig_figs ?cancel spec ~m in
+  let landing =
+    Metrics.time s_landing (fun () -> Round_chain.landing ~sig_figs ?cancel spec ~m)
+  in
   check ();
   let q = landing.Round_chain.miss_after_attempt.(spec.Round_chain.attempts) in
-  let run_all_delivered = Q.pow (Q.one_minus q) mr in
+  let run_all_delivered =
+    Metrics.time s_run_all_power (fun () -> Q.pow (Q.one_minus q) mr)
+  in
   {
     n;
     t_faults = t;

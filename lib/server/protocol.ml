@@ -155,42 +155,10 @@ let get_int ?default params key =
       | Some d -> Ok d
       | None -> Error (Printf.sprintf "missing %S" key))
 
-let get_int_opt params key =
-  match mem params key with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.Int i) -> Ok (Some i)
-  | Some _ -> wrong key "an integer"
-
-let get_float ?default params key =
-  match mem params key with
-  | Some (Json.Float x) -> Ok x
-  | Some (Json.Int i) -> Ok (float_of_int i)
-  | Some _ -> wrong key "a number"
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing %S" key))
-
-let get_float_opt params key =
-  match mem params key with
-  | None | Some Json.Null -> Ok None
-  | Some (Json.Float x) -> Ok (Some x)
-  | Some (Json.Int i) -> Ok (Some (float_of_int i))
-  | Some _ -> wrong key "a number"
-
 let get_string ?default params key =
   match mem params key with
   | Some (Json.String s) -> Ok s
   | Some _ -> wrong key "a string"
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing %S" key))
-
-let get_bool ?default params key =
-  match mem params key with
-  | Some (Json.Bool b) -> Ok b
-  | Some _ -> wrong key "a boolean"
   | None -> (
       match default with
       | Some d -> Ok d

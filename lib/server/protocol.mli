@@ -96,14 +96,9 @@ val reply_of_json : Json.t -> (Json.t * reply, string) result
 
 (** {1 Param accessors}
 
-    Small total accessors the per-verb decoders are written with; each
-    returns [Error] naming the field on a type mismatch, and [default]
-    when the field is absent. *)
+    Small total accessors for reading a params object outside the verbs'
+    field tables ({!Spec}); each returns [Error] naming the field on a
+    type mismatch, and [default] when the field is absent. *)
 
-val mem : Json.t -> string -> Json.t option
 val get_int : ?default:int -> Json.t -> string -> (int, string) result
-val get_int_opt : Json.t -> string -> (int option, string) result
-val get_float : ?default:float -> Json.t -> string -> (float, string) result
-val get_float_opt : Json.t -> string -> (float option, string) result
 val get_string : ?default:string -> Json.t -> string -> (string, string) result
-val get_bool : ?default:bool -> Json.t -> string -> (bool, string) result

@@ -1,5 +1,4 @@
 module Json = Eba_util.Json
-module P = Protocol
 module Params = Eba_sim.Params
 
 let ( let* ) = Result.bind
@@ -86,46 +85,30 @@ let admit_universe params =
   | exception C.Overflow -> too_large "more than max_int"
 
 let knowledge params =
-  let* () =
-    Spec.check_keys
-      ~allowed:[ "n"; "t"; "horizon"; "mode"; "protocol"; "query"; "jobs" ]
-      params
-  in
-  let* n = P.get_int ~default:3 params "n" in
-  let* t = P.get_int ~default:1 params "t" in
-  let* horizon = P.get_int ~default:3 params "horizon" in
-  let* mode_s = P.get_string ~default:"crash" params "mode" in
-  let* mode =
-    match Spec.mode_of_string mode_s with
-    | Some m -> Ok m
-    | None -> Error (Printf.sprintf "unknown mode %S" mode_s)
-  in
-  let* query = P.get_string ~default:"spec" params "query" in
-  let* jobs = Spec.get_jobs params in
-  let* model_params = trying (fun () -> Params.make ~n ~t ~horizon ~mode) in
+  let* (k : Spec.Knowledge.t) = Spec.Knowledge.of_json params in
+  let* model_params = Spec.Knowledge.model_params k in
   let* () = admit_universe model_params in
-  let identity name =
+  let identity =
     [
-      ("protocol", Json.String name);
-      ("query", Json.String query);
-      ("n", Json.Int n);
-      ("t", Json.Int t);
-      ("horizon", Json.Int horizon);
-      ("mode", Json.String mode_s);
+      ("protocol", Json.String k.protocol);
+      ("query", Json.String k.query);
+      ("n", Json.Int k.n);
+      ("t", Json.Int k.t_failures);
+      ("horizon", Json.Int k.horizon);
+      ("mode", Json.String (Spec.mode_to_string k.mode));
     ]
   in
-  match query with
+  match k.query with
   | "spec" ->
       (* The CLI [check] command's pipeline: semantic decisions of the
          named knowledge-based protocol, checked against the EBA spec
          and the Theorem 5.3 optimality characterization. *)
-      let* name = P.get_string ~default:"f-lambda-2" params "protocol" in
       let* pair_of_env =
-        match Eba_core.Zoo.by_name name with
+        match Eba_core.Zoo.by_name k.protocol with
         | Some build -> Ok build
         | None ->
             Error
-              (Printf.sprintf "unknown protocol %S (have: %s)" name
+              (Printf.sprintf "unknown protocol %S (have: %s)" k.protocol
                  (String.concat ", " Eba_core.Zoo.names))
       in
       Ok
@@ -145,7 +128,7 @@ let knowledge params =
               let d = Eba_core.Kb_protocol.decide model pair in
               let report = Eba_core.Spec.check d in
               Json.Obj
-                (identity name
+                (identity
                 @ [
                     ("eba", Json.Bool (Eba_core.Spec.is_eba report));
                     ( "nta",
@@ -159,25 +142,17 @@ let knowledge params =
       (* Every configuration x every pattern through an operational
          protocol — [Stats.exhaustive]'s summary as
          [Stats.summary_json]. *)
-      let* name = P.get_string ~default:"floodset" params "protocol" in
-      let* select =
-        match List.assoc_opt name Spec.protocols with
-        | Some s -> Ok s
-        | None ->
-            Error
-              (Printf.sprintf "unknown protocol %S (have: %s)" name
-                 (String.concat ", " Spec.protocol_names))
-      in
+      let* select = Spec.select_protocol k.protocol in
       let* protocol = trying (fun () -> select model_params) in
       Ok
         (fun ctx ->
           trying (fun () ->
               let summary =
-                Eba_protocols.Stats.exhaustive ?jobs ~cancel:ctx.cancel
+                Eba_protocols.Stats.exhaustive ?jobs:k.jobs ~cancel:ctx.cancel
                   protocol model_params
               in
               Json.Obj
-                (identity name
+                (identity
                 @ [ ("summary", Eba_protocols.Stats.summary_json summary) ])))
   | other ->
       Error

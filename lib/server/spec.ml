@@ -1,11 +1,213 @@
 module Json = Eba_util.Json
 module Params = Eba_sim.Params
 module Net = Eba_net
-module P = Protocol
 
 let ( let* ) = Result.bind
 
+(* Raising constructors ([Params.make], [Link.make], [Sync.make], ...)
+   become typed errors here: a daemon must answer a bad request, not die
+   on it. *)
+let trying f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
 type mux = Mux_off | Mux_auto | Mux_live of int
+
+let mode_to_string = function
+  | Params.Crash -> "crash"
+  | Params.Omission -> "omission"
+  | Params.General_omission -> "general-omission"
+
+let modes = [ Params.Crash; Params.Omission; Params.General_omission ]
+let mode_of_string s = List.find_opt (fun m -> mode_to_string m = s) modes
+
+(* --- one description per parameter --- *)
+
+type _ kind =
+  | Int : int kind
+  | Float : float kind
+  | Flag : bool kind
+  | String : string kind
+  | Enum : string list -> string kind
+  | Mode : Params.mode kind
+  | Latency : Net.Link.latency kind
+  | Mux : mux kind
+  | Jobs : int option kind
+  | Option : 'a kind -> 'a option kind
+
+type ('r, 'a) param = {
+  key : string;
+  names : string list;
+  docv : string;
+  doc : string;
+  kind : 'a kind;
+  get : 'r -> 'a;
+  set : 'r -> 'a -> 'r;
+}
+
+type 'r field = Field : ('r, 'a) param -> 'r field
+
+let param ?(aliases = []) key ~docv ~doc kind get set =
+  let long = String.map (function '_' -> '-' | c -> c) key in
+  Field { key; names = long :: aliases; docv; doc; kind; get; set }
+
+let wire_only key kind get set =
+  Field { key; names = []; docv = ""; doc = ""; kind; get; set }
+
+(* The parameters more than one verb takes, each given its verb's
+   accessors. *)
+let n_field get = param "n" ~docv:"N" ~doc:"Number of processors." Int get
+let t_field get = param "t" ~docv:"T" ~doc:"Resilience bound (max faulty)." Int get
+
+let horizon_field get =
+  param "horizon" ~aliases:[ "T" ] ~docv:"H" ~doc:"Time horizon of the bounded model." Int get
+
+let mode_field get =
+  param "mode" ~docv:"MODE" ~doc:"Failure mode: crash, omission, or general-omission." Mode get
+
+let latency_field get =
+  param "latency" ~docv:"SPEC"
+    ~doc:
+      "Latency model of every link: $(b,const:C), $(b,uniform:LO,HI) or \
+       $(b,spike:BASE,PROB,SPIKE) (simulated seconds)."
+    Latency get
+
+let rto_field get =
+  param "rto" ~docv:"SECS"
+    ~doc:"Retransmission timeout (default: derived from the latency bound)." (Option Float) get
+
+let round_duration_field get =
+  param "round_duration" ~docv:"SECS" ~doc:"Round window width (default: 8 RTOs)."
+    (Option Float) get
+
+let retries_field get =
+  param "retries" ~docv:"K" ~doc:"Retransmissions per unacknowledged message (default 7)."
+    (Option Int) get
+
+let jobs_field get = wire_only "jobs" Jobs get
+
+(* --- the wire decoder --- *)
+
+let parse_latency s = trying (fun () -> Net.Link.latency_of_string s)
+
+(* [null] means absent for these, and is a type error elsewhere. *)
+let nullable : type a. a kind -> bool = function
+  | Option _ | Latency | Mux | Jobs -> true
+  | Int | Float | Flag | String | Enum _ | Mode -> false
+
+let rec decode : type a. a kind -> string -> Json.t -> (a, string) result =
+ fun kind key v ->
+  let expected what = Error (Printf.sprintf "%S must be %s" key what) in
+  match (kind, v) with
+  | Int, Json.Int i -> Ok i
+  | Int, _ -> expected "an integer"
+  | Float, Json.Float x -> Ok x
+  | Float, Json.Int i -> Ok (float_of_int i)
+  | Float, _ -> expected "a number"
+  | Flag, Json.Bool b -> Ok b
+  | Flag, _ -> expected "a boolean"
+  | String, Json.String s -> Ok s
+  | Enum _, Json.String s -> Ok s
+  | (String | Enum _), _ -> expected "a string"
+  | Mode, Json.String s ->
+      Option.to_result (mode_of_string s)
+        ~none:(Printf.sprintf "unknown mode %S" s)
+  | Mode, _ -> expected "a string"
+  | Latency, Json.String s -> parse_latency s
+  | Latency, _ -> expected "a latency spec string"
+  | Mux, Json.String "off" -> Ok Mux_off
+  | Mux, Json.String "auto" -> Ok Mux_auto
+  | Mux, Json.Int k -> Ok (Mux_live k)
+  | Mux, _ -> expected {|"off", "auto" or a wave size|}
+  | Jobs, _ ->
+      (* a peer must not make one request spawn more domains than the
+         host runs; no engine's result depends on its job count *)
+      let* j = decode Int key v in
+      Ok (Some (min j (Eba_util.Parallel.available ())))
+  | Option k, _ -> Result.map Option.some (decode k key v)
+
+let decoder fields default params =
+  match params with
+  | Json.Obj members ->
+      let keys = List.map (fun (Field p) -> p.key) fields in
+      let* () =
+        match List.find_opt (fun (k, _) -> not (List.mem k keys)) members with
+        | Some (k, _) ->
+            Error
+              (Printf.sprintf "unknown field %S (allowed: %s)" k
+                 (String.concat ", " keys))
+        | None -> Ok ()
+      in
+      List.fold_left
+        (fun acc (Field p) ->
+          let* r = acc in
+          match List.assoc_opt p.key members with
+          | None -> Ok r
+          | Some Json.Null when nullable p.kind -> Ok r
+          | Some v -> Result.map (p.set r) (decode p.kind p.key v))
+        (Ok default) fields
+  | _ -> Error "params must be an object"
+
+(* --- the command-line term --- *)
+
+let latency_conv =
+  Cmdliner.Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (parse_latency s)),
+      fun fmt l -> Format.pp_print_string fmt (Net.Link.latency_to_string l) )
+
+(* A wave size below 1 parses; {!resolve} refuses it, as it does a
+   served one. *)
+let mux_conv =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "auto" -> Ok Mux_auto
+    | "off" -> Ok Mux_off
+    | s -> (
+        match int_of_string_opt s with
+        | Some k -> Ok (Mux_live k)
+        | None -> Error (`Msg "--mux: expected auto, off or a wave size"))
+  in
+  let print fmt = function
+    | Mux_off -> Format.pp_print_string fmt "off"
+    | Mux_auto -> Format.pp_print_string fmt "auto"
+    | Mux_live k -> Format.pp_print_int fmt k
+  in
+  Cmdliner.Arg.conv (parse, print)
+
+let rec converter : type a. a kind -> a Cmdliner.Arg.conv =
+  let open Cmdliner.Arg in
+  function
+  | Int -> int
+  | Float -> float
+  | Flag -> bool
+  | String -> string
+  | Enum names -> enum (List.map (fun s -> (s, s)) names)
+  | Mode -> enum (List.map (fun m -> (mode_to_string m, m)) modes)
+  | Latency -> latency_conv
+  | Mux -> mux_conv
+  | Jobs -> some int
+  | Option k -> some (converter k)
+
+let cli_arg : type a. a kind -> a -> Cmdliner.Arg.info -> a Cmdliner.Term.t =
+ fun kind absent i ->
+  let open Cmdliner.Arg in
+  match kind with
+  | Flag -> value & flag i
+  | _ -> value & opt (converter kind) absent i
+
+let cli fields default =
+  let open Cmdliner in
+  List.fold_left
+    (fun acc (Field p) ->
+      match p.names with
+      | [] -> acc
+      | names ->
+          let arg =
+            cli_arg p.kind (p.get default)
+              (Arg.info names ~docv:p.docv ~doc:p.doc)
+          in
+          Term.(const p.set $ acc $ arg))
+    (Term.const default) fields
+
+(* --- netsim-sweep --- *)
 
 type t = {
   protocol : string;
@@ -77,6 +279,72 @@ let compact_protocols :
 let protocol_names = List.map fst protocols
 let compact_protocol_names = List.map fst compact_protocols
 
+let lookup fmt table name =
+  match List.assoc_opt name table with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf fmt name (String.concat ", " (List.map fst table)))
+
+let select_protocol = lookup "unknown protocol %S (have: %s)" protocols
+
+let fields =
+  [
+    param "protocol" ~aliases:[ "p" ] ~docv:"PROTOCOL"
+      ~doc:
+        (Printf.sprintf "Operational protocol to simulate: %s."
+           (String.concat ", " protocol_names))
+      (Enum protocol_names) (fun s -> s.protocol) (fun s protocol -> { s with protocol });
+    param "compact" ~docv:""
+      ~doc:
+        "Use the bounded-bandwidth codec of the protocol (p0opt, p0opt+ and \
+         chain0 only): identical decisions, and each destination is sent \
+         only what it is not proven to hold.  The p0opt and chain0 codecs \
+         never send more bytes than the full ones; p0opt+'s saves bytes \
+         only over longer horizons and sends more at the default one."
+      Flag (fun s -> s.compact) (fun s compact -> { s with compact });
+    n_field (fun s -> s.n) (fun s n -> { s with n });
+    t_field (fun s -> s.t_failures) (fun s t_failures -> { s with t_failures });
+    horizon_field (fun s -> s.horizon) (fun s horizon -> { s with horizon });
+    mode_field (fun s -> s.mode) (fun s mode -> { s with mode });
+    latency_field (fun s -> s.latency) (fun s latency -> { s with latency });
+    param "loss" ~docv:"P" ~doc:"Per-copy drop probability of every link (data and acks)."
+      Float (fun s -> s.loss) (fun s loss -> { s with loss });
+    param "seed" ~docv:"SEED"
+      ~doc:
+        "Master seed.  The sweep is a pure function of (parameters, seed): \
+         rerunning reproduces the summary bit for bit, for any $(b,--jobs)."
+      Int (fun s -> s.seed) (fun s seed -> { s with seed });
+    param "runs" ~docv:"RUNS"
+      ~doc:
+        "Independent runs, each with a fresh random initial configuration \
+         and adversary (default 100; with $(b,--mux K), defaults to K)."
+      (Option Int) (fun s -> s.runs) (fun s runs -> { s with runs });
+    param "mux" ~docv:"K"
+      ~doc:
+        "Legacy wave size, kept for existing scripts: runs execute one at a \
+         time whatever is given, so the summary is bit-identical for \
+         $(b,off) (the default), $(b,auto) and every $(docv).  With \
+         $(b,auto) or $(docv), also reports instances per second and the \
+         p99 decision latency; with $(docv), $(b,--runs) defaults to \
+         $(docv)."
+      Mux (fun s -> s.mux) (fun s mux -> { s with mux });
+    rto_field (fun s -> s.rto) (fun s rto -> { s with rto });
+    round_duration_field (fun s -> s.round_duration) (fun s round_duration ->
+        { s with round_duration });
+    retries_field (fun s -> s.retries) (fun s retries -> { s with retries });
+    param "omit_prob" ~docv:"P"
+      ~doc:"Omission modes: probability a faulty processor's copy is suppressed."
+      Float (fun s -> s.omit_prob) (fun s omit_prob -> { s with omit_prob });
+    param "partitions" ~docv:"K" ~doc:"Transient network partitions per run."
+      Int (fun s -> s.partitions) (fun s partitions -> { s with partitions });
+    param "partition_span" ~docv:"SECS" ~doc:"Duration of each partition (default: 2 RTOs)."
+      (Option Float) (fun s -> s.partition_span) (fun s partition_span ->
+        { s with partition_span });
+    jobs_field (fun s -> s.jobs) (fun s jobs -> { s with jobs });
+  ]
+
+let of_json = decoder fields default
+let term = cli fields default
+
 type resolved = {
   r_spec : t;
   r_protocol : (module Eba_protocols.Protocol_intf.PROTOCOL);
@@ -88,22 +356,21 @@ type resolved = {
   r_mux : int option;
 }
 
-(* Raising constructors ([Params.make], [Link.make], [Sync.make], ...)
-   become typed errors here: a daemon must answer a bad request, not die
-   on it. *)
-let trying f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
-
 (* The synchronizer both verbs resolve: what the request leaves out
    defaults from the latency bound ([Sync.default_for]), the window to
-   8 rto. *)
+   8 rto; a latency bound past the window is refused. *)
 let sync_of topology ~rto ~round_duration ~retries =
   let dflt = Net.Sync.default_for topology in
   let rto = Option.value rto ~default:dflt.Net.Sync.rto in
   trying (fun () ->
-      Net.Sync.make
-        ~round_duration:(Option.value round_duration ~default:(8.0 *. rto))
-        ~rto
-        ~max_retries:(Option.value retries ~default:dflt.Net.Sync.max_retries))
+      let sync =
+        Net.Sync.make
+          ~round_duration:(Option.value round_duration ~default:(8.0 *. rto))
+          ~rto
+          ~max_retries:(Option.value retries ~default:dflt.Net.Sync.max_retries)
+      in
+      Net.Sync.check sync topology;
+      sync)
 
 let resolve spec =
   let* r_params =
@@ -112,22 +379,10 @@ let resolve spec =
           ~mode:spec.mode)
   in
   let* select =
-    if not spec.compact then
-      match List.assoc_opt spec.protocol protocols with
-      | Some s -> Ok s
-      | None ->
-          Error
-            (Printf.sprintf "unknown protocol %S (have: %s)" spec.protocol
-               (String.concat ", " protocol_names))
-    else
-      match List.assoc_opt spec.protocol compact_protocols with
-      | Some s -> Ok s
-      | None ->
-          Error
-            (Printf.sprintf
-               "compact: no bounded-bandwidth variant of %s (have: %s)"
-               spec.protocol
-               (String.concat ", " compact_protocol_names))
+    if spec.compact then
+      lookup "compact: no bounded-bandwidth variant of %s (have: %s)" compact_protocols
+        spec.protocol
+    else select_protocol spec.protocol
   in
   let* r_protocol = trying (fun () -> select r_params) in
   let* r_topology =
@@ -139,7 +394,6 @@ let resolve spec =
     sync_of r_topology ~rto:spec.rto ~round_duration:spec.round_duration
       ~retries:spec.retries
   in
-  let* () = trying (fun () -> Net.Sync.check r_sync r_topology) in
   let* r_dynamic =
     trying (fun () ->
         Net.Inject.dynamic ~omit_prob:spec.omit_prob
@@ -171,131 +425,6 @@ let run ?cancel ?progress r =
     r.r_protocol r.r_params ~sync:r.r_sync ~topology:r.r_topology
     ~dynamic:r.r_dynamic ~seed:r.r_spec.seed ~runs:r.r_runs
 
-(* --- JSON (de)serialization of the spec --- *)
-
-let mode_to_string = function
-  | Params.Crash -> "crash"
-  | Params.Omission -> "omission"
-  | Params.General_omission -> "general-omission"
-
-let mode_of_string = function
-  | "crash" -> Some Params.Crash
-  | "omission" -> Some Params.Omission
-  | "general-omission" -> Some Params.General_omission
-  | _ -> None
-
-let check_keys ~allowed params =
-  match params with
-  | Json.Obj fields ->
-      let rec go = function
-        | [] -> Ok ()
-        | (k, _) :: rest ->
-            if List.mem k allowed then go rest
-            else
-              Error
-                (Printf.sprintf "unknown field %S (allowed: %s)" k
-                   (String.concat ", " allowed))
-      in
-      go fields
-  | _ -> Error "params must be an object"
-
-let get_jobs params =
-  let* jobs = P.get_int_opt params "jobs" in
-  Ok (Option.map (fun j -> min j (Eba_util.Parallel.available ())) jobs)
-
-let netsim_keys =
-  [
-    "protocol"; "compact"; "n"; "t"; "horizon"; "mode"; "latency"; "loss";
-    "seed"; "runs"; "mux"; "rto"; "round_duration"; "retries"; "omit_prob";
-    "partitions"; "partition_span"; "jobs";
-  ]
-
-let get_latency ?(default = default.latency) params key =
-  match P.mem params key with
-  | None | Some Json.Null -> Ok default
-  | Some (Json.String s) -> (
-      match Net.Link.latency_of_string s with
-      | lat -> Ok lat
-      | exception Invalid_argument m -> Error m)
-  | Some _ -> Error (Printf.sprintf "%S must be a latency spec string" key)
-
-let get_mux params =
-  match P.mem params "mux" with
-  | None | Some Json.Null -> Ok Mux_off
-  | Some (Json.String "off") -> Ok Mux_off
-  | Some (Json.String "auto") -> Ok Mux_auto
-  | Some (Json.Int k) -> Ok (Mux_live k)
-  | Some _ -> Error "\"mux\" must be \"off\", \"auto\" or a wave size"
-
-let of_json params =
-  let d = default in
-  let* () = check_keys ~allowed:netsim_keys params in
-  let* protocol = P.get_string ~default:d.protocol params "protocol" in
-  let* compact = P.get_bool ~default:d.compact params "compact" in
-  let* n = P.get_int ~default:d.n params "n" in
-  let* t_failures = P.get_int ~default:d.t_failures params "t" in
-  let* horizon = P.get_int ~default:d.horizon params "horizon" in
-  let* mode_s = P.get_string ~default:(mode_to_string d.mode) params "mode" in
-  let* mode =
-    match mode_of_string mode_s with
-    | Some m -> Ok m
-    | None -> Error (Printf.sprintf "unknown mode %S" mode_s)
-  in
-  let* latency = get_latency params "latency" in
-  let* loss = P.get_float ~default:d.loss params "loss" in
-  let* seed = P.get_int ~default:d.seed params "seed" in
-  let* runs = P.get_int_opt params "runs" in
-  let* mux = get_mux params in
-  let* rto = P.get_float_opt params "rto" in
-  let* round_duration = P.get_float_opt params "round_duration" in
-  let* retries = P.get_int_opt params "retries" in
-  let* omit_prob = P.get_float ~default:d.omit_prob params "omit_prob" in
-  let* partitions = P.get_int ~default:d.partitions params "partitions" in
-  let* partition_span = P.get_float_opt params "partition_span" in
-  let* jobs = get_jobs params in
-  Ok
-    {
-      protocol; compact; n; t_failures; horizon; mode; latency; loss; seed;
-      runs; mux; rto; round_duration; retries; omit_prob; partitions;
-      partition_span; jobs;
-    }
-
-let to_params spec =
-  let d = default in
-  let add cond field rest = if cond then field :: rest else rest in
-  let opt_float key v rest =
-    match v with None -> rest | Some x -> (key, Json.Float x) :: rest
-  in
-  let opt_int key v rest =
-    match v with None -> rest | Some i -> (key, Json.Int i) :: rest
-  in
-  []
-  |> opt_int "jobs" spec.jobs
-  |> opt_float "partition_span" spec.partition_span
-  |> add (spec.partitions <> d.partitions)
-       ("partitions", Json.Int spec.partitions)
-  |> add (spec.omit_prob <> d.omit_prob) ("omit_prob", Json.Float spec.omit_prob)
-  |> opt_int "retries" spec.retries
-  |> opt_float "round_duration" spec.round_duration
-  |> opt_float "rto" spec.rto
-  |> (fun rest ->
-       match spec.mux with
-       | Mux_off -> rest
-       | Mux_auto -> ("mux", Json.String "auto") :: rest
-       | Mux_live k -> ("mux", Json.Int k) :: rest)
-  |> opt_int "runs" spec.runs
-  |> add (spec.seed <> d.seed) ("seed", Json.Int spec.seed)
-  |> add (spec.loss <> d.loss) ("loss", Json.Float spec.loss)
-  |> add (spec.latency <> d.latency)
-       ("latency", Json.String (Net.Link.latency_to_string spec.latency))
-  |> add (spec.mode <> d.mode) ("mode", Json.String (mode_to_string spec.mode))
-  |> add (spec.horizon <> d.horizon) ("horizon", Json.Int spec.horizon)
-  |> add (spec.t_failures <> d.t_failures) ("t", Json.Int spec.t_failures)
-  |> add (spec.n <> d.n) ("n", Json.Int spec.n)
-  |> add spec.compact ("compact", Json.Bool true)
-  |> add (spec.protocol <> d.protocol)
-       ("protocol", Json.String spec.protocol)
-
 module Probcheck = struct
   type t = {
     n : int;
@@ -310,24 +439,44 @@ module Probcheck = struct
 
   let default =
     {
-      n = 3;
-      t_failures = 1;
+      n = default.n;
+      t_failures = default.t_failures;
       rounds = None;
-      latency = Net.Link.Const 1.0;
+      latency = default.latency;
       loss = "0";
       rto = None;
       round_duration = None;
       retries = None;
     }
 
+  let fields =
+    [
+      n_field (fun s -> s.n) (fun s n -> { s with n });
+      t_field (fun s -> s.t_failures) (fun s t_failures -> { s with t_failures });
+      param "rounds" ~docv:"R"
+        ~doc:
+          "Protocol rounds in a run (default: t + 1, FloodSet's decision \
+           deadline)."
+        (Option Int) (fun s -> s.rounds) (fun s rounds -> { s with rounds });
+      latency_field (fun s -> s.latency) (fun s latency -> { s with latency });
+      param "loss" ~docv:"P"
+        ~doc:
+          "Per-copy drop probability, read exactly as a decimal literal: \
+           $(b,0.05) means the rational 1/20, not the nearest float."
+        String (fun s -> s.loss) (fun s loss -> { s with loss });
+      rto_field (fun s -> s.rto) (fun s rto -> { s with rto });
+      round_duration_field (fun s -> s.round_duration) (fun s round_duration ->
+          { s with round_duration });
+      retries_field (fun s -> s.retries) (fun s retries -> { s with retries });
+    ]
+
+  let of_json = decoder fields default
+  let term = cli fields default
+
   (* The exact loss, the synchronizer timing (defaults from the latency
      bound) and the round count. *)
   let resolve spec =
-    let* loss =
-      match Eba_prob.Q.of_decimal_string spec.loss with
-      | q -> Ok q
-      | exception Invalid_argument m -> Error m
-    in
+    let* loss = trying (fun () -> Eba_prob.Q.of_decimal_string spec.loss) in
     let* topology =
       trying (fun () ->
           Net.Topology.make ~n:spec.n
@@ -381,40 +530,56 @@ module Probcheck = struct
              the budget of %d bits"
             spec.n rounds max_power_bits
       | exception Invalid_argument m -> Error m
+end
 
-  let keys =
-    [ "n"; "t"; "rounds"; "latency"; "loss"; "rto"; "round_duration"; "retries" ]
+module Knowledge = struct
+  type t = {
+    n : int;
+    t_failures : int;
+    horizon : int;
+    mode : Params.mode;
+    protocol : string;
+    query : string;
+    jobs : int option;
+  }
 
+  let default =
+    {
+      n = default.n;
+      t_failures = default.t_failures;
+      horizon = default.horizon;
+      mode = default.mode;
+      protocol = "f-lambda-2";
+      query = "spec";
+      jobs = None;
+    }
+
+  let fields =
+    [
+      n_field (fun s -> s.n) (fun s n -> { s with n });
+      t_field (fun s -> s.t_failures) (fun s t_failures -> { s with t_failures });
+      horizon_field (fun s -> s.horizon) (fun s horizon -> { s with horizon });
+      mode_field (fun s -> s.mode) (fun s mode -> { s with mode });
+      wire_only "protocol" String (fun s -> s.protocol) (fun s protocol -> { s with protocol });
+      wire_only "query" String (fun s -> s.query) (fun s query -> { s with query });
+      jobs_field (fun s -> s.jobs) (fun s jobs -> { s with jobs });
+    ]
+
+  (* The exhaustive query runs an operational protocol, so its protocol
+     defaults to FloodSet. *)
   let of_json params =
-    let d = default in
-    let* () = check_keys ~allowed:keys params in
-    let* n = P.get_int ~default:d.n params "n" in
-    let* t_failures = P.get_int ~default:d.t_failures params "t" in
-    let* rounds = P.get_int_opt params "rounds" in
-    let* latency = get_latency ~default:d.latency params "latency" in
-    let* loss = P.get_string ~default:d.loss params "loss" in
-    let* rto = P.get_float_opt params "rto" in
-    let* round_duration = P.get_float_opt params "round_duration" in
-    let* retries = P.get_int_opt params "retries" in
-    Ok { n; t_failures; rounds; latency; loss; rto; round_duration; retries }
+    let default =
+      match params with
+      | Json.Obj members
+        when List.assoc_opt "query" members = Some (Json.String "exhaustive") ->
+          { default with protocol = "floodset" }
+      | _ -> default
+    in
+    decoder fields default params
 
-  let to_params spec =
-    let d = default in
-    let add cond field rest = if cond then field :: rest else rest in
-    let opt_float key v rest =
-      match v with None -> rest | Some x -> (key, Json.Float x) :: rest
-    in
-    let opt_int key v rest =
-      match v with None -> rest | Some i -> (key, Json.Int i) :: rest
-    in
-    []
-    |> opt_int "retries" spec.retries
-    |> opt_float "round_duration" spec.round_duration
-    |> opt_float "rto" spec.rto
-    |> add (spec.loss <> d.loss) ("loss", Json.String spec.loss)
-    |> add (spec.latency <> d.latency)
-         ("latency", Json.String (Net.Link.latency_to_string spec.latency))
-    |> opt_int "rounds" spec.rounds
-    |> add (spec.t_failures <> d.t_failures) ("t", Json.Int spec.t_failures)
-    |> add (spec.n <> d.n) ("n", Json.Int spec.n)
+  let term = cli fields default
+
+  let model_params k =
+    trying (fun () ->
+        Params.make ~n:k.n ~t:k.t_failures ~horizon:k.horizon ~mode:k.mode)
 end

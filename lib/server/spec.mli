@@ -1,14 +1,21 @@
 (** Request specifications for the compute verbs — the {e single} place
-    the parameters of a [netsim-sweep] or [probcheck] workload are
-    interpreted.
+    the parameters of a [netsim-sweep], [probcheck] or [knowledge-query]
+    workload are described and interpreted.
 
-    Both [bin/eba] and the resident daemon build one of these records
-    (the CLI from its flags, the daemon from a request's ["params"]
-    object) and execute it through {!resolve}/{!run} here, so a served
-    answer is bit-identical to the batch CLI's for the same request
-    identity {e by construction} — there is no second copy of the
-    defaulting logic to drift.  The differential suite pins the identity
-    end-to-end over a live socket anyway. *)
+    Each verb has one field table ({!fields}, {!Probcheck.fields},
+    {!Knowledge.fields}): every parameter is described once, with its
+    JSON key, its command-line flag, its help text and its {!kind}, and
+    reads its default from the verb's [default] record.  The wire decoder
+    ([of_json]) and the command-line term ([term]) are folds over that
+    table, so [eba netsim], [eba probcheck] and the semantic commands
+    parse their flags into the same record the daemon decodes from a
+    request's ["params"].  A parameter's JSON key is its long flag with
+    ['-'] read as ['_']; [jobs], [query] and knowledge-query's
+    [protocol] are wire-only.  Both sides then execute the record through
+    {!resolve}/{!run} (or {!Probcheck.report}), so a served answer is
+    bit-identical to the batch CLI's for the same request identity {e by
+    construction}.  The differential suite pins the identity end-to-end
+    over a live socket anyway. *)
 
 module Json = Eba_util.Json
 module Params = Eba_sim.Params
@@ -19,6 +26,44 @@ module Net = Eba_net
     all three; only the [runs] default reads it ([Mux_live k] defaults
     [runs] to [k]), and a wave size below 1 is refused. *)
 type mux = Mux_off | Mux_auto | Mux_live of int
+
+val mode_to_string : Params.mode -> string
+val mode_of_string : string -> Params.mode option
+
+(** {1 Field tables} *)
+
+(** How a parameter reads from the wire and from the command line.  On
+    the wire, [null] means absent for [Option], [Latency], [Mux] and
+    [Jobs], and is a type error for the others. *)
+type _ kind =
+  | Int : int kind
+  | Float : float kind
+  | Flag : bool kind
+  | String : string kind
+  | Enum : string list -> string kind
+      (** only these names on the command line; {!resolve} checks a
+          served one *)
+  | Mode : Params.mode kind
+  | Latency : Net.Link.latency kind
+  | Mux : mux kind
+  | Jobs : int option kind
+      (** clamped to {!Eba_util.Parallel.available}: a peer must not make
+          one request spawn more domains than the host runs *)
+  | Option : 'a kind -> 'a option kind
+
+type ('r, 'a) param = {
+  key : string;
+  names : string list;  (** [[]] for a wire-only parameter *)
+  docv : string;
+  doc : string;
+  kind : 'a kind;
+  get : 'r -> 'a;
+  set : 'r -> 'a -> 'r;
+}
+
+type 'r field = Field : ('r, 'a) param -> 'r field
+
+(** {1 netsim-sweep} *)
 
 type t = {
   protocol : string;
@@ -48,23 +93,18 @@ val default : t
 val protocol_names : string list
 val compact_protocol_names : string list
 
-val protocols :
-  (string * (Params.t -> (module Eba_protocols.Protocol_intf.PROTOCOL))) list
-(** The operational selector table (protocol name -> module for the run
-    parameters), shared with the CLI and the exhaustive knowledge query. *)
+val select_protocol :
+  string -> (Params.t -> (module Eba_protocols.Protocol_intf.PROTOCOL), string) result
+(** The operational protocol of this name (its module for the run
+    parameters), for a sweep and the exhaustive knowledge query alike. *)
 
-val mode_to_string : Params.mode -> string
-val mode_of_string : string -> Params.mode option
+val fields : t field list
 
-val check_keys : allowed:string list -> Json.t -> (unit, string) result
-(** Reject any field outside [allowed] — a misspelled parameter must not
-    silently mean its default. *)
+val of_json : Json.t -> (t, string) result
+(** Unknown fields are errors: a typo must not silently mean its
+    default. *)
 
-val get_jobs : Json.t -> (int option, string) result
-(** A request's optional ["jobs"], clamped to
-    {!Eba_util.Parallel.available}: a peer must not make one request spawn
-    more domains than the host runs.  Every engine's result is
-    independent of its job count, so the clamp never changes a reply. *)
+val term : t Cmdliner.Term.t
 
 type resolved = {
   r_spec : t;
@@ -96,14 +136,6 @@ val run :
     off, so CLI and daemon answers stay byte-identical whether or not a
     caller opts in. *)
 
-val of_json : Json.t -> (t, string) result
-(** Decode a request's ["params"] object; unknown fields are errors
-    (a typo must not silently fall back to a default). *)
-
-val to_params : t -> (string * Json.t) list
-(** The inverse — the ["params"] fields a client sends.  Omits fields
-    still at their default, so requests stay small. *)
-
 (** The [probcheck] verb: exact failure probabilities, computed. *)
 module Probcheck : sig
   type t = {
@@ -118,10 +150,15 @@ module Probcheck : sig
   }
 
   val default : t
+  val fields : t field list
+  val of_json : Json.t -> (t, string) result
+  val term : t Cmdliner.Term.t
 
   val report :
     ?cancel:Eba_util.Cancel.t -> t -> (Eba_prob.Report.t, string) result
-  (** The exact Markov analysis ({!Eba_prob.Report.make}); [cancel] is
+  (** The exact Markov analysis ({!Eba_prob.Report.make}) on the
+      synchronizer {!resolve} would give a sweep of the same timing (a
+      latency bound past the round window is an [Error]); [cancel] is
       polled between its major steps and per landing row. *)
 
   val max_attempts : int
@@ -140,7 +177,26 @@ module Probcheck : sig
       {!max_attempts}, or {!Eba_prob.Report.power_bits} passes
       {!max_power_bits}.  Within the attempt budget, arguments {!report}
       would reject get the error it would return. *)
+end
 
+(** The [knowledge-query] verb, whose universe parameters are also the
+    semantic commands' ([eba model], [check], [optimize]) flags. *)
+module Knowledge : sig
+  type t = {
+    n : int;
+    t_failures : int;
+    horizon : int;
+    mode : Params.mode;
+    protocol : string;  (** absent: [f-lambda-2], or [floodset] when exhaustive *)
+    query : string;  (** [spec] or [exhaustive] *)
+    jobs : int option;
+  }
+
+  val default : t
+  val fields : t field list
   val of_json : Json.t -> (t, string) result
-  val to_params : t -> (string * Json.t) list
+
+  val term : t Cmdliner.Term.t
+
+  val model_params : t -> (Params.t, string) result
 end

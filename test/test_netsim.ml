@@ -78,7 +78,13 @@ let link_tests =
             Alcotest.(check string)
               s s
               (Net.Link.latency_to_string (Net.Link.latency_of_string s)))
-          [ "const:1"; "uniform:0.5,2"; "spike:1,0.01,50" ]);
+          [
+            "const:1";
+            "uniform:0.5,2";
+            "spike:1,0.01,50";
+            "const:0.1234567";
+            "uniform:0.2,1.234567";
+          ]);
     test "malformed latency specs raise" (fun () ->
         List.iter
           (fun s ->

@@ -434,6 +434,12 @@ let chain_tests =
           (Q.equal report.Report.decision_time_ns (Q.of_int 180_000_000_000));
         check_int "attempts" 8 report.Report.spec.RC.attempts;
         check_int "messages per run" 36288 report.Report.messages_per_run);
+    test "one Report.make times its landing and its run-all power once each"
+      (fun () ->
+        with_metrics (fun () ->
+            ignore (Eba_harness.Probcheck_cases.small ());
+            check_int "prob.landing" 1 (counter_value "prob.landing");
+            check_int "prob.run_all_power" 1 (counter_value "prob.run_all_power")));
   ]
 
 (* --- Monte Carlo differential: seeded sweeps inside exact bounds --- *)

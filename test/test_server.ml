@@ -290,23 +290,6 @@ let spec_tests =
         match Spec.of_json (Json.Obj [ ("sede", Json.Int 7) ]) with
         | Error m -> check "names the field" true (contains m "sede")
         | Ok _ -> Alcotest.fail "typo accepted");
-    test "to_params / of_json round trip" (fun () ->
-        let spec =
-          {
-            Spec.default with
-            protocol = "p0opt";
-            compact = true;
-            n = 8;
-            t_failures = 2;
-            seed = 42;
-            runs = Some 7;
-            mux = Spec.Mux_auto;
-            loss = 0.1;
-          }
-        in
-        match Spec.of_json (Json.Obj (Spec.to_params spec)) with
-        | Ok spec' -> check "round trip" true (spec = spec')
-        | Error m -> Alcotest.fail m);
     test "runs defaults: 100 plain, the wave size under --mux K" (fun () ->
         let r s = Result.get_ok (Spec.resolve s) in
         check_int "plain" 100 (r Spec.default).Spec.r_runs;
@@ -1246,28 +1229,33 @@ let served_mux_tests =
         with_daemon ~workers:1 (fun bound ->
             with_client bound (fun c ->
                 check "idle before" true (queue_counts c = idle);
+                let const5 =
+                  [
+                    ("n", Json.Int 4);
+                    ("latency", Json.String "const:5");
+                    ("rto", Json.Float 1.0);
+                    ("round_duration", Json.Float 4.0);
+                  ]
+                in
                 List.iter
-                  (fun params ->
-                    match Client.call c ~verb:"netsim-sweep" ~params () with
+                  (fun (verb, params) ->
+                    match Client.call c ~verb ~params () with
                     | Ok
                         ( _,
                           Protocol.Error_reply
                             { code = Protocol.Bad_request; message } ) ->
                         check ("names the window: " ^ message) true
                           (contains message "does not fit the round window 4")
-                    | _ -> Alcotest.fail "expected bad-request")
+                    | _ -> Alcotest.fail (verb ^ ": expected bad-request"))
                   [
-                    [
-                      ("n", Json.Int 4);
-                      ("latency", Json.String "const:5");
-                      ("rto", Json.Float 1.0);
-                      ("round_duration", Json.Float 4.0);
-                    ];
-                    [
-                      ("latency", Json.String "uniform:0.5,4");
-                      ("rto", Json.Float 0.5);
-                      ("round_duration", Json.Float 4.0);
-                    ];
+                    ("netsim-sweep", const5);
+                    ( "netsim-sweep",
+                      [
+                        ("latency", Json.String "uniform:0.5,4");
+                        ("rto", Json.Float 0.5);
+                        ("round_duration", Json.Float 4.0);
+                      ] );
+                    ("probcheck", const5);
                   ];
                 check "no worker ran them" true (queue_counts c = idle))));
   ]
@@ -1394,6 +1382,211 @@ let served_knowledge_tests =
                   (List.assoc "served" (counts ()) = Some (Json.Int 1)))));
   ]
 
+(* --- the field tables: a spec reads the same from argv and from params --- *)
+
+module Gen = QCheck2.Gen
+
+let modes = Eba.Params.[ Crash; Omission; General_omission ]
+
+(* A generator for a field, given its key and kind (a record, so that
+   it stays polymorphic in the kind's type). *)
+type drawer = { draw : 'a. string -> 'a Spec.kind -> 'a Gen.t }
+
+(* A value with seven significant digits, as a user would type it. *)
+let seven lo hi = Gen.map (fun x -> float_of_string (Printf.sprintf "%.7g" x)) (Gen.float_range lo hi)
+
+let latency_gen ~hi =
+  let open Gen in
+  oneof
+    [
+      map (fun c -> Net.Link.Const c) (seven 0.0 hi);
+      map2 (fun a b -> Net.Link.Uniform (Float.min a b, Float.max a b)) (seven 0.0 hi) (seven 0.0 hi);
+      map3
+        (fun a b prob -> Net.Link.Spike { base = Float.min a b; prob; spike = Float.max a b })
+        (seven 0.0 hi) (seven 0.0 hi) (seven 0.0 1.0);
+    ]
+
+(* Drawn wide: negative and zero counts, floats past six significant
+   digits, an unknown protocol name, a wave size of 0. *)
+let wide =
+  let rec draw : type a. string -> a Spec.kind -> a Gen.t =
+   fun key kind ->
+    let open Gen in
+    match kind with
+    | Spec.Int -> int_range (-2) 5
+    | Spec.Float -> oneof [ float_range (-0.5) 1.5; oneofl [ 0.0; 0.5; 2.0 ] ]
+    | Spec.Flag -> bool
+    | Spec.String -> oneofl [ "0"; "0.05"; "0.1234567"; "1"; "-0.5"; "abc" ]
+    | Spec.Enum names -> oneofl ("nope" :: names)
+    | Spec.Mode -> oneofl modes
+    | Spec.Latency -> latency_gen ~hi:6.0
+    | Spec.Mux ->
+        oneof
+          [ oneofl [ Spec.Mux_off; Spec.Mux_auto ]; map (fun k -> Spec.Mux_live k) (int_range 0 3) ]
+    | Spec.Jobs -> option (int_range 0 4)
+    | Spec.Option k -> option (draw key k)
+  in
+  { draw }
+
+(* Drawn valid and small (n <= 4, runs <= 3, horizon <= 3): a latency
+   bound <= 1 fits every window drawn, and every rto drawn fits in
+   every window. *)
+let small =
+  let rec draw : type a. string -> a Spec.kind -> a Gen.t =
+   fun key kind ->
+    let open Gen in
+    match (kind, key) with
+    | Spec.Int, "n" -> int_range 2 4
+    | Spec.Int, "t" -> int_range 0 1
+    | Spec.Int, ("horizon" | "runs" | "rounds") -> int_range 1 3
+    | Spec.Int, ("partitions" | "retries") -> int_range 0 2
+    | Spec.Int, _ -> int_range 0 1000
+    | Spec.Float, "loss" -> float_range 0.0 0.3
+    | Spec.Float, "rto" -> float_range 1.0 1.5
+    | Spec.Float, "round_duration" -> float_range 2.5 4.0
+    | Spec.Float, _ -> float_range 0.05 1.0
+    | Spec.Flag, _ -> bool
+    | Spec.String, _ -> oneofl [ "0"; "0.05"; "0.25"; "0.1234567" ]
+    | Spec.Enum names, _ -> oneofl names
+    | Spec.Mode, _ -> oneofl modes
+    | Spec.Latency, _ -> latency_gen ~hi:1.0
+    | Spec.Mux, _ ->
+        oneof
+          [ oneofl [ Spec.Mux_off; Spec.Mux_auto ]; map (fun k -> Spec.Mux_live k) (int_range 1 3) ]
+    | Spec.Jobs, _ -> pure None
+    | Spec.Option k, "runs" -> map Option.some (draw key k)
+    | Spec.Option k, _ -> option (draw key k)
+  in
+  { draw }
+
+(* Every flagged field drawn; the wire-only ones keep their defaults,
+   which argv cannot set. *)
+let draw d fields default =
+  List.fold_left
+    (fun acc (Spec.Field p) ->
+      if p.Spec.names = [] then acc else Gen.map2 p.Spec.set acc (d.draw p.Spec.key p.Spec.kind))
+    (Gen.pure default) fields
+
+let rec arg_value : type a. a Spec.kind -> a -> string option =
+ fun kind v ->
+  match kind with
+  | Spec.Int -> Some (string_of_int v)
+  | Spec.Float -> Some (Printf.sprintf "%.17g" v)
+  | Spec.Flag -> None
+  | Spec.String -> Some v
+  | Spec.Enum _ -> Some v
+  | Spec.Mode -> Some (Spec.mode_to_string v)
+  | Spec.Latency -> Some (Net.Link.latency_to_string v)
+  | Spec.Mux -> (
+      match v with
+      | Spec.Mux_off -> Some "off"
+      | Spec.Mux_auto -> Some "auto"
+      | Spec.Mux_live k -> Some (string_of_int k))
+  | Spec.Jobs -> Option.map string_of_int v
+  | Spec.Option k -> Option.bind v (arg_value k)
+
+(* Short names glued to their value ([-n-2]), so a negative value is not
+   read as an option. *)
+let argv fields spec =
+  List.concat_map
+    (fun (Spec.Field p) ->
+      match (p.Spec.names, p.Spec.kind) with
+      | [], _ -> []
+      | name :: _, Spec.Flag -> if p.Spec.get spec then [ "--" ^ name ] else []
+      | name :: _, kind -> (
+          match arg_value kind (p.Spec.get spec) with
+          | None -> []
+          | Some v when String.length name = 1 -> [ "-" ^ name ^ v ]
+          | Some v -> [ "--" ^ name ^ "=" ^ v ]))
+    fields
+
+let rec json_value : type a. a Spec.kind -> a -> Json.t =
+ fun kind v ->
+  match kind with
+  | Spec.Int -> Json.Int v
+  | Spec.Float -> Json.Float v
+  | Spec.Flag -> Json.Bool v
+  | Spec.String -> Json.String v
+  | Spec.Enum _ -> Json.String v
+  | Spec.Mode -> Json.String (Spec.mode_to_string v)
+  | Spec.Latency -> Json.String (Net.Link.latency_to_string v)
+  | Spec.Mux -> (
+      match v with
+      | Spec.Mux_off -> Json.String "off"
+      | Spec.Mux_auto -> Json.String "auto"
+      | Spec.Mux_live k -> Json.Int k)
+  | Spec.Jobs -> Option.fold ~none:Json.Null ~some:(fun j -> Json.Int j) v
+  | Spec.Option k -> Option.fold ~none:Json.Null ~some:(json_value k) v
+
+(* The params a client sends, through the wire's bytes: an absent option
+   goes as [null]. *)
+let params fields spec =
+  let obj =
+    Json.Obj
+      (List.filter_map
+         (fun (Spec.Field p) ->
+           if p.Spec.names = [] then None
+           else Some (p.Spec.key, json_value p.Spec.kind (p.Spec.get spec)))
+         fields)
+  in
+  Result.get_ok (Json.parse (Json.to_string obj))
+
+let parse_argv term args =
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  match
+    Cmdliner.Cmd.eval_value ~help:null ~err:null ~env:(fun _ -> None)
+      ~argv:(Array.of_list ("eba" :: args))
+      (Cmdliner.Cmd.v (Cmdliner.Cmd.info "eba") term)
+  with
+  | Ok (`Ok spec) -> Some spec
+  | _ -> None
+
+let table_tests =
+  let agree name ~fields ~default ~term ~of_json ~check =
+    qtest ~count:300 ~print:(fun s -> String.concat " " (argv fields s))
+      (name ^ ": argv and params decode to one spec, or both are refused")
+      (Gen.oneof [ draw small fields default; draw wide fields default ])
+      (fun spec ->
+        let from_argv = parse_argv term (argv fields spec) in
+        let from_params = Result.to_option (of_json (params fields spec)) in
+        let admitted = function Some s -> Result.is_ok (check s) | None -> false in
+        match (from_argv, from_params) with
+        | Some a, Some p when a = p -> true
+        | a, p -> not (admitted a || admitted p))
+  in
+  let served_bytes verb params =
+    match Registry.prepare ~verb ~params with
+    | Error _ -> Alcotest.fail (verb ^ ": refused")
+    | Ok thunk -> Json.to_string (Result.get_ok (thunk Registry.no_ctx))
+  in
+  let served name ~verb ~fields ~default ~fix ~term ~cli_bytes =
+    qtest ~count:60 ~print:(fun s -> String.concat " " (argv fields s))
+      (name ^ ": served bytes = CLI bytes")
+      (Gen.map fix (draw small fields default))
+      (fun spec ->
+        match parse_argv term (argv fields spec) with
+        | None -> false
+        | Some parsed -> cli_bytes parsed = served_bytes verb (params fields spec))
+  in
+  [
+    agree "netsim" ~fields:Spec.fields ~default:Spec.default ~term:Spec.term
+      ~of_json:Spec.of_json ~check:Spec.resolve;
+    agree "probcheck" ~fields:Spec.Probcheck.fields ~default:Spec.Probcheck.default
+      ~term:Spec.Probcheck.term ~of_json:Spec.Probcheck.of_json ~check:Spec.Probcheck.admit;
+    agree "knowledge" ~fields:Spec.Knowledge.fields ~default:Spec.Knowledge.default
+      ~term:Spec.Knowledge.term ~of_json:Spec.Knowledge.of_json
+      ~check:Spec.Knowledge.model_params;
+    served "netsim-sweep" ~verb:"netsim-sweep" ~fields:Spec.fields ~default:Spec.default
+      ~fix:(fun s ->
+        { s with Spec.compact = s.Spec.compact && List.mem s.Spec.protocol Spec.compact_protocol_names })
+      ~term:Spec.term ~cli_bytes:cli_netsim_bytes;
+    served "probcheck" ~verb:"probcheck" ~fields:Spec.Probcheck.fields
+      ~default:Spec.Probcheck.default ~fix:Fun.id ~term:Spec.Probcheck.term
+      ~cli_bytes:(fun spec ->
+        Json.to_string
+          (Eba.Prob.Report.to_json (Result.get_ok (Spec.Probcheck.report spec))));
+  ]
+
 let suite =
   ( "server",
     frame_tests @ queue_tests @ spec_tests @ differential_tests
@@ -1402,4 +1595,4 @@ let suite =
     @ served_jobs_tests
     @ bench_tests
     @ robustness_tests @ restart_tests @ pool_tests @ served_mux_tests
-    @ served_prob_tests @ served_knowledge_tests )
+    @ served_prob_tests @ served_knowledge_tests @ table_tests )
