@@ -89,7 +89,7 @@ let model_params_term =
 let protocol_arg =
   Arg.(
     value
-    & opt (enum (List.map (fun s -> (s, s)) Eba.Zoo.names)) Spec.Knowledge.default.protocol
+    & opt (Spec.converter (Spec.Enum Eba.Zoo.names)) Spec.Knowledge.default.protocol
     & info [ "protocol"; "p" ] ~docv:"PROTOCOL"
         ~doc:(Printf.sprintf "One of: %s." (String.concat ", " Eba.Zoo.names)))
 

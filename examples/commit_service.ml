@@ -37,10 +37,9 @@ let scenario ~n ~t ~samples =
   let s = Eba.Stats.sampled (module Eba.P0opt_plus) params ~seed:2024 ~samples in
   Format.printf "P0opt+ decision times by actual crash count:@.";
   List.iter
-    (fun (b : Eba.Stats.by_failures) ->
+    (fun (f, (row : Eba.Decision.tally)) ->
       Format.printf "  %d crashes: %5d runs, mean %.2f rounds, worst %d (SBA baseline: always %d)@."
-        b.Eba.Stats.failures b.Eba.Stats.count b.Eba.Stats.mean_time b.Eba.Stats.max_time
-        (t + 1))
+        f row.runs (Eba.Decision.mean_round row) row.round_max (t + 1))
     s.Eba.Stats.by_failures
 
 let () =

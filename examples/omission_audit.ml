@@ -36,7 +36,7 @@ let nontermination () =
   for i = 1 to 3 do
     (match Eba.Kb_protocol.outcome d ~run:run.Eba.Model.index ~proc:i with
     | None -> Format.printf "  gateway %d (healthy) never decides@." i
-    | Some { Eba.Kb_protocol.at; value } ->
+    | Some { Eba.Decision.at; value } ->
         Format.printf "  gateway %d decides %a at %d@." i Eba.Value.pp value at)
   done
 

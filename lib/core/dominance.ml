@@ -1,6 +1,7 @@
 module Model = Eba_fip.Model
 module Bitset = Eba_util.Bitset
 module Value = Eba_sim.Value
+module Decision = Eba_sim.Decision
 
 type verdict = {
   dominates : bool;
@@ -29,7 +30,7 @@ let compare (d : Kb_protocol.decisions) (d' : Kb_protocol.decisions) =
         | None, Some _ ->
             dominates := false;
             if !witness_failure = None then witness_failure := Some (run, i)
-        | Some { Kb_protocol.at; _ }, Some { Kb_protocol.at = at'; _ } ->
+        | Some { Decision.at; _ }, Some { Decision.at = at'; _ } ->
             if at > at' then begin
               dominates := false;
               if !witness_failure = None then witness_failure := Some (run, i)
@@ -78,7 +79,7 @@ let equivalent (d : Kb_protocol.decisions) (d' : Kb_protocol.decisions) =
         let eq =
           match (o, o') with
           | None, None -> true
-          | Some { Kb_protocol.at; value }, Some { Kb_protocol.at = at'; value = value' }
+          | Some { Decision.at; value }, Some { Decision.at = at'; value = value' }
             -> at = at' && Value.equal value value'
           | None, Some _ | Some _, None -> false
         in

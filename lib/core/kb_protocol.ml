@@ -1,5 +1,6 @@
 module Model = Eba_fip.Model
 module Value = Eba_sim.Value
+module Decision = Eba_sim.Decision
 module Formula = Eba_epistemic.Formula
 module Nonrigid = Eba_epistemic.Nonrigid
 module Bitset = Eba_util.Bitset
@@ -11,12 +12,10 @@ let never_decide model = { zero = Decision_set.empty model; one = Decision_set.e
 let pair_equal a b =
   Decision_set.equal a.zero b.zero && Decision_set.equal a.one b.one
 
-type outcome = { at : int; value : Value.t }
-
 type decisions = {
   model : Model.t;
   pair : pair;
-  table : outcome option array;
+  table : Decision.t option array;
   ambiguities : (int * int * int) list;
 }
 
@@ -38,7 +37,8 @@ let decide model pair =
           if in_zero && in_one then ambiguities := (run, i, !time) :: !ambiguities
           else
             table.((run * n) + i) <-
-              Some { at = !time; value = (if in_zero then Value.Zero else Value.One) };
+              Some
+                { Decision.at = !time; value = (if in_zero then Value.Zero else Value.One) };
           time := per_run
         end
         else incr time
@@ -49,12 +49,31 @@ let decide model pair =
 
 let outcome d ~run ~proc = d.table.((run * Model.n d.model) + proc)
 
+let mismatches d (module P : Eba_protocols.Protocol_intf.PROTOCOL) =
+  let module R = Eba_protocols.Runner.Make (P) in
+  let model = d.model in
+  let n = Model.n model in
+  let found = ref [] in
+  Array.iter
+    (fun (run : Model.run) ->
+      let trace = R.run model.Model.params run.config run.pattern in
+      for i = 0 to n - 1 do
+        if not (Bitset.mem i run.faulty) then begin
+          let semantic = outcome d ~run:run.index ~proc:i
+          and operational = trace.Eba_protocols.Runner.decisions.(i) in
+          if semantic <> operational then
+            found := (run.index, i, semantic, operational) :: !found
+        end
+      done)
+    model.Model.runs;
+  List.rev !found
+
 let decided_atom env d y i =
   let model = Formula.model env in
   let name = Format.asprintf "decide_%d(%a)" i Value.pp y in
   Formula.run_atom model name (fun run ->
       match outcome d ~run:run.Model.index ~proc:i with
-      | Some { at; value } when Value.equal value y -> fun time -> at <= time
+      | Some { Decision.at; value } when Value.equal value y -> fun time -> at <= time
       | Some _ | None -> fun _ -> false)
 
 let member_atom env pair y i =

@@ -10,6 +10,7 @@
 
 module Model = Eba_fip.Model
 module Value = Eba_sim.Value
+module Decision = Eba_sim.Decision
 module Formula = Eba_epistemic.Formula
 module Nonrigid = Eba_epistemic.Nonrigid
 module Bitset = Eba_util.Bitset
@@ -21,18 +22,28 @@ val never_decide : Model.t -> pair
 
 val pair_equal : pair -> pair -> bool
 
-type outcome = { at : int; value : Value.t }
-
 type decisions = private {
   model : Model.t;
   pair : pair;
-  table : outcome option array;  (** indexed [run * n + proc] *)
+  table : Decision.t option array;  (** indexed [run * n + proc] *)
   ambiguities : (int * int * int) list;  (** (run, proc, time) in both sets *)
 }
 
 val decide : Model.t -> pair -> decisions
 
-val outcome : decisions -> run:int -> proc:int -> outcome option
+val outcome : decisions -> run:int -> proc:int -> Decision.t option
+
+val mismatches :
+  decisions ->
+  (module Eba_protocols.Protocol_intf.PROTOCOL) ->
+  (int * int * Decision.t option * Decision.t option) list
+(** [mismatches d (module P)] runs [P] on the lockstep
+    {!Eba_protocols.Runner} under the configuration and pattern of every
+    run of [d]'s model and lists each [(run, proc, semantic, operational)]
+    where a nonfaulty processor's decision under [P] differs from its
+    decision under the pair, in run and processor order: the
+    run-by-run comparison of Prop 2.2 and Thm 6.2.  [[]] when [P]
+    implements the pair. *)
 
 val decided_atom : Formula.env -> decisions -> Value.t -> int -> Formula.t
 (** [decide_i(y)] as a formula: [i] decides or has decided [y] at the

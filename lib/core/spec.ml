@@ -1,5 +1,6 @@
 module Model = Eba_fip.Model
 module Value = Eba_sim.Value
+module Decision = Eba_sim.Decision
 module Config = Eba_sim.Config
 module Bitset = Eba_util.Bitset
 
@@ -14,48 +15,37 @@ type report = {
   max_decision_time : int option;
 }
 
-(* One pass over each run's processors, keeping values and times as ints
-   (-1 for none), so a run allocates nothing. *)
-let check (d : Kb_protocol.decisions) =
+(* Judges every run of [d], handing each verdict and the run's unanimous
+   initial value to [f], and tallies the verdicts. *)
+let judge_runs (d : Kb_protocol.decisions) f =
   let model = d.Kb_protocol.model in
   let n = Model.n model in
-  let weak_agreement = ref true
-  and weak_validity = ref true
-  and validity = ref true
-  and decision = ref true
-  and simultaneity = ref true in
-  let max_time = ref (-1) in
-  Array.iteri
-    (fun r (run : Model.run) ->
-      let nonfaulty = Model.nonfaulty model ~run:r in
-      (* the unanimous initial value, or -1 *)
-      let first = Value.to_int (Config.value run.config 0) in
-      let unanimous = ref first in
-      for j = 1 to n - 1 do
-        if Value.to_int (Config.value run.config j) <> first then unanimous := -1
-      done;
-      let unanimous = !unanimous in
-      let seen_value = ref (-1) and seen_time = ref (-1) in
-      for i = 0 to n - 1 do
-        if Bitset.mem i nonfaulty then
-          match Kb_protocol.outcome d ~run:r ~proc:i with
-          | None ->
-              decision := false;
-              if unanimous >= 0 then validity := false
-          | Some { Kb_protocol.at; value } ->
-              let value = Value.to_int value in
-              if at > !max_time then max_time := at;
-              if !seen_value < 0 then seen_value := value
-              else if !seen_value <> value then weak_agreement := false;
-              if !seen_time < 0 then seen_time := at
-              else if !seen_time <> at then simultaneity := false;
-              if unanimous >= 0 && unanimous <> value then begin
-                weak_validity := false;
-                validity := false
-              end
-      done)
+  let tally = Decision.tally () in
+  Array.iter
+    (fun (run : Model.run) ->
+      let unanimous = Config.all_equal run.config in
+      let v =
+        Decision.judge
+          ~faulty:(fun i -> Bitset.mem i run.faulty)
+          ~unanimous d.Kb_protocol.table ~pos:(run.index * n) ~n
+      in
+      Decision.add tally v;
+      f unanimous v)
     model.Model.runs;
-  let weak_agreement = !weak_agreement in
+  tally
+
+let tally d = judge_runs d (fun _ _ -> ())
+
+let check (d : Kb_protocol.decisions) =
+  let model = d.Kb_protocol.model in
+  let validity = ref true and simultaneity = ref true in
+  let tally =
+    judge_runs d (fun unanimous (v : Decision.verdict) ->
+        if Option.is_some unanimous && v.undecided > 0 then validity := false;
+        if not v.simultaneous then simultaneity := false)
+  in
+  let weak_agreement = tally.agreement_violations = 0 in
+  let weak_validity = tally.validity_violations = 0 in
   (* A view in both decision sets is only a real ambiguity for a processor
      that might be nonfaulty; a processor that knows its own faultiness
      satisfies B^N_i vacuously and its outputs are unconstrained. *)
@@ -67,12 +57,13 @@ let check (d : Kb_protocol.decisions) =
   {
     weak_agreement;
     agreement = weak_agreement;
-    weak_validity = !weak_validity;
-    validity = !validity && !weak_validity;
-    decision = !decision;
+    weak_validity;
+    validity = !validity && weak_validity;
+    decision = tally.undecided_nonfaulty = 0;
     simultaneity = !simultaneity;
     unambiguous = not nonfaulty_ambiguity;
-    max_decision_time = (if !max_time < 0 then None else Some !max_time);
+    max_decision_time =
+      (if tally.decided_nonfaulty = 0 then None else Some tally.round_max);
   }
 
 let is_nontrivial_agreement r = r.weak_agreement && r.weak_validity && r.unambiguous

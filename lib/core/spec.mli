@@ -26,6 +26,12 @@ type report = {
 
 val check : Kb_protocol.decisions -> report
 
+val tally : Kb_protocol.decisions -> Eba_sim.Decision.tally
+(** The tally of every run's {!Eba_sim.Decision.judge} verdict, the
+    counts {!check} reads; an operational sweep of a protocol that
+    implements the pair ({!Eba_protocols.Stats.exhaustive}) tallies the
+    same decisions. *)
+
 val is_nontrivial_agreement : report -> bool
 (** Weak agreement + weak validity + no ambiguity (Section 2.1, 2' & 3'). *)
 

@@ -2,11 +2,12 @@ module Model = Eba_fip.Model
 module View = Eba_fip.View
 module Bitset = Eba_util.Bitset
 module Value = Eba_sim.Value
+module Decision = Eba_sim.Decision
 module Pattern = Eba_sim.Pattern
 module Config = Eba_sim.Config
 
 let pp_outcome fmt = function
-  | Some { Kb_protocol.at; value } -> Format.fprintf fmt "D:%a@@%d" Value.pp value at
+  | Some { Decision.at; value } -> Format.fprintf fmt "D:%a@@%d" Value.pp value at
   | None -> Format.pp_print_string fmt "D:-"
 
 let pp_decisions d ~run fmt () =
@@ -33,7 +34,7 @@ let pp_run ?decisions model ~run fmt () =
       match decisions with
       | Some d -> (
           match Kb_protocol.outcome d ~run ~proc:i with
-          | Some { Kb_protocol.at; value } when at <= time ->
+          | Some { Decision.at; value } when at <= time ->
               Format.fprintf fmt "[%a] " Value.pp value
           | Some _ | None -> ())
       | None -> ()

@@ -35,6 +35,7 @@ module Params = Eba_sim.Params
 module Config = Eba_sim.Config
 module Pattern = Eba_sim.Pattern
 module Universe = Eba_sim.Universe
+module Decision = Eba_sim.Decision
 
 (* full-information layer *)
 module View = Eba_fip.View

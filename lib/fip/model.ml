@@ -143,7 +143,7 @@ let new_child ~n ~nconfigs ~bound parent procs key =
   fresh_node ~nconfigs (Some parent) deliv past
 
 (* [jobs] is accepted and ignored: both passes run in the calling domain. *)
-let build ?(flavour = Universe.Exhaustive) ?configs ?jobs:_ (params : Params.t) =
+let build ?configs ?jobs:_ (params : Params.t) =
   Metrics.time s_build @@ fun () ->
   let n = params.Params.n and horizon = params.Params.horizon in
   let configs =
@@ -161,7 +161,7 @@ let build ?(flavour = Universe.Exhaustive) ?configs ?jobs:_ (params : Params.t) 
         let procs = Array.of_list (Bitset.to_list set) in
         let behs =
           Array.to_list
-            (Array.map (fun proc -> Universe.behaviours_for ~flavour params ~proc) procs)
+            (Array.map (fun proc -> Universe.behaviours_for params ~proc) procs)
         in
         let root = fresh_node ~nconfigs None [||] (Array.init n (fun i -> 1 lsl i)) in
         let key = Array.make (2 * Array.length procs) 0 in

@@ -46,7 +46,6 @@ type t = private {
 }
 
 val build :
-  ?flavour:Universe.flavour ->
   ?configs:Config.t list ->
   ?jobs:int ->
   Params.t ->

@@ -75,7 +75,7 @@ let e1 () =
         (fun i ->
           if Val.equal (Cfg.value cfg i) Val.Zero then
             match KB.outcome d0 ~run ~proc:i with
-            | Some { KB.at = 0; _ } -> ()
+            | Some { Eba.Decision.at = 0; _ } -> ()
             | Some _ | None -> ok := false)
         (M.nonfaulty m ~run)
     done;
@@ -264,28 +264,7 @@ let e9 scale =
     KB.pair_equal (Zoo.f_lambda_2 c3) (Zoo.crash_simple c3)
     && KB.pair_equal (Zoo.f_lambda_2 c4) (Zoo.crash_simple c4)
   in
-  let equiv env (module Pr : Eba.Protocol_intf.PROTOCOL) pair =
-    let m = F.model env in
-    let d = decisions env pair in
-    let module R = Eba.Runner.Make (Pr) in
-    let ok = ref true in
-    for r = 0 to M.nruns m - 1 do
-      let run = M.run_of_point m (M.point m ~run:r ~time:0) in
-      let trace = R.run m.M.params run.M.config run.M.pattern in
-      B.iter
-        (fun i ->
-          let same =
-            match (KB.outcome d ~run:r ~proc:i, trace.Eba.Runner.decisions.(i)) with
-            | None, None -> true
-            | Some { KB.at; value }, Some { Eba.Runner.at = at'; value = value' } ->
-                at = at' && Val.equal value value'
-            | None, Some _ | Some _, None -> false
-          in
-          if not same then ok := false)
-        (M.nonfaulty m ~run:r)
-    done;
-    !ok
-  in
+  let equiv env p pair = KB.mismatches (decisions env pair) p = [] in
   let thm62_t1 = equiv c4 (module Eba.P0opt) (Zoo.f_lambda_2 c4) in
   let t2 = crash_t2 scale in
   let thm62_t2_fails = not (equiv t2 (module Eba.P0opt) (Zoo.f_lambda_2 t2)) in
@@ -345,15 +324,14 @@ let e11 () =
     B.iter
       (fun i ->
         match KB.outcome d ~run ~proc:i with
-        | Some { KB.at; _ } -> if at > f + 1 then bound := false
+        | Some { Eba.Decision.at; _ } -> if at > f + 1 then bound := false
         | None -> bound := false)
       (M.nonfaulty m ~run)
   done;
-  let op = Eba.Stats.exhaustive (module Eba.Chain0) m.M.params in
+  let op = (Eba.Stats.exhaustive (module Eba.Chain0) m.M.params).Eba.Stats.tally in
   let op_ok =
-    op.Eba.Stats.agreement_violations = 0
-    && op.Eba.Stats.validity_violations = 0
-    && op.Eba.Stats.undecided_nonfaulty = 0
+    op.agreement_violations = 0 && op.validity_violations = 0
+    && op.undecided_nonfaulty = 0
   in
   {
     id = "E11";

@@ -37,8 +37,8 @@ let t1_crash_decision_times fmt () =
           let s = Stats.exhaustive (module P) params in
           Format.fprintf fmt "%-10s" P.name;
           List.iter
-            (fun (b : Stats.by_failures) ->
-              Format.fprintf fmt "  %6.2f/%-5d" b.Stats.mean_time b.Stats.max_time)
+            (fun (_, (row : Eba.Decision.tally)) ->
+              Format.fprintf fmt "  %6.2f/%-5d" (Eba.Decision.mean_round row) row.round_max)
             s.Stats.by_failures;
           Format.fprintf fmt "@\n")
         operational_protocols)
@@ -58,7 +58,7 @@ let t2_no_optimum fmt () =
         (fun i ->
           incr total;
           match KB.outcome d ~run ~proc:i with
-          | Some { KB.at = 0; value } when Val.equal value target -> incr hits
+          | Some { Eba.Decision.at = 0; value } when Val.equal value target -> incr hits
           | Some _ | None -> ())
         (M.nonfaulty m ~run)
     done;
@@ -114,7 +114,7 @@ let decide_profile fmt env pair =
       (fun i ->
         incr total;
         match KB.outcome d ~run ~proc:i with
-        | Some { KB.at; _ } -> counts.(at) <- counts.(at) + 1
+        | Some { Eba.Decision.at; _ } -> counts.(at) <- counts.(at) + 1
         | None -> counts.(horizon + 1) <- counts.(horizon + 1) + 1)
       (M.nonfaulty m ~run)
   done;
@@ -149,9 +149,8 @@ let t5_chain_bound fmt () =
   Format.fprintf fmt "%-26s %4s %10s %8s@\n" "universe" "f" "worst" "bound";
   let report name (s : Stats.summary) =
     List.iter
-      (fun (b : Stats.by_failures) ->
-        Format.fprintf fmt "%-26s %4d %10d %8d@\n" name b.Stats.failures b.Stats.max_time
-          (b.Stats.failures + 1))
+      (fun (f, (row : Eba.Decision.tally)) ->
+        Format.fprintf fmt "%-26s %4d %10d %8d@\n" name f row.round_max (f + 1))
       s.Stats.by_failures
   in
   let ex = Eba.Params.make ~n:3 ~t:1 ~horizon:3 ~mode:Eba.Params.Omission in
@@ -172,29 +171,14 @@ let t6_sba_knowledge fmt () =
       let env = F.env (M.build params) in
       let m = F.model env in
       Format.fprintf fmt "-- %a --@\n" Eba.Params.pp params;
-      let mean_max pair =
-        let d = KB.decide m pair in
-        let sum = ref 0 and cnt = ref 0 and mx = ref 0 in
-        for run = 0 to M.nruns m - 1 do
-          B.iter
-            (fun i ->
-              match KB.outcome d ~run ~proc:i with
-              | Some { KB.at; _ } ->
-                  sum := !sum + at;
-                  incr cnt;
-                  if at > !mx then mx := at
-              | None -> ())
-            (M.nonfaulty m ~run)
-        done;
-        (float_of_int !sum /. float_of_int (max 1 !cnt), !mx)
-      in
       let d_ck = KB.decide m (Zoo.sba_common_knowledge env) in
       let d_ft = KB.decide m (Zoo.sba_fixed_time env) in
       List.iter
         (fun (name, pair) ->
-          let mean, mx = mean_max pair in
           let d = KB.decide m pair in
-          Format.fprintf fmt "%-22s mean %.2f max %d  SBA:%b@\n" name mean mx
+          let tally = Spec.tally d in
+          Format.fprintf fmt "%-22s mean %.2f max %d  SBA:%b@\n" name
+            (Eba.Decision.mean_round tally) tally.round_max
             (Spec.is_sba (Spec.check d)))
         [
           ("fixed-time (t+1)", Zoo.sba_fixed_time env);
@@ -223,7 +207,7 @@ let f1_decision_cdf fmt () =
         (fun i ->
           incr total;
           match trace.Eba.Runner.decisions.(i) with
-          | Some { Eba.Runner.at; _ } -> counts.(at) <- counts.(at) + 1
+          | Some { Eba.Decision.at; _ } -> counts.(at) <- counts.(at) + 1
           | None -> counts.(6) <- counts.(6) + 1)
         nonfaulty
     done;
@@ -254,11 +238,14 @@ let f2_sba_gap fmt () =
   List.iter
     (fun (n, t) ->
       let params = Eba.Params.make ~n ~t ~horizon:(t + 2) ~mode:Eba.Params.Crash in
-      let eba = Stats.sampled (module Eba.P0opt_plus) params ~seed:17 ~samples:1500 in
-      let sba = Stats.sampled (module Eba.Floodset) params ~seed:17 ~samples:1500 in
-      Format.fprintf fmt "n=%-3d t=%-6d %8d %12.2f %12.2f %7.1fx@\n" n t (t + 1)
-        eba.Stats.mean_time sba.Stats.mean_time
-        (sba.Stats.mean_time /. Float.max eba.Stats.mean_time 0.01))
+      let mean (module P : Eba.Protocol_intf.PROTOCOL) =
+        Eba.Decision.mean_round
+          (Stats.sampled (module P) params ~seed:17 ~samples:1500).Stats.tally
+      in
+      let eba = mean (module Eba.P0opt_plus) in
+      let sba = mean (module Eba.Floodset) in
+      Format.fprintf fmt "n=%-3d t=%-6d %8d %12.2f %12.2f %7.1fx@\n" n t (t + 1) eba sba
+        (sba /. Float.max eba 0.01))
     [ (4, 1); (6, 2); (9, 3); (13, 4); (21, 6) ]
 
 (* --- F3 --- *)

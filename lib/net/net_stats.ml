@@ -1,5 +1,5 @@
 module Value = Eba_sim.Value
-module Runner = Eba_protocols.Runner
+module Decision = Eba_sim.Decision
 module Json = Eba_util.Json
 
 let hist_buckets = 16
@@ -79,7 +79,7 @@ let wire_merge into from =
     from.w_latency_hist
 
 type outcome = {
-  o_decisions : Runner.decision option array;
+  o_decisions : Decision.t option array;
   o_decision_sim_ns : int option array;
   o_faulty : bool array;
   o_unanimous : Value.t option;
@@ -88,18 +88,12 @@ type outcome = {
   o_wire : wire;
 }
 
+(* The spec counts and protocol messages in [tally]; the simulated times,
+   faulty runs, decision-round histogram and wire counts beside it. *)
 type state = {
-  mutable s_runs : int;
-  mutable s_agreement : int;
-  mutable s_validity : int;
-  mutable s_undecided : int;
-  mutable s_decided : int;
-  mutable s_round_sum : int;
-  mutable s_round_max : int;
+  tally : Decision.tally;
   mutable s_sim_ns_sum : int;
   mutable s_sim_ns_max : int;
-  mutable s_attempted : int;
-  mutable s_delivered : int;
   mutable s_faulty_runs : int;
   mutable s_round_hist : int array;
       (* s_round_hist.(r) = nonfaulty decisions at round r; grown on
@@ -109,17 +103,9 @@ type state = {
 
 let fresh_state () =
   {
-    s_runs = 0;
-    s_agreement = 0;
-    s_validity = 0;
-    s_undecided = 0;
-    s_decided = 0;
-    s_round_sum = 0;
-    s_round_max = 0;
+    tally = Decision.tally ();
     s_sim_ns_sum = 0;
     s_sim_ns_max = 0;
-    s_attempted = 0;
-    s_delivered = 0;
     s_faulty_runs = 0;
     s_round_hist = [||];
     s_wire = fresh_wire ();
@@ -135,49 +121,30 @@ let hist_incr st r =
   st.s_round_hist.(r) <- st.s_round_hist.(r) + 1
 
 let consume st o =
-  st.s_runs <- st.s_runs + 1;
-  st.s_attempted <- st.s_attempted + o.o_attempted;
-  st.s_delivered <- st.s_delivered + o.o_delivered;
+  let n = Array.length o.o_faulty in
+  Decision.add st.tally
+    (Decision.judge ~faulty:(Array.get o.o_faulty) ~unanimous:o.o_unanimous
+       o.o_decisions ~pos:0 ~n);
+  st.tally.attempted <- st.tally.attempted + o.o_attempted;
+  st.tally.delivered <- st.tally.delivered + o.o_delivered;
   if Array.exists Fun.id o.o_faulty then st.s_faulty_runs <- st.s_faulty_runs + 1;
   wire_merge st.s_wire o.o_wire;
-  let seen = ref None and agreement_bad = ref false and validity_bad = ref false in
-  Array.iteri
-    (fun i faulty ->
-      if not faulty then
-        match o.o_decisions.(i) with
-        | None -> st.s_undecided <- st.s_undecided + 1
-        | Some { Runner.at; value } ->
-            st.s_decided <- st.s_decided + 1;
-            st.s_round_sum <- st.s_round_sum + at;
-            hist_incr st at;
-            if at > st.s_round_max then st.s_round_max <- at;
-            (match o.o_decision_sim_ns.(i) with
-            | Some ns ->
-                st.s_sim_ns_sum <- st.s_sim_ns_sum + ns;
-                if ns > st.s_sim_ns_max then st.s_sim_ns_max <- ns
-            | None -> ());
-            (match !seen with
-            | None -> seen := Some value
-            | Some v -> if not (Value.equal v value) then agreement_bad := true);
-            (match o.o_unanimous with
-            | Some v when not (Value.equal v value) -> validity_bad := true
-            | Some _ | None -> ()))
-    o.o_faulty;
-  if !agreement_bad then st.s_agreement <- st.s_agreement + 1;
-  if !validity_bad then st.s_validity <- st.s_validity + 1
+  for i = 0 to n - 1 do
+    match o.o_decisions.(i) with
+    | Some { Decision.at; _ } when not o.o_faulty.(i) -> (
+        hist_incr st at;
+        match o.o_decision_sim_ns.(i) with
+        | Some ns ->
+            st.s_sim_ns_sum <- st.s_sim_ns_sum + ns;
+            if ns > st.s_sim_ns_max then st.s_sim_ns_max <- ns
+        | None -> ())
+    | Some _ | None -> ()
+  done
 
 let merge into from =
-  into.s_runs <- into.s_runs + from.s_runs;
-  into.s_agreement <- into.s_agreement + from.s_agreement;
-  into.s_validity <- into.s_validity + from.s_validity;
-  into.s_undecided <- into.s_undecided + from.s_undecided;
-  into.s_decided <- into.s_decided + from.s_decided;
-  into.s_round_sum <- into.s_round_sum + from.s_round_sum;
-  into.s_round_max <- max into.s_round_max from.s_round_max;
+  Decision.merge into.tally from.tally;
   into.s_sim_ns_sum <- into.s_sim_ns_sum + from.s_sim_ns_sum;
   into.s_sim_ns_max <- max into.s_sim_ns_max from.s_sim_ns_max;
-  into.s_attempted <- into.s_attempted + from.s_attempted;
-  into.s_delivered <- into.s_delivered + from.s_delivered;
   into.s_faulty_runs <- into.s_faulty_runs + from.s_faulty_runs;
   (let flen = Array.length from.s_round_hist in
    if flen > Array.length into.s_round_hist then begin
@@ -225,6 +192,7 @@ let summary_of_state ~protocol ~params ~seed ~plan ~topology ~sync st =
     done;
     Array.sub st.s_round_hist 0 !len
   in
+  let t = st.tally in
   {
     ns_protocol = protocol;
     ns_params = params;
@@ -232,26 +200,22 @@ let summary_of_state ~protocol ~params ~seed ~plan ~topology ~sync st =
     ns_plan = plan;
     ns_topology = topology;
     ns_sync = sync;
-    ns_runs = st.s_runs;
-    ns_agreement_violations = st.s_agreement;
-    ns_validity_violations = st.s_validity;
-    ns_undecided_nonfaulty = st.s_undecided;
-    ns_decided_nonfaulty = st.s_decided;
-    ns_decision_round_sum = st.s_round_sum;
-    (* empty-mean convention (see {!Eba_protocols.Stats}): 0.0 when no
-       nonfaulty processor decided, so the summary and its JSON stay
-       finite on all-undecided sweeps *)
-    ns_mean_decision_round =
-      (if st.s_decided = 0 then 0.0
-       else float_of_int st.s_round_sum /. float_of_int st.s_decided);
-    ns_max_decision_round = st.s_round_max;
+    ns_runs = t.runs;
+    ns_agreement_violations = t.agreement_violations;
+    ns_validity_violations = t.validity_violations;
+    ns_undecided_nonfaulty = t.undecided_nonfaulty;
+    ns_decided_nonfaulty = t.decided_nonfaulty;
+    ns_decision_round_sum = t.round_sum;
+    ns_mean_decision_round = Decision.mean_round t;
+    ns_max_decision_round = t.round_max;
     ns_decision_ns_sum = st.s_sim_ns_sum;
+    (* the empty-mean convention of [Decision.mean_round] *)
     ns_mean_decision_ns =
-      (if st.s_decided = 0 then 0.0
-       else float_of_int st.s_sim_ns_sum /. float_of_int st.s_decided);
+      (if t.decided_nonfaulty = 0 then 0.0
+       else float_of_int st.s_sim_ns_sum /. float_of_int t.decided_nonfaulty);
     ns_max_decision_ns = st.s_sim_ns_max;
-    ns_attempted = st.s_attempted;
-    ns_delivered = st.s_delivered;
+    ns_attempted = t.attempted;
+    ns_delivered = t.delivered;
     ns_wire = st.s_wire;
     ns_faulty_runs = st.s_faulty_runs;
     ns_round_hist = hist;

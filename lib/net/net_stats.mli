@@ -4,13 +4,13 @@
     Every accumulated quantity is an exact integer count, sum or max
     (simulated times are tracked in integer nanoseconds), so merging
     per-domain accumulators reproduces a sequential sweep bit for bit
-    whatever the job count — the same discipline as
-    {!Eba_protocols.Stats}.  Specification checks (agreement, validity,
-    decision) quantify over the processors the run's adversary did {e not}
-    make faulty, exactly as in the lockstep harness. *)
+    whatever the job count.  Each run is judged by
+    {!Eba_sim.Decision.judge} over the processors its adversary did
+    {e not} make faulty and counted in a {!Eba_sim.Decision.tally}, as in
+    the lockstep harness {!Eba_protocols.Stats}. *)
 
 module Value = Eba_sim.Value
-module Runner = Eba_protocols.Runner
+module Decision = Eba_sim.Decision
 module Json = Eba_util.Json
 
 val ns_of_seconds : float -> int
@@ -55,7 +55,7 @@ val wire_reset : wire -> unit
     for engines that recycle one [wire] record across simulations. *)
 
 type outcome = {
-  o_decisions : Runner.decision option array;
+  o_decisions : Decision.t option array;
       (** first output per processor, [at] in rounds — comparable to the
           lockstep runner's trace *)
   o_decision_sim_ns : int option array;  (** the simulated instant of it *)

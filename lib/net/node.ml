@@ -1,6 +1,6 @@
 module Params = Eba_sim.Params
 module Value = Eba_sim.Value
-module Runner = Eba_protocols.Runner
+module Decision = Eba_sim.Decision
 
 module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
   type t = {
@@ -14,7 +14,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         (* per destination, the arrival instant of this round's earliest
            acknowledgement; [infinity] when none is on its way *)
     mutable nd_ack_seq : int array;  (* that acknowledgement's seqno *)
-    mutable nd_decision : Runner.decision option;
+    mutable nd_decision : Decision.t option;
     mutable nd_decision_sim : float option;
   }
 
@@ -25,7 +25,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) = struct
         match P.output node.nd_state with
         | None -> ()
         | Some value ->
-            node.nd_decision <- Some { Runner.at = time; value };
+            node.nd_decision <- Some { Decision.at = time; value };
             node.nd_decision_sim <- Some sim_time)
 
   let create (params : Params.t) ~me value ~sim_time =

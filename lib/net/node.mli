@@ -20,7 +20,7 @@
 
 module Params = Eba_sim.Params
 module Value = Eba_sim.Value
-module Runner = Eba_protocols.Runner
+module Decision = Eba_sim.Decision
 
 module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
   type t
@@ -66,7 +66,7 @@ module Make (P : Eba_protocols.Protocol_intf.PROTOCOL) : sig
   (** Close the current round: feed the buffered arrivals to [P.receive]
       and record a first decision if one appeared. *)
 
-  val decision : t -> Runner.decision option
+  val decision : t -> Decision.t option
   val decision_sim_time : t -> float option
   val state : t -> P.state
 end

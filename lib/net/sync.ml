@@ -1,10 +1,12 @@
 type t = { round_duration : float; rto : float; max_retries : int }
 
+(* rto first: a window left out defaults to a multiple of it, and the
+   error must name the parameter that was given. *)
 let make ~round_duration ~rto ~max_retries =
-  if not (Float.is_finite round_duration) || round_duration <= 0.0 then
-    invalid_arg "Sync.make: round_duration must be finite and > 0";
   if not (Float.is_finite rto) || rto <= 0.0 then
     invalid_arg "Sync.make: rto must be finite and > 0";
+  if not (Float.is_finite round_duration) || round_duration <= 0.0 then
+    invalid_arg "Sync.make: round_duration must be finite and > 0";
   if rto > round_duration then
     invalid_arg "Sync.make: rto cannot exceed the round window";
   if max_retries < 0 then invalid_arg "Sync.make: max_retries must be >= 0";
@@ -22,23 +24,6 @@ let check t topology =
       (Printf.sprintf
          "Sync.check: latency bound %g does not fit the round window %g"
          bound t.round_duration)
-
-let attempts t =
-  (* Retransmission [i] fires at [round_start + i * rto], and the event
-     loop schedules it only strictly inside the window ([fire < round_end]
-     — a copy launched exactly at the close would be dead on arrival, its
-     round already over).  Count with the same strict predicate instead of
-     truncating [round_duration /. rto]: when the window is an exact
-     multiple [k *. rto] of the timeout, truncation admits the phantom
-     attempt at the boundary and over-reports by one. *)
-  let retries = ref 0 in
-  while
-    !retries < t.max_retries
-    && float_of_int (!retries + 1) *. t.rto < t.round_duration
-  do
-    incr retries
-  done;
-  1 + !retries
 
 let attempt_times t =
   (* Mirror the event loop exactly: fire times accumulate by repeated

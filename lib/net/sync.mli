@@ -35,25 +35,20 @@ val check : t -> Topology.t -> unit
 (** Raises [Invalid_argument] unless the topology's latency bound is
     strictly below [round_duration]. *)
 
-val attempts : t -> int
-(** Maximum transmissions per message: the initial copy plus every retry
-    the budget and the window admit.  Retry [i] fires at
-    [round_start + i * rto] and counts only if that instant is {e strictly}
-    before the window's close — a copy launched exactly at [round_end]
-    would be dead on arrival, so when [round_duration = k *. rto] the
-    boundary retry is excluded (the same [< round_end] cutoff the event
-    loop uses to schedule timers). *)
-
 val attempt_times : t -> float array
-(** Fire offsets of every admitted transmission, relative to the window
-    start: [[| 0.0; rto; rto +. rto; ... |]].  Computed by the same
-    repeated float addition and strict in-window re-arm test the event
-    loop uses, so the schedule is bit-exact against the simulator —
-    [Array.length (attempt_times t)] agrees with {!attempts} whenever
-    iterated addition and multiplication round identically (always at the
-    repo's dyadic-friendly defaults).  The probability engine
-    ({!Eba_prob.Round_chain}) keys its per-attempt window cutoffs off
-    these offsets. *)
+(** Fire offsets of every transmission of a message, relative to the
+    window start: [[| 0.0; rto; rto +. rto; ... |]], the initial copy
+    plus every retry the budget and the window admit, so its length is
+    the most transmissions per message.  A retry counts only if its
+    instant is {e strictly} before the window's close — a copy launched
+    exactly at the close would be dead on arrival, so when
+    [round_duration = k *. rto] the boundary retry is excluded.  Computed
+    by the same repeated float addition and strict in-window re-arm test
+    the event loop uses in round 1, so the count can pass
+    [round_duration /. rto]: at [rto = 0.1] and [round_duration = 1.0]
+    ten additions reach 0.99999999999999989 and eleven offsets fit.  The
+    probability engine ({!Eba_prob.Round_chain}) keys its per-attempt
+    window cutoffs off these offsets. *)
 
 val round_end : t -> round:int -> float
 

@@ -1,8 +1,8 @@
 (** Exact Markov analysis of one {!Eba_net.Sync} round window.
 
-    A round-[k] message is transmitted up to [A = Sync.attempts] times:
-    attempt [a] fires at the window offsets {!Eba_net.Sync.attempt_times}
-    reports (the PR 6 boundary-exact schedule), its copy survives the link
+    A round-[k] message is transmitted up to [A] times, [A] the length
+    of {!Eba_net.Sync.attempt_times}: attempt [a] fires at the window
+    offset it reports (boundary-exact), its copy survives the link
     with probability [1 - loss], and the surviving copy beats the window
     close with the latency-model probability [u_a] ([in_window]).  Attempt
     outcomes are independent, and a missed message keeps retransmitting
@@ -25,7 +25,9 @@
     probabilistically identical. *)
 
 type spec = {
-  attempts : int;  (** max transmissions per message, [Sync.attempts] *)
+  attempts : int;
+      (** max transmissions per message, the length of
+          {!Eba_net.Sync.attempt_times} *)
   loss : Q.t;  (** exact per-copy loss probability [p], [0 <= p < 1] *)
   in_window : Q.t array;
       (** [u_a]: probability a surviving attempt-[a] copy arrives strictly

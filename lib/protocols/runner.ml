@@ -2,6 +2,7 @@ module Params = Eba_sim.Params
 module Config = Eba_sim.Config
 module Pattern = Eba_sim.Pattern
 module Value = Eba_sim.Value
+module Decision = Eba_sim.Decision
 module Metrics = Eba_util.Metrics
 
 let m_runs = Metrics.counter "runner.runs_simulated"
@@ -9,10 +10,8 @@ let m_attempted = Metrics.counter "runner.messages_attempted"
 let m_delivered = Metrics.counter "runner.messages_delivered"
 let m_bytes = Metrics.counter "runner.bytes_attempted"
 
-type decision = { at : int; value : Value.t }
-
 type trace = {
-  decisions : decision option array;
+  decisions : Decision.t option array;
   messages_attempted : int;
   messages_delivered : int;
   bytes_attempted : int;
@@ -31,7 +30,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     Array.iteri
       (fun i st ->
         match (decisions.(i), P.output st) with
-        | None, Some value -> decisions.(i) <- Some { at = time; value }
+        | None, Some value -> decisions.(i) <- Some { Decision.at = time; value }
         | (Some _ | None), _ -> ())
       states
 

@@ -12,11 +12,10 @@ module Params = Eba_sim.Params
 module Config = Eba_sim.Config
 module Pattern = Eba_sim.Pattern
 module Value = Eba_sim.Value
-
-type decision = { at : int; value : Value.t }
+module Decision = Eba_sim.Decision
 
 type trace = {
-  decisions : decision option array;  (** per processor, first output *)
+  decisions : Decision.t option array;  (** per processor, first output *)
   messages_attempted : int;  (** messages the protocol asked to send *)
   messages_delivered : int;
   bytes_attempted : int;

@@ -10,47 +10,27 @@ module Params = Eba_sim.Params
 module Config = Eba_sim.Config
 module Pattern = Eba_sim.Pattern
 
-type by_failures = {
-  failures : int;  (** [f] — processors exhibiting a failure *)
-  count : int;  (** runs with this [f] *)
-  mean_time : float;
-      (** mean decision time of nonfaulty deciders; {e empty-mean
-          convention}: exactly [0.0] when no nonfaulty processor decided,
-          never NaN — summaries must stay finite so their JSON emission is
-          RFC 8259-valid *)
-  max_time : int;
-  undecided : int;  (** nonfaulty processors without a decision *)
-}
-
 (** Where a summary's workload came from — enough to regenerate it
     exactly.  Sampled summaries carry their seed and a printed universe
     description, so any sampled number in EXPERIMENTS.md or a benchmark
     artifact can be reproduced with the recorded [(seed, samples,
     universe)] triple. *)
 type source =
-  | Exhaustive_universe of { flavour : string; universe : string }
+  | Exhaustive_universe of { universe : string }
   | Sampled_universe of { seed : int; samples : int; universe : string }
 
 type summary = {
   protocol : string;
-  runs : int;
-  agreement_violations : int;
-  validity_violations : int;
-  undecided_nonfaulty : int;
-  mean_time : float;  (** empty-mean convention: [0.0] when nothing decided *)
-  max_time : int;
-  by_failures : by_failures list;  (** ascending [f] *)
-  messages_attempted : int;
-  messages_delivered : int;
-  bytes_attempted : int;
-      (** exact total {!Protocol_intf.PROTOCOL.wire_size} of attempted
-          messages — an integer accumulator, bit-identical across [jobs] *)
-  bytes_delivered : int;
+  tally : Eba_sim.Decision.tally;
+      (** every run's verdict and messages; the mean decision time is
+          {!Eba_sim.Decision.mean_round} of it *)
+  by_failures : (int * Eba_sim.Decision.tally) list;
+      (** the runs in which [f] processors exhibit a failure, for each
+          [f] that has some, ascending *)
   source : source;
 }
 
 val exhaustive :
-  ?flavour:Eba_sim.Universe.flavour ->
   ?jobs:int ->
   ?cancel:Eba_util.Cancel.t ->
   (module Protocol_intf.PROTOCOL) ->
@@ -59,9 +39,9 @@ val exhaustive :
 (** Every configuration × every pattern of the universe, streamed from
     {!Eba_sim.Universe.workload_seq} and never materialized.  The runs
     are distributed over [jobs] domains (see {!Eba_util.Parallel} for how
-    the count is resolved); each domain folds into a private integer
-    accumulator, and the accumulators merge in a fixed order, so the
-    summary is bit-identical for every job count.
+    the count is resolved); each domain folds into private tallies, and
+    the tallies merge in a fixed order, so the summary is bit-identical
+    for every job count.
 
     [cancel] is polled before each run: once fired, the sweep raises
     {!Eba_util.Cancel.Cancelled} within one run per domain.  An un-fired
@@ -90,4 +70,5 @@ val source_json : source -> Eba_util.Json.t
 val summary_json : summary -> Eba_util.Json.t
 (** Schema-stable object: every count an integer (including the byte
     totals), the means finite floats under the empty-mean convention, the
-    per-failure breakdown as a list, and the {!source_json} identity. *)
+    per-failure breakdown as a list, and the {!source_json} identity (an
+    exhaustive source keeps its ["flavour": "exhaustive"] key). *)

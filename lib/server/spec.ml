@@ -16,8 +16,16 @@ let mode_to_string = function
   | Params.Omission -> "omission"
   | Params.General_omission -> "general-omission"
 
-let modes = [ Params.Crash; Params.Omission; Params.General_omission ]
-let mode_of_string s = List.find_opt (fun m -> mode_to_string m = s) modes
+(* A name reads exactly, on the wire and on the command line alike: no
+   prefix of it and no other case. *)
+let named table s = List.assoc_opt s table
+
+let mode_names =
+  List.map (fun m -> (mode_to_string m, m)) Params.[ Crash; Omission; General_omission ]
+
+let mode_of_string = named mode_names
+let mux_names = [ ("off", Mux_off); ("auto", Mux_auto) ]
+let mux_values = {|"off", "auto" or a wave size|}
 
 (* --- one description per parameter --- *)
 
@@ -113,10 +121,10 @@ let rec decode : type a. a kind -> string -> Json.t -> (a, string) result =
   | Mode, _ -> expected "a string"
   | Latency, Json.String s -> parse_latency s
   | Latency, _ -> expected "a latency spec string"
-  | Mux, Json.String "off" -> Ok Mux_off
-  | Mux, Json.String "auto" -> Ok Mux_auto
+  | Mux, Json.String s -> (
+      match named mux_names s with Some m -> Ok m | None -> expected mux_values)
   | Mux, Json.Int k -> Ok (Mux_live k)
-  | Mux, _ -> expected {|"off", "auto" or a wave size|}
+  | Mux, _ -> expected mux_values
   | Jobs, _ ->
       (* a peer must not make one request spawn more domains than the
          host runs; no engine's result depends on its job count *)
@@ -153,22 +161,32 @@ let latency_conv =
     ( (fun s -> Result.map_error (fun m -> `Msg m) (parse_latency s)),
       fun fmt l -> Format.pp_print_string fmt (Net.Link.latency_to_string l) )
 
+let names_conv ?expected table =
+  let expected =
+    Option.value expected
+      ~default:("one of " ^ String.concat ", " (List.map fst table))
+  in
+  let parse s =
+    Option.to_result (named table s)
+      ~none:(`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+  in
+  let print fmt v =
+    Format.pp_print_string fmt (fst (List.find (fun (_, v') -> v' = v) table))
+  in
+  Cmdliner.Arg.conv (parse, print)
+
 (* A wave size below 1 parses; {!resolve} refuses it, as it does a
    served one. *)
 let mux_conv =
+  let names = names_conv mux_names ~expected:mux_values in
   let parse s =
-    match String.lowercase_ascii s with
-    | "auto" -> Ok Mux_auto
-    | "off" -> Ok Mux_off
-    | s -> (
-        match int_of_string_opt s with
-        | Some k -> Ok (Mux_live k)
-        | None -> Error (`Msg "--mux: expected auto, off or a wave size"))
+    match int_of_string_opt s with
+    | Some k -> Ok (Mux_live k)
+    | None -> Cmdliner.Arg.conv_parser names s
   in
   let print fmt = function
-    | Mux_off -> Format.pp_print_string fmt "off"
-    | Mux_auto -> Format.pp_print_string fmt "auto"
     | Mux_live k -> Format.pp_print_int fmt k
+    | (Mux_off | Mux_auto) as m -> Cmdliner.Arg.conv_printer names fmt m
   in
   Cmdliner.Arg.conv (parse, print)
 
@@ -179,8 +197,8 @@ let rec converter : type a. a kind -> a Cmdliner.Arg.conv =
   | Float -> float
   | Flag -> bool
   | String -> string
-  | Enum names -> enum (List.map (fun s -> (s, s)) names)
-  | Mode -> enum (List.map (fun m -> (mode_to_string m, m)) modes)
+  | Enum names -> names_conv (List.map (fun s -> (s, s)) names)
+  | Mode -> names_conv mode_names
   | Latency -> latency_conv
   | Mux -> mux_conv
   | Jobs -> some int
@@ -503,8 +521,9 @@ module Probcheck = struct
   let admit spec =
     let* loss, sync, rounds = resolve spec in
     let { Net.Sync.round_duration; rto; max_retries } = sync in
-    (* [Sync.attempts] counts retransmissions strictly inside the window,
-       so this bound needs no loop over them *)
+    (* [Sync.attempt_times] arms a retransmission only while its instant
+       stays strictly inside the window, so this bound holds without a
+       loop over them *)
     let attempts_bound =
       1.0 +. Float.min (float_of_int max_retries) (Float.ceil (round_duration /. rto))
     in

@@ -63,6 +63,11 @@ type ('r, 'a) param = {
 
 type 'r field = Field : ('r, 'a) param -> 'r field
 
+val converter : 'a kind -> 'a Cmdliner.Arg.conv
+(** How a parameter of this kind reads from the command line.  Names
+    ([Enum], [Mode], [Mux]'s [off] and [auto]) read exactly, as on the
+    wire: a prefix of a name or the name in another case is refused. *)
+
 (** {1 netsim-sweep} *)
 
 type t = {

@@ -16,28 +16,19 @@ let crash_behaviours (params : Params.t) ~proc =
   Pattern.clean_crash ~horizon ~proc
   :: List.concat_map per_round (Params.rounds params)
 
-let round_choices_exhaustive params proc = Bitset.subsets_of (others params proc)
+(* Every per-round omission set: any subset of the others. *)
+let round_choices params proc = Bitset.subsets_of (others params proc)
 
-let round_choices_sparse params proc =
-  let rest = others params proc in
-  Bitset.empty :: rest :: List.map Bitset.singleton (Bitset.to_list rest)
-
-let omission_of_choices (params : Params.t) proc choices =
-  Pattern.omission ~horizon:params.Params.horizon ~proc ~omits:(Array.of_list choices)
-
-let omission_behaviours_gen choices (params : Params.t) ~proc =
-  let per_round = choices params proc in
+let omission_behaviours (params : Params.t) ~proc =
+  let per_round = round_choices params proc in
   let tuples = Combi.cartesian (List.map (fun _ -> per_round) (Params.rounds params)) in
-  List.map (omission_of_choices params proc) tuples
+  List.map
+    (fun choices ->
+      Pattern.omission ~horizon:params.Params.horizon ~proc ~omits:(Array.of_list choices))
+    tuples
 
-let omission_behaviours params ~proc =
-  omission_behaviours_gen round_choices_exhaustive params ~proc
-
-let omission_behaviours_sparse params ~proc =
-  omission_behaviours_gen round_choices_sparse params ~proc
-
-let general_behaviours_gen choices (params : Params.t) ~proc =
-  let per_round = choices params proc in
+let general_behaviours (params : Params.t) ~proc =
+  let per_round = round_choices params proc in
   (* a round's behaviour is an independent (send-omit, receive-omit) pair *)
   let pairs =
     List.concat_map (fun s -> List.map (fun r -> (s, r)) per_round) per_round
@@ -50,61 +41,49 @@ let general_behaviours_gen choices (params : Params.t) ~proc =
       Pattern.general ~horizon:params.Params.horizon ~proc ~send ~recv)
     tuples
 
-let general_behaviours params ~proc =
-  general_behaviours_gen round_choices_exhaustive params ~proc
-
-let general_behaviours_sparse params ~proc =
-  general_behaviours_gen round_choices_sparse params ~proc
-
-type flavour = Exhaustive | Sparse
-
-let behaviours_for ?(flavour = Exhaustive) (params : Params.t) ~proc =
-  match (params.Params.mode, flavour) with
-  | Params.Crash, _ -> crash_behaviours params ~proc
-  | Params.Omission, Exhaustive -> omission_behaviours params ~proc
-  | Params.Omission, Sparse -> omission_behaviours_sparse params ~proc
-  | Params.General_omission, Exhaustive -> general_behaviours params ~proc
-  | Params.General_omission, Sparse -> general_behaviours_sparse params ~proc
+let behaviours_for (params : Params.t) ~proc =
+  match params.Params.mode with
+  | Params.Crash -> crash_behaviours params ~proc
+  | Params.Omission -> omission_behaviours params ~proc
+  | Params.General_omission -> general_behaviours params ~proc
 
 (* The exhaustive path is streaming: only the per-processor behaviour lists
    (small) are materialized, never the cartesian product across processors
    or the pattern list itself. *)
-let patterns_seq ?(flavour = Exhaustive) (params : Params.t) =
+let patterns_seq (params : Params.t) =
   let faulty_sets = Bitset.subsets_upto params.Params.n params.Params.t_failures in
   Seq.concat_map
     (fun set ->
       let per_proc =
-        List.map (fun proc -> behaviours_for ~flavour params ~proc) (Bitset.to_list set)
+        List.map (fun proc -> behaviours_for params ~proc) (Bitset.to_list set)
       in
       Seq.map (Pattern.make params) (Combi.cartesian_seq per_proc))
     (List.to_seq faulty_sets)
 
-let patterns ?flavour (params : Params.t) = List.of_seq (patterns_seq ?flavour params)
+let patterns (params : Params.t) = List.of_seq (patterns_seq params)
 
-let workload_seq ?flavour ?configs (params : Params.t) =
+let workload_seq ?configs (params : Params.t) =
   let configs =
     match configs with Some cs -> cs | None -> Config.all ~n:params.Params.n
   in
   Seq.concat_map
     (fun pattern -> Seq.map (fun config -> (config, pattern)) (List.to_seq configs))
-    (patterns_seq ?flavour params)
+    (patterns_seq params)
 
 (* Every arithmetic step is overflow-checked: with the n-cap at 4096 these
    closed forms leave the int range as early as n = 63 (crash needs
    2^(n-1)), and a wrapped count is worse than no count — raise
    [Combi.Overflow] instead. *)
-let behaviour_count ?(flavour = Exhaustive) (params : Params.t) =
+let behaviour_count (params : Params.t) =
   let n = params.Params.n and horizon = params.Params.horizon in
-  match (params.Params.mode, flavour) with
-  | Params.Crash, _ -> Combi.add_exn 1 (Combi.mul_exn horizon (Combi.pow 2 (n - 1) - 1))
-  | Params.Omission, Exhaustive -> Combi.pow (Combi.pow 2 (n - 1)) horizon
-  | Params.Omission, Sparse -> Combi.pow (n + 1) horizon
-  | Params.General_omission, Exhaustive ->
+  match params.Params.mode with
+  | Params.Crash -> Combi.add_exn 1 (Combi.mul_exn horizon (Combi.pow 2 (n - 1) - 1))
+  | Params.Omission -> Combi.pow (Combi.pow 2 (n - 1)) horizon
+  | Params.General_omission ->
       Combi.pow (Combi.mul_exn (Combi.pow 2 (n - 1)) (Combi.pow 2 (n - 1))) horizon
-  | Params.General_omission, Sparse -> Combi.pow ((n + 1) * (n + 1)) horizon
 
-let count ?(flavour = Exhaustive) (params : Params.t) =
-  let per_proc = behaviour_count ~flavour params in
+let count (params : Params.t) =
+  let per_proc = behaviour_count params in
   let n = params.Params.n in
   let rec total f acc =
     if f > params.Params.t_failures then acc

@@ -2,13 +2,10 @@
     runs exist in a bounded model.
 
     Knowledge is always computed {e relative to a system of runs}; these
-    enumerators make the system explicit.  [exhaustive] universes contain
-    every canonical pattern of the mode and are what the correctness and
-    optimality experiments quantify over.  The [sparse] omission universe is
-    a documented restriction (each faulty processor omits, per round, either
-    nothing, everything, or a single receiver) used when the exhaustive
-    omission universe is too large; it still contains every run construction
-    used by the paper's Section 6 proofs. *)
+    enumerators make the system explicit.  A universe contains every
+    canonical pattern of the mode, and is what the correctness and
+    optimality experiments quantify over; {!random_pattern} samples one
+    for sizes past enumeration. *)
 
 val crash_behaviours : Params.t -> proc:int -> Pattern.behaviour list
 (** All canonical crash behaviours of [proc]: the in-horizon clean one plus,
@@ -18,40 +15,33 @@ val crash_behaviours : Params.t -> proc:int -> Pattern.behaviour list
 val omission_behaviours : Params.t -> proc:int -> Pattern.behaviour list
 (** All [2^(n-1)] per-round omission choices, over all rounds. *)
 
-val omission_behaviours_sparse : Params.t -> proc:int -> Pattern.behaviour list
-(** Per-round omission set restricted to [∅], a singleton, or all others. *)
-
-type flavour = Exhaustive | Sparse
-
-val behaviours_for : ?flavour:flavour -> Params.t -> proc:int -> Pattern.behaviour list
+val behaviours_for : Params.t -> proc:int -> Pattern.behaviour list
 (** The canonical behaviours of one faulty processor under the params' mode
     (the dispatcher behind the per-mode enumerators above). *)
 
-val patterns_seq : ?flavour:flavour -> Params.t -> Pattern.t Seq.t
+val patterns_seq : Params.t -> Pattern.t Seq.t
 (** Every pattern, streamed: for each faulty set of size [<= t], every
     combination of per-processor behaviours.  Nothing beyond the small
     per-processor behaviour lists is materialized, so exhaustive sweeps can
-    consume universes far larger than memory.  [flavour] defaults to
-    [Exhaustive] and only affects omission modes.  The sequence is
+    consume universes far larger than memory.  The sequence is
     persistent and enumerates in a fixed, deterministic order. *)
 
-val patterns : ?flavour:flavour -> Params.t -> Pattern.t list
+val patterns : Params.t -> Pattern.t list
 (** [List.of_seq (patterns_seq p)] — kept for callers that want the list. *)
 
-val workload_seq :
-  ?flavour:flavour -> ?configs:Config.t list -> Params.t -> (Config.t * Pattern.t) Seq.t
+val workload_seq : ?configs:Config.t list -> Params.t -> (Config.t * Pattern.t) Seq.t
 (** The exhaustive run workload: every pattern of {!patterns_seq} paired
     with every initial configuration ([Config.all] by default), streamed in
     pattern-major order. *)
 
-val count : ?flavour:flavour -> Params.t -> int
+val count : Params.t -> int
 (** [List.length (patterns p)] computed arithmetically, for guarding against
     accidentally huge models.  Raises [Combi.Overflow] when the count does
     not fit in a native [int] (e.g. exhaustive omission at [n >= 63], or
     crash at [n >= 63] with any horizon) instead of wrapping to a
     negative/garbage size. *)
 
-val behaviour_count : ?flavour:flavour -> Params.t -> int
+val behaviour_count : Params.t -> int
 (** Per-processor behaviour count computed arithmetically:
     [List.length (behaviours_for p ~proc)] for any [proc].  Raises
     [Combi.Overflow] like {!count}. *)

@@ -88,7 +88,7 @@ let build_cells store runs horizon n =
     runs;
   (off, ids)
 
-let build ?(flavour = Universe.Exhaustive) ?configs (params : Params.t) =
+let build ?configs (params : Params.t) =
   let configs =
     match configs with Some cs -> cs | None -> Config.all ~n:params.Params.n
   in
@@ -104,7 +104,7 @@ let build ?(flavour = Universe.Exhaustive) ?configs (params : Params.t) =
             simulate_run store params ~parts ~index:!index config pattern :: !runs;
           incr index)
         configs)
-    (Universe.patterns ~flavour params);
+    (Universe.patterns params);
   let runs = Array.of_list (List.rev !runs) in
   let cell_off, cell_ids =
     build_cells store runs params.Params.horizon params.Params.n

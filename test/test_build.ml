@@ -1,6 +1,6 @@
 (* The shared-prefix model builder: it is bit-identical to the naive
    reference (Naive_build) — same runs, same view ids, same cells —
-   for every flavour, mode and job count, while provably doing less
+   for every mode and job count, while provably doing less
    interning work, and the hashed run index agrees with a linear scan. *)
 
 module V = Eba.View
@@ -47,41 +47,39 @@ let check_models_equal label (a : Naive_build.t) (b : Naive_build.t) =
   ck "cell_off" (a.cell_off = b.cell_off);
   ck "cell_ids" (a.cell_ids = b.cell_ids)
 
-let shared ?flavour ?configs ~jobs params =
+let shared ?configs ~jobs params =
   Naive_build.of_model
-    (Parallel.with_jobs jobs (fun () -> M.build ?flavour ?configs ~jobs params))
+    (Parallel.with_jobs jobs (fun () -> M.build ?configs ~jobs params))
 
 let scenario_gen =
   QCheck2.Gen.(
     let* mode = oneofl [ Params.Crash; Params.Omission; Params.General_omission ] in
-    let* flavour = oneofl [ U.Exhaustive; U.Sparse ] in
     let* n = int_range 2 4 in
     let* t = int_range 0 2 in
     let* horizon = int_range 1 3 in
-    return (mode, flavour, n, t, horizon))
+    return (mode, n, t, horizon))
 
-let scenario_print (mode, flavour, n, t, horizon) =
-  Printf.sprintf "mode=%s flavour=%s n=%d t=%d T=%d"
+let scenario_print (mode, n, t, horizon) =
+  Printf.sprintf "mode=%s n=%d t=%d T=%d"
     (match mode with
     | Params.Crash -> "crash"
     | Params.Omission -> "omission"
     | Params.General_omission -> "general")
-    (match flavour with U.Exhaustive -> "exhaustive" | U.Sparse -> "sparse")
     n t horizon
 
 let equivalence_tests =
   [
     qtest ~count:30 "shared builder is bit-identical to naive" scenario_gen
-      (fun ((mode, flavour, n, t, horizon) as sc) ->
+      (fun ((mode, n, t, horizon) as sc) ->
         QCheck2.assume (t < n);
         let params = Params.make ~n ~t ~horizon ~mode in
-        QCheck2.assume (U.count ~flavour params * (1 lsl n) <= 6000);
-        let naive = Naive_build.build ~flavour params in
+        QCheck2.assume (U.count params * (1 lsl n) <= 6000);
+        let naive = Naive_build.build params in
         (* the job count, ambient and per call, must change no bit:
            jobs=1 and jobs=4 are both indistinguishable from naive *)
-        check_models_equal (scenario_print sc) naive (shared ~flavour ~jobs:1 params);
+        check_models_equal (scenario_print sc) naive (shared ~jobs:1 params);
         check_models_equal (scenario_print sc ^ " [jobs=4]") naive
-          (shared ~flavour ~jobs:4 params);
+          (shared ~jobs:4 params);
         true);
     test "shared build is bit-identical for jobs=1 and jobs=4" (fun () ->
         List.iter
@@ -135,12 +133,15 @@ let find_run_tests =
             | None -> Alcotest.fail "run not found")
           m.M.runs);
     test "find_run rejects patterns outside the model" (fun () ->
-        (* a sparse n=4 universe lacks the two-receiver omission below *)
-        let params = omission_4_1_3.params in
-        let m = M.build ~flavour:U.Sparse params in
-        let omits = [| B.add 1 (B.add 2 B.empty); B.empty; B.empty |] in
-        let pattern = Pat.make params [ Pat.omission ~horizon:3 ~proc:0 ~omits ] in
-        let config = Cfg.of_bits ~n:4 0b0110 in
+        (* a round-1 crash that reaches every other processor is the
+           clean crash in non-canonical form, which no universe holds *)
+        let params = crash_3_1_3.params in
+        let m = model crash_3_1_3 in
+        let pattern =
+          Pat.make params
+            [ Pat.crash ~horizon:3 ~proc:0 ~round:1 ~recipients:(B.of_list [ 1; 2 ]) ]
+        in
+        let config = Cfg.of_bits ~n:3 0b110 in
         check "absent" true (M.find_run m ~config ~pattern = None);
         (* same config with an in-universe pattern is found *)
         check "present" true
@@ -148,30 +149,30 @@ let find_run_tests =
   ]
 
 (* The walk bounds the views before the store is allocated, so the intern
-   pass never regrows it: over every mode and flavour, with all
+   pass never regrows it: over every mode, with all
    configurations and with a third of them, the build reports no
    [view.grows] and stays bit-identical to the naive reference. *)
 let capacity_tests =
   [
     qtest ~count:30 ~print:scenario_print
       "the view store is sized once: no regrowth, bit-identical to naive"
-      scenario_gen (fun ((mode, flavour, n, t, horizon) as sc) ->
+      scenario_gen (fun ((mode, n, t, horizon) as sc) ->
         QCheck2.assume (t < n);
         let params = Params.make ~n ~t ~horizon ~mode in
-        QCheck2.assume (U.count ~flavour params * (1 lsl n) <= 6000);
+        QCheck2.assume (U.count params * (1 lsl n) <= 6000);
         List.iter
           (fun (label, configs) ->
             let label = scenario_print sc ^ label in
             let m =
               with_metrics (fun () ->
-                  let m = M.build ~flavour ?configs params in
+                  let m = M.build ?configs params in
                   check_int (label ^ ": view.grows") 0
                     (Option.value ~default:0
                        (List.assoc_opt "view.grows" (Metrics.deterministic_counters ())));
                   m)
             in
             check_models_equal label
-              (Naive_build.build ~flavour ?configs params)
+              (Naive_build.build ?configs params)
               (Naive_build.of_model m))
           [
             ("", None);

@@ -19,7 +19,7 @@
       retransmissions and acks, zero violations and strictly fewer data
       bytes; byte counters are bit-identical across --jobs.
 
-   4. The Sync.attempts boundary: an exact-multiple window excludes the
+   4. The attempt-count boundary: an exact-multiple window excludes the
       retry that would fire at the window's close.
 
    5. The Stats / Net_stats empty-mean convention: all-undecided sweeps
@@ -68,7 +68,7 @@ let universe_bytes (module F : Eba.Protocol_intf.PROTOCOL)
           match (tf.Runner.decisions.(i), tc.Runner.decisions.(i)) with
           | None, None -> true
           | Some a, Some b ->
-              a.Runner.at = b.Runner.at && Val.equal a.Runner.value b.Runner.value
+              a.Eba.Decision.at = b.Eba.Decision.at && Val.equal a.Eba.Decision.value b.Eba.Decision.value
           | None, Some _ | Some _, None -> false
         in
         if not same then
@@ -213,7 +213,7 @@ let replay_bytes_agree name (module C : Eba.Protocol_intf.PROTOCOL) params () =
           match (lock.Runner.decisions.(i), net.Net.Net_stats.o_decisions.(i)) with
           | None, None -> true
           | Some a, Some b ->
-              a.Runner.at = b.Runner.at && Val.equal a.Runner.value b.Runner.value
+              a.Eba.Decision.at = b.Eba.Decision.at && Val.equal a.Eba.Decision.value b.Eba.Decision.value
           | None, Some _ | Some _, None -> false
         in
         if not same then
@@ -348,17 +348,22 @@ let wide_pair_tests =
          ~mode:Eba.Params.Omission ~n:64 ~runs:2);
   ]
 
-(* --- the Sync.attempts boundary --- *)
+(* --- the attempt-count boundary --- *)
 
 let sync_tests =
   let attempts ~d ~rto ~retries =
-    Net.Sync.attempts (Net.Sync.make ~round_duration:d ~rto ~max_retries:retries)
+    Array.length
+      (Net.Sync.attempt_times (Net.Sync.make ~round_duration:d ~rto ~max_retries:retries))
   in
   [
     test "attempts: exact-multiple window excludes the boundary retry" (fun () ->
         (* retries would fire at 1,2,3,4 — but 4.0 is the window close, and
            a copy launched there is dead on arrival *)
-        check_int "D=4 rto=1" 4 (attempts ~d:4.0 ~rto:1.0 ~retries:7));
+        check_int "D=4 rto=1" 4 (attempts ~d:4.0 ~rto:1.0 ~retries:7);
+        (* the instants are repeated additions of rto, as the event loop
+           makes them: ten of 0.1 reach 0.99999999999999989, strictly
+           inside a window of 1.0, so its boundary retry fits *)
+        check_int "D=1 rto=0.1" 11 (attempts ~d:1.0 ~rto:0.1 ~retries:20));
     test "attempts: a fractional window keeps the last interior retry" (fun () ->
         check_int "D=4.5 rto=1" 5 (attempts ~d:4.5 ~rto:1.0 ~retries:7));
     test "attempts: the retry budget still caps the count" (fun () ->
@@ -368,8 +373,9 @@ let sync_tests =
     test "attempts: the default timing is unchanged at 8" (fun () ->
         (* default: window 8 rto, 7 retries at 1..7 rto, all interior *)
         check_int "default" 8
-          (Net.Sync.attempts
-             (Net.Sync.default_for (Net.Netsim.lossless_topology ~n:3))));
+          (Array.length
+             (Net.Sync.attempt_times
+                (Net.Sync.default_for (Net.Netsim.lossless_topology ~n:3)))));
   ]
 
 (* --- all-undecided summaries stay finite and JSON-valid --- *)
@@ -400,12 +406,11 @@ let empty_mean_tests =
   [
     test "all-undecided Stats summary: means are 0.0, JSON finite" (fun () ->
         let s = Eba.Stats.exhaustive ~jobs:1 (module Never) crash_3_1_3.params in
-        check "undecided everywhere" true (s.Eba.Stats.undecided_nonfaulty > 0);
-        check "mean_time is exactly 0.0" true (s.Eba.Stats.mean_time = 0.0);
+        check "undecided everywhere" true (s.Eba.Stats.tally.undecided_nonfaulty > 0);
+        check "mean_time is exactly 0.0" true (Eba.Decision.mean_round s.Eba.Stats.tally = 0.0);
         List.iter
-          (fun (b : Eba.Stats.by_failures) ->
-            check "per-failure mean finite" true
-              (Float.is_finite b.Eba.Stats.mean_time))
+          (fun (_, row) ->
+            check "per-failure mean finite" true (Float.is_finite (Eba.Decision.mean_round row)))
           s.Eba.Stats.by_failures;
         let json = Eba.Json.to_string (Eba.Stats.summary_json s) in
         check "JSON has no NaN/Inf tokens" true (json_is_finite json));

@@ -4,38 +4,11 @@
 
 module M = Eba.Model
 module KB = Eba.Kb_protocol
-module Runner = Eba.Runner
-module Val = Eba.Value
-module B = Eba.Bitset
 open Helpers
 
-(* Compare nonfaulty decisions of an operational protocol with a semantic
-   decision pair over every run of a model.  Returns the number of
-   mismatching (run, proc) entries. *)
-let mismatches fixture pair (module P : Eba.Protocol_intf.PROTOCOL) =
-  let m = model fixture in
-  let params = fixture.params in
-  let d = KB.decide m pair in
-  let module R = Runner.Make (P) in
-  let bad = ref 0 in
-  for r = 0 to M.nruns m - 1 do
-    let run = M.run_of_point m (M.point m ~run:r ~time:0) in
-    let trace = R.run params run.M.config run.M.pattern in
-    B.iter
-      (fun i ->
-        let sem = KB.outcome d ~run:r ~proc:i in
-        let op = trace.Runner.decisions.(i) in
-        let same =
-          match (sem, op) with
-          | None, None -> true
-          | Some { KB.at; value }, Some { Runner.at = at'; value = value' } ->
-              at = at' && Val.equal value value'
-          | None, Some _ | Some _, None -> false
-        in
-        if not same then incr bad)
-      (M.nonfaulty m ~run:r)
-  done;
-  !bad
+(* How many nonfaulty (run, proc) decisions of an operational protocol
+   differ from a semantic decision pair's over every run of a model. *)
+let mismatches fixture pair p = List.length (KB.mismatches (KB.decide (model fixture) pair) p)
 
 let fip_of fixture pair =
   let m = model fixture in
@@ -79,10 +52,34 @@ let tests =
             check "not equivalent" true
               (mismatches fixture (Eba.Zoo.f_lambda_2 e) (module Eba.P0opt) > 0);
             let s = Eba.Stats.exhaustive (module Eba.P0opt) fixture.params in
-            check "agreement" true (s.Eba.Stats.agreement_violations = 0);
-            check "validity" true (s.Eba.Stats.validity_violations = 0);
-            check "decision" true (s.Eba.Stats.undecided_nonfaulty = 0))
+            check "agreement" true (s.Eba.Stats.tally.agreement_violations = 0);
+            check "validity" true (s.Eba.Stats.tally.validity_violations = 0);
+            check "decision" true (s.Eba.Stats.tally.undecided_nonfaulty = 0))
           [ crash_3_2_4; crash_4_2_4 ]);
+    test "Thm 6.2 tallied: P0opt's exhaustive sweep = F^Λ,2's decisions (crash n=3)"
+      (fun () ->
+        let semantic =
+          Eba.Spec.tally (KB.decide (model crash_3_1_3) (Eba.Zoo.f_lambda_2 (env crash_3_1_3)))
+        in
+        let op = (Eba.Stats.exhaustive (module Eba.P0opt) crash_3_1_3.params).Eba.Stats.tally in
+        let decisions (t : Eba.Decision.tally) =
+          [
+            ("runs", t.runs);
+            ("agreement violations", t.agreement_violations);
+            ("validity violations", t.validity_violations);
+            ("undecided", t.undecided_nonfaulty);
+            ("decided", t.decided_nonfaulty);
+            ("decision-round sum", t.round_sum);
+            ("decision-round max", t.round_max);
+          ]
+        in
+        List.iter2 (fun (name, s) (_, o) -> check_int name s o) (decisions semantic) (decisions op);
+        check "every run decided" true (op.decided_nonfaulty > 0 && op.undecided_nonfaulty = 0);
+        (* the semantic layer sends nothing; the sweep counts its messages *)
+        check "semantic traffic" true
+          (semantic.attempted = 0 && semantic.delivered = 0 && semantic.bytes_attempted = 0
+          && semantic.bytes_delivered = 0);
+        check "operational traffic" true (op.attempted > 0 && op.bytes_attempted > 0));
     test "P0opt+ ≡ F^Λ,2 at t=1 (crash n=3)" (fun () ->
         let e = env crash_3_1_3 in
         check_int "mismatches" 0

@@ -83,7 +83,7 @@ let kb_tests =
         let d = KB.decide m { KB.zero; one = DS.empty m } in
         for run = 0 to M.nruns m - 1 do
           match KB.outcome d ~run ~proc:0 with
-          | Some { KB.at; value } ->
+          | Some { Eba.Decision.at; value } ->
               check_int "time" 1 at;
               check "value" true (Val.equal value Val.Zero)
           | None -> Alcotest.fail "expected decision"
@@ -203,8 +203,8 @@ let decide_ref m (pair : KB.pair) =
           let v = M.view m ~run ~time ~proc:i in
           match (DS.mem pair.KB.zero v, DS.mem pair.KB.one v) with
           | true, true -> ambiguities := (run, i, time) :: !ambiguities
-          | true, false -> table.((run * n) + i) <- Some { KB.at = time; value = Val.Zero }
-          | false, true -> table.((run * n) + i) <- Some { KB.at = time; value = Val.One }
+          | true, false -> table.((run * n) + i) <- Some { Eba.Decision.at = time; value = Val.Zero }
+          | false, true -> table.((run * n) + i) <- Some { Eba.Decision.at = time; value = Val.One }
           | false, false -> first (time + 1)
       in
       first 0

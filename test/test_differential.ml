@@ -10,49 +10,21 @@
    the protocol-by-protocol matrix and reports *which* entries disagree,
    not just how many.) *)
 
-module M = Eba.Model
 module KB = Eba.Kb_protocol
-module Runner = Eba.Runner
 module Val = Eba.Value
-module B = Eba.Bitset
 open Helpers
 
 (* All (run, proc) entries where the semantic and operational decisions
    differ, with a printable description of both sides. *)
-let disagreements fixture pair (module P : Eba.Protocol_intf.PROTOCOL) =
-  let m = model fixture in
-  let d = KB.decide m pair in
-  let module R = Runner.Make (P) in
-  let bad = ref [] in
-  for r = M.nruns m - 1 downto 0 do
-    let run = M.run_of_point m (M.point m ~run:r ~time:0) in
-    let trace = R.run fixture.params run.M.config run.M.pattern in
-    B.iter
-      (fun i ->
-        let sem = KB.outcome d ~run:r ~proc:i in
-        let op = trace.Runner.decisions.(i) in
-        let same =
-          match (sem, op) with
-          | None, None -> true
-          | Some { KB.at; value }, Some { Runner.at = at'; value = value' } ->
-              at = at' && Val.equal value value'
-          | None, Some _ | Some _, None -> false
-        in
-        if not same then begin
-          let show = function
-            | None -> "undecided"
-            | Some (at, v) -> Format.asprintf "%a@%d" Val.pp v at
-          in
-          let sem = Option.map (fun { KB.at; value } -> (at, value)) sem in
-          let op = Option.map (fun { Runner.at; value } -> (at, value)) op in
-          bad :=
-            Printf.sprintf "run %d proc %d: semantic %s vs operational %s" r i
-              (show sem) (show op)
-            :: !bad
-        end)
-      (M.nonfaulty m ~run:r)
-  done;
-  !bad
+let disagreements fixture pair p =
+  let show = function
+    | None -> "undecided"
+    | Some { Eba.Decision.at; value } -> Format.asprintf "%a@%d" Val.pp value at
+  in
+  List.map
+    (fun (r, i, sem, op) ->
+      Printf.sprintf "run %d proc %d: semantic %s vs operational %s" r i (show sem) (show op))
+    (KB.mismatches (KB.decide (model fixture) pair) p)
 
 let agree name fixture pair p () =
   match disagreements fixture pair p with

@@ -179,13 +179,13 @@ let replay_disagreements (module P : Eba.Protocol_intf.PROTOCOL) params =
       let net = S.replay params pattern config in
       let show = function
         | None -> "undecided"
-        | Some { Runner.at; value } -> Format.asprintf "%a@%d" Val.pp value at
+        | Some { Eba.Decision.at; value } -> Format.asprintf "%a@%d" Val.pp value at
       in
       for i = 0 to params.Eba.Params.n - 1 do
         let same =
           match (lock.Runner.decisions.(i), net.Net.Net_stats.o_decisions.(i)) with
           | None, None -> true
-          | Some a, Some b -> a.Runner.at = b.Runner.at && Val.equal a.Runner.value b.Runner.value
+          | Some a, Some b -> a.Eba.Decision.at = b.Eba.Decision.at && Val.equal a.Eba.Decision.value b.Eba.Decision.value
           | None, Some _ | Some _, None -> false
         in
         if not same then

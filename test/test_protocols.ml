@@ -28,7 +28,7 @@ let unit_tests =
     test "P0: zero holders decide 0 at time 0 and flood" (fun () ->
         let trace = run_p0 (Cfg.of_bits ~n:3 0b110) (Pat.failure_free crash_params) in
         (match decision_of trace 0 with
-        | Some { Runner.at; value } ->
+        | Some { Eba.Decision.at; value } ->
             check_int "time" 0 at;
             check "value" true (Val.equal value Val.Zero)
         | None -> Alcotest.fail "no decision");
@@ -36,7 +36,7 @@ let unit_tests =
         List.iter
           (fun i ->
             match decision_of trace i with
-            | Some { Runner.at; value } ->
+            | Some { Eba.Decision.at; value } ->
                 check_int "time" 1 at;
                 check "value" true (Val.equal value Val.Zero)
             | None -> Alcotest.fail "no decision")
@@ -45,7 +45,7 @@ let unit_tests =
         let trace = run_p0 (Cfg.constant ~n:3 Val.One) (Pat.failure_free crash_params) in
         for i = 0 to 2 do
           match decision_of trace i with
-          | Some { Runner.at; value } ->
+          | Some { Eba.Decision.at; value } ->
               check_int "deadline" 2 at;
               check "one" true (Val.equal value Val.One)
           | None -> Alcotest.fail "no decision"
@@ -54,7 +54,7 @@ let unit_tests =
         let trace = run_p0opt (Cfg.constant ~n:3 Val.One) (Pat.failure_free crash_params) in
         for i = 0 to 2 do
           match decision_of trace i with
-          | Some { Runner.at; value } ->
+          | Some { Eba.Decision.at; value } ->
               check_int "fast" 1 at;
               check "one" true (Val.equal value Val.One)
           | None -> Alcotest.fail "no decision"
@@ -68,7 +68,7 @@ let unit_tests =
         List.iter
           (fun i ->
             match decision_of trace i with
-            | Some { Runner.at; value } ->
+            | Some { Eba.Decision.at; value } ->
                 check_int "time 2" 2 at;
                 check "one" true (Val.equal value Val.One)
             | None -> Alcotest.fail "no decision")
@@ -77,7 +77,7 @@ let unit_tests =
         let trace = run_flood (Cfg.of_bits ~n:3 0b010) (Pat.failure_free crash_params) in
         for i = 0 to 2 do
           match decision_of trace i with
-          | Some { Runner.at; value } ->
+          | Some { Eba.Decision.at; value } ->
               check_int "t+1" 2 at;
               check "zero wins" true (Val.equal value Val.Zero)
           | None -> Alcotest.fail "no decision"
@@ -89,7 +89,7 @@ let unit_tests =
         in
         for i = 0 to 2 do
           match decision_of trace i with
-          | Some { Runner.at; value } ->
+          | Some { Eba.Decision.at; value } ->
               check_int "f+1 = 1" 1 at;
               check "one" true (Val.equal value Val.One)
           | None -> Alcotest.fail "no decision"
@@ -103,9 +103,15 @@ let unit_tests =
 
 let spec_over_universe (module P : Eba.Protocol_intf.PROTOCOL) params =
   let s = Stats.exhaustive (module P) params in
-  check (P.name ^ " agreement") true (s.Stats.agreement_violations = 0);
-  check (P.name ^ " validity") true (s.Stats.validity_violations = 0);
-  check (P.name ^ " decision") true (s.Stats.undecided_nonfaulty = 0)
+  check (P.name ^ " agreement") true (s.Stats.tally.agreement_violations = 0);
+  check (P.name ^ " validity") true (s.Stats.tally.validity_violations = 0);
+  check (P.name ^ " decision") true (s.Stats.tally.undecided_nonfaulty = 0)
+
+(* Every run with f failures decides by round f + 1. *)
+let within_f_plus_1 (s : Stats.summary) =
+  List.iter
+    (fun (f, (row : Eba.Decision.tally)) -> check "≤ f+1" true (row.round_max <= f + 1))
+    s.Stats.by_failures
 
 let universe_tests =
   [
@@ -121,28 +127,22 @@ let universe_tests =
         (* simultaneity: decisions always exactly at t+1 *)
         let s = Stats.exhaustive (module Eba.Floodset) crash_params in
         List.iter
-          (fun (b : Stats.by_failures) ->
-            check "max = t+1" true (b.Stats.max_time = 2);
-            check "mean = t+1" true (Float.abs (b.Stats.mean_time -. 2.0) < 1e-9))
+          (fun (_, (row : Eba.Decision.tally)) ->
+            check "max = t+1" true (row.round_max = 2);
+            check "mean = t+1" true (Float.abs (Eba.Decision.mean_round row -. 2.0) < 1e-9))
           s.Stats.by_failures);
     test "Chain0 meets EBA over the exhaustive omission universe" (fun () ->
         spec_over_universe (module Eba.Chain0) omission_params);
     test "Chain0 respects the f+1 bound per failure count" (fun () ->
         let s = Stats.exhaustive (module Eba.Chain0) omission_params in
-        List.iter
-          (fun (b : Stats.by_failures) -> check "≤ f+1" true (b.Stats.max_time <= b.Stats.failures + 1))
-          s.Stats.by_failures);
-    slow "Chain0 at n=4 t=2 omission (sparse universe)" (fun () ->
+        within_f_plus_1 s);
+    test "Chain0 at n=4 t=2 omission (sampled universe)" (fun () ->
         let params = Params.make ~n:4 ~t:2 ~horizon:3 ~mode:Params.Omission in
-        let s =
-          Stats.exhaustive ~flavour:Eba.Universe.Sparse (module Eba.Chain0) params
-        in
-        check "agreement" true (s.Stats.agreement_violations = 0);
-        check "validity" true (s.Stats.validity_violations = 0);
-        check "decision" true (s.Stats.undecided_nonfaulty = 0);
-        List.iter
-          (fun (b : Stats.by_failures) -> check "≤ f+1" true (b.Stats.max_time <= b.Stats.failures + 1))
-          s.Stats.by_failures);
+        let s = Stats.sampled (module Eba.Chain0) params ~seed:5 ~samples:3000 in
+        check "agreement" true (s.Stats.tally.agreement_violations = 0);
+        check "validity" true (s.Stats.tally.validity_violations = 0);
+        check "decision" true (s.Stats.tally.undecided_nonfaulty = 0);
+        within_f_plus_1 s);
   ]
 
 let sampled_tests =
@@ -151,9 +151,10 @@ let sampled_tests =
         let params = Params.make ~n:6 ~t:2 ~horizon:4 ~mode:Params.Crash in
         let a = Stats.sampled (module Eba.P0opt) params ~seed:7 ~samples:200 in
         let b = Stats.sampled (module Eba.P0opt) params ~seed:7 ~samples:200 in
-        check "same mean" true (a.Stats.mean_time = b.Stats.mean_time);
-        check_int "same msgs" a.Stats.messages_delivered b.Stats.messages_delivered;
-        check_int "runs = samples" 200 a.Stats.runs;
+        check "same mean" true
+          (Eba.Decision.mean_round a.Stats.tally = Eba.Decision.mean_round b.Stats.tally);
+        check_int "same msgs" a.Stats.tally.delivered b.Stats.tally.delivered;
+        check_int "runs = samples" 200 a.Stats.tally.runs;
         (* the summary carries what it takes to regenerate it *)
         match a.Stats.source with
         | Stats.Sampled_universe { seed; samples; universe } ->
@@ -178,22 +179,22 @@ let sampled_tests =
     test "P0opt stays correct on larger sampled crash systems" (fun () ->
         let params = Params.make ~n:8 ~t:3 ~horizon:5 ~mode:Params.Crash in
         let s = Stats.sampled (module Eba.P0opt) params ~seed:11 ~samples:400 in
-        check "agreement" true (s.Stats.agreement_violations = 0);
-        check "validity" true (s.Stats.validity_violations = 0);
-        check "decision" true (s.Stats.undecided_nonfaulty = 0));
+        check "agreement" true (s.Stats.tally.agreement_violations = 0);
+        check "validity" true (s.Stats.tally.validity_violations = 0);
+        check "decision" true (s.Stats.tally.undecided_nonfaulty = 0));
     test "Chain0 stays correct on larger sampled omission systems" (fun () ->
         let params = Params.make ~n:8 ~t:3 ~horizon:5 ~mode:Params.Omission in
         let s = Stats.sampled (module Eba.Chain0) params ~seed:13 ~samples:400 in
-        check "agreement" true (s.Stats.agreement_violations = 0);
-        check "validity" true (s.Stats.validity_violations = 0);
-        check "decision" true (s.Stats.undecided_nonfaulty = 0));
+        check "agreement" true (s.Stats.tally.agreement_violations = 0);
+        check "validity" true (s.Stats.tally.validity_violations = 0);
+        check "decision" true (s.Stats.tally.undecided_nonfaulty = 0));
     test "P0 message complexity beats P0opt's" (fun () ->
         (* P0 sends only relays of 0; P0opt floods value vectors *)
         let params = Params.make ~n:6 ~t:2 ~horizon:4 ~mode:Params.Crash in
         let p0 = Stats.sampled (module Eba.P0.P0) params ~seed:3 ~samples:100 in
         let p0opt = Stats.sampled (module Eba.P0opt) params ~seed:3 ~samples:100 in
         check "fewer msgs" true
-          (p0.Stats.messages_attempted < p0opt.Stats.messages_attempted));
+          (p0.Stats.tally.attempted < p0opt.Stats.tally.attempted));
   ]
 
 let cancel_tests =

@@ -63,7 +63,7 @@ let tests =
         let run = (Option.get (Eba.Model.find_run m ~config ~pattern)).Eba.Model.index in
         let at d i =
           match KB.outcome d ~run ~proc:i with
-          | Some { KB.at; _ } -> at
+          | Some { Eba.Decision.at; _ } -> at
           | None -> max_int
         in
         for i = 0 to 2 do

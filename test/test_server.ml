@@ -1467,66 +1467,77 @@ let draw d fields default =
       if p.Spec.names = [] then acc else Gen.map2 p.Spec.set acc (d.draw p.Spec.key p.Spec.kind))
     (Gen.pure default) fields
 
-let rec arg_value : type a. a Spec.kind -> a -> string option =
- fun kind v ->
+(* How a name ([Enum], [Mode], [Mux]'s off and auto) is spelled on both
+   sides: as it is, upper-cased, or cut to a prefix — which both sides
+   must refuse, unless the prefix is itself a name ([p0opt] of
+   [p0opt+]). *)
+let spellings =
+  [
+    ("exact", Fun.id);
+    ("upper", String.uppercase_ascii);
+    ("prefix", fun s -> String.sub s 0 (max 1 (String.length s - 1)));
+  ]
+
+let rec arg_value : type a. spell:(string -> string) -> a Spec.kind -> a -> string option =
+ fun ~spell kind v ->
   match kind with
   | Spec.Int -> Some (string_of_int v)
   | Spec.Float -> Some (Printf.sprintf "%.17g" v)
   | Spec.Flag -> None
   | Spec.String -> Some v
-  | Spec.Enum _ -> Some v
-  | Spec.Mode -> Some (Spec.mode_to_string v)
+  | Spec.Enum _ -> Some (spell v)
+  | Spec.Mode -> Some (spell (Spec.mode_to_string v))
   | Spec.Latency -> Some (Net.Link.latency_to_string v)
   | Spec.Mux -> (
       match v with
-      | Spec.Mux_off -> Some "off"
-      | Spec.Mux_auto -> Some "auto"
+      | Spec.Mux_off -> Some (spell "off")
+      | Spec.Mux_auto -> Some (spell "auto")
       | Spec.Mux_live k -> Some (string_of_int k))
   | Spec.Jobs -> Option.map string_of_int v
-  | Spec.Option k -> Option.bind v (arg_value k)
+  | Spec.Option k -> Option.bind v (arg_value ~spell k)
 
 (* Short names glued to their value ([-n-2]), so a negative value is not
    read as an option. *)
-let argv fields spec =
+let argv ?(spell = Fun.id) fields spec =
   List.concat_map
     (fun (Spec.Field p) ->
       match (p.Spec.names, p.Spec.kind) with
       | [], _ -> []
       | name :: _, Spec.Flag -> if p.Spec.get spec then [ "--" ^ name ] else []
       | name :: _, kind -> (
-          match arg_value kind (p.Spec.get spec) with
+          match arg_value ~spell kind (p.Spec.get spec) with
           | None -> []
           | Some v when String.length name = 1 -> [ "-" ^ name ^ v ]
           | Some v -> [ "--" ^ name ^ "=" ^ v ]))
     fields
 
-let rec json_value : type a. a Spec.kind -> a -> Json.t =
- fun kind v ->
+let rec json_value : type a. spell:(string -> string) -> a Spec.kind -> a -> Json.t =
+ fun ~spell kind v ->
   match kind with
   | Spec.Int -> Json.Int v
   | Spec.Float -> Json.Float v
   | Spec.Flag -> Json.Bool v
   | Spec.String -> Json.String v
-  | Spec.Enum _ -> Json.String v
-  | Spec.Mode -> Json.String (Spec.mode_to_string v)
+  | Spec.Enum _ -> Json.String (spell v)
+  | Spec.Mode -> Json.String (spell (Spec.mode_to_string v))
   | Spec.Latency -> Json.String (Net.Link.latency_to_string v)
   | Spec.Mux -> (
       match v with
-      | Spec.Mux_off -> Json.String "off"
-      | Spec.Mux_auto -> Json.String "auto"
+      | Spec.Mux_off -> Json.String (spell "off")
+      | Spec.Mux_auto -> Json.String (spell "auto")
       | Spec.Mux_live k -> Json.Int k)
   | Spec.Jobs -> Option.fold ~none:Json.Null ~some:(fun j -> Json.Int j) v
-  | Spec.Option k -> Option.fold ~none:Json.Null ~some:(json_value k) v
+  | Spec.Option k -> Option.fold ~none:Json.Null ~some:(json_value ~spell k) v
 
 (* The params a client sends, through the wire's bytes: an absent option
    goes as [null]. *)
-let params fields spec =
+let params ?(spell = Fun.id) fields spec =
   let obj =
     Json.Obj
       (List.filter_map
          (fun (Spec.Field p) ->
            if p.Spec.names = [] then None
-           else Some (p.Spec.key, json_value p.Spec.kind (p.Spec.get spec)))
+           else Some (p.Spec.key, json_value ~spell p.Spec.kind (p.Spec.get spec)))
          fields)
   in
   Result.get_ok (Json.parse (Json.to_string obj))
@@ -1543,12 +1554,14 @@ let parse_argv term args =
 
 let table_tests =
   let agree name ~fields ~default ~term ~of_json ~check =
-    qtest ~count:300 ~print:(fun s -> String.concat " " (argv fields s))
+    qtest ~count:300
+      ~print:(fun ((_, spell), s) -> String.concat " " (argv ~spell fields s))
       (name ^ ": argv and params decode to one spec, or both are refused")
-      (Gen.oneof [ draw small fields default; draw wide fields default ])
-      (fun spec ->
-        let from_argv = parse_argv term (argv fields spec) in
-        let from_params = Result.to_option (of_json (params fields spec)) in
+      (Gen.pair (Gen.oneofl spellings)
+         (Gen.oneof [ draw small fields default; draw wide fields default ]))
+      (fun ((_, spell), spec) ->
+        let from_argv = parse_argv term (argv ~spell fields spec) in
+        let from_params = Result.to_option (of_json (params ~spell fields spec)) in
         let admitted = function Some s -> Result.is_ok (check s) | None -> false in
         match (from_argv, from_params) with
         | Some a, Some p when a = p -> true
@@ -1587,6 +1600,31 @@ let table_tests =
           (Eba.Prob.Report.to_json (Result.get_ok (Spec.Probcheck.report spec))));
   ]
 
+(* A window left out defaults to 8 rto, so an rto of 0 must be refused
+   for itself, not for a window the request never set. *)
+let rto_tests =
+  [
+    test "an rto of 0 is refused naming rto, from argv and from params" (fun () ->
+        let names_rto what = function
+          | Ok () -> Alcotest.fail (what ^ ": admitted")
+          | Error m -> check (what ^ ": " ^ m) true (contains m "rto must be")
+        in
+        let argv = [ "--rto=0" ] in
+        names_rto "eba netsim"
+          (Result.map ignore (Spec.resolve (Option.get (parse_argv Spec.term argv))));
+        names_rto "eba probcheck"
+          (Result.map ignore
+             (Spec.Probcheck.report (Option.get (parse_argv Spec.Probcheck.term argv))));
+        List.iter
+          (fun verb ->
+            names_rto verb
+              (match Registry.prepare ~verb ~params:(Json.Obj [ ("rto", Json.Int 0) ]) with
+              | Ok _ -> Ok ()
+              | Error (`Bad_request m) -> Error m
+              | Error `Unknown_verb -> Error "unknown verb"))
+          [ "netsim-sweep"; "probcheck" ]);
+  ]
+
 let suite =
   ( "server",
     frame_tests @ queue_tests @ spec_tests @ differential_tests
@@ -1595,4 +1633,4 @@ let suite =
     @ served_jobs_tests
     @ bench_tests
     @ robustness_tests @ restart_tests @ pool_tests @ served_mux_tests
-    @ served_prob_tests @ served_knowledge_tests @ table_tests )
+    @ served_prob_tests @ served_knowledge_tests @ table_tests @ rto_tests )

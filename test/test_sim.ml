@@ -1,5 +1,5 @@
 (* Units for the synchronous substrate: values, configurations, failure
-   patterns and adversary universes. *)
+   patterns, adversary universes and the verdict on a run's decisions. *)
 
 module V = Eba.Value
 module Cfg = Eba.Config
@@ -132,20 +132,16 @@ let universe_tests =
         (* regression: the old enumeration walked every integer up to the
            bit-pattern of [rest], so the count was only right by filtering;
            proc 0 has the highest-valued [rest] and is the sharpest case *)
-        let check_params params flavour =
-          List.iter
-            (fun proc ->
-              check_int
-                (Format.asprintf "%a proc %d" Params.pp params proc)
-                (U.behaviour_count ~flavour params)
-                (List.length (U.behaviours_for ~flavour params ~proc)))
-            (Params.procs params)
-        in
         List.iter
           (fun mode ->
             let params = Params.make ~n:4 ~t:2 ~horizon:2 ~mode in
-            check_params params U.Exhaustive;
-            check_params params U.Sparse)
+            List.iter
+              (fun proc ->
+                check_int
+                  (Format.asprintf "%a proc %d" Params.pp params proc)
+                  (U.behaviour_count params)
+                  (List.length (U.behaviours_for params ~proc)))
+              (Params.procs params))
           [ Params.Crash; Params.Omission; Params.General_omission ]);
     test "crash universe count formula" (fun () ->
         check_int "n=3 t=1 T=3" 31 (U.count crash_params);
@@ -155,16 +151,6 @@ let universe_tests =
         check_int "n=3 t=1 T=2" 49 (U.count omission_params);
         check_int "matches enumeration" (U.count omission_params)
           (List.length (U.patterns omission_params)));
-    test "sparse omission universe is smaller (n=4)" (fun () ->
-        (* at n=3, {∅, singletons, all} happens to be every subset, so the
-           sparse flavour only thins out from n=4 up *)
-        let params4 = Params.make ~n:4 ~t:1 ~horizon:2 ~mode:Params.Omission in
-        let sparse = U.count ~flavour:U.Sparse params4 in
-        check "smaller" true (sparse < U.count params4);
-        check_int "matches enumeration" sparse
-          (List.length (U.patterns ~flavour:U.Sparse params4));
-        check_int "n=3 sparse = exhaustive" (U.count omission_params)
-          (U.count ~flavour:U.Sparse omission_params));
     test "patterns are distinct" (fun () ->
         let ps = U.patterns crash_params in
         let sorted = List.sort_uniq Pat.compare ps in
@@ -292,7 +278,95 @@ let sampling_tests =
           rank);
   ]
 
+(* --- the verdict, against the specification restated --- *)
+
+module D = Eba.Decision
+
+(* Section 2.1 over the nonfaulty processors, written out with lists. *)
+let restated ~faulty ~init decisions : D.verdict =
+  let n = Array.length init in
+  let nonfaulty = List.filter (fun i -> not faulty.(i)) (List.init n Fun.id) in
+  let decided = List.filter_map (fun i -> decisions.(i)) nonfaulty in
+  let every p = List.for_all (fun (a : D.t) -> List.for_all (p a) decided) decided in
+  let times = List.map (fun (d : D.t) -> d.at) decided in
+  {
+    disagreement = not (every (fun a b -> V.equal a.value b.value));
+    invalid =
+      Array.for_all (V.equal init.(0)) init
+      && List.exists (fun (d : D.t) -> not (V.equal d.value init.(0))) decided;
+    undecided = List.length nonfaulty - List.length decided;
+    decided = List.length decided;
+    time_sum = List.fold_left ( + ) 0 times;
+    time_max = List.fold_left max 0 times;
+    simultaneous = every (fun a b -> a.at = b.at);
+  }
+
+(* A run of up to 8 processors, its decisions placed at an offset of a
+   longer table whose other slots hold decisions of other runs. *)
+let run_gen =
+  let open QCheck2.Gen in
+  let value = oneofl V.all in
+  let decision = option (map2 (fun at value -> { D.at; value }) (int_range 0 4) value) in
+  let* n = int_range 1 8 in
+  let* pos = int_range 0 3 in
+  let* table = array_size (pure (pos + n + 2)) decision in
+  let* faulty = array_size (pure n) bool in
+  let* init = oneof [ array_size (pure n) value; map (Array.make n) value ] in
+  return (pos, table, faulty, init)
+
+let print_run (pos, table, faulty, init) =
+  let show = function
+    | None -> "-"
+    | Some { D.at; value } -> Format.asprintf "%a@%d" V.pp value at
+  in
+  Printf.sprintf "pos=%d decisions=[%s] faulty=[%s] init=[%s]" pos
+    (String.concat " " (Array.to_list (Array.map show table)))
+    (String.concat " " (Array.to_list (Array.map string_of_bool faulty)))
+    (String.concat " " (Array.to_list (Array.map (Format.asprintf "%a" V.pp) init)))
+
+let judge (pos, table, faulty, init) =
+  D.judge ~faulty:(Array.get faulty)
+    ~unanimous:(Cfg.all_equal (Cfg.make init))
+    table ~pos ~n:(Array.length init)
+
+let verdict_tests =
+  [
+    qtest ~count:500 ~print:print_run
+      "Decision.judge = the specification restated over the nonfaulty processors" run_gen
+      (fun ((pos, table, faulty, init) as run) ->
+        judge run = restated ~faulty ~init (Array.sub table pos (Array.length init)));
+    qtest ~count:200
+      ~print:(fun runs -> String.concat "; " (List.map print_run runs))
+      "a tally counts its verdicts, and two halves' tallies merge to it"
+      QCheck2.Gen.(list_size (int_range 0 12) run_gen)
+      (fun runs ->
+        let tally_of runs =
+          let t = D.tally () in
+          List.iter (fun run -> D.add t (judge run)) runs;
+          t
+        in
+        let verdicts = List.map judge runs in
+        let count p = List.length (List.filter p verdicts) in
+        let sum f = List.fold_left (fun acc (v : D.verdict) -> acc + f v) 0 verdicts in
+        let counted =
+          {
+            (D.tally ()) with
+            runs = List.length runs;
+            agreement_violations = count (fun v -> v.disagreement);
+            validity_violations = count (fun v -> v.invalid);
+            undecided_nonfaulty = sum (fun v -> v.undecided);
+            decided_nonfaulty = sum (fun v -> v.decided);
+            round_sum = sum (fun v -> v.time_sum);
+            round_max = List.fold_left (fun acc (v : D.verdict) -> max acc v.time_max) 0 verdicts;
+          }
+        in
+        let half = List.length runs / 2 in
+        let merged = tally_of (List.filteri (fun i _ -> i < half) runs) in
+        D.merge merged (tally_of (List.filteri (fun i _ -> i >= half) runs));
+        tally_of runs = counted && merged = counted);
+  ]
+
 let suite =
   ( "sim",
     value_tests @ config_tests @ pattern_tests @ universe_tests @ overflow_tests
-    @ sampling_tests )
+    @ sampling_tests @ verdict_tests )

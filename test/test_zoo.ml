@@ -31,11 +31,11 @@ let no_optimum_tests =
           B.iter
             (fun i ->
               (match KB.outcome d0 ~run ~proc:i with
-              | Some { KB.at; value } when Val.equal (Cfg.value cfg i) Val.Zero ->
+              | Some { Eba.Decision.at; value } when Val.equal (Cfg.value cfg i) Val.Zero ->
                   check "P0 time 0" true (at = 0 && Val.equal value Val.Zero)
               | Some _ | None -> ());
               match KB.outcome d1 ~run ~proc:i with
-              | Some { KB.at; value } when Val.equal (Cfg.value cfg i) Val.One ->
+              | Some { Eba.Decision.at; value } when Val.equal (Cfg.value cfg i) Val.One ->
                   check "P1 time 0" true (at = 0 && Val.equal value Val.One)
               | Some _ | None -> ())
             (M.nonfaulty m ~run)
@@ -228,7 +228,7 @@ let chain_tests =
               B.iter
                 (fun i ->
                   match KB.outcome d ~run ~proc:i with
-                  | Some { KB.at; _ } -> check "≤ f+1" true (at <= f + 1)
+                  | Some { Eba.Decision.at; _ } -> check "≤ f+1" true (at <= f + 1)
                   | None -> Alcotest.fail "must decide")
                 (M.nonfaulty m ~run)
             done)
@@ -245,7 +245,7 @@ let chain_tests =
           B.iter
             (fun i ->
               match KB.outcome d ~run ~proc:i with
-              | Some { KB.at; _ } -> check "≤ f+1" true (at <= f + 1)
+              | Some { Eba.Decision.at; _ } -> check "≤ f+1" true (at <= f + 1)
               | None -> Alcotest.fail "must decide")
             (M.nonfaulty m ~run)
         done);
